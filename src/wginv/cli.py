@@ -206,6 +206,21 @@ def _ex1_left(ns, rng, default_x1=None, default_x2=None):
     return ex1_member(x1, x2), x1, x2
 
 
+def _ex1_or_random(ns, rng, tol) -> tuple:
+    """(pair, fixtures used): a seeded random pair with --random, else ex1."""
+    if ns.random:
+        return _random_instance(rng, tol), ["random"]
+    return ex1_pair(tol), ["ex1"]
+
+
+def _left_member(ns, pair, rng, tol, **defaults):
+    """A left family member: drawn at random on a random pair, else the ex1
+    closed form at the fixture parameters (or `defaults`)."""
+    if ns.random:
+        return _left_draw(pair, rng, tol)
+    return _ex1_left(ns, rng, **defaults)[0]
+
+
 def _ex2_params(ns, rng):
     z = tuple(_sample_int(rng, getattr(ns, f"z{i}")) for i in (1, 2, 3))
     y = tuple(_sample_int(rng, getattr(ns, f"y{i}")) for i in (1, 2))
@@ -241,13 +256,7 @@ def _ex2_drazin_case(tol: ToleranceConfig) -> OrderLawCase:
 
 
 def _drazin_scenario(ns, seed, tol, side: str):
-    rng = np.random.default_rng(seed)
-    if ns.random:
-        pair = _random_instance(rng, tol)
-        fixtures = ["random"]
-    else:
-        pair = ex1_pair(tol)
-        fixtures = ["ex1"]
+    pair, fixtures = _ex1_or_random(ns, np.random.default_rng(seed), tol)
     member = w_drazin(pair, tol).value
     alpha = 0.1 if ns.alpha is None else float(ns.alpha)
     scenario = admissible_perturbation(pair, member, alpha, seed, side=side, tol=tol)
@@ -256,13 +265,8 @@ def _drazin_scenario(ns, seed, tol, side: str):
 
 def _run_thm21(ns, seed, tol):
     rng = np.random.default_rng(seed)
-    if ns.random:
-        pair = _random_instance(rng, tol)
-        X = _left_draw(pair, rng, tol)
-        return check_mrwwd(pair, X, tol), ["random"]
-    pair = ex1_pair(tol)
-    X, _, _ = _ex1_left(ns, rng)
-    return check_mrwwd(pair, X, tol), ["ex1"]
+    pair, fixtures = _ex1_or_random(ns, rng, tol)
+    return check_mrwwd(pair, _left_member(ns, pair, rng, tol), tol), fixtures
 
 
 def _run_thm28(ns, seed, tol):
@@ -307,53 +311,29 @@ def _run_lem32(ns, seed, tol):
 
 def _run_thm33(ns, seed, tol):
     rng = np.random.default_rng(seed)
-    if ns.random:
-        pair = _random_instance(rng, tol)
-        X = _left_draw(pair, rng, tol)
-        fixtures = ["random"]
-    else:
-        pair = ex1_pair(tol)
-        X, _, _ = _ex1_left(ns, rng, default_x1=1, default_x2=2)
-        fixtures = ["ex1"]
+    pair, fixtures = _ex1_or_random(ns, rng, tol)
+    X = _left_member(ns, pair, rng, tol, default_x1=1, default_x2=2)
     Y = weak_mpd(pair, X, tol).value
     return check_mpd_characterizations(pair, X, Y, tol), fixtures
 
 
 def _run_thm34(ns, seed, tol):
     rng = np.random.default_rng(seed)
-    if ns.random:
-        pair = _random_instance(rng, tol)
-        fixtures = ["random"]
-    else:
-        pair = ex1_pair(tol)
-        fixtures = ["ex1"]
+    pair, fixtures = _ex1_or_random(ns, rng, tol)
     Z = _right_draw(pair, rng, tol)
     Y1 = weak_dmp(pair, Z, tol).value
     return check_dmp_characterizations(pair, Z, Y1, tol), fixtures
 
 
 def _run_thm35(ns, seed, tol):
-    rng = np.random.default_rng(seed)
-    if ns.random:
-        pair = _random_instance(rng, tol)
-        fixtures = ["random"]
-    else:
-        pair = ex1_pair(tol)
-        fixtures = ["ex1"]
+    pair, fixtures = _ex1_or_random(ns, np.random.default_rng(seed), tol)
     return check_wdrazin_specialization(pair, tol), fixtures
 
 
 def _run_lem36(ns, seed, tol):
     rng = np.random.default_rng(seed)
-    if ns.random:
-        pair = _random_instance(rng, tol)
-        X = _left_draw(pair, rng, tol)
-        fixtures = ["random"]
-    else:
-        pair = ex1_pair(tol)
-        X, _, _ = _ex1_left(ns, rng)
-        fixtures = ["ex1"]
-    return check_projectors(pair, X, None, tol), fixtures
+    pair, fixtures = _ex1_or_random(ns, rng, tol)
+    return check_projectors(pair, _left_member(ns, pair, rng, tol), None, tol), fixtures
 
 
 def _run_lem37(ns, seed, tol):
@@ -372,14 +352,8 @@ def _run_lem37(ns, seed, tol):
 
 def _run_thm38(ns, seed, tol):
     rng = np.random.default_rng(seed)
-    if ns.random:
-        pair = _random_instance(rng, tol)
-        X = _left_draw(pair, rng, tol)
-        fixtures = ["random"]
-    else:
-        pair = ex1_pair(tol)
-        X, _, _ = _ex1_left(ns, rng)
-        fixtures = ["ex1"]
+    pair, fixtures = _ex1_or_random(ns, rng, tol)
+    X = _left_member(ns, pair, rng, tol)
     Z = _right_draw(pair, rng, tol)
     Y = weak_mpd(pair, X, tol).value
     Y1 = weak_dmp(pair, Z, tol).value
@@ -395,94 +369,49 @@ def _run_thm38(ns, seed, tol):
 
 def _run_lem310(ns, seed, tol):
     rng = np.random.default_rng(seed)
-    if ns.random:
-        pair = _random_instance(rng, tol)
-        X = _left_draw(pair, rng, tol)
-        fixtures = ["random"]
-    else:
-        pair = ex1_pair(tol)
-        X, _, _ = _ex1_left(ns, rng)
-        fixtures = ["ex1"]
+    pair, fixtures = _ex1_or_random(ns, rng, tol)
+    X = _left_member(ns, pair, rng, tol)
     Z = _right_draw(pair, rng, tol)
     return check_mp_drazin_absorption(pair, X, Z, tol), fixtures
 
 
 def _run_thm312(ns, seed, tol):
     rng = np.random.default_rng(seed)
-    if ns.random:
-        pair = _random_instance(rng, tol)
-        fixtures = ["random"]
-    else:
-        pair = ex1_pair(tol)
-        fixtures = ["ex1"]
-    U = rng.standard_normal((pair.n, pair.m))
-    _, report = one_inverse_family(pair, U, tol)
+    pair, fixtures = _ex1_or_random(ns, rng, tol)
+    _, report = one_inverse_family(pair, rng.standard_normal((pair.n, pair.m)), tol)
     return report, fixtures
 
 
 def _run_lem313(ns, seed, tol):
     rng = np.random.default_rng(seed)
-    if ns.random:
-        pair = _random_instance(rng, tol)
-        fixtures = ["random"]
-    else:
-        pair = ex1_pair(tol)
-        fixtures = ["ex1"]
-    U = rng.standard_normal((pair.n, pair.m))
-    _, report = one_inverse_family_right(pair, U, tol)
+    pair, fixtures = _ex1_or_random(ns, rng, tol)
+    _, report = one_inverse_family_right(pair, rng.standard_normal((pair.n, pair.m)), tol)
     return report, fixtures
 
 
 def _run_lem314(ns, seed, tol):
     rng = np.random.default_rng(seed)
-    if ns.random:
-        pair = _random_instance(rng, tol)
-        X = _left_draw(pair, rng, tol)
-        fixtures = ["random"]
-    else:
-        pair = ex1_pair(tol)
-        X, _, _ = _ex1_left(ns, rng)
-        fixtures = ["ex1"]
+    pair, fixtures = _ex1_or_random(ns, rng, tol)
+    X = _left_member(ns, pair, rng, tol)
     Zfree = rng.standard_normal((pair.n, pair.m))
     _, report = mpd_general_solution(pair, X, Zfree, tol)
     return report, fixtures
 
 
 def _run_lem315(ns, seed, tol):
-    rng = np.random.default_rng(seed)
-    if ns.random:
-        pair = _random_instance(rng, tol)
-        fixtures = ["random"]
-    else:
-        pair = ex1_pair(tol)
-        fixtures = ["ex1"]
+    pair, fixtures = _ex1_or_random(ns, np.random.default_rng(seed), tol)
     return decomposition_report(weighted_core_ep_decompose(pair, tol), tol), fixtures
 
 
 def _run_thm316(ns, seed, tol):
     rng = np.random.default_rng(seed)
-    if ns.random:
-        pair = _random_instance(rng, tol)
-        X = _left_draw(pair, rng, tol)
-        fixtures = ["random"]
-    else:
-        pair = ex1_pair(tol)
-        X, _, _ = _ex1_left(ns, rng, default_x1=1, default_x2=2)
-        fixtures = ["ex1"]
+    pair, fixtures = _ex1_or_random(ns, rng, tol)
+    X = _left_member(ns, pair, rng, tol, default_x1=1, default_x2=2)
     return canonical_report(pair, X, tol), fixtures
 
 
 def _run_thm317(ns, seed, tol):
-    rng = np.random.default_rng(seed)
-    if ns.random:
-        pair = _random_instance(rng, tol)
-        fixtures = ["random"]
-    else:
-        pair = ex1_pair(tol)
-        fixtures = ["ex1"]
-    member = w_drazin(pair, tol).value
-    alpha = 0.1 if ns.alpha is None else float(ns.alpha)
-    scenario = admissible_perturbation(pair, member, alpha, seed, side="left", tol=tol)
+    scenario, fixtures = _drazin_scenario(ns, seed, tol, side="left")
     return perturbed_mrwwd(scenario, tol), fixtures
 
 

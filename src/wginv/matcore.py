@@ -66,13 +66,10 @@ class ToleranceConfig:
 
     rank_rtol: float = 1e-10
     residual_atol: float = 1e-8
-    norm_kind: str = "spectral"
 
     def __post_init__(self):
         if self.rank_rtol <= 0.0 or self.residual_atol <= 0.0:
             raise ValueError("tolerances must be positive")
-        if self.norm_kind != "spectral":
-            raise ValueError(f"unsupported norm kind: {self.norm_kind!r}")
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -215,6 +212,20 @@ class VerificationReport:
         for label, value in other.notes:
             self.notes.append((prefix + label, float(value)))
 
+    def mirrored(self, theorem_id: str, labels: dict) -> "VerificationReport":
+        """This report under `theorem_id`, its conditions renamed and ordered
+        by `labels` ({own label: new label}), whose keys must be exactly the
+        own labels so that no condition is dropped. Notes are kept."""
+        rows = {label: (residual, ok) for label, residual, ok in self.conditions}
+        if len(rows) != len(self.conditions) or labels.keys() != rows.keys():
+            raise ValueError(
+                f"label map {sorted(labels)} does not match the conditions {sorted(rows)}"
+            )
+        report = VerificationReport(theorem_id, self.tolerances, notes=list(self.notes))
+        for label, new_label in labels.items():
+            report.add(new_label, *rows[label])
+        return report
+
     @property
     def overall(self) -> bool:
         return all(ok for _, _, ok in self.conditions)
@@ -228,7 +239,7 @@ class VerificationReport:
             "tolerances": {
                 "rank_rtol": f"{self.tolerances.rank_rtol:.16e}",
                 "residual_atol": f"{self.tolerances.residual_atol:.16e}",
-                "norm_kind": self.tolerances.norm_kind,
+                "norm_kind": "spectral",
             },
             "conditions": [
                 {"label": label, "residual": f"{residual:.16e}", "pass": ok}
@@ -241,6 +252,21 @@ class VerificationReport:
                 {"label": label, "value": f"{value:.16e}"} for label, value in self.notes
             ]
         return doc
+
+
+def _range_eqc(A, B, tol: ToleranceConfig) -> tuple:
+    # (residual, pass) of R(A) = R(B), by projector residuals both ways
+    r_ab = spectral_norm(A - projector_onto(B, tol) @ A)
+    r_ba = spectral_norm(B - projector_onto(A, tol) @ B)
+    ok = _passes(r_ab, spectral_norm(A), tol) and _passes(r_ba, spectral_norm(B), tol)
+    return max(r_ab, r_ba), ok
+
+
+def _null_eqc(A, B, tol: ToleranceConfig) -> tuple:
+    # (rank gap, pass) of N(A) = N(B): the row spaces agree iff stacking adds no rank
+    stacked = rank_of(np.vstack([A, B]), tol)
+    gap = float(max(stacked - rank_of(A, tol), stacked - rank_of(B, tol)))
+    return gap, gap == 0.0
 
 
 def oblique_projector_check(
@@ -265,15 +291,8 @@ def oblique_projector_check(
 
     report = VerificationReport("oblique-projector", tol)
     report.add_equation("idempotent", P @ P, P)
-
-    r_pg = spectral_norm(P - projector_onto(G, tol) @ P)
-    r_gp = spectral_norm(G - projector_onto(P, tol) @ G)
-    ok = _passes(r_pg, spectral_norm(P), tol) and _passes(r_gp, spectral_norm(G), tol)
-    report.add("column-space equality", max(r_pg, r_gp), ok)
-
-    stacked = rank_of(np.vstack([F, P]), tol)
-    gap = float(max(stacked - rank_of(F, tol), stacked - rank_of(P, tol)))
-    report.add("null-space equality", gap, gap == 0.0)
+    report.add("column-space equality", *_range_eqc(P, G, tol))
+    report.add("null-space equality", *_null_eqc(F, P, tol))
     return report
 
 
@@ -306,6 +325,12 @@ class WeightedPair:
 
     def wb_power(self, j: int) -> np.ndarray:
         return matrix_power(self.W @ self.B, j)
+
+    @property
+    def H(self) -> "WeightedPair":
+        """The dual pair (B^*, W^*): B^* W^* = (WB)^* has the index of WB, so
+        the indices swap and none is recomputed."""
+        return WeightedPair(self.B.conj().T, self.W.conj().T, self.k_wb, self.k_bw)
 
 
 def weighted_pair(B, W, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedPair:

@@ -55,6 +55,11 @@ LEFT_FLAGS = (
     "norm BpE",
 )
 
+# The right-hand (DMP) side is written out, not derived from the left-hand one
+# on the dual pair (B^*, W^*) as in winv and verify: the duals of these six
+# flags are not the seven left-hand ones ("range E in EW" has no right-hand
+# counterpart), so a derived chain would require another hypothesis and note
+# other flags.
 RIGHT_FLAGS = (
     "range WE in member product",
     "rows WE in WB power",
@@ -106,13 +111,7 @@ def _left_flags(pair: WeightedPair, X, E, tol: ToleranceConfig) -> tuple:
         "norm WEWX": spectral_norm(W @ E @ W @ X),
         "norm BpE": spectral_norm(Bp @ E),
     }
-    flags = {}
-    for name, value in values.items():
-        if name.startswith("norm"):
-            flags[name] = value < 1.0
-        else:
-            flags[name] = _passes(value, spectral_norm(E), tol)
-    return flags, values
+    return _flags(values, E, tol), values
 
 
 def _right_flags(pair: WeightedPair, Z, E, tol: ToleranceConfig) -> tuple:
@@ -129,13 +128,15 @@ def _right_flags(pair: WeightedPair, Z, E, tol: ToleranceConfig) -> tuple:
         "norm ZWEW": spectral_norm(Z @ W @ E @ W),
         "norm EBp": spectral_norm(E @ Bp),
     }
-    flags = {}
-    for name, value in values.items():
-        if name.startswith("norm"):
-            flags[name] = value < 1.0
-        else:
-            flags[name] = _passes(value, spectral_norm(E), tol)
-    return flags, values
+    return _flags(values, E, tol), values
+
+
+def _flags(values: dict, E, tol: ToleranceConfig) -> dict:
+    # a norm hypothesis holds below 1, a subspace one at roundoff relative to E
+    return {
+        name: value < 1.0 if name.startswith("norm") else _passes(value, spectral_norm(E), tol)
+        for name, value in values.items()
+    }
 
 
 def scenario_from_parts(

@@ -8,11 +8,12 @@ import numpy as np
 
 from .matcore import (
     DEFAULT_TOL,
-    HypothesisError,
     ToleranceConfig,
     VerificationReport,
     WeightedPair,
+    _null_eqc,
     _passes,
+    _range_eqc,
     as_matrix,
     mp_inverse,
     oblique_projector_check,
@@ -22,12 +23,13 @@ from .matcore import (
 )
 from .sqinv import drazin
 from .winv import (
+    _as_member,
     _left_member_residual,
-    _right_member_residual,
+    _require_member,
+    _right_hand,
     w_dmp,
     w_drazin,
     w_mpd,
-    weak_dmp,
     weak_mpd,
 )
 
@@ -54,20 +56,6 @@ def _eqc(lhs, rhs, tol: ToleranceConfig) -> tuple:
     return r, _passes(r, spectral_norm(rhs), tol)
 
 
-def _range_eqc(A, B, tol: ToleranceConfig) -> tuple:
-    r_ab = spectral_norm(A - projector_onto(B, tol) @ A)
-    r_ba = spectral_norm(B - projector_onto(A, tol) @ B)
-    ok = _passes(r_ab, spectral_norm(A), tol) and _passes(r_ba, spectral_norm(B), tol)
-    return max(r_ab, r_ba), ok
-
-
-def _null_eqc(A, B, tol: ToleranceConfig) -> tuple:
-    # N(A) = N(B) iff the row spaces agree iff stacking adds no rank
-    stacked = rank_of(np.vstack([A, B]), tol)
-    gap = float(max(stacked - rank_of(A, tol), stacked - rank_of(B, tol)))
-    return gap, gap == 0.0
-
-
 def _rank_eqc(r1: int, r2: int) -> tuple:
     gap = float(abs(int(r1) - int(r2)))
     return gap, gap == 0.0
@@ -81,24 +69,10 @@ def _item(report: VerificationReport, label: str, comps: list) -> None:
     )
 
 
-def _require_left_member(pair: WeightedPair, X, tol: ToleranceConfig) -> np.ndarray:
-    X = as_matrix(X)
-    ok, residual, rank_gap = _left_member_residual(pair, X, tol)
-    if not ok:
-        raise HypothesisError(
-            f"X is not a left family member (residual {residual:.3e}, rank gap {rank_gap})"
-        )
-    return X
-
-
-def _require_right_member(pair: WeightedPair, Z, tol: ToleranceConfig) -> np.ndarray:
-    Z = as_matrix(Z)
-    ok, residual, rank_gap = _right_member_residual(pair, Z, tol)
-    if not ok:
-        raise HypothesisError(
-            f"Z is not a right family member (residual {residual:.3e}, rank gap {rank_gap})"
-        )
-    return Z
+# Right-hand checkers run their left-hand counterpart on the dual pair
+# (B^*, W^*) with the adjoints of their arguments, then rename its rows.
+def _star(A):
+    return None if A is None else as_matrix(A).conj().T
 
 
 def check_mrwwd(
@@ -136,7 +110,12 @@ def check_mrwwd_right(
     pair: WeightedPair, Z, tol: ToleranceConfig = DEFAULT_TOL, power: int | None = None
 ) -> VerificationReport:
     """Mirrored characterizations for the right family (WB)^(k+1) W Z-side
-    equation M Z = N with N = (WB)^k."""
+    equation M Z = N with N = (WB)^k.
+
+    Kept by hand rather than derived from check_mrwwd on the dual pair: its
+    null-space test is a stacked rank (3 SVDs), where the dual's range test is
+    a projector residual (6 SVDs), and it runs on every perturbed right member.
+    """
     Z = as_matrix(Z)
     B, W = pair.B, pair.W
     k = pair.k_wb if power is None else int(power)
@@ -192,22 +171,19 @@ def check_weak_mpd_system(
 def check_weak_dmp_system(
     pair: WeightedPair, Z, Y1, tol: ToleranceConfig = DEFAULT_TOL
 ) -> VerificationReport:
-    """Mirrored system for the weak DMP inverse W Z W B B^+."""
-    Z = as_matrix(Z)
-    Y1 = as_matrix(Y1)
-    B, W = pair.B, pair.W
-    k = pair.k_wb
-    Bp = mp_inverse(B, tol)
-    P1 = pair.wb_power(k + 1)
-
-    report = VerificationReport("lem3.2", tol)
-    _, m_res, m_gap = _right_member_residual(pair, Z, tol)
-    _item(report, "Z in right family", [(m_res, _passes(m_res, spectral_norm(pair.wb_power(k)), tol)), (float(m_gap), m_gap == 0)])
-    report.add_equation("outer: Y1 B Y1 = Y1", Y1 @ B @ Y1, Y1)
-    report.add_equation("image: Y1 B = W Z W B", Y1 @ B, W @ Z @ W @ B)
-    report.add_equation("power: (WB)^(k+1) Y1 = (WB)^(k+1) B^+", P1 @ Y1, P1 @ Bp)
-    report.add_equation("uniqueness: Y1 = W Z W B B^+", Y1, W @ Z @ W @ B @ Bp)
-    return report
+    """Mirrored system for the weak DMP inverse W Z W B B^+: thm3.1 on the
+    dual pair."""
+    report = check_weak_mpd_system(pair.H, _star(_as_member(pair, Z)), _star(Y1), tol)
+    return report.mirrored(
+        "lem3.2",
+        {
+            "X in left family": "Z in right family",
+            "outer: Y B Y = Y": "outer: Y1 B Y1 = Y1",
+            "image: B Y = B W X W": "image: Y1 B = W Z W B",
+            "power: Y (BW)^(k+1) = B^+ (BW)^(k+1)": "power: (WB)^(k+1) Y1 = (WB)^(k+1) B^+",
+            "uniqueness: Y = B^+ B W X W": "uniqueness: Y1 = W Z W B B^+",
+        },
+    )
 
 
 def check_mpd_characterizations(
@@ -258,46 +234,25 @@ def check_mpd_characterizations(
 def check_dmp_characterizations(
     pair: WeightedPair, Z, Y1, tol: ToleranceConfig = DEFAULT_TOL
 ) -> VerificationReport:
-    """Mirrored descriptions of the weak DMP inverse of member Z."""
-    Z = as_matrix(Z)
-    Y1 = as_matrix(Y1)
-    B, W = pair.B, pair.W
-    k = pair.k_wb
-    Bp = mp_inverse(B, tol)
-    WZWB = W @ Z @ W @ B
-    P1 = pair.wb_power(k + 1)
-
-    report = VerificationReport("thm3.4", tol)
-    outer = _eqc(Y1 @ B @ Y1, Y1, tol)
-    image = _eqc(Y1 @ B, WZWB, tol)
-    power = _eqc(P1 @ Y1, P1 @ Bp, tol)
-    right_abs = _eqc(B @ Y1, B @ Y1 @ B @ Bp, tol)
-    mp_fix = _eqc(Y1, Y1 @ B @ Bp, tol)
-
-    _item(report, "(i) direct formula", [_eqc(Y1, WZWB @ Bp, tol)])
-    _item(
-        report,
-        "(ii) outer, sandwich, image, power",
-        [outer, _eqc(B @ Y1 @ B, B @ WZWB, tol), image, power],
+    """Mirrored descriptions of the weak DMP inverse of member Z: thm3.3 on
+    the dual pair, where left absorption becomes right absorption."""
+    report = check_mpd_characterizations(pair.H, _star(Z), _star(Y1), tol)
+    return report.mirrored(
+        "thm3.4",
+        {
+            "(i) direct formula": "(i) direct formula",
+            "(ii) outer, sandwich, image, power": "(ii) outer, sandwich, image, power",
+            "(iii) outer, image, left absorption": "(iii) outer, image, right absorption",
+            "(iv) image, left absorption, MP fix": "(iv) image, right absorption, MP fix",
+            "(v) outer, image, power, member absorption": (
+                "(v) outer, image, power, member absorption"
+            ),
+            "(vi) MP fix, image, member sandwich": "(vi) MP fix, image, member sandwich",
+            "(vii) MP fix, image, weighted member absorption": (
+                "(vii) MP fix, image, weighted member absorption"
+            ),
+        },
     )
-    _item(report, "(iii) outer, image, right absorption", [outer, image, right_abs])
-    _item(report, "(iv) image, right absorption, MP fix", [image, right_abs, mp_fix])
-    _item(
-        report,
-        "(v) outer, image, power, member absorption",
-        [outer, image, power, _eqc(Z @ Y1, Z @ Bp, tol)],
-    )
-    _item(
-        report,
-        "(vi) MP fix, image, member sandwich",
-        [mp_fix, image, _eqc(Bp @ Z @ Y1, Bp @ Z @ Bp, tol)],
-    )
-    _item(
-        report,
-        "(vii) MP fix, image, weighted member absorption",
-        [mp_fix, image, _eqc(B @ W @ Z @ Y1, B @ W @ Z @ Bp, tol)],
-    )
-    return report
 
 
 def check_wdrazin_specialization(
@@ -319,7 +274,7 @@ def check_projectors(
 ) -> VerificationReport:
     """B Y and Y B as oblique projectors determined by the member X, plus the
     range and null space of Y itself."""
-    X = _require_left_member(pair, X, tol)
+    X = _require_member(pair, X, tol)
     B, W = pair.B, pair.W
     if Y is None:
         Y = weak_mpd(pair, X, tol).value
@@ -343,26 +298,24 @@ def check_projectors(
 def check_projectors_right(
     pair: WeightedPair, Z, Y1=None, tol: ToleranceConfig = DEFAULT_TOL
 ) -> VerificationReport:
-    """Mirrored projector geometry for the weak DMP inverse of member Z."""
-    Z = _require_right_member(pair, Z, tol)
-    B, W = pair.B, pair.W
-    if Y1 is None:
-        Y1 = weak_dmp(pair, Z, tol).value
-    Y1 = as_matrix(Y1)
-    k = pair.k_wb
-    N = pair.wb_power(k)
-    null_gen = pair.wb_power(k + 1) @ mp_inverse(B, tol)
-
-    report = VerificationReport("lem3.7", tol)
-    report.merge(
-        oblique_projector_check(B @ Y1, B @ W @ Z, null_gen, tol), prefix="(i) B Y1: "
+    """Mirrored projector geometry for the weak DMP inverse of member Z:
+    lem3.6 on the dual pair. B Y1 is the adjoint of the dual's Y B and Y1 B of
+    its B Y, and an adjoint turns a column space into a null space."""
+    Zh = _star(_as_member(pair, Z))
+    with _right_hand():
+        report = check_projectors(pair.H, Zh, _star(Y1), tol)
+    return report.mirrored(
+        "lem3.7",
+        {
+            "(ii) Y B: idempotent": "(i) B Y1: idempotent",
+            "(ii) Y B: null-space equality": "(i) B Y1: column-space equality",
+            "(ii) Y B: column-space equality": "(i) B Y1: null-space equality",
+            "(i) B Y: idempotent": "(ii) Y1 B: idempotent",
+            "(i) B Y: null-space equality": "(ii) Y1 B: column-space equality",
+            "(i) B Y: column-space equality": "(ii) Y1 B: null-space equality",
+            "(iii) outer, range, null space": "(iii) outer, range, null space",
+        },
     )
-    report.merge(oblique_projector_check(Y1 @ B, W @ Z, N, tol), prefix="(ii) Y1 B: ")
-    outer = _eqc(Y1 @ B @ Y1, Y1, tol)
-    rng = _range_eqc(Y1, W @ Z, tol)
-    nul = _null_eqc(Y1, null_gen, tol)
-    _item(report, "(iii) outer, range, null space", [outer, rng, nul])
-    return report
 
 
 def check_unique_projector_solution(
@@ -376,34 +329,38 @@ def check_unique_projector_solution(
     column-space) constrained solutions of the projector equation.
 
     The uniqueness condition compares Y against an independently computed
-    least-squares path through the same projector.
+    least-squares path through the same projector. The right side is the left
+    side for member^* and Y^* on the dual pair.
     """
     Y = as_matrix(Y)
-    B, W = pair.B, pair.W
-    rcond = tol.rank_rtol * max(B.shape)
-    report = VerificationReport("thm3.8", tol)
-    if side == "left":
-        X = _require_left_member(pair, member, tol)
-        K = pair.bw_power(pair.k_bw)
-        report.merge(oblique_projector_check(B @ Y, K, X @ W, tol), prefix="projector: ")
-        r_row = spectral_norm(Y - projector_onto(B.conj().T, tol) @ Y)
-        report.add(
-            "column space inside row space of B", r_row, _passes(r_row, spectral_norm(Y), tol)
+    if side == "right":
+        Zh = _star(_as_member(pair, member))
+        with _right_hand():
+            report = check_unique_projector_solution(pair.H, Zh, Y.conj().T, tol)
+        return report.mirrored(
+            "thm3.8",
+            {
+                "projector: idempotent": "projector: idempotent",
+                "projector: null-space equality": "projector: column-space equality",
+                "projector: column-space equality": "projector: null-space equality",
+                "column space inside row space of B": "column space inside range of B",
+                "uniqueness via least squares": "uniqueness via least squares",
+            },
         )
-        alt = np.linalg.lstsq(B, B @ Y, rcond=rcond)[0]
-        report.add_equation("uniqueness via least squares", Y, alt)
-    elif side == "right":
-        Z = _require_right_member(pair, member, tol)
-        N = pair.wb_power(pair.k_wb)
-        report.merge(oblique_projector_check(Y @ B, W @ Z, N, tol), prefix="projector: ")
-        r_col = spectral_norm(Y.conj().T - projector_onto(B, tol) @ Y.conj().T)
-        report.add(
-            "column space inside range of B", r_col, _passes(r_col, spectral_norm(Y), tol)
-        )
-        alt = np.linalg.lstsq(B.conj().T, (Y @ B).conj().T, rcond=rcond)[0].conj().T
-        report.add_equation("uniqueness via least squares", Y, alt)
-    else:
+    if side != "left":
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    X = _require_member(pair, member, tol)
+    B, W = pair.B, pair.W
+    K = pair.bw_power(pair.k_bw)
+    report = VerificationReport("thm3.8", tol)
+    report.merge(oblique_projector_check(B @ Y, K, X @ W, tol), prefix="projector: ")
+    r_row = spectral_norm(Y - projector_onto(B.conj().T, tol) @ Y)
+    report.add(
+        "column space inside row space of B", r_row, _passes(r_row, spectral_norm(Y), tol)
+    )
+    rcond = tol.rank_rtol * max(B.shape)
+    alt = np.linalg.lstsq(B, B @ Y, rcond=rcond)[0]
+    report.add_equation("uniqueness via least squares", Y, alt)
     return report
 
 
@@ -412,8 +369,10 @@ def check_mp_drazin_absorption(
 ) -> VerificationReport:
     """The Moore-Penrose factor in both weak inverses can be replaced by the
     corresponding weighted MPD / DMP inverse."""
-    X = _require_left_member(pair, X, tol)
-    Z = _require_right_member(pair, Z, tol)
+    X = _require_member(pair, X, tol)
+    Z = _as_member(pair, Z)
+    with _right_hand():
+        _require_member(pair.H, Z.conj().T, tol)
     B, W = pair.B, pair.W
     Bp = mp_inverse(B, tol)
     report = VerificationReport("lem3.10", tol)
@@ -440,7 +399,7 @@ def one_inverse_family(
         raise ValueError(f"U must be {pair.n} x {pair.m}, got {U.shape}")
     if X is None:
         X = w_drazin(pair, tol).value
-    X = _require_left_member(pair, X, tol)
+    X = _require_member(pair, X, tol)
     k = pair.k_bw
     Bp = mp_inverse(B, tol)
     K = pair.bw_power(k)
@@ -457,26 +416,16 @@ def one_inverse_family(
 def one_inverse_family_right(
     pair: WeightedPair, U, tol: ToleranceConfig = DEFAULT_TOL, Z=None
 ) -> tuple:
-    """Mirror of the one-sided family: Q = B^+ + (I - N^+ N) U."""
+    """Mirror of the one-sided family: Q = B^+ + (I - N^+ N) U with
+    N = (WB)^k, the adjoint of thm3.12's Q on the dual pair."""
     U = as_matrix(U)
-    B, W = pair.B, pair.W
     if U.shape != (pair.n, pair.m):
         raise ValueError(f"U must be {pair.n} x {pair.m}, got {U.shape}")
-    if Z is None:
-        Z = w_drazin(pair, tol).value
-    Z = _require_right_member(pair, Z, tol)
-    k = pair.k_wb
-    Bp = mp_inverse(B, tol)
-    N = pair.wb_power(k)
-    Np = mp_inverse(N, tol)
-    Q = Bp + (np.eye(pair.n, dtype=complex) - Np @ N) @ U
-    P1 = pair.wb_power(k + 1)
-
-    report = VerificationReport("lem3.13", tol)
-    report.add_equation("power absorption", P1 @ Q, P1 @ Bp)
-    report.add_equation("member product absorption", W @ Z @ W @ B @ Q, W @ Z @ W @ B @ Bp)
-    report.note("inner defect of Q", spectral_norm(B @ Q @ B - B))
-    return Q, report
+    Zh = None if Z is None else _star(_as_member(pair, Z))
+    with _right_hand():
+        Q, report = one_inverse_family(pair.H, U.conj().T, tol, Zh)
+    same = {label: label for label in ("power absorption", "member product absorption")}
+    return Q.conj().T, report.mirrored("lem3.13", same)
 
 
 def mpd_general_solution(
@@ -484,7 +433,7 @@ def mpd_general_solution(
 ) -> tuple:
     """General solution Y = B^+ + Zfree (I - B W X W) of the power identity
     Y (BW)^(k+1) = B^+ (BW)^(k+1). Returns (Y, report)."""
-    X = _require_left_member(pair, X, tol)
+    X = _require_member(pair, X, tol)
     Zfree = as_matrix(Zfree)
     B, W = pair.B, pair.W
     if Zfree.shape != (pair.n, pair.m):

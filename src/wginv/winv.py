@@ -8,7 +8,8 @@ back silently wrong.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -185,25 +186,6 @@ def w_m_wgmp(
     )
 
 
-def w_dmp(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedInverseResult:
-    """Weighted DMP inverse W B^D,W W B B^+."""
-    B, W = pair.B, pair.W
-    k = pair.k_wb
-    Bp = mp_inverse(B, tol)
-    WdW = W @ w_drazin(pair, tol).value @ W
-    val = WdW @ B @ Bp
-    residuals = _certify(
-        "w_dmp",
-        {
-            "outer": _eq(val @ B @ val, val),
-            "product": _eq(val @ B, WdW @ B),
-            "power": _eq(pair.wb_power(k + 1) @ val, pair.wb_power(k + 1) @ Bp),
-        },
-        tol,
-    )
-    return WeightedInverseResult(value=val, kind="w-dmp", index_used=k, residuals=residuals)
-
-
 def w_mpd(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedInverseResult:
     """Weighted MPD inverse B^+ B W B^D,W W."""
     B, W = pair.B, pair.W
@@ -221,6 +203,45 @@ def w_mpd(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedInv
         tol,
     )
     return WeightedInverseResult(value=val, kind="w-mpd", index_used=k, residuals=residuals)
+
+
+# Right-hand (DMP) statements are the left-hand (MPD) ones on the dual pair
+# (B^*, W^*), read through the adjoint: right(pair, Z) = left(pair.H, Z^*)^*.
+
+# The left-hand subjects that open error messages, and the names a caller of
+# a right-hand wrapper knows them by.
+_RIGHT_HAND_NAMES = {
+    "X is not a member of the left": "Z is not a member of the right",
+    "w_mpd:": "w_dmp:",
+    "weak_mpd:": "weak_dmp:",
+    "mrwwd_family:": "mrwwd_right_family:",
+}
+
+
+@contextmanager
+def _right_hand():
+    """Run a left-hand call on the dual pair for a right-hand caller: a
+    membership or certification error is re-raised, with its type, under the
+    names that caller used."""
+    try:
+        yield
+    except (HypothesisError, CertificationError) as exc:
+        message = str(exc)
+        for left, right in _RIGHT_HAND_NAMES.items():
+            if message.startswith(left):
+                raise type(exc)(right + message[len(left) :]) from exc
+        raise
+
+
+def _adjoint(result: WeightedInverseResult, kind: str) -> WeightedInverseResult:
+    return replace(result, value=result.value.conj().T, kind=kind)
+
+
+def w_dmp(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedInverseResult:
+    """Weighted DMP inverse W B^D,W W B B^+: the adjoint of the weighted MPD
+    inverse of the dual pair, certified by its equations."""
+    with _right_hand():
+        return _adjoint(w_mpd(pair.H, tol), "w-dmp")
 
 
 @dataclass(frozen=True)
@@ -275,34 +296,32 @@ def mrwwd_family(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> Solu
 def mrwwd_right_family(
     pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL
 ) -> SolutionFamily:
-    """All m x n solutions Z of (WB)^(k+1) W Z ... mirrored through the dual
-    power equation M Z = N with M = W (BW)^(k+1) and N = (WB)^k.
+    """All m x n solutions Z of M Z = N with M = W (BW)^(k+1), N = (WB)^k and
+    rank(N): the adjoints of the dual pair's left family.
 
-    particular = M^+ N; members M^+ N + (I - M^+ M) T N share the null space
-    and rank of N automatically.
+    particular = M^+ N; members M^+ N + (I - M^+ M) P N share the null space
+    and rank of N automatically, and member(P) is the dual member(P^*)^*.
     """
-    N = pair.wb_power(pair.k_wb)
-    M = pair.W @ pair.bw_power(pair.k_wb + 1)
-    Mp = mp_inverse(M, tol)
-    particular = Mp @ N
-    residual = spectral_norm(M @ particular - N)
-    if not _passes(residual, spectral_norm(N), tol):
-        raise CertificationError(
-            f"mrwwd_right_family: the power equation is inconsistent (residual {residual:.3e})"
-        )
+    with _right_hand():
+        dual = mrwwd_family(pair.H, tol)
     return SolutionFamily(
-        particular=particular,
-        left_factor=np.eye(pair.m, dtype=complex) - Mp @ M,
-        annihilator=N,
-        rank_target=rank_of(N, tol),
+        particular=dual.particular.conj().T,
+        left_factor=dual.annihilator.conj().T,
+        annihilator=dual.left_factor.conj().T,
+        rank_target=dual.rank_target,
         side="right",
     )
 
 
-def _left_member_residual(pair: WeightedPair, X, tol: ToleranceConfig) -> tuple:
+def _as_member(pair: WeightedPair, X) -> np.ndarray:
     X = as_matrix(X)
     if X.shape != (pair.m, pair.n):
         raise DimensionError(f"member shape {X.shape} != ({pair.m}, {pair.n})")
+    return X
+
+
+def _left_member_residual(pair: WeightedPair, X, tol: ToleranceConfig) -> tuple:
+    X = _as_member(pair, X)
     K = pair.bw_power(pair.k_bw)
     M = pair.W @ pair.bw_power(pair.k_bw + 1)
     residual = spectral_norm(X @ M - K)
@@ -312,15 +331,19 @@ def _left_member_residual(pair: WeightedPair, X, tol: ToleranceConfig) -> tuple:
 
 
 def _right_member_residual(pair: WeightedPair, Z, tol: ToleranceConfig) -> tuple:
-    Z = as_matrix(Z)
-    if Z.shape != (pair.m, pair.n):
-        raise DimensionError(f"member shape {Z.shape} != ({pair.m}, {pair.n})")
-    N = pair.wb_power(pair.k_wb)
-    M = pair.W @ pair.bw_power(pair.k_wb + 1)
-    residual = spectral_norm(M @ Z - N)
-    rank_gap = abs(rank_of(Z, tol) - rank_of(N, tol))
-    ok = _passes(residual, spectral_norm(N), tol) and rank_gap == 0
-    return ok, residual, rank_gap
+    return _left_member_residual(pair.H, _as_member(pair, Z).conj().T, tol)
+
+
+def _require_member(pair: WeightedPair, X, tol: ToleranceConfig) -> np.ndarray:
+    """X as a matrix, certified to be a member of the left solution family."""
+    X = as_matrix(X)
+    ok, residual, rank_gap = _left_member_residual(pair, X, tol)
+    if not ok:
+        raise HypothesisError(
+            f"X is not a member of the left solution family "
+            f"(power residual {residual:.3e}, rank gap {rank_gap})"
+        )
+    return X
 
 
 def weak_mpd(pair: WeightedPair, X, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedInverseResult:
@@ -330,13 +353,7 @@ def weak_mpd(pair: WeightedPair, X, tol: ToleranceConfig = DEFAULT_TOL) -> Weigh
     identity Y (BW)^(k+1) = B^+ (BW)^(k+1), and absorption of B^+ into the
     weighted MPD inverse.
     """
-    X = as_matrix(X)
-    ok, residual, rank_gap = _left_member_residual(pair, X, tol)
-    if not ok:
-        raise HypothesisError(
-            f"X is not a member of the left solution family "
-            f"(power residual {residual:.3e}, rank gap {rank_gap})"
-        )
+    X = _require_member(pair, X, tol)
     B, W = pair.B, pair.W
     k = pair.k_bw
     Bp = mp_inverse(B, tol)
@@ -356,30 +373,11 @@ def weak_mpd(pair: WeightedPair, X, tol: ToleranceConfig = DEFAULT_TOL) -> Weigh
 
 
 def weak_dmp(pair: WeightedPair, Z, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedInverseResult:
-    """Weak DMP inverse W Z W B B^+ for a certified right family member Z."""
-    Z = as_matrix(Z)
-    ok, residual, rank_gap = _right_member_residual(pair, Z, tol)
-    if not ok:
-        raise HypothesisError(
-            f"Z is not a member of the right solution family "
-            f"(power residual {residual:.3e}, rank gap {rank_gap})"
-        )
-    B, W = pair.B, pair.W
-    k = pair.k_wb
-    Bp = mp_inverse(B, tol)
-    WZWB = W @ Z @ W @ B
-    val = WZWB @ Bp
-    residuals = _certify(
-        "weak_dmp",
-        {
-            "outer": _eq(val @ B @ val, val),
-            "image": _eq(val @ B, WZWB),
-            "power": _eq(pair.wb_power(k + 1) @ val, pair.wb_power(k + 1) @ Bp),
-            "absorption": _eq(WZWB @ w_dmp(pair, tol).value, val),
-        },
-        tol,
-    )
-    return WeightedInverseResult(value=val, kind="weak-dmp", index_used=k, residuals=residuals)
+    """Weak DMP inverse W Z W B B^+ for a certified right family member Z: the
+    adjoint of the weak MPD inverse of Z^* on the dual pair."""
+    Zh = _as_member(pair, Z).conj().T
+    with _right_hand():
+        return _adjoint(weak_mpd(pair.H, Zh, tol), "weak-dmp")
 
 
 CATALOG = {
