@@ -14,6 +14,7 @@ import argparse
 import json
 import re
 import sys
+from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +37,6 @@ from .decomp import (
 from .matcore import (
     DEFAULT_TOL,
     CertificationError,
-    DimensionError,
     GenerationError,
     HypothesisError,
     ToleranceConfig,
@@ -48,8 +48,7 @@ from .matcore import (
     weighted_pair,
 )
 from .orderlaw import (
-    OrderLawCase,
-    _populate_flags,
+    _drazin_case,
     commuting_case,
     ex2_case,
     forward_order_minimal,
@@ -165,7 +164,7 @@ def report_to_document(report: VerificationReport, seed, fixtures_used) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# verify runners
+# verify registry
 
 
 def _sample_int(rng: np.random.Generator, explicit) -> int:
@@ -185,11 +184,6 @@ def _sample_dims(rng: np.random.Generator) -> tuple:
     return m, n, t
 
 
-def _random_instance(rng: np.random.Generator, tol: ToleranceConfig):
-    m, n, t = _sample_dims(rng)
-    return random_pair(m, n, t, rng, tol)
-
-
 def _left_draw(pair, rng, tol):
     return mrwwd_family(pair, tol).member(0.4 * rng.standard_normal((pair.m, pair.n)))
 
@@ -200,369 +194,179 @@ def _right_draw(pair, rng, tol):
     )
 
 
-def _ex1_left(ns, rng, default_x1=None, default_x2=None):
-    x1 = _sample_int(rng, ns.x1 if ns.x1 is not None else default_x1)
-    x2 = _sample_int(rng, ns.x2 if ns.x2 is not None else default_x2)
-    return ex1_member(x1, x2), x1, x2
+class _Draw:
+    """One trial of a `verify` check: the instance ("ex1", "ex2" or "random")
+    and everything drawn on it. Each input is built when the check first asks
+    for it, from one `default_rng(seed)`, so the draws follow the order in
+    which the check reads them."""
 
+    def __init__(self, ns, seed: int, tol: ToleranceConfig, instance: str):
+        self.ns, self.seed, self.tol, self.instance = ns, seed, tol, instance
+        self.rng = np.random.default_rng(seed)
+        self.x1 = None
 
-def _ex1_or_random(ns, rng, tol) -> tuple:
-    """(pair, fixtures used): a seeded random pair with --random, else ex1."""
-    if ns.random:
-        return _random_instance(rng, tol), ["random"]
-    return ex1_pair(tol), ["ex1"]
-
-
-def _left_member(ns, pair, rng, tol, **defaults):
-    """A left family member: drawn at random on a random pair, else the ex1
-    closed form at the fixture parameters (or `defaults`)."""
-    if ns.random:
-        return _left_draw(pair, rng, tol)
-    return _ex1_left(ns, rng, **defaults)[0]
-
-
-def _ex2_params(ns, rng):
-    z = tuple(_sample_int(rng, getattr(ns, f"z{i}")) for i in (1, 2, 3))
-    y = tuple(_sample_int(rng, getattr(ns, f"y{i}")) for i in (1, 2))
-    u = _sample_int(rng, ns.u1)
-    return z, y, u
-
-
-def _order_case(ns, seed, tol, with_c=False) -> tuple:
-    if ns.random:
-        return commuting_case(5, 4, seed, with_c=with_c, tol=tol), ["random"]
-    rng = np.random.default_rng(seed)
-    z, y, u = _ex2_params(ns, rng)
-    return ex2_case(z=z, y=y, u=u, tol=tol), ["ex2"]
-
-
-def _ex2_drazin_case(tol: ToleranceConfig) -> OrderLawCase:
-    A, B, C, W = ex2_matrices()
-    pa = weighted_pair(A, W, tol)
-    pb = weighted_pair(B, W, tol)
-    pc = weighted_pair(C, W, tol)
-    ZD = w_drazin(pa, tol).value
-    YD = w_drazin(pb, tol).value
-    UD = w_drazin(pc, tol).value
-    case = OrderLawCase(
-        W=W,
-        A=A,
-        B=B,
-        C=C,
-        inverses={"Z1": ZD, "Y2": YD, "Z2": ZD, "Y3": YD, "Z3": ZD, "Y4": YD, "U1": UD},
-    )
-    _populate_flags(case, tol)
-    return case
-
-
-def _drazin_scenario(ns, seed, tol, side: str):
-    pair, fixtures = _ex1_or_random(ns, np.random.default_rng(seed), tol)
-    member = w_drazin(pair, tol).value
-    alpha = 0.1 if ns.alpha is None else float(ns.alpha)
-    scenario = admissible_perturbation(pair, member, alpha, seed, side=side, tol=tol)
-    return scenario, fixtures
-
-
-def _run_thm21(ns, seed, tol):
-    rng = np.random.default_rng(seed)
-    pair, fixtures = _ex1_or_random(ns, rng, tol)
-    return check_mrwwd(pair, _left_member(ns, pair, rng, tol), tol), fixtures
-
-
-def _run_thm28(ns, seed, tol):
-    rng = np.random.default_rng(seed)
-    if ns.random:
-        pair = _random_instance(rng, tol)
-        Z = _right_draw(pair, rng, tol)
-        return check_mrwwd_right(pair, Z, tol), ["random"]
-    A, _, _, W = ex2_matrices()
-    pair = weighted_pair(A, W, tol)
-    # the right family has no closed integer form here, so draw a member
-    Z = _right_draw(pair, rng, tol)
-    return check_mrwwd_right(pair, Z, tol), ["ex2"]
-
-
-def _run_thm31(ns, seed, tol):
-    rng = np.random.default_rng(seed)
-    if ns.random:
-        pair = _random_instance(rng, tol)
-        X = _left_draw(pair, rng, tol)
-        Y = weak_mpd(pair, X, tol).value
-        return check_weak_mpd_system(pair, X, Y, tol), ["random"]
-    pair = ex1_pair(tol)
-    X, x1, _ = _ex1_left(ns, rng)
-    return check_weak_mpd_system(pair, X, ex1_weak_mpd(x1), tol), ["ex1"]
-
-
-def _run_lem32(ns, seed, tol):
-    rng = np.random.default_rng(seed)
-    if ns.random:
-        pair = _random_instance(rng, tol)
-        fixtures = ["random"]
-        Z = _right_draw(pair, rng, tol)
-    else:
+    @cached_property
+    def pair(self):
+        if self.instance == "random":
+            m, n, t = _sample_dims(self.rng)
+            return random_pair(m, n, t, self.rng, self.tol)
+        if self.instance == "ex1":
+            return ex1_pair(self.tol)
         A, _, _, W = ex2_matrices()
-        pair = weighted_pair(A, W, tol)
-        fixtures = ["ex2"]
-        Z = _right_draw(pair, rng, tol)
-    Y1 = weak_dmp(pair, Z, tol).value
-    return check_weak_dmp_system(pair, Z, Y1, tol), fixtures
+        return weighted_pair(A, W, self.tol)
+
+    def left(self, x1=None, x2=None):
+        """A left family member: drawn on a random pair, else the ex1 closed
+        form at --x1/--x2, or at `x1`/`x2`, or at drawn integers."""
+        if self.instance == "random":
+            return _left_draw(self.pair, self.rng, self.tol)
+        ns = self.ns
+        self.x1 = _sample_int(self.rng, ns.x1 if ns.x1 is not None else x1)
+        x2 = _sample_int(self.rng, ns.x2 if ns.x2 is not None else x2)
+        return ex1_member(self.x1, x2)
+
+    @cached_property
+    def Z(self):
+        # the right family has no closed integer form on a fixture, so draw one
+        return _right_draw(self.pair, self.rng, self.tol)
+
+    @cached_property
+    def free(self):
+        return self.rng.standard_normal((self.pair.n, self.pair.m))
+
+    def scenario(self, side: str):
+        """An admissible perturbation of the pair's weighted Drazin member."""
+        member = w_drazin(self.pair, self.tol).value
+        alpha = 0.1 if self.ns.alpha is None else float(self.ns.alpha)
+        return admissible_perturbation(
+            self.pair, member, alpha, self.seed, side=side, tol=self.tol
+        )
+
+    def case(self, with_c: bool = False):
+        """An order-law case: commuting random factors, else the ex2 fixture at
+        --z1.. --u1 or at drawn integers."""
+        if self.instance == "random":
+            return commuting_case(5, 4, self.seed, with_c=with_c, tol=self.tol)
+        ns, rng = self.ns, self.rng
+        z = tuple(_sample_int(rng, getattr(ns, f"z{i}")) for i in (1, 2, 3))
+        y = tuple(_sample_int(rng, getattr(ns, f"y{i}")) for i in (1, 2))
+        return ex2_case(z=z, y=y, u=_sample_int(rng, ns.u1), tol=self.tol)
 
 
-def _run_thm33(ns, seed, tol):
-    rng = np.random.default_rng(seed)
-    pair, fixtures = _ex1_or_random(ns, rng, tol)
-    X = _left_member(ns, pair, rng, tol, default_x1=1, default_x2=2)
-    Y = weak_mpd(pair, X, tol).value
-    return check_mpd_characterizations(pair, X, Y, tol), fixtures
+# Checks name the library functions they call at call time (never bind them
+# when the table is built), so wrappers installed on the modules see them.
 
 
-def _run_thm34(ns, seed, tol):
-    rng = np.random.default_rng(seed)
-    pair, fixtures = _ex1_or_random(ns, rng, tol)
-    Z = _right_draw(pair, rng, tol)
-    Y1 = weak_dmp(pair, Z, tol).value
-    return check_dmp_characterizations(pair, Z, Y1, tol), fixtures
-
-
-def _run_thm35(ns, seed, tol):
-    pair, fixtures = _ex1_or_random(ns, np.random.default_rng(seed), tol)
-    return check_wdrazin_specialization(pair, tol), fixtures
-
-
-def _run_lem36(ns, seed, tol):
-    rng = np.random.default_rng(seed)
-    pair, fixtures = _ex1_or_random(ns, rng, tol)
-    return check_projectors(pair, _left_member(ns, pair, rng, tol), None, tol), fixtures
-
-
-def _run_lem37(ns, seed, tol):
-    rng = np.random.default_rng(seed)
-    if ns.random:
-        pair = _random_instance(rng, tol)
-        fixtures = ["random"]
-        Z = _right_draw(pair, rng, tol)
+def _weak_mpd_system(d: _Draw) -> VerificationReport:
+    X = d.left()
+    if d.instance == "ex1":
+        Y = ex1_weak_mpd(d.x1)
     else:
-        A, _, _, W = ex2_matrices()
-        pair = weighted_pair(A, W, tol)
-        fixtures = ["ex2"]
-        Z = _right_draw(pair, rng, tol)
-    return check_projectors_right(pair, Z, None, tol), fixtures
+        Y = weak_mpd(d.pair, X, d.tol).value
+    return check_weak_mpd_system(d.pair, X, Y, d.tol)
 
 
-def _run_thm38(ns, seed, tol):
-    rng = np.random.default_rng(seed)
-    pair, fixtures = _ex1_or_random(ns, rng, tol)
-    X = _left_member(ns, pair, rng, tol)
-    Z = _right_draw(pair, rng, tol)
-    Y = weak_mpd(pair, X, tol).value
-    Y1 = weak_dmp(pair, Z, tol).value
-    report = VerificationReport("thm3.8", tol)
+def _mpd_characterizations(d: _Draw) -> VerificationReport:
+    X = d.left(1, 2)
+    return check_mpd_characterizations(d.pair, X, weak_mpd(d.pair, X, d.tol).value, d.tol)
+
+
+def _unique_projector_solutions(d: _Draw) -> VerificationReport:
+    X, Z = d.left(), d.Z
+    report = VerificationReport("thm3.8", d.tol)
     report.merge(
-        check_unique_projector_solution(pair, X, Y, tol, side="left"), prefix="left: "
+        check_unique_projector_solution(
+            d.pair, X, weak_mpd(d.pair, X, d.tol).value, d.tol, side="left"
+        ),
+        prefix="left: ",
     )
     report.merge(
-        check_unique_projector_solution(pair, Z, Y1, tol, side="right"), prefix="right: "
+        check_unique_projector_solution(
+            d.pair, Z, weak_dmp(d.pair, Z, d.tol).value, d.tol, side="right"
+        ),
+        prefix="right: ",
     )
-    return report, fixtures
+    return report
 
 
-def _run_lem310(ns, seed, tol):
-    rng = np.random.default_rng(seed)
-    pair, fixtures = _ex1_or_random(ns, rng, tol)
-    X = _left_member(ns, pair, rng, tol)
-    Z = _right_draw(pair, rng, tol)
-    return check_mp_drazin_absorption(pair, X, Z, tol), fixtures
+def _weak_mpd_order_law(d: _Draw, fixture_case) -> VerificationReport:
+    """thm3.30 on a random `rol_case`, else on `fixture_case()`, whose
+    hypotheses are reported instead of required."""
+    if d.instance == "random":
+        return reverse_order_weak_mpd(rol_case(6, d.seed, d.tol), d.tol)
+    return reverse_order_weak_mpd(fixture_case(), d.tol, require_hypotheses=False)
 
 
-def _run_thm312(ns, seed, tol):
-    rng = np.random.default_rng(seed)
-    pair, fixtures = _ex1_or_random(ns, rng, tol)
-    _, report = one_inverse_family(pair, rng.standard_normal((pair.n, pair.m)), tol)
-    return report, fixtures
+def _matrix_equation(d: _Draw, with_c: bool, member) -> VerificationReport:
+    case = d.case(with_c)
+    Zfree = 0.3 * d.rng.standard_normal(case.W.shape) if d.instance == "random" else None
+    C = case.C if with_c else None
+    return matrix_equation_solution(
+        case.A, case.B, case.W, member(case.inverses, case.W), Zfree=Zfree, C=C, tol=d.tol
+    )[1]
 
 
-def _run_lem313(ns, seed, tol):
-    rng = np.random.default_rng(seed)
-    pair, fixtures = _ex1_or_random(ns, rng, tol)
-    _, report = one_inverse_family_right(pair, rng.standard_normal((pair.n, pair.m)), tol)
-    return report, fixtures
-
-
-def _run_lem314(ns, seed, tol):
-    rng = np.random.default_rng(seed)
-    pair, fixtures = _ex1_or_random(ns, rng, tol)
-    X = _left_member(ns, pair, rng, tol)
-    Zfree = rng.standard_normal((pair.n, pair.m))
-    _, report = mpd_general_solution(pair, X, Zfree, tol)
-    return report, fixtures
-
-
-def _run_lem315(ns, seed, tol):
-    pair, fixtures = _ex1_or_random(ns, np.random.default_rng(seed), tol)
-    return decomposition_report(weighted_core_ep_decompose(pair, tol), tol), fixtures
-
-
-def _run_thm316(ns, seed, tol):
-    rng = np.random.default_rng(seed)
-    pair, fixtures = _ex1_or_random(ns, rng, tol)
-    X = _left_member(ns, pair, rng, tol, default_x1=1, default_x2=2)
-    return canonical_report(pair, X, tol), fixtures
-
-
-def _run_thm317(ns, seed, tol):
-    scenario, fixtures = _drazin_scenario(ns, seed, tol, side="left")
-    return perturbed_mrwwd(scenario, tol), fixtures
-
-
-def _run_thm318(ns, seed, tol):
-    scenario, fixtures = _drazin_scenario(ns, seed, tol, side="right")
-    return perturbed_mrwwd_right(scenario, tol), fixtures
-
-
-def _run_thm319(ns, seed, tol):
-    scenario, fixtures = _drazin_scenario(ns, seed, tol, side="left")
-    return mpd_perturbation(scenario, tol), fixtures
-
-
-def _run_thm320(ns, seed, tol):
-    scenario, fixtures = _drazin_scenario(ns, seed, tol, side="right")
-    return dmp_perturbation(scenario, tol), fixtures
-
-
-def _run_cor_mpd(ns, seed, tol):
-    scenario, fixtures = _drazin_scenario(ns, seed, tol, side="left")
-    return drazin_case_perturbation(scenario, tol, theorem_id="cor-mpd"), fixtures
-
-
-def _run_cor_dmp(ns, seed, tol):
-    scenario, fixtures = _drazin_scenario(ns, seed, tol, side="right")
-    return drazin_case_perturbation(scenario, tol, theorem_id="cor-dmp"), fixtures
-
-
-def _run_thm325(ns, seed, tol):
-    case, fixtures = _order_case(ns, seed, tol)
-    return reverse_order_weak(case, tol), fixtures
-
-
-def _run_thm326(ns, seed, tol):
-    case, fixtures = _order_case(ns, seed, tol)
-    return forward_order_weak(case, tol), fixtures
-
-
-def _run_thm327(ns, seed, tol):
-    case, fixtures = _order_case(ns, seed, tol)
-    return reverse_order_minimal(case, tol), fixtures
-
-
-def _run_thm328(ns, seed, tol):
-    case, fixtures = _order_case(ns, seed, tol)
-    return forward_order_minimal(case, tol), fixtures
-
-
-def _run_thm329(ns, seed, tol):
-    case, fixtures = _order_case(ns, seed, tol)
-    return wdrazin_order_corollaries(case, tol), fixtures
-
-
-def _run_thm330(ns, seed, tol):
-    if ns.random:
-        return reverse_order_weak_mpd(rol_case(6, seed, tol), tol), ["random"]
-    rng = np.random.default_rng(seed)
-    z, y, u = _ex2_params(ns, rng)
-    case = ex2_case(z=z, y=y, u=u, tol=tol)
-    return reverse_order_weak_mpd(case, tol, require_hypotheses=False), ["ex2"]
-
-
-def _run_thm330_rol(ns, seed, tol):
-    if ns.fixture == "ex2":
-        case = _ex2_drazin_case(tol)
-        return reverse_order_weak_mpd(case, tol, require_hypotheses=False), ["ex2"]
-    return reverse_order_weak_mpd(rol_case(6, seed, tol), tol), ["random"]
-
-
-def _run_thm331(ns, seed, tol):
-    case, fixtures = _order_case(ns, seed, tol, with_c=True)
-    return triple_reverse(case, tol), fixtures
-
-
-def _run_thm332(ns, seed, tol):
-    case, fixtures = _order_case(ns, seed, tol, with_c=True)
-    return triple_forward(case, tol), fixtures
-
-
-def _run_mateq_pair(ns, seed, tol):
-    rng = np.random.default_rng(seed)
-    if ns.random:
-        case = commuting_case(5, 4, seed, tol=tol)
-        member = case.inverses["Y3"] @ case.W @ case.inverses["Z2"]
-        Zfree = 0.3 * rng.standard_normal(case.W.shape)
-        fixtures = ["random"]
-    else:
-        z, y, _ = _ex2_params(ns, rng)
-        case = ex2_case(z=z, y=y, tol=tol)
-        member = case.inverses["Y3"] @ case.W @ case.inverses["Z2"]
-        Zfree = None
-        fixtures = ["ex2"]
-    _, report = matrix_equation_solution(
-        case.A, case.B, case.W, member, Zfree=Zfree, tol=tol
-    )
-    return report, fixtures
-
-
-def _run_mateq_triple(ns, seed, tol):
-    rng = np.random.default_rng(seed)
-    if ns.random:
-        case = commuting_case(5, 4, seed, with_c=True, tol=tol)
-        Zfree = 0.3 * rng.standard_normal(case.W.shape)
-        fixtures = ["random"]
-    else:
-        z, y, u = _ex2_params(ns, rng)
-        case = ex2_case(z=z, y=y, u=u, tol=tol)
-        Zfree = None
-        fixtures = ["ex2"]
-    inv = case.inverses
-    member = inv["U1"] @ case.W @ inv["Y4"] @ case.W @ inv["Z3"]
-    _, report = matrix_equation_solution(
-        case.A, case.B, case.W, member, Zfree=Zfree, C=case.C, tol=tol
-    )
-    return report, fixtures
-
-
+# id -> (the instances it runs on, the default first; its check of one trial)
+_EX1, _EX2 = ("ex1", "random"), ("ex2", "random")
 REGISTRY = {
-    "thm2.1": _run_thm21,
-    "thm2.8": _run_thm28,
-    "thm3.1": _run_thm31,
-    "lem3.2": _run_lem32,
-    "thm3.3": _run_thm33,
-    "thm3.4": _run_thm34,
-    "thm3.5": _run_thm35,
-    "lem3.6": _run_lem36,
-    "lem3.7": _run_lem37,
-    "thm3.8": _run_thm38,
-    "lem3.10": _run_lem310,
-    "thm3.12": _run_thm312,
-    "lem3.13": _run_lem313,
-    "lem3.14": _run_lem314,
-    "lem3.15": _run_lem315,
-    "thm3.16": _run_thm316,
-    "thm3.17": _run_thm317,
-    "thm3.18": _run_thm318,
-    "thm3.19": _run_thm319,
-    "thm3.20": _run_thm320,
-    "cor-mpd": _run_cor_mpd,
-    "cor-dmp": _run_cor_dmp,
-    "thm3.25": _run_thm325,
-    "thm3.26": _run_thm326,
-    "thm3.27": _run_thm327,
-    "thm3.28": _run_thm328,
-    "thm3.29": _run_thm329,
-    "thm3.30": _run_thm330,
-    "thm3.30-rol": _run_thm330_rol,
-    "thm3.31": _run_thm331,
-    "thm3.32": _run_thm332,
-    "mateq-pair": _run_mateq_pair,
-    "mateq-triple": _run_mateq_triple,
+    "thm2.1": (_EX1, lambda d: check_mrwwd(d.pair, d.left(), d.tol)),
+    "thm2.8": (_EX2, lambda d: check_mrwwd_right(d.pair, d.Z, d.tol)),
+    "thm3.1": (_EX1, _weak_mpd_system),
+    "lem3.2": (
+        _EX2,
+        lambda d: check_weak_dmp_system(d.pair, d.Z, weak_dmp(d.pair, d.Z, d.tol).value, d.tol),
+    ),
+    "thm3.3": (_EX1, _mpd_characterizations),
+    "thm3.4": (
+        _EX1,
+        lambda d: check_dmp_characterizations(
+            d.pair, d.Z, weak_dmp(d.pair, d.Z, d.tol).value, d.tol
+        ),
+    ),
+    "thm3.5": (_EX1, lambda d: check_wdrazin_specialization(d.pair, d.tol)),
+    "lem3.6": (_EX1, lambda d: check_projectors(d.pair, d.left(), None, d.tol)),
+    "lem3.7": (_EX2, lambda d: check_projectors_right(d.pair, d.Z, None, d.tol)),
+    "thm3.8": (_EX1, _unique_projector_solutions),
+    "lem3.10": (_EX1, lambda d: check_mp_drazin_absorption(d.pair, d.left(), d.Z, d.tol)),
+    "thm3.12": (_EX1, lambda d: one_inverse_family(d.pair, d.free, d.tol)[1]),
+    "lem3.13": (_EX1, lambda d: one_inverse_family_right(d.pair, d.free, d.tol)[1]),
+    "lem3.14": (_EX1, lambda d: mpd_general_solution(d.pair, d.left(), d.free, d.tol)[1]),
+    "lem3.15": (
+        _EX1,
+        lambda d: decomposition_report(weighted_core_ep_decompose(d.pair, d.tol), d.tol),
+    ),
+    "thm3.16": (_EX1, lambda d: canonical_report(d.pair, d.left(1, 2), d.tol)),
+    "thm3.17": (_EX1, lambda d: perturbed_mrwwd(d.scenario("left"), d.tol)),
+    "thm3.18": (_EX1, lambda d: perturbed_mrwwd_right(d.scenario("right"), d.tol)),
+    "thm3.19": (_EX1, lambda d: mpd_perturbation(d.scenario("left"), d.tol)),
+    "thm3.20": (_EX1, lambda d: dmp_perturbation(d.scenario("right"), d.tol)),
+    "cor-mpd": (
+        _EX1,
+        lambda d: drazin_case_perturbation(d.scenario("left"), d.tol, theorem_id="cor-mpd"),
+    ),
+    "cor-dmp": (
+        _EX1,
+        lambda d: drazin_case_perturbation(d.scenario("right"), d.tol, theorem_id="cor-dmp"),
+    ),
+    "thm3.25": (_EX2, lambda d: reverse_order_weak(d.case(), d.tol)),
+    "thm3.26": (_EX2, lambda d: forward_order_weak(d.case(), d.tol)),
+    "thm3.27": (_EX2, lambda d: reverse_order_minimal(d.case(), d.tol)),
+    "thm3.28": (_EX2, lambda d: forward_order_minimal(d.case(), d.tol)),
+    "thm3.29": (_EX2, lambda d: wdrazin_order_corollaries(d.case(), d.tol)),
+    "thm3.30": (_EX2, lambda d: _weak_mpd_order_law(d, d.case)),
+    "thm3.30-rol": (
+        ("random", "ex2"),
+        lambda d: _weak_mpd_order_law(d, lambda: _drazin_case(*ex2_matrices(), d.tol)),
+    ),
+    "thm3.31": (_EX2, lambda d: triple_reverse(d.case(with_c=True), d.tol)),
+    "thm3.32": (_EX2, lambda d: triple_forward(d.case(with_c=True), d.tol)),
+    "mateq-pair": (_EX2, lambda d: _matrix_equation(d, False, lambda v, W: v["Y3"] @ W @ v["Z2"])),
+    "mateq-triple": (
+        _EX2,
+        lambda d: _matrix_equation(
+            d, True, lambda v, W: v["U1"] @ W @ v["Y4"] @ W @ v["Z3"]
+        ),
+    ),
 }
 
 
@@ -846,6 +650,9 @@ SUITE_BATTERIES = (
 # ---------------------------------------------------------------------------
 # commands
 
+# the family-member kinds of `compute`, besides mp and the catalog
+WEAK_KINDS = {"weak-mpd": weak_mpd, "weak-dmp": weak_dmp}
+
 
 class _Parser(argparse.ArgumentParser):
     # usage failures exit 1, not argparse's default 2
@@ -875,7 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", help="compute an inverse from matrix files")
-    p_compute.add_argument("kind", choices=["mp"] + sorted(CATALOG) + ["weak-mpd", "weak-dmp"])
+    p_compute.add_argument("kind", choices=["mp"] + sorted(CATALOG) + list(WEAK_KINDS))
     p_compute.add_argument("b_file", help="matrix file for B")
     p_compute.add_argument("w_file", nargs="?", default=None, help="matrix file for the weight")
     p_compute.add_argument("--member", default=None, help="family member file (weak kinds)")
@@ -892,7 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", default=None)
     for flag in ("x1", "x2", "y1", "y2", "z1", "z2", "z3", "u1"):
         p_verify.add_argument(f"--{flag}", type=int, default=None, help="fixture parameter")
-    p_verify.add_argument("--m", type=int, default=1, help="fold parameter")
     p_verify.add_argument("--alpha", type=float, default=None, help="perturbation size")
     _add_tol_args(p_verify)
 
@@ -901,6 +707,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--out", default=None)
     _add_tol_args(p_suite)
     return parser
+
+
+def _emit(text: str, out) -> None:
+    """Write `text` to the file `out`, or to stdout when none is named."""
+    if out:
+        with open(out, "w", encoding="ascii", newline="\n") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_compute(ns) -> int:
@@ -913,22 +728,13 @@ def cmd_compute(ns) -> int:
             raise ValueError(f"kind {ns.kind!r} needs a weight file")
         W = load_matrix(ns.w_file)
         pair = weighted_pair(B, W, tol)
-        if ns.kind == "weak-mpd":
+        if ns.kind in WEAK_KINDS:
             if ns.member is None:
-                raise ValueError("weak-mpd needs --member")
-            value = weak_mpd(pair, load_matrix(ns.member), tol).value
-        elif ns.kind == "weak-dmp":
-            if ns.member is None:
-                raise ValueError("weak-dmp needs --member")
-            value = weak_dmp(pair, load_matrix(ns.member), tol).value
+                raise ValueError(f"{ns.kind} needs --member")
+            value = WEAK_KINDS[ns.kind](pair, load_matrix(ns.member), tol).value
         else:
             value = compute_kind(pair, ns.kind, tol, m=ns.m).value
-    text = format_matrix(value)
-    if ns.out:
-        with open(ns.out, "w", encoding="ascii", newline="\n") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(format_matrix(value), ns.out)
     return 0
 
 
@@ -936,13 +742,18 @@ def cmd_verify(ns) -> int:
     tol = _tol_from(ns)
     if ns.trials < 1:
         raise ValueError("--trials must be at least 1")
-    runner = REGISTRY[ns.theorem_id]
+    instances, check = REGISTRY[ns.theorem_id]
+    instance = "random" if ns.random else ns.fixture or instances[0]
+    if instance not in instances:
+        raise ValueError(
+            f"{ns.theorem_id} runs on {' or '.join(instances)}, not {instance}"
+        )
     docs = []
     worst = 0
     for i in range(ns.trials):
         seed = ns.seed + i
         try:
-            report, fixtures = runner(ns, seed, tol)
+            report = check(_Draw(ns, seed, tol, instance))
         except (HypothesisError, GenerationError) as exc:
             docs.append(
                 {
@@ -954,18 +765,14 @@ def cmd_verify(ns) -> int:
             )
             worst = max(worst, 3)
             continue
-        docs.append(report_to_document(report, seed, fixtures))
+        docs.append(report_to_document(report, seed, [instance]))
         if not report.overall:
             worst = max(worst, 2)
     if ns.trials == 1:
         text = json.dumps(docs[0], indent=2) + "\n"
     else:
         text = json.dumps(docs, indent=2) + "\n"
-    if ns.out:
-        with open(ns.out, "w", encoding="ascii", newline="\n") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(text, ns.out)
     return worst
 
 
@@ -981,12 +788,7 @@ def cmd_suite(ns) -> int:
             passed += 1
     verdict = "PASS" if passed == len(SUITE_BATTERIES) else "FAIL"
     lines.append(f"SUITE {verdict} {passed}/{len(SUITE_BATTERIES)}")
-    text = "\n".join(lines) + "\n"
-    if ns.out:
-        with open(ns.out, "w", encoding="ascii", newline="\n") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", ns.out)
     return 0 if passed == len(SUITE_BATTERIES) else 2
 
 

@@ -13,7 +13,6 @@ from .matcore import (
     HypothesisError,
     ToleranceConfig,
     VerificationReport,
-    WeightedPair,
     _passes,
     as_matrix,
     mp_inverse,
@@ -158,16 +157,18 @@ def rol_case(n: int, seed, tol: ToleranceConfig = DEFAULT_TOL) -> OrderLawCase:
     """Square invertible-weight case for the weak MPD reverse order law, with
     weighted Drazin members in the rank-constrained slots."""
     W, A, B = rol_matrices(n, seed)
-    pa = weighted_pair(A, W, tol)
-    pb = weighted_pair(B, W, tol)
-    ZD = w_drazin(pa, tol).value
-    YD = w_drazin(pb, tol).value
-    case = OrderLawCase(
-        W=W,
-        A=A,
-        B=B,
-        inverses={"Z1": ZD, "Y2": YD, "Z2": ZD, "Y3": YD, "Z3": ZD, "Y4": YD},
-    )
+    return _drazin_case(A, B, None, W, tol)
+
+
+def _drazin_case(A, B, C, W, tol: ToleranceConfig) -> OrderLawCase:
+    """The case of factors A, B (and C) with weight W whose member slots all
+    hold the factors' weighted Drazin inverses."""
+    ZD = w_drazin(weighted_pair(A, W, tol), tol).value
+    YD = w_drazin(weighted_pair(B, W, tol), tol).value
+    inverses = {"Z1": ZD, "Y2": YD, "Z2": ZD, "Y3": YD, "Z3": ZD, "Y4": YD}
+    if C is not None:
+        inverses["U1"] = w_drazin(weighted_pair(C, W, tol), tol).value
+    case = OrderLawCase(W=W, A=A, B=B, C=C, inverses=inverses)
     _populate_flags(case, tol)
     return case
 

@@ -159,8 +159,8 @@ def check_weak_mpd_system(
     P1 = pair.bw_power(k + 1)
 
     report = VerificationReport("thm3.1", tol)
-    _, m_res, m_gap = _left_member_residual(pair, X, tol)
-    _item(report, "X in left family", [( m_res, _passes(m_res, spectral_norm(pair.bw_power(k)), tol)), (float(m_gap), m_gap == 0)])
+    ok, m_res, m_gap = _left_member_residual(pair, X, tol)
+    report.add("X in left family", max(m_res, float(m_gap)), ok)
     report.add_equation("outer: Y B Y = Y", Y @ B @ Y, Y)
     report.add_equation("image: B Y = B W X W", B @ Y, B @ W @ X @ W)
     report.add_equation("power: Y (BW)^(k+1) = B^+ (BW)^(k+1)", Y @ P1, Bp @ P1)
@@ -274,10 +274,13 @@ def check_projectors(
 ) -> VerificationReport:
     """B Y and Y B as oblique projectors determined by the member X, plus the
     range and null space of Y itself."""
-    X = _require_member(pair, X, tol)
     B, W = pair.B, pair.W
     if Y is None:
+        # weak_mpd certifies the membership of X itself
+        X = as_matrix(X)
         Y = weak_mpd(pair, X, tol).value
+    else:
+        X = _require_member(pair, X, tol)
     Y = as_matrix(Y)
     k = pair.k_bw
     K = pair.bw_power(k)

@@ -203,3 +203,36 @@ def test_stdout_path(capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["theorem_id"] == "thm2.8"
+
+
+@pytest.mark.parametrize("theorem_id", sorted(REGISTRY))
+def test_verify_runs_only_on_listed_instances(theorem_id, capsys):
+    instances, _ = REGISTRY[theorem_id]
+    main(["verify", theorem_id])
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["fixtures_used"] == [instances[0]]
+    (unlisted,) = {"ex1", "ex2"} - set(instances)
+    code = main(["verify", theorem_id, "--fixture", unlisted])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{theorem_id} runs on {' or '.join(instances)}, not {unlisted}" in err
+
+
+def test_verify_random_overrides_fixture(capsys):
+    code = main(["verify", "thm2.1", "--random", "--fixture", "ex2", "--seed", "3"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["fixtures_used"] == ["random"]
+
+
+def test_rol_law_runs_on_ex2_when_asked(capsys):
+    # the fixture breaks two hypotheses of the law, as for thm3.30
+    code = main(["verify", "thm3.30-rol", "--fixture", "ex2"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["fixtures_used"] == ["ex2"]
+
+
+def test_verify_has_no_fold_parameter():
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "thm2.1", "--m", "2"])
+    assert exc.value.code == 1

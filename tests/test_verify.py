@@ -137,6 +137,16 @@ def test_projector_geometry_requires_membership():
         check_projectors_right(pair, np.ones((5, 4)))
 
 
+@pytest.mark.parametrize("given_y", [False, True], ids=["Y=None", "Y given"])
+def test_projector_geometry_names_the_failed_membership(given_y):
+    # without Y the membership check is the one weak_mpd makes; its error
+    # reads the same as the checker's own check with Y given
+    pair = ex1_pair()
+    Y = weak_mpd(pair, ex1_member(1, 2)).value if given_y else None
+    with pytest.raises(HypothesisError, match="^X is not a member of the left solution family"):
+        check_projectors(pair, np.ones((5, 4)), Y)
+
+
 def test_unique_projector_solution_left_and_right():
     for i in range(4):
         pair, X, Z, _ = _case(i)
