@@ -250,7 +250,8 @@ class _Draw:
         ns, rng = self.ns, self.rng
         z = tuple(_sample_int(rng, getattr(ns, f"z{i}")) for i in (1, 2, 3))
         y = tuple(_sample_int(rng, getattr(ns, f"y{i}")) for i in (1, 2))
-        return ex2_case(z=z, y=y, u=_sample_int(rng, ns.u1), tol=self.tol)
+        u = _sample_int(rng, ns.u1)  # drawn for pair laws too, so later draws keep their order
+        return ex2_case(z=z, y=y, u=u, tol=self.tol, with_c=with_c)
 
 
 # Checks name the library functions they call at call time (never bind them
@@ -300,9 +301,8 @@ def _weak_mpd_order_law(d: _Draw, fixture_case) -> VerificationReport:
 def _matrix_equation(d: _Draw, with_c: bool, member) -> VerificationReport:
     case = d.case(with_c)
     Zfree = 0.3 * d.rng.standard_normal(case.W.shape) if d.instance == "random" else None
-    C = case.C if with_c else None
     return matrix_equation_solution(
-        case.A, case.B, case.W, member(case.inverses, case.W), Zfree=Zfree, C=C, tol=d.tol
+        case.A, case.B, case.W, member(case.inverses, case.W), Zfree=Zfree, C=case.C, tol=d.tol
     )[1]
 
 

@@ -97,21 +97,23 @@ def _populate_flags(case: OrderLawCase, tol: ToleranceConfig) -> None:
 
 
 def ex2_case(
-    z=(1, 1, 1), y=(1, 1), u=1, tol: ToleranceConfig = DEFAULT_TOL
+    z=(1, 1, 1),
+    y=(1, 1),
+    u=1,
+    tol: ToleranceConfig = DEFAULT_TOL,
+    with_c: bool = True,
 ) -> OrderLawCase:
     """The integer fixture case: members are first-row matrices whose free
-    entries are exactly the given parameters."""
+    entries are exactly the given parameters. With with_c=False the third
+    factor, its member U1 (u is then unused) and their flags are left out,
+    which is all the pair laws read."""
     A, B, C, W = ex2_matrices()
     Z2 = ex2_member((1, z[0], z[1], z[2]))
     Y3 = ex2_member((1, y[0], 0, y[1]))
-    U1 = ex2_member((1, u, 0, 0))
-    case = OrderLawCase(
-        W=W,
-        A=A,
-        B=B,
-        C=C,
-        inverses={"Z1": Z2, "Y2": Y3, "Z2": Z2, "Y3": Y3, "Z3": Z2, "Y4": Y3, "U1": U1},
-    )
+    inverses = {"Z1": Z2, "Y2": Y3, "Z2": Z2, "Y3": Y3, "Z3": Z2, "Y4": Y3}
+    if with_c:
+        inverses["U1"] = ex2_member((1, u, 0, 0))
+    case = OrderLawCase(W=W, A=A, B=B, C=C if with_c else None, inverses=inverses)
     _populate_flags(case, tol)
     return case
 

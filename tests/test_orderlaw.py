@@ -166,3 +166,31 @@ def test_plain_weak_slots_accept_generic_members():
     case.inverses["Y2"] = mrwwd_family(pb).member(rng.standard_normal((5, 4)))
     assert reverse_order_weak(case).overall
     assert forward_order_weak(case).overall
+
+
+def test_fixture_pair_case_leaves_out_the_third_factor():
+    # the pair laws read no third factor: without it the case holds the same
+    # pair members and flags, and each pair law gives the same report
+    full = ex2_case(z=(2, -1, 3), y=(1, -2), u=2)
+    pair = ex2_case(z=(2, -1, 3), y=(1, -2), u=2, with_c=False)
+    assert pair.C is None and "U1" not in pair.inverses
+    assert pair.commutation_flags == {
+        name: ok for name, ok in full.commutation_flags.items() if name in pair.commutation_flags
+    }
+    assert set(full.commutation_flags) - set(pair.commutation_flags) == {
+        "awcw_commute",
+        "bwcw_commute",
+        "u1w_awbw_commute",
+        "z3wy4w_cw_commute",
+    }
+    for law in (
+        reverse_order_weak,
+        forward_order_weak,
+        reverse_order_minimal,
+        forward_order_minimal,
+        wdrazin_order_corollaries,
+    ):
+        assert law(pair).to_dict() == law(full).to_dict()
+    # a triple law on it finds its hypotheses unset
+    with pytest.raises(HypothesisError):
+        triple_reverse(pair)

@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
 
-from wginv.matcore import CertificationError, index_of, spectral_norm
-from wginv.sqinv import core_ep, drazin, m_wgi
-from wginv._gen import random_square_with_index
+from wginv import matcore
+from wginv.matcore import (
+    CertificationError,
+    ToleranceConfig,
+    _frobenius_pass,
+    index_of,
+    spectral_norm,
+    weighted_pair,
+)
+from wginv.sqinv import _certify, core_ep, drazin, m_wgi
+from wginv.winv import w_core_ep, w_drazin, w_m_weak_core, w_mpd
+from wginv._gen import random_pair, random_square_with_index
 
 # S is idempotent-like (S^2 = S), so its Drazin inverse is S itself and the
 # core-EP inverse is the projector onto its range.
@@ -82,3 +91,129 @@ def test_certification_failure_reports_worst_condition():
     tight = ToleranceConfig(rank_rtol=1e-10, residual_atol=1e-300)
     with pytest.raises(CertificationError):
         drazin(A, tight)
+
+
+# ---------------------------------------------------------------------------
+# _certify: a Frobenius bound decides a pass without an SVD; every other check
+# is decided, and reported, on exact spectral norms.
+
+ATOL = ToleranceConfig().residual_atol
+
+
+@pytest.fixture
+def spectral_calls(monkeypatch):
+    calls = []
+
+    def counting(A):
+        calls.append(np.shape(A))
+        return spectral_norm(A)
+
+    monkeypatch.setattr(matcore, "spectral_norm", counting)
+    return calls
+
+
+def test_certify_undecided_band_passes_on_exact_norms(spectral_calls):
+    # ||cI||_2 = c sits on the threshold, ||cI||_F = 2c is above it: the bound
+    # cannot decide, so the exact fallback must, and it passes
+    n, c = 4, ATOL
+    zero = np.zeros((n, n))
+    residuals = _certify("band", {"eq": ((c * np.eye(n),), (zero,))}, ToleranceConfig())
+    assert residuals == {"eq": spectral_norm(c * np.eye(n))}
+    assert spectral_calls  # decided by the SVD, not by the bound
+
+
+def test_certify_just_above_threshold_reports_exact_residual(spectral_calls):
+    n, c = 4, 1.001 * ATOL
+    with pytest.raises(CertificationError) as info:
+        _certify("above", {"eq": ((c * np.eye(n),), (np.zeros((n, n)),))}, ToleranceConfig())
+    message = str(info.value)
+    assert f"{spectral_norm(c * np.eye(n)):.3e}" in message  # 1.001e-08, the spectral norm
+    assert f"{np.linalg.norm(c * np.eye(n)):.3e}" not in message  # not the 2.002e-08 bound
+
+
+def test_certify_bound_decided_pass_is_not_judged_again(spectral_calls):
+    # each check is judged once, against its own reference: a residual that
+    # the bound passes against a large reference stays a pass beside a check
+    # whose reference is tiny
+    n = 5
+    big = 1e4 * np.eye(n)
+    R_big = np.full((n, n), 1e-6 / n)  # Frobenius 1e-6, spectral 1e-6
+    tiny = np.full((n, n), 1e-3)
+    R_tiny = np.full((n, n), 1e-12)
+    residuals = _certify(
+        "trap", {"big": ((R_big,), (big,)), "tiny": ((R_tiny,), (tiny,))}, ToleranceConfig()
+    )
+    assert residuals["big"] == pytest.approx(1e-6)
+    assert residuals["big"] > ATOL * (1.0 + spectral_norm(tiny))
+    assert not spectral_calls  # both decided by the bound
+
+
+def _coupled_drazin_case(seed: int, coupling: float):
+    """S = U [[D, C], [0, J2]] U^T with D of eigenvalues 0.6 .. 1.4, a coupling
+    block C of spectral norm `coupling`, and its Drazin inverse from the
+    blocks: U [[D^-1, D^-2 C + D^-3 C J2], [0, 0]] U^T."""
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    V = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    D = (V * np.array([0.6, 0.8, 1.1, 1.4])) @ V.T
+    C = rng.standard_normal((4, 2))
+    C *= coupling / spectral_norm(C)
+    J2 = np.eye(2, k=1)
+    core = np.zeros((6, 6))
+    core[:4, :4], core[:4, 4:], core[4:, 4:] = D, C, J2
+    Di = np.linalg.inv(D)
+    drz = np.zeros((6, 6))
+    drz[:4, :4], drz[:4, 4:] = Di, Di @ Di @ C + Di @ Di @ Di @ C @ J2
+    return U @ core @ U.T, U @ drz @ U.T
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_strongly_coupled_weighted_drazin_stays_certified(seed):
+    # regression: judging a bound-decided pass a second time, against another
+    # reference, turned this passing case into a CertificationError
+    S, truth = _coupled_drazin_case(seed, 1e2)
+    pair = weighted_pair(S, np.eye(6))
+    assert pair.k_bw == 2
+    value = w_drazin(pair).value
+    assert spectral_norm(value - truth) <= 1e-8 * spectral_norm(truth)
+
+
+def test_tight_tolerance_still_raises_everywhere():
+    tight = ToleranceConfig(rank_rtol=1e-10, residual_atol=1e-300)
+    A = random_square_with_index(6, 2, np.random.default_rng(7))
+    for build in (lambda: drazin(A, tight), lambda: core_ep(A, tight), lambda: m_wgi(A, 2, tight)):
+        with pytest.raises(CertificationError):
+            build()
+    pair = random_pair(7, 6, 2, 5)
+    for build in (
+        lambda: w_drazin(pair, tight),
+        lambda: w_mpd(pair, tight),
+        lambda: w_core_ep(pair, tight),
+        lambda: w_m_weak_core(pair, 2, tight),
+    ):
+        with pytest.raises(CertificationError):
+            build()
+
+
+def test_frobenius_bound_leaves_extreme_scales_to_exact_norms():
+    tol = ToleranceConfig()
+    small = np.full((3, 3), 1e-12)
+    assert _frobenius_pass((small,), (np.eye(3),), tol) == pytest.approx(3e-12)
+    # an overflowed reference is no licence to pass
+    huge = np.full((3, 3), 1e160)
+    assert _frobenius_pass((np.full((3, 3), 1e150),), (huge,), tol) is None
+    # below the floor the squares of entries underflow
+    tiny_tol = ToleranceConfig(residual_atol=1e-300)
+    assert _frobenius_pass((np.zeros((3, 3)),), (np.eye(3),), tiny_tol) is None
+
+
+def test_spectral_norm_matches_two_norm_bitwise():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        m, n = (int(v) for v in rng.integers(1, 12, size=2))
+        A = rng.standard_normal((m, n))
+        if rng.integers(2):
+            A = A + 1j * rng.standard_normal((m, n))
+        # spectral_norm works in complex arithmetic, as it always has
+        assert spectral_norm(A) == float(np.linalg.norm(A.astype(complex), 2))
+    assert spectral_norm(np.zeros((0, 3))) == 0.0
