@@ -14,7 +14,7 @@ import argparse
 import json
 import re
 import sys
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -552,7 +552,7 @@ def suite_decomposition(seed: int, tol: ToleranceConfig) -> VerificationReport:
         direct = weak_mpd(pair, X, tol).value
         worst_canonical = max(worst_canonical, spectral_norm(canonical - direct))
         worst_mp = max(
-            worst_mp, spectral_norm(mp_via_blocks(dec, tol) - mp_inverse(pair.B, tol))
+            worst_mp, spectral_norm(mp_via_blocks(dec, tol) - pair._pinv(tol))
         )
     report = VerificationReport("suite-7-decomposition", tol)
     report.add("reassembly (100 instances)", worst_reassembly, worst_reassembly <= 1e-10)
@@ -617,7 +617,7 @@ def suite_identity_weight(seed: int, tol: ToleranceConfig) -> VerificationReport
         S = random_square_with_index(n, t, rng, tol)
         pair = weighted_pair(S, np.eye(n), tol)
         Sd = drazin(S, tol).value
-        Sp = mp_inverse(S, tol)
+        Sp = pair._pinv(tol)
         worst["DMP reduction"] = max(
             worst["DMP reduction"], spectral_norm(w_dmp(pair, tol).value - Sd @ S @ Sp)
         )
@@ -792,9 +792,14 @@ def cmd_suite(ns) -> int:
     return 0 if passed == len(SUITE_BATTERIES) else 2
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args keeps no state between calls
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = _parser().parse_args(argv)
     try:
         if ns.command == "compute":
             return cmd_compute(ns)

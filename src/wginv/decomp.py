@@ -126,10 +126,10 @@ def weighted_core_ep_decompose(
     k = max(pair.k_bw, pair.k_wb)
     Kbw = pair.bw_power(k)
     Kwb = pair.wb_power(k)
-    q = rank_of(Kbw, tol)
-    if rank_of(Kwb, tol) != q:
+    q = pair._rank("BW", k, tol)
+    if pair._rank("WB", k, tol) != q:
         raise CertificationError(
-            f"stabilized product ranks disagree: {q} vs {rank_of(Kwb, tol)}"
+            f"stabilized product ranks disagree: {q} vs {pair._rank('WB', k, tol)}"
         )
     M = _orthonormal_with_complement(Kbw, q)
     N = _orthonormal_with_complement(Kwb, q)
@@ -182,7 +182,7 @@ def mp_via_blocks(dec: BlockDecomposition, tol: ToleranceConfig = DEFAULT_TOL) -
     core[q:, :q] = F @ B2.conj().T @ delta
     core[q:, q:] = B3p - F @ B2.conj().T @ delta @ B2 @ B3p
     val = dec.N @ core @ dec.M.conj().T
-    reference = mp_inverse(pair.B, tol)
+    reference = pair._pinv(tol)
     residual = spectral_norm(val - reference)
     if not _passes(residual, spectral_norm(reference), tol):
         raise CertificationError(
@@ -260,6 +260,6 @@ def canonical_report(pair: WeightedPair, X, tol: ToleranceConfig = DEFAULT_TOL) 
     result = weak_mpd_canonical(pair, X, tol, dec=dec)
     for label, residual in result.residuals.items():
         report.add(label, residual, True)
-    reference = mp_inverse(pair.B, tol)
+    reference = pair._pinv(tol)
     report.add_equation("block Moore-Penrose", mp_via_blocks(dec, tol), reference)
     return report

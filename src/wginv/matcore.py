@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -161,20 +162,19 @@ def mp_inverse(A, tol: ToleranceConfig = DEFAULT_TOL, floor: float = 0.0) -> np.
 def rank_of(A, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Number of singular values above rank_rtol * sigma_max * max(rows, cols)."""
     A = as_matrix(A)
-    return _rank_floored(A, 0.0, tol)
-
-
-def _rank_floored(A: np.ndarray, floor: float, tol: ToleranceConfig) -> int:
-    # Rank with the cutoff scale floored at `floor`: high powers of a nearly
-    # nilpotent matrix must not pick up roundoff rank, so callers working with
-    # S^j pass floor = ||S||^j.
     if A.size == 0:
         return 0
-    s = np.linalg.svd(A, compute_uv=False)
+    return _count_above(np.linalg.svd(A, compute_uv=False), 0.0, max(A.shape), tol)
+
+
+def _count_above(s: np.ndarray, floor: float, dim: int, tol: ToleranceConfig) -> int:
+    # Singular values s above rank_rtol * max(s[0], floor) * dim. The floor
+    # keeps high powers of a nearly nilpotent matrix from picking up roundoff
+    # rank: index_of judges S^j with floor = ||S||^j.
     scale = max(float(s[0]) if s.size else 0.0, floor)
     if scale == 0.0:
         return 0
-    return int(np.count_nonzero(s > tol.rank_rtol * scale * max(A.shape)))
+    return int(np.count_nonzero(s > tol.rank_rtol * scale * dim))
 
 
 def index_of(S, tol: ToleranceConfig = DEFAULT_TOL) -> int:
@@ -185,12 +185,14 @@ def index_of(S, tol: ToleranceConfig = DEFAULT_TOL) -> int:
         raise DimensionError(f"the index needs a square matrix, got {S.shape}")
     if n == 0:
         return 0
-    norm_s = spectral_norm(S)
     prev_rank = n  # rank of S^0
     P = np.eye(n, dtype=complex)
     for k in range(1, n + 2):
         P = P @ S
-        r = _rank_floored(P, norm_s**k, tol)
+        s = np.linalg.svd(P, compute_uv=False)
+        if k == 1:
+            norm_s = float(s[0])  # ||S||: the first step factors S itself
+        r = _count_above(s, norm_s**k, n, tol)
         if r == prev_rank:
             return k - 1
         prev_rank = r
@@ -337,10 +339,23 @@ def oblique_projector_check(
     return report
 
 
+def _read_only(A: np.ndarray) -> np.ndarray:
+    A.flags.writeable = False
+    return A
+
+
 @dataclass(frozen=True)
 class WeightedPair:
-    """A rectangular matrix B (m x n) with weight W (n x m) and the indices
-    of both products."""
+    """A rectangular matrix B (m x n) with weight W (n x m), the indices of
+    both products, and a memo of the factors that several inverses share.
+
+    `weighted_pair` stores read-only copies of B and W. The memo holds values
+    that cost an SVD (B^+, the Drazin and core-EP kernels of BW and WB, the
+    projectors onto their powers, ...), keyed by (quantity, tolerance[, power]).
+    Each is built, and certified where it is a kernel value, on first use, is
+    read-only from then on, and is never a public result: constructors still
+    assemble and certify their own values on every call.
+    """
 
     B: np.ndarray
     W: np.ndarray
@@ -367,20 +382,58 @@ class WeightedPair:
     def wb_power(self, j: int) -> np.ndarray:
         return matrix_power(self.W @ self.B, j)
 
-    @property
+    @cached_property
     def H(self) -> "WeightedPair":
         """The dual pair (B^*, W^*): B^* W^* = (WB)^* has the index of WB, so
-        the indices swap and none is recomputed."""
-        return WeightedPair(self.B.conj().T, self.W.conj().T, self.k_wb, self.k_bw)
+        the indices swap and none is recomputed. It is built once and keeps
+        its own memo; it holds no reference back to this pair."""
+        return WeightedPair(
+            _read_only(self.B.conj().T), _read_only(self.W.conj().T), self.k_wb, self.k_bw
+        )
+
+    @cached_property
+    def _memo(self) -> dict:
+        return {}
+
+    def _cached(self, key: tuple, build):
+        """The memo entry `key`, made by `build()` on first use; an array is
+        stored read-only. A build that raises stores nothing."""
+        memo = self._memo
+        if key not in memo:
+            value = build()
+            memo[key] = _read_only(value) if isinstance(value, np.ndarray) else value
+        return memo[key]
+
+    def _power(self, side: str, j: int) -> np.ndarray:
+        return self.bw_power(j) if side == "BW" else self.wb_power(j)
+
+    def _pinv(self, tol: ToleranceConfig) -> np.ndarray:
+        """B^+."""
+        return self._cached(("B^+", tol), lambda: mp_inverse(self.B, tol))
+
+    def _projector(self, side: str, j: int, tol: ToleranceConfig) -> np.ndarray:
+        """Orthogonal projector onto R((BW)^j) (side "BW") or R((WB)^j) ("WB")."""
+        return self._cached(
+            ("projector", tol, side, j), lambda: projector_onto(self._power(side, j), tol)
+        )
+
+    def _rank(self, side: str, j: int, tol: ToleranceConfig) -> int:
+        """rank((BW)^j) or rank((WB)^j)."""
+        return self._cached(("rank", tol, side, j), lambda: rank_of(self._power(side, j), tol))
+
+    def _norm(self, side: str, j: int) -> float:
+        """||(BW)^j||_2 or ||(WB)^j||_2."""
+        return self._cached(("norm", side, j), lambda: spectral_norm(self._power(side, j)))
 
 
 def weighted_pair(B, W, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedPair:
-    """Validate shapes, reject the zero weight, and cache both indices."""
-    B = as_matrix(B)
-    W = as_matrix(W)
+    """Validate shapes, reject the zero weight, and cache both indices. B and
+    W are stored as read-only copies, so the caller's arrays may change."""
+    B = _read_only(as_matrix(B).copy(order="K"))
+    W = _read_only(as_matrix(W).copy(order="K"))
     m, n = B.shape
     if W.shape != (n, m):
         raise DimensionError(f"weight shape {W.shape} does not match required ({n}, {m})")
-    if spectral_norm(W) == 0.0:
+    if not W.any():
         raise ValueError("the zero weight is excluded")
     return WeightedPair(B=B, W=W, k_bw=index_of(B @ W, tol), k_wb=index_of(W @ B, tol))

@@ -19,7 +19,6 @@ from .matcore import (
     as_matrix,
     mp_inverse,
     projector_onto,
-    rank_of,
     spectral_norm,
     weighted_pair,
 )
@@ -87,27 +86,27 @@ class PerturbationScenario:
     seed: object = None
 
 
-def _row_residual(A, T, tol: ToleranceConfig) -> float:
-    # distance of the rows of A from the row space of T
-    return spectral_norm(A - A @ mp_inverse(T, tol) @ T)
+def _row_residual(A, T, Tp) -> float:
+    # distance of the rows of A from the row space of T, with Tp = T^+
+    return spectral_norm(A - A @ Tp @ T)
 
 
-def _col_residual(A, T, tol: ToleranceConfig) -> float:
-    return spectral_norm(A - projector_onto(T, tol) @ A)
+def _col_residual(A, P) -> float:
+    # distance of the columns of A from the range of the orthogonal projector P
+    return spectral_norm(A - P @ A)
 
 
 def _left_flags(pair: WeightedPair, X, E, tol: ToleranceConfig) -> tuple:
     B, W = pair.B, pair.W
-    Bp = mp_inverse(B, tol)
+    Bp = pair._pinv(tol)
     EW = E @ W
-    K = pair.bw_power(pair.k_bw)
     XWBW = X @ W @ B @ W
     values = {
-        "range EW in K": _col_residual(EW, K, tol),
-        "range E in EW": _col_residual(E, EW, tol),
-        "rows EW in member product": _row_residual(EW, XWBW, tol),
-        "range E in B": _col_residual(E, B, tol),
-        "rows E in B": _row_residual(E, B, tol),
+        "range EW in K": _col_residual(EW, pair._projector("BW", pair.k_bw, tol)),
+        "range E in EW": _col_residual(E, projector_onto(EW, tol)),
+        "rows EW in member product": _row_residual(EW, XWBW, mp_inverse(XWBW, tol)),
+        "range E in B": _col_residual(E, B @ Bp),
+        "rows E in B": _row_residual(E, B, Bp),
         "norm WEWX": spectral_norm(W @ E @ W @ X),
         "norm BpE": spectral_norm(Bp @ E),
     }
@@ -116,15 +115,15 @@ def _left_flags(pair: WeightedPair, X, E, tol: ToleranceConfig) -> tuple:
 
 def _right_flags(pair: WeightedPair, Z, E, tol: ToleranceConfig) -> tuple:
     B, W = pair.B, pair.W
-    Bp = mp_inverse(B, tol)
+    Bp = pair._pinv(tol)
     WE = W @ E
     WBWZ = W @ B @ W @ Z
     N1 = pair.wb_power(pair.k_wb + 1)
     values = {
-        "range WE in member product": _col_residual(WE, WBWZ, tol),
-        "rows WE in WB power": _row_residual(WE, N1, tol),
-        "range E in B": _col_residual(E, B, tol),
-        "rows E in B": _row_residual(E, B, tol),
+        "range WE in member product": _col_residual(WE, projector_onto(WBWZ, tol)),
+        "rows WE in WB power": _row_residual(WE, N1, mp_inverse(N1, tol)),
+        "range E in B": _col_residual(E, B @ Bp),
+        "rows E in B": _row_residual(E, B, Bp),
         "norm ZWEW": spectral_norm(Z @ W @ E @ W),
         "norm EBp": spectral_norm(E @ Bp),
     }
@@ -359,7 +358,7 @@ def mpd_perturbation(
     n_id = np.eye(pair.n, dtype=complex)
     m_id = np.eye(pair.m, dtype=complex)
 
-    Bp = mp_inverse(B, tol)
+    Bp = pair._pinv(tol)
     Dp = mp_inverse(D, tol)
     Y = weak_mpd(pair, X, tol).value
     T1 = Dp @ X @ _inv(n_id + W @ E @ W @ X, "I + WEWX") @ W @ D @ W @ X
@@ -374,8 +373,8 @@ def mpd_perturbation(
     dpair = weighted_pair(D, W, tol)
     report.add_rank_gap(
         "stabilized rank preserved",
-        rank_of(dpair.bw_power(pair.k_bw), tol),
-        rank_of(pair.bw_power(pair.k_bw), tol),
+        dpair._rank("BW", pair.k_bw, tol),
+        pair._rank("BW", pair.k_bw, tol),
     )
     shift = spectral_norm(Y @ E)
     base = spectral_norm(Y @ X)
@@ -402,7 +401,7 @@ def dmp_perturbation(
     n_id = np.eye(pair.n, dtype=complex)
     m_id = np.eye(pair.m, dtype=complex)
 
-    Bp = mp_inverse(B, tol)
+    Bp = pair._pinv(tol)
     Dp = mp_inverse(D, tol)
     Y1 = weak_dmp(pair, Z, tol).value
     inner = _inv(m_id + Z @ W @ E @ W, "I + ZWEW")
@@ -418,8 +417,8 @@ def dmp_perturbation(
     dpair = weighted_pair(D, W, tol)
     report.add_rank_gap(
         "stabilized rank preserved",
-        rank_of(dpair.wb_power(pair.k_wb), tol),
-        rank_of(pair.wb_power(pair.k_wb), tol),
+        dpair._rank("WB", pair.k_wb, tol),
+        pair._rank("WB", pair.k_wb, tol),
     )
     shift = spectral_norm(E @ Y1)
     base = spectral_norm(Z @ Y1)

@@ -99,10 +99,17 @@ def core_ep(S, tol: ToleranceConfig = DEFAULT_TOL) -> SquareInverseResult:
     return _core_ep(S, index_of(S, tol), tol)
 
 
-def _core_ep(S: np.ndarray, k: int, tol: ToleranceConfig) -> SquareInverseResult:
+def _core_ep(
+    S: np.ndarray, k: int, tol: ToleranceConfig, Sd=None, P=None
+) -> SquareInverseResult:
+    # Sd (the certified Drazin inverse of S) and P (the projector onto
+    # R(S^k)) are built here unless the caller holds them.
     Sk = matrix_power(S, k)
-    P = projector_onto(Sk, tol)
-    X = _drazin(S, k, tol).value @ P
+    if P is None:
+        P = projector_onto(Sk, tol)
+    if Sd is None:
+        Sd = _drazin(S, k, tol).value
+    X = Sd @ P
     residuals = _certify(
         "core_ep",
         {
@@ -129,16 +136,22 @@ def m_wgi(S, m: int, tol: ToleranceConfig = DEFAULT_TOL) -> SquareInverseResult:
     return _m_wgi(S, m, index_of(S, tol), tol)
 
 
-def _m_wgi(S: np.ndarray, m: int, k: int, tol: ToleranceConfig) -> SquareInverseResult:
-    Sk = matrix_power(S, k)
-    C = _core_ep(S, k, tol).value
+def _m_wgi(
+    S: np.ndarray, m: int, k: int, tol: ToleranceConfig, C=None, P=None
+) -> SquareInverseResult:
+    # C (the certified core-EP inverse of S) and P (the projector onto
+    # R(S^k)) are built here unless the caller holds them.
+    if P is None:
+        P = projector_onto(matrix_power(S, k), tol)
+    if C is None:
+        C = _core_ep(S, k, tol, P=P).value
     X = matrix_power(C, m + 1) @ matrix_power(S, m)
     residuals = _certify(
         "m_wgi",
         {
             "outer": _eq(X @ S @ X, X),
             "product": _eq(S @ X, matrix_power(C, m) @ matrix_power(S, m)),
-            "range": ((X - projector_onto(Sk, tol) @ X,), (X,)),
+            "range": ((X - P @ X,), (X,)),
         },
         tol,
     )

@@ -17,16 +17,16 @@ from .matcore import (
     as_matrix,
     mp_inverse,
     oblique_projector_check,
-    projector_onto,
     rank_of,
     spectral_norm,
 )
-from .sqinv import drazin
 from .winv import (
     _as_member,
+    _bw_drazin,
     _left_member_residual,
     _require_member,
     _right_hand,
+    _wb_drazin,
     w_dmp,
     w_drazin,
     w_mpd,
@@ -89,19 +89,23 @@ def check_mrwwd(
 
     report = VerificationReport("thm2.1", tol)
     eq = _eqc(X @ M, K, tol)
-    rank = _rank_eqc(rank_of(X, tol), rank_of(K, tol))
+    rank = _rank_eqc(rank_of(X, tol), pair._rank("BW", k, tol))
     rng = _range_eqc(X, K, tol)
 
     _item(report, "(i) power equation, rank", [eq, rank])
     _item(report, "(ii) power equation, range", [eq, rng])
     _item(report, "(iii) outer inverse, range", [_eqc(X @ W @ B @ W @ X, X, tol), rng])
-    _item(report, "(iv) core projector fixes X", [_eqc(projector_onto(K, tol) @ X, X, tol), eq])
+    _item(
+        report,
+        "(iv) core projector fixes X",
+        [_eqc(pair._projector("BW", k, tol) @ X, X, tol), eq],
+    )
     _item(report, "(v) power equation, rank, range", [eq, rank, rng])
     _item(report, "(vi) left absorption", [_eqc(B @ W @ X @ W @ X, X, tol), eq])
     _item(
         report,
         "(vii) Drazin projector fixes X",
-        [_eqc(drazin(BW, tol).value @ BW @ X, X, tol), eq],
+        [_eqc(_bw_drazin(pair, tol) @ BW @ X, X, tol), eq],
     )
     return report
 
@@ -125,7 +129,7 @@ def check_mrwwd_right(
 
     report = VerificationReport("thm2.8", tol)
     eq = _eqc(M @ Z, N, tol)
-    rank = _rank_eqc(rank_of(Z, tol), rank_of(N, tol))
+    rank = _rank_eqc(rank_of(Z, tol), pair._rank("WB", k, tol))
     nul = _null_eqc(Z, N, tol)
 
     _item(report, "(i) power equation, rank", [eq, rank])
@@ -141,7 +145,7 @@ def check_mrwwd_right(
     _item(
         report,
         "(vii) Drazin projector fixes Z",
-        [_eqc(Z @ drazin(WB, tol).value @ WB, Z, tol), eq],
+        [_eqc(Z @ _wb_drazin(pair, tol) @ WB, Z, tol), eq],
     )
     return report
 
@@ -155,7 +159,7 @@ def check_weak_mpd_system(
     Y = as_matrix(Y)
     B, W = pair.B, pair.W
     k = pair.k_bw
-    Bp = mp_inverse(B, tol)
+    Bp = pair._pinv(tol)
     P1 = pair.bw_power(k + 1)
 
     report = VerificationReport("thm3.1", tol)
@@ -194,7 +198,7 @@ def check_mpd_characterizations(
     Y = as_matrix(Y)
     B, W = pair.B, pair.W
     k = pair.k_bw
-    Bp = mp_inverse(B, tol)
+    Bp = pair._pinv(tol)
     BWXW = B @ W @ X @ W
     P1 = pair.bw_power(k + 1)
 
@@ -284,7 +288,7 @@ def check_projectors(
     Y = as_matrix(Y)
     k = pair.k_bw
     K = pair.bw_power(k)
-    col_gen = mp_inverse(B, tol) @ pair.bw_power(k + 1)
+    col_gen = pair._pinv(tol) @ pair.bw_power(k + 1)
 
     report = VerificationReport("lem3.6", tol)
     report.merge(oblique_projector_check(B @ Y, K, X @ W, tol), prefix="(i) B Y: ")
@@ -357,7 +361,8 @@ def check_unique_projector_solution(
     K = pair.bw_power(pair.k_bw)
     report = VerificationReport("thm3.8", tol)
     report.merge(oblique_projector_check(B @ Y, K, X @ W, tol), prefix="projector: ")
-    r_row = spectral_norm(Y - projector_onto(B.conj().T, tol) @ Y)
+    # the projector onto the row space of B, B^* (B^*)^+, from the dual pair
+    r_row = spectral_norm(Y - pair.H.B @ pair.H._pinv(tol) @ Y)
     report.add(
         "column space inside row space of B", r_row, _passes(r_row, spectral_norm(Y), tol)
     )
@@ -377,7 +382,7 @@ def check_mp_drazin_absorption(
     with _right_hand():
         _require_member(pair.H, Z.conj().T, tol)
     B, W = pair.B, pair.W
-    Bp = mp_inverse(B, tol)
+    Bp = pair._pinv(tol)
     report = VerificationReport("lem3.10", tol)
     BWXW = B @ W @ X @ W
     report.add_equation(
@@ -404,9 +409,8 @@ def one_inverse_family(
         X = w_drazin(pair, tol).value
     X = _require_member(pair, X, tol)
     k = pair.k_bw
-    Bp = mp_inverse(B, tol)
-    K = pair.bw_power(k)
-    Q = Bp + U @ (np.eye(pair.m, dtype=complex) - projector_onto(K, tol))
+    Bp = pair._pinv(tol)
+    Q = Bp + U @ (np.eye(pair.m, dtype=complex) - pair._projector("BW", k, tol))
     P1 = pair.bw_power(k + 1)
 
     report = VerificationReport("thm3.12", tol)
@@ -442,7 +446,7 @@ def mpd_general_solution(
     if Zfree.shape != (pair.n, pair.m):
         raise ValueError(f"Zfree must be {pair.n} x {pair.m}, got {Zfree.shape}")
     k = pair.k_bw
-    Bp = mp_inverse(B, tol)
+    Bp = pair._pinv(tol)
     Y = Bp + Zfree @ (np.eye(pair.m, dtype=complex) - B @ W @ X @ W)
     P1 = pair.bw_power(k + 1)
 

@@ -52,6 +52,44 @@ __all__ = [
 ]
 
 
+# Certified kernel values of a pair, shared by every constructor that needs
+# them: each is built and certified once per pair and tolerance and then read
+# from the pair's memo (see WeightedPair). The right-hand (DMP) half reads
+# them from the dual pair's memo.
+
+
+def _bw_drazin(pair: WeightedPair, tol: ToleranceConfig) -> np.ndarray:
+    """(BW)^D."""
+    return pair._cached(("(BW)^D", tol), lambda: _drazin(pair.bw(), pair.k_bw, tol).value)
+
+
+def _wb_drazin(pair: WeightedPair, tol: ToleranceConfig) -> np.ndarray:
+    """(WB)^D."""
+    return pair._cached(("(WB)^D", tol), lambda: _drazin(pair.wb(), pair.k_wb, tol).value)
+
+
+def _wb_core_ep(pair: WeightedPair, tol: ToleranceConfig) -> np.ndarray:
+    """(WB)^core-EP, from the cached (WB)^D and projector onto R((WB)^k)."""
+    k = pair.k_wb
+    return pair._cached(
+        ("(WB)^core-EP", tol),
+        lambda: _core_ep(
+            pair.wb(), k, tol, Sd=_wb_drazin(pair, tol), P=pair._projector("WB", k, tol)
+        ).value,
+    )
+
+
+def _wb_m_wgi(pair: WeightedPair, m: int, tol: ToleranceConfig) -> np.ndarray:
+    """The m-fold weak group inverse of WB, from the cached (WB)^core-EP."""
+    k = pair.k_wb
+    return pair._cached(
+        ("(WB)^wgi", tol, m),
+        lambda: _m_wgi(
+            pair.wb(), m, k, tol, C=_wb_core_ep(pair, tol), P=pair._projector("WB", k, tol)
+        ).value,
+    )
+
+
 @dataclass(frozen=True)
 class WeightedInverseResult:
     value: np.ndarray
@@ -65,9 +103,9 @@ def w_drazin(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> Weighted
     defining equations and the dual representation B ((WB)^D)^2."""
     B, W = pair.B, pair.W
     k = pair.k_bw
-    Xd = _drazin(pair.bw(), k, tol).value
+    Xd = _bw_drazin(pair, tol)
     val = Xd @ Xd @ B
-    dual = B @ np.linalg.matrix_power(_drazin(pair.wb(), pair.k_wb, tol).value, 2)
+    dual = B @ np.linalg.matrix_power(_wb_drazin(pair, tol), 2)
     residuals = _certify(
         "w_drazin",
         {
@@ -84,15 +122,18 @@ def w_drazin(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> Weighted
 def w_core_ep(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedInverseResult:
     """W-weighted core-EP inverse B ((WB)^core-EP)^2."""
     B, W = pair.B, pair.W
-    C = _core_ep(pair.wb(), pair.k_wb, tol).value
+    C = _wb_core_ep(pair, tol)
     val = B @ C @ C
     Kbw = pair.bw_power(pair.k_bw)
     residuals = _certify(
         "w_core_ep",
         {
-            "projector": _eq(W @ B @ W @ val, projector_onto(pair.wb_power(pair.k_wb), tol)),
+            "projector": _eq(W @ B @ W @ val, pair._projector("WB", pair.k_wb, tol)),
             "range equality": (
-                (val - projector_onto(Kbw, tol) @ val, Kbw - projector_onto(val, tol) @ Kbw),
+                (
+                    val - pair._projector("BW", pair.k_bw, tol) @ val,
+                    Kbw - projector_onto(val, tol) @ Kbw,
+                ),
                 (val, Kbw),
             ),
         },
@@ -135,8 +176,9 @@ def w_m_weak_core(
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
     B, W = pair.B, pair.W
-    val = w_m_wgi(pair, m, tol).value @ projector_onto(pair.wb_power(m), tol)
-    star = _m_wgi(pair.wb(), m, pair.k_wb, tol).value @ projector_onto(pair.wb_power(m), tol)
+    P = pair._projector("WB", m, tol)
+    val = w_m_wgi(pair, m, tol).value @ P
+    star = _wb_m_wgi(pair, m, tol) @ P
     residuals = _certify(
         "w_m_weak_core",
         {
@@ -157,7 +199,7 @@ def _outer_only(kind: str, pair: WeightedPair, val: np.ndarray, tol: ToleranceCo
 def w_mpcep(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedInverseResult:
     """MP-core-EP composition B^+ B W B^core-EP,W W."""
     B, W = pair.B, pair.W
-    val = mp_inverse(B, tol) @ B @ W @ w_core_ep(pair, tol).value @ W
+    val = pair._pinv(tol) @ B @ W @ w_core_ep(pair, tol).value @ W
     residuals = _outer_only("w_mpcep", pair, val, tol)
     return WeightedInverseResult(
         value=val, kind="w-mpcep", index_used=pair.k_bw, residuals=residuals
@@ -167,7 +209,7 @@ def w_mpcep(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedI
 def w_cepmp(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedInverseResult:
     """Core-EP-MP composition W B^core-EP,W W B B^+."""
     B, W = pair.B, pair.W
-    val = W @ w_core_ep(pair, tol).value @ W @ B @ mp_inverse(B, tol)
+    val = W @ w_core_ep(pair, tol).value @ W @ B @ pair._pinv(tol)
     residuals = _outer_only("w_cepmp", pair, val, tol)
     return WeightedInverseResult(
         value=val, kind="w-cepmp", index_used=pair.k_wb, residuals=residuals
@@ -179,7 +221,7 @@ def w_m_wgmp(
 ) -> WeightedInverseResult:
     """m-fold weak-group-MP composition W B^wgi(m),W W B B^+."""
     B, W = pair.B, pair.W
-    val = W @ w_m_wgi(pair, m, tol).value @ W @ B @ mp_inverse(B, tol)
+    val = W @ w_m_wgi(pair, m, tol).value @ W @ B @ pair._pinv(tol)
     residuals = _outer_only("w_m_wgmp", pair, val, tol)
     return WeightedInverseResult(
         value=val, kind="w-m-wgmp", index_used=pair.k_wb, residuals=residuals
@@ -190,7 +232,7 @@ def w_mpd(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedInv
     """Weighted MPD inverse B^+ B W B^D,W W."""
     B, W = pair.B, pair.W
     k = pair.k_bw
-    Bp = mp_inverse(B, tol)
+    Bp = pair._pinv(tol)
     WdW = W @ w_drazin(pair, tol).value @ W
     val = Bp @ B @ WdW
     residuals = _certify(
@@ -277,7 +319,7 @@ def mrwwd_family(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> Solu
     """
     K = pair.bw_power(pair.k_bw)
     M = pair.W @ pair.bw_power(pair.k_bw + 1)
-    Mp = mp_inverse(M, tol)
+    Mp = pair._cached(("M^+", tol), lambda: mp_inverse(M, tol))
     particular = K @ Mp
     residual, ok = _judge((particular @ M - K,), (K,), tol)
     if not ok:
@@ -288,7 +330,7 @@ def mrwwd_family(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> Solu
         particular=particular,
         left_factor=K,
         annihilator=np.eye(pair.n, dtype=complex) - M @ Mp,
-        rank_target=rank_of(K, tol),
+        rank_target=pair._rank("BW", pair.k_bw, tol),
         side="left",
     )
 
@@ -325,8 +367,8 @@ def _left_member_residual(pair: WeightedPair, X, tol: ToleranceConfig) -> tuple:
     K = pair.bw_power(pair.k_bw)
     M = pair.W @ pair.bw_power(pair.k_bw + 1)
     residual = spectral_norm(X @ M - K)
-    rank_gap = abs(rank_of(X, tol) - rank_of(K, tol))
-    ok = _passes(residual, spectral_norm(K), tol) and rank_gap == 0
+    rank_gap = abs(rank_of(X, tol) - pair._rank("BW", pair.k_bw, tol))
+    ok = _passes(residual, pair._norm("BW", pair.k_bw), tol) and rank_gap == 0
     return ok, residual, rank_gap
 
 
@@ -356,7 +398,7 @@ def weak_mpd(pair: WeightedPair, X, tol: ToleranceConfig = DEFAULT_TOL) -> Weigh
     X = _require_member(pair, X, tol)
     B, W = pair.B, pair.W
     k = pair.k_bw
-    Bp = mp_inverse(B, tol)
+    Bp = pair._pinv(tol)
     BWXW = B @ W @ X @ W
     val = Bp @ BWXW
     residuals = _certify(

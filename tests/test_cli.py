@@ -236,3 +236,21 @@ def test_verify_has_no_fold_parameter():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "thm2.1", "--m", "2"])
     assert exc.value.code == 1
+
+
+def test_successive_main_calls_share_no_state(capsys):
+    # the parser is built once per process; each call parses from its defaults
+    assert main(["verify", "thm2.1", "--random", "--seed", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 3
+    assert main(["verify", "thm2.1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["seed"] == 0
+    assert doc["fixtures_used"] == ["ex1"]
+
+
+def test_usage_error_exits_1_on_every_call(capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "thm2.1", "--no-such-flag"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err

@@ -1,9 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from wginv._gen import random_pair
 from wginv.matcore import (
     DEFAULT_TOL,
     DimensionError,
@@ -19,6 +23,7 @@ from wginv.matcore import (
     spectral_norm,
     weighted_pair,
 )
+from wginv.winv import _bw_drazin, _wb_core_ep, w_core_ep, w_dmp, w_m_weak_core, w_mpd
 
 RNG = np.random.default_rng(20240817)
 
@@ -140,3 +145,62 @@ def test_mp_inverse_penrose_equations(A):
     assert spectral_norm(Ap @ A @ Ap - Ap) <= 1e-9 * (1.0 + spectral_norm(Ap) ** 2)
     assert spectral_norm(A @ Ap - (A @ Ap).conj().T) <= 1e-9 * scale
     assert spectral_norm(Ap @ A - (Ap @ A).conj().T) <= 1e-9 * scale
+
+
+# A WeightedPair owns read-only copies of B and W and a memo of shared
+# factors (B^+, kernel values, power projectors) keyed by tolerance.
+
+
+def _used_pair():
+    pair = random_pair(7, 6, 2, 5)
+    w_m_weak_core(pair, 2)
+    w_dmp(pair)  # builds the dual pair and fills its memo
+    return pair
+
+
+def test_weighted_pair_copies_the_callers_matrices():
+    B = RNG.standard_normal((5, 4)) + 1j * RNG.standard_normal((5, 4))
+    W = RNG.standard_normal((4, 5))
+    pair = weighted_pair(B, W)
+    before = pair.B.copy(), w_mpd(pair).value, w_core_ep(pair).value
+    B[:] = 0.0
+    W *= 3.0
+    assert np.array_equal(pair.B, before[0])
+    assert np.array_equal(w_mpd(pair).value, before[1])
+    assert np.array_equal(w_core_ep(pair).value, before[2])
+
+
+def test_pair_matrices_and_cached_factors_are_read_only():
+    pair = _used_pair()
+    factors = [
+        pair.B,
+        pair.W,
+        pair.H.B,
+        pair._pinv(DEFAULT_TOL),
+        pair._projector("WB", pair.k_wb, DEFAULT_TOL),
+        _bw_drazin(pair, DEFAULT_TOL),
+        _wb_core_ep(pair, DEFAULT_TOL),
+    ]
+    for A in factors:
+        with pytest.raises(ValueError):
+            A[0, 0] = 1.0
+
+
+def test_dual_pair_is_built_once():
+    pair = _used_pair()
+    assert pair.H is pair.H
+    assert np.array_equal(pair.H.B, pair.B.conj().T)
+    assert (pair.H.k_bw, pair.H.k_wb) == (pair.k_wb, pair.k_bw)
+
+
+def test_pair_with_dual_and_memo_is_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        pair = _used_pair()
+        assert pair._memo and pair.H._memo
+        ref, dual_ref = weakref.ref(pair), weakref.ref(pair.H)
+        del pair
+        assert ref() is None
+        assert dual_ref() is None
+    finally:
+        gc.enable()

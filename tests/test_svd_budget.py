@@ -11,8 +11,22 @@ import numpy.linalg._linalg as linalg_impl
 import pytest
 
 from wginv import matcore, sqinv
-from wginv._gen import random_pair
-from wginv.winv import mrwwd_family, w_core_ep, w_drazin, w_m_weak_core, w_mpd, weak_mpd
+from wginv._gen import random_pair, random_square_with_index
+from wginv.matcore import CertificationError, ToleranceConfig
+from wginv.winv import (
+    CATALOG,
+    _bw_drazin,
+    compute_kind,
+    mrwwd_family,
+    mrwwd_right_family,
+    w_core_ep,
+    w_dmp,
+    w_drazin,
+    w_m_weak_core,
+    w_mpd,
+    weak_dmp,
+    weak_mpd,
+)
 
 # SVDs per constructor on random_pair(7, 6, 2, 5) when every check was decided
 # on spectral norms and every constructor decided its own indices
@@ -81,3 +95,68 @@ def test_constructors_reuse_the_cached_indices(monkeypatch, pair_and_member, bui
     result = build(pair_and_member[0])
     assert calls == []
     assert result.index_used == 2
+
+
+# A WeightedPair caches B^+, the Drazin and core-EP kernels of BW and WB and
+# the projectors onto their powers, so kinds built on the same pair share
+# them. The nine catalog kinds with weak_mpd and weak_dmp took 83 SVDs on a
+# fresh pair when each constructor built its own factors.
+CATALOG_AND_WEAK_BUDGET = 25
+
+
+def _members():
+    # drawn on a separate pair, so that the counted pair starts with no memo
+    other = random_pair(7, 6, 2, 5)
+    zero = np.zeros((7, 6))
+    return mrwwd_family(other).member(zero), mrwwd_right_family(other).member(zero)
+
+
+def test_catalog_and_weak_inverses_share_the_pair_factors(monkeypatch):
+    X, Z = _members()
+    pair = random_pair(7, 6, 2, 5)
+    calls = _counting(monkeypatch, linalg_impl, "svd")
+    monkeypatch.setattr(np.linalg, "svd", linalg_impl.svd)
+    for kind in CATALOG:
+        compute_kind(pair, kind, m=2)
+    weak_mpd(pair, X)
+    weak_dmp(pair, Z)
+    assert len(calls) <= CATALOG_AND_WEAK_BUDGET
+
+
+@pytest.mark.parametrize("build", [w_mpd, w_drazin, w_dmp])
+def test_warm_pair_needs_no_svd(monkeypatch, build):
+    pair = random_pair(7, 6, 2, 5)
+    first = build(pair)
+    calls = _counting(monkeypatch, linalg_impl, "svd")
+    monkeypatch.setattr(np.linalg, "svd", linalg_impl.svd)
+    again = build(pair)
+    assert calls == []
+    assert np.array_equal(again.value, first.value)
+    assert again.value is not first.value  # results themselves are not memoized
+
+
+def test_cached_factors_are_keyed_by_tolerance():
+    pair = random_pair(7, 6, 2, 5)
+    w_mpd(pair)
+    tight = ToleranceConfig(residual_atol=1e-300)
+    with pytest.raises(CertificationError):
+        w_mpd(pair, tight)
+    # a kernel value certified at one tolerance is certified anew at another
+    with pytest.raises(CertificationError):
+        _bw_drazin(pair, tight)
+    coarse = ToleranceConfig(rank_rtol=0.5)
+    assert matcore.rank_of(pair._pinv(coarse)) < matcore.rank_of(pair._pinv(matcore.DEFAULT_TOL))
+
+
+def test_index_decision_factors_each_power_once(monkeypatch):
+    # weighted_pair decides both indices and nothing else by SVD: one SVD per
+    # power S, S^2, ..., S^(k+1) of each product, the norm of S included
+    rng = np.random.default_rng(3)
+    S = random_square_with_index(6, 2, rng, matcore.DEFAULT_TOL)
+    calls = _counting(monkeypatch, linalg_impl, "svd")
+    monkeypatch.setattr(np.linalg, "svd", linalg_impl.svd)
+    assert matcore.index_of(S) == 2
+    assert len(calls) == 3
+    del calls[:]
+    pair = matcore.weighted_pair(S, np.eye(6))
+    assert len(calls) == pair.k_bw + pair.k_wb + 2
