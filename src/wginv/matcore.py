@@ -349,18 +349,26 @@ class WeightedPair:
     """A rectangular matrix B (m x n) with weight W (n x m), the indices of
     both products, and a memo of the factors that several inverses share.
 
-    `weighted_pair` stores read-only copies of B and W. The memo holds values
+    The pair stores read-only copies of B and W, however it is built, so the
+    memo depends only on data that cannot change. The memo holds values
     that cost an SVD (B^+, the Drazin and core-EP kernels of BW and WB, the
     projectors onto their powers, ...), keyed by (quantity, tolerance[, power]).
     Each is built, and certified where it is a kernel value, on first use, is
     read-only from then on, and is never a public result: constructors still
-    assemble and certify their own values on every call.
+    assemble and certify their own values on every call. The checkers in
+    `verify` and the family membership test read nothing from it: what
+    judges a caller's candidate rebuilds its factors from B and W.
     """
 
     B: np.ndarray
     W: np.ndarray
     k_bw: int
     k_wb: int
+
+    def __post_init__(self):
+        for name in ("B", "W"):
+            A = as_matrix(getattr(self, name)).copy(order="K")
+            object.__setattr__(self, name, _read_only(A))
 
     @property
     def m(self) -> int:
@@ -387,9 +395,7 @@ class WeightedPair:
         """The dual pair (B^*, W^*): B^* W^* = (WB)^* has the index of WB, so
         the indices swap and none is recomputed. It is built once and keeps
         its own memo; it holds no reference back to this pair."""
-        return WeightedPair(
-            _read_only(self.B.conj().T), _read_only(self.W.conj().T), self.k_wb, self.k_bw
-        )
+        return WeightedPair(self.B.conj().T, self.W.conj().T, self.k_wb, self.k_bw)
 
     @cached_property
     def _memo(self) -> dict:
@@ -421,16 +427,12 @@ class WeightedPair:
         """rank((BW)^j) or rank((WB)^j)."""
         return self._cached(("rank", tol, side, j), lambda: rank_of(self._power(side, j), tol))
 
-    def _norm(self, side: str, j: int) -> float:
-        """||(BW)^j||_2 or ||(WB)^j||_2."""
-        return self._cached(("norm", side, j), lambda: spectral_norm(self._power(side, j)))
-
 
 def weighted_pair(B, W, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedPair:
-    """Validate shapes, reject the zero weight, and cache both indices. B and
-    W are stored as read-only copies, so the caller's arrays may change."""
-    B = _read_only(as_matrix(B).copy(order="K"))
-    W = _read_only(as_matrix(W).copy(order="K"))
+    """Validate shapes, reject the zero weight, and cache both indices. The
+    pair keeps read-only copies of B and W, so the caller's arrays may change."""
+    B = as_matrix(B)
+    W = as_matrix(W)
     m, n = B.shape
     if W.shape != (n, m):
         raise DimensionError(f"weight shape {W.shape} does not match required ({n}, {m})")

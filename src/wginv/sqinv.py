@@ -67,8 +67,9 @@ def _eq(lhs, rhs) -> tuple:
     return ((lhs - rhs,), (rhs,))
 
 
-# The public functions decide the index and call a kernel; callers that hold
-# the index already (a WeightedPair caches both) call the kernel directly.
+# The public functions decide the index, build the factors a kernel takes and
+# call it; a WeightedPair holds both indices and its factors and calls the
+# kernels directly.
 
 
 def drazin(S, tol: ToleranceConfig = DEFAULT_TOL) -> SquareInverseResult:
@@ -96,19 +97,16 @@ def core_ep(S, tol: ToleranceConfig = DEFAULT_TOL) -> SquareInverseResult:
     """Core-EP inverse S^D S^k (S^k)^+; its range and null space both come
     from S^k."""
     S = _square(S)
-    return _core_ep(S, index_of(S, tol), tol)
+    k = index_of(S, tol)
+    P = projector_onto(matrix_power(S, k), tol)
+    return _core_ep(S, k, _drazin(S, k, tol).value, P, tol)
 
 
 def _core_ep(
-    S: np.ndarray, k: int, tol: ToleranceConfig, Sd=None, P=None
+    S: np.ndarray, k: int, Sd: np.ndarray, P: np.ndarray, tol: ToleranceConfig
 ) -> SquareInverseResult:
-    # Sd (the certified Drazin inverse of S) and P (the projector onto
-    # R(S^k)) are built here unless the caller holds them.
+    # Sd is the certified Drazin inverse of S, P the projector onto R(S^k).
     Sk = matrix_power(S, k)
-    if P is None:
-        P = projector_onto(Sk, tol)
-    if Sd is None:
-        Sd = _drazin(S, k, tol).value
     X = Sd @ P
     residuals = _certify(
         "core_ep",
@@ -133,18 +131,16 @@ def m_wgi(S, m: int, tol: ToleranceConfig = DEFAULT_TOL) -> SquareInverseResult:
     S = _square(S)
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
-    return _m_wgi(S, m, index_of(S, tol), tol)
+    k = index_of(S, tol)
+    P = projector_onto(matrix_power(S, k), tol)
+    C = _core_ep(S, k, _drazin(S, k, tol).value, P, tol).value
+    return _m_wgi(S, m, k, C, P, tol)
 
 
 def _m_wgi(
-    S: np.ndarray, m: int, k: int, tol: ToleranceConfig, C=None, P=None
+    S: np.ndarray, m: int, k: int, C: np.ndarray, P: np.ndarray, tol: ToleranceConfig
 ) -> SquareInverseResult:
-    # C (the certified core-EP inverse of S) and P (the projector onto
-    # R(S^k)) are built here unless the caller holds them.
-    if P is None:
-        P = projector_onto(matrix_power(S, k), tol)
-    if C is None:
-        C = _core_ep(S, k, tol, P=P).value
+    # C is the certified core-EP inverse of S, P the projector onto R(S^k).
     X = matrix_power(C, m + 1) @ matrix_power(S, m)
     residuals = _certify(
         "m_wgi",

@@ -74,7 +74,7 @@ def _wb_core_ep(pair: WeightedPair, tol: ToleranceConfig) -> np.ndarray:
     return pair._cached(
         ("(WB)^core-EP", tol),
         lambda: _core_ep(
-            pair.wb(), k, tol, Sd=_wb_drazin(pair, tol), P=pair._projector("WB", k, tol)
+            pair.wb(), k, _wb_drazin(pair, tol), pair._projector("WB", k, tol), tol
         ).value,
     )
 
@@ -85,7 +85,7 @@ def _wb_m_wgi(pair: WeightedPair, m: int, tol: ToleranceConfig) -> np.ndarray:
     return pair._cached(
         ("(WB)^wgi", tol, m),
         lambda: _m_wgi(
-            pair.wb(), m, k, tol, C=_wb_core_ep(pair, tol), P=pair._projector("WB", k, tol)
+            pair.wb(), m, k, _wb_core_ep(pair, tol), pair._projector("WB", k, tol), tol
         ).value,
     )
 
@@ -367,8 +367,8 @@ def _left_member_residual(pair: WeightedPair, X, tol: ToleranceConfig) -> tuple:
     K = pair.bw_power(pair.k_bw)
     M = pair.W @ pair.bw_power(pair.k_bw + 1)
     residual = spectral_norm(X @ M - K)
-    rank_gap = abs(rank_of(X, tol) - pair._rank("BW", pair.k_bw, tol))
-    ok = _passes(residual, pair._norm("BW", pair.k_bw), tol) and rank_gap == 0
+    rank_gap = abs(rank_of(X, tol) - rank_of(K, tol))
+    ok = _passes(residual, spectral_norm(K), tol) and rank_gap == 0
     return ok, residual, rank_gap
 
 

@@ -13,6 +13,7 @@ from wginv.matcore import (
     DimensionError,
     ToleranceConfig,
     VerificationReport,
+    WeightedPair,
     as_matrix,
     index_of,
     mp_inverse,
@@ -168,6 +169,19 @@ def test_weighted_pair_copies_the_callers_matrices():
     assert np.array_equal(pair.B, before[0])
     assert np.array_equal(w_mpd(pair).value, before[1])
     assert np.array_equal(w_core_ep(pair).value, before[2])
+
+
+def test_directly_built_pair_copies_its_matrices():
+    B = RNG.standard_normal((5, 4)) + 1j * RNG.standard_normal((5, 4))
+    W = RNG.standard_normal((4, 5))
+    built = weighted_pair(B, W)
+    pair = WeightedPair(B, W, built.k_bw, built.k_wb)
+    value = w_mpd(pair).value
+    B[:] = 0.0
+    W *= 3.0
+    assert not pair.B.flags.writeable and not pair.W.flags.writeable
+    assert np.array_equal(pair.B, built.B) and np.array_equal(pair.W, built.W)
+    assert np.array_equal(w_mpd(pair).value, value)
 
 
 def test_pair_matrices_and_cached_factors_are_read_only():

@@ -12,7 +12,13 @@ import pytest
 
 from wginv import matcore, sqinv
 from wginv._gen import random_pair, random_square_with_index
-from wginv.matcore import CertificationError, ToleranceConfig
+from wginv.matcore import CertificationError, HypothesisError, ToleranceConfig
+from wginv.verify import (
+    check_dmp_characterizations,
+    check_mpd_characterizations,
+    check_mrwwd,
+    check_mrwwd_right,
+)
 from wginv.winv import (
     CATALOG,
     _bw_drazin,
@@ -160,3 +166,53 @@ def test_index_decision_factors_each_power_once(monkeypatch):
     del calls[:]
     pair = matcore.weighted_pair(S, np.eye(6))
     assert len(calls) == pair.k_bw + pair.k_wb + 2
+
+
+# The checkers and the membership test judge a caller's candidate: they
+# rebuild every factor from B and W and read nothing from the pair's memo, so
+# a check costs the same on every call and cannot inherit a cached factor.
+
+
+def _candidates():
+    """A fresh pair, members X and Z of its two families and their weak
+    inverses Y and Y1, drawn on a twin pair so that the pair's memo is empty."""
+    pair = random_pair(7, 6, 2, 5)
+    twin = matcore.weighted_pair(pair.B, pair.W)
+    zero = np.zeros((7, 6))
+    X = mrwwd_family(twin).member(zero)
+    Z = mrwwd_right_family(twin).member(zero)
+    return pair, X, Z, weak_mpd(twin, X).value, weak_dmp(twin, Z).value
+
+
+def _refused(build, pair, A):
+    with pytest.raises(HypothesisError):
+        build(pair, A)
+
+
+CHECKS = {
+    "check_mrwwd": lambda pair, X, Z, Y, Y1: check_mrwwd(pair, X),
+    "check_mrwwd_right": lambda pair, X, Z, Y, Y1: check_mrwwd_right(pair, Z),
+    "check_mpd_characterizations": lambda pair, X, Z, Y, Y1: check_mpd_characterizations(
+        pair, X, Y
+    ),
+    "check_dmp_characterizations": lambda pair, X, Z, Y, Y1: check_dmp_characterizations(
+        pair, Z, Y1
+    ),
+    "weak_mpd(non-member)": lambda pair, X, Z, Y, Y1: _refused(weak_mpd, pair, 2.0 * X),
+    "weak_dmp(non-member)": lambda pair, X, Z, Y, Y1: _refused(weak_dmp, pair, 2.0 * Z),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_checks_rebuild_their_factors_on_every_call(monkeypatch, name):
+    pair, *candidates = _candidates()
+    calls = _counting(monkeypatch, linalg_impl, "svd")
+    monkeypatch.setattr(np.linalg, "svd", linalg_impl.svd)
+    counts = []
+    for _ in range(2):
+        del calls[:]
+        CHECKS[name](pair, *candidates)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+    assert not pair._memo
+    assert not pair.H._memo
