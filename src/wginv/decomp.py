@@ -164,18 +164,25 @@ def decomposition_report(
     return report
 
 
+def _schur_parts(dec: BlockDecomposition, tol: ToleranceConfig) -> tuple:
+    """B3^+, F = I - B3^+ B3 and Delta = (B1 B1^* + B2 F B2^*)^-1, shared by
+    the block forms of B^+ and of the weak MPD inverse."""
+    B1, B2, B3 = dec.B1, dec.B2, dec.B3
+    # B3 is carved out of B: rank decisions inside it must use B's scale, or a
+    # tail of pure roundoff turns into a spurious direction.
+    B3p = mp_inverse(B3, tol, floor=spectral_norm(dec.pair.B))
+    F = np.eye(B3.shape[1], dtype=complex) - B3p @ B3  # (n-q) x (n-q)
+    delta = np.linalg.inv(B1 @ B1.conj().T + B2 @ F @ B2.conj().T)
+    return B3p, F, delta
+
+
 def mp_via_blocks(dec: BlockDecomposition, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose inverse assembled from the decomposition blocks and
     certified against the SVD value."""
     pair = dec.pair
     q = dec.q
-    B1, B2, B3 = dec.B1, dec.B2, dec.B3
-    B1h = B1.conj().T
-    # B3 is carved out of B: rank decisions inside it must use B's scale, or a
-    # tail of pure roundoff turns into a spurious direction.
-    B3p = mp_inverse(B3, tol, floor=spectral_norm(pair.B))
-    F = np.eye(B3.shape[1], dtype=complex) - B3p @ B3  # (n-q) x (n-q)
-    delta = np.linalg.inv(B1 @ B1h + B2 @ F @ B2.conj().T)
+    B1h, B2 = dec.B1.conj().T, dec.B2
+    B3p, F, delta = _schur_parts(dec, tol)
     core = np.zeros((pair.n, pair.m), dtype=complex)
     core[:q, :q] = B1h @ delta
     core[:q, q:] = -B1h @ delta @ B2 @ B3p
@@ -214,7 +221,7 @@ def weak_mpd_canonical(
     if dec is None:
         dec = weighted_core_ep_decompose(pair, tol)
     q = dec.q
-    B1, B2, B3, W1, W2, W3 = dec.B1, dec.B2, dec.B3, dec.W1, dec.W2, dec.W3
+    B1, B2, W1, W2, W3 = dec.B1, dec.B2, dec.W1, dec.W2, dec.W3
 
     Xhat = dec.M.conj().T @ X @ dec.N
     core_inv = np.linalg.inv(W1 @ B1 @ W1)
@@ -225,9 +232,7 @@ def weak_mpd_canonical(
     X2 = Xhat[:q, q:]
 
     B1h = B1.conj().T
-    B3p = mp_inverse(B3, tol, floor=spectral_norm(pair.B))
-    F = np.eye(B3.shape[1], dtype=complex) - B3p @ B3
-    delta = np.linalg.inv(B1 @ B1h + B2 @ F @ B2.conj().T)
+    B3p, F, delta = _schur_parts(dec, tol)
     Q = B1 @ W1 @ core_inv @ W1
     D = delta @ B1 @ W1 @ core_inv @ W2
 

@@ -5,6 +5,7 @@ the weighted Drazin inverses multiply exactly."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -13,7 +14,9 @@ from .matcore import (
     HypothesisError,
     ToleranceConfig,
     VerificationReport,
+    WeightedPair,
     _passes,
+    _read_only,
     as_matrix,
     mp_inverse,
     spectral_norm,
@@ -41,7 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class OrderLawCase:
     """Factors with a shared weight, chosen family members for each factor,
     and the commutation flags the order laws hypothesize.
@@ -49,6 +52,10 @@ class OrderLawCase:
     Members: Z-slots belong to the first factor A, Y-slots to the second
     factor B, U1 to the third factor C. Z1/Y2 are plain weak members; Z2/Y3
     (aliased Z3/Y4 in the triple laws) carry the rank condition as well.
+
+    The case stores read-only copies of A, B, C and W in their own dtype, so
+    the products of the factors round as the caller's arrays do, and builds
+    the weighted pair of each factor and product once per tolerance.
     """
 
     W: np.ndarray
@@ -59,11 +66,42 @@ class OrderLawCase:
     commutation_flags: dict = field(default_factory=dict)
     flag_residuals: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        for name in ("W", "A", "B", "C"):
+            M = getattr(self, name)
+            if M is not None:
+                object.__setattr__(self, name, _read_only(np.array(M)))
+
+    @cached_property
+    def _memo(self) -> dict:
+        return {}
+
+    def _pair(self, name: str, tol: ToleranceConfig) -> WeightedPair:
+        """The pair with weight W of factor "A", "B" or "C", or of the product
+        "AWB" or "AWBWC"."""
+        memo = self._memo
+        if (name, tol) not in memo:
+            F = getattr(self, name) if len(name) == 1 else self.A @ self.W @ self.B
+            if name == "AWBWC":
+                F = F @ self.W @ self.C
+            memo[name, tol] = weighted_pair(F, self.W, tol)
+        return memo[name, tol]
+
+    def _product(self, tol: ToleranceConfig, triple: bool) -> tuple:
+        """The pair of A W B (A W B W C if triple) and the shared stabilization
+        power: the largest index of BW over the product and its factors."""
+        if triple and self.C is None:
+            raise ValueError("this order law needs a third factor C")
+        names = ("A", "B", "C", "AWBWC") if triple else ("A", "B", "AWB")
+        pairs = [self._pair(name, tol) for name in names]
+        return pairs[-1], max(p.k_bw for p in pairs)
+
 
 def _set_flag(case: OrderLawCase, name: str, L, R, tol: ToleranceConfig) -> None:
-    r = spectral_norm(L @ R - R @ L)
+    LR = L @ R
+    r = spectral_norm(LR - R @ L)
     case.flag_residuals[name] = r
-    case.commutation_flags[name] = _passes(r, spectral_norm(L @ R), tol)
+    case.commutation_flags[name] = _passes(r, spectral_norm(LR), tol)
 
 
 def _require_case_flags(case: OrderLawCase, names) -> None:
@@ -83,10 +121,8 @@ def _populate_flags(case: OrderLawCase, tol: ToleranceConfig) -> None:
     _set_flag(case, "awbw_commute", AW, BW, tol)
     _set_flag(case, "y3w_aw_commute", inv["Y3"] @ W, AW, tol)
     _set_flag(case, "z2w_bw_commute", inv["Z2"] @ W, BW, tol)
-    pa = weighted_pair(case.A, W, tol)
-    pb = weighted_pair(case.B, W, tol)
-    _set_flag(case, "adw_bw_commute", w_drazin(pa, tol).value @ W, BW, tol)
-    _set_flag(case, "bdw_aw_commute", w_drazin(pb, tol).value @ W, AW, tol)
+    _set_flag(case, "adw_bw_commute", w_drazin(case._pair("A", tol), tol).value @ W, BW, tol)
+    _set_flag(case, "bdw_aw_commute", w_drazin(case._pair("B", tol), tol).value @ W, AW, tol)
     if case.C is not None:
         CW = case.C @ W
         AWBW = AW @ BW
@@ -132,26 +168,13 @@ def commuting_case(
     slots draw random members from the factor families.
     """
     W, mats = commuting_products(m, n, seed, count=3 if with_c else 2)
-    A, B = mats[0], mats[1]
-    C = mats[2] if with_c else None
+    case = _drazin_case(mats[0], mats[1], mats[2] if with_c else None, W, tol)
     rng = np.random.default_rng([0 if seed is None else seed, 17])
-
-    pa = weighted_pair(A, W, tol)
-    pb = weighted_pair(B, W, tol)
-    ZD = w_drazin(pa, tol).value
-    YD = w_drazin(pb, tol).value
     # plain weak slots: any member of the factor's own family works, and the
     # power equations transport to the shared stabilization power
-    Z1 = mrwwd_family(pa, tol).member(0.3 * rng.standard_normal((m, n)))
-    Y2 = mrwwd_family(pb, tol).member(0.3 * rng.standard_normal((m, n)))
-
-    inverses = {"Z1": Z1, "Y2": Y2, "Z2": ZD, "Y3": YD, "Z3": ZD, "Y4": YD}
-    if with_c:
-        pc = weighted_pair(C, W, tol)
-        inverses["U1"] = w_drazin(pc, tol).value
-
-    case = OrderLawCase(W=W, A=A, B=B, C=C, inverses=inverses)
-    _populate_flags(case, tol)
+    for slot, name in (("Z1", "A"), ("Y2", "B")):
+        family = mrwwd_family(case._pair(name, tol), tol)
+        case.inverses[slot] = family.member(0.3 * rng.standard_normal((m, n)))
     return case
 
 
@@ -165,87 +188,65 @@ def rol_case(n: int, seed, tol: ToleranceConfig = DEFAULT_TOL) -> OrderLawCase:
 def _drazin_case(A, B, C, W, tol: ToleranceConfig) -> OrderLawCase:
     """The case of factors A, B (and C) with weight W whose member slots all
     hold the factors' weighted Drazin inverses."""
-    ZD = w_drazin(weighted_pair(A, W, tol), tol).value
-    YD = w_drazin(weighted_pair(B, W, tol), tol).value
-    inverses = {"Z1": ZD, "Y2": YD, "Z2": ZD, "Y3": YD, "Z3": ZD, "Y4": YD}
+    case = OrderLawCase(W=W, A=A, B=B, C=C)
+    ZD, YD = (w_drazin(case._pair(name, tol), tol).value for name in "AB")
+    case.inverses.update(Z1=ZD, Y2=YD, Z2=ZD, Y3=YD, Z3=ZD, Y4=YD)
     if C is not None:
-        inverses["U1"] = w_drazin(weighted_pair(C, W, tol), tol).value
-    case = OrderLawCase(W=W, A=A, B=B, C=C, inverses=inverses)
+        case.inverses["U1"] = w_drazin(case._pair("C", tol), tol).value
     _populate_flags(case, tol)
     return case
 
 
-def _pair_product(case: OrderLawCase, tol: ToleranceConfig) -> tuple:
-    """Product pair for A W B along with the shared stabilization power."""
-    ppair = weighted_pair(case.A @ case.W @ case.B, case.W, tol)
-    pa = weighted_pair(case.A, case.W, tol)
-    pb = weighted_pair(case.B, case.W, tol)
-    k = max(pa.k_bw, pb.k_bw, ppair.k_bw)
-    return ppair, k
+def _weak_law(
+    case: OrderLawCase, tol: ToleranceConfig, first: str, second: str, theorem_id: str, label: str
+) -> VerificationReport:
+    """inverses[first] W inverses[second] solves the power equation of A W B
+    (no rank condition)."""
+    _require_case_flags(case, ["awbw_commute"])
+    ppair, k = case._product(tol, triple=False)
+    P = case.inverses[first] @ case.W @ case.inverses[second]
+    report = VerificationReport(theorem_id, tol)
+    report.add_equation(
+        f"power equation for the {label} product",
+        P @ case.W @ ppair.bw_power(k + 1),
+        ppair.bw_power(k),
+    )
+    report.note("stabilization power", float(k))
+    return report
 
 
-def _triple_product(case: OrderLawCase, tol: ToleranceConfig) -> tuple:
-    if case.C is None:
-        raise ValueError("this order law needs a third factor C")
-    W = case.W
-    ppair = weighted_pair(case.A @ W @ case.B @ W @ case.C, W, tol)
-    pa = weighted_pair(case.A, W, tol)
-    pb = weighted_pair(case.B, W, tol)
-    pc = weighted_pair(case.C, W, tol)
-    k = max(pa.k_bw, pb.k_bw, pc.k_bw, ppair.k_bw)
-    return ppair, k
+def _minimal_law(
+    case: OrderLawCase, tol: ToleranceConfig, first: str, second: str, flag: str, theorem_id: str
+) -> VerificationReport:
+    """inverses[first] W inverses[second] is a full member of the family of
+    A W B, under the member commutation hypothesis `flag`."""
+    _require_case_flags(case, ["awbw_commute", flag])
+    ppair, k = case._product(tol, triple=False)
+    P = case.inverses[first] @ case.W @ case.inverses[second]
+    report = VerificationReport(theorem_id, tol)
+    report.merge(check_mrwwd(ppair, P, tol, power=k), prefix="product member: ")
+    report.note("stabilization power", float(k))
+    return report
 
 
 def reverse_order_weak(case: OrderLawCase, tol: ToleranceConfig = DEFAULT_TOL) -> VerificationReport:
     """Y2 W Z1 solves the product's power equation (no rank condition)."""
-    _require_case_flags(case, ["awbw_commute"])
-    ppair, k = _pair_product(case, tol)
-    P = case.inverses["Y2"] @ case.W @ case.inverses["Z1"]
-    report = VerificationReport("thm3.25", tol)
-    report.add_equation(
-        "power equation for the reverse product",
-        P @ case.W @ ppair.bw_power(k + 1),
-        ppair.bw_power(k),
-    )
-    report.note("stabilization power", float(k))
-    return report
+    return _weak_law(case, tol, "Y2", "Z1", "thm3.25", "reverse")
 
 
 def forward_order_weak(case: OrderLawCase, tol: ToleranceConfig = DEFAULT_TOL) -> VerificationReport:
     """Z1 W Y2 solves the same power equation."""
-    _require_case_flags(case, ["awbw_commute"])
-    ppair, k = _pair_product(case, tol)
-    P = case.inverses["Z1"] @ case.W @ case.inverses["Y2"]
-    report = VerificationReport("thm3.26", tol)
-    report.add_equation(
-        "power equation for the forward product",
-        P @ case.W @ ppair.bw_power(k + 1),
-        ppair.bw_power(k),
-    )
-    report.note("stabilization power", float(k))
-    return report
+    return _weak_law(case, tol, "Z1", "Y2", "thm3.26", "forward")
 
 
 def reverse_order_minimal(case: OrderLawCase, tol: ToleranceConfig = DEFAULT_TOL) -> VerificationReport:
     """Y3 W Z2 is a full member of the product's solution family."""
-    _require_case_flags(case, ["awbw_commute", "y3w_aw_commute"])
-    ppair, k = _pair_product(case, tol)
-    P = case.inverses["Y3"] @ case.W @ case.inverses["Z2"]
-    report = VerificationReport("thm3.27", tol)
-    report.merge(check_mrwwd(ppair, P, tol, power=k), prefix="product member: ")
-    report.note("stabilization power", float(k))
-    return report
+    return _minimal_law(case, tol, "Y3", "Z2", "y3w_aw_commute", "thm3.27")
 
 
 def forward_order_minimal(case: OrderLawCase, tol: ToleranceConfig = DEFAULT_TOL) -> VerificationReport:
     """Z2 W Y3 is a full member of the product's solution family."""
-    _require_case_flags(case, ["awbw_commute", "z2w_bw_commute"])
-    ppair, k = _pair_product(case, tol)
-    P = case.inverses["Z2"] @ case.W @ case.inverses["Y3"]
-    report = VerificationReport("thm3.28", tol)
-    report.merge(check_mrwwd(ppair, P, tol, power=k), prefix="product member: ")
-    report.note("stabilization power", float(k))
-    return report
+    return _minimal_law(case, tol, "Z2", "Y3", "z2w_bw_commute", "thm3.28")
 
 
 def wdrazin_order_corollaries(case: OrderLawCase, tol: ToleranceConfig = DEFAULT_TOL) -> VerificationReport:
@@ -253,10 +254,9 @@ def wdrazin_order_corollaries(case: OrderLawCase, tol: ToleranceConfig = DEFAULT
     weighted Drazin inverse exactly; the reverse product is a family member
     but generally differs from it, so only membership is asserted and the
     equality residual is reported as a note."""
-    ppair, k = _pair_product(case, tol)
+    ppair, k = case._product(tol, triple=False)
     W = case.W
-    ADW = w_drazin(weighted_pair(case.A, W, tol), tol).value
-    BDW = w_drazin(weighted_pair(case.B, W, tol), tol).value
+    ADW, BDW = (w_drazin(case._pair(name, tol), tol).value for name in "AB")
     product_drazin = w_drazin(ppair, tol).value
 
     report = VerificationReport("thm3.29", tol)
@@ -277,16 +277,14 @@ def triple_reverse(case: OrderLawCase, tol: ToleranceConfig = DEFAULT_TOL) -> Ve
     _require_case_flags(
         case, ["awbw_commute", "awcw_commute", "bwcw_commute", "u1w_awbw_commute"]
     )
-    ppair, k = _triple_product(case, tol)
+    ppair, k = case._product(tol, triple=True)
     W = case.W
     inv = case.inverses
     P = inv["U1"] @ W @ inv["Y4"] @ W @ inv["Z3"]
     report = VerificationReport("thm3.31", tol)
     report.merge(check_mrwwd(ppair, P, tol, power=k), prefix="product member: ")
 
-    ADW = w_drazin(weighted_pair(case.A, W, tol), tol).value
-    BDW = w_drazin(weighted_pair(case.B, W, tol), tol).value
-    CDW = w_drazin(weighted_pair(case.C, W, tol), tol).value
+    ADW, BDW, CDW = (w_drazin(case._pair(name, tol), tol).value for name in "ABC")
     rev = CDW @ W @ BDW @ W @ ADW
     commute = spectral_norm(
         (CDW @ W) @ (case.A @ W @ case.B @ W) - (case.A @ W @ case.B @ W) @ (CDW @ W)
@@ -309,16 +307,14 @@ def triple_forward(case: OrderLawCase, tol: ToleranceConfig = DEFAULT_TOL) -> Ve
     _require_case_flags(
         case, ["awbw_commute", "awcw_commute", "bwcw_commute", "z3wy4w_cw_commute"]
     )
-    ppair, k = _triple_product(case, tol)
+    ppair, k = case._product(tol, triple=True)
     W = case.W
     inv = case.inverses
     P = inv["Z3"] @ W @ inv["Y4"] @ W @ inv["U1"]
     report = VerificationReport("thm3.32", tol)
     report.merge(check_mrwwd(ppair, P, tol, power=k), prefix="product member: ")
 
-    ADW = w_drazin(weighted_pair(case.A, W, tol), tol).value
-    BDW = w_drazin(weighted_pair(case.B, W, tol), tol).value
-    CDW = w_drazin(weighted_pair(case.C, W, tol), tol).value
+    ADW, BDW, CDW = (w_drazin(case._pair(name, tol), tol).value for name in "ABC")
     fwd = ADW @ W @ BDW @ W @ CDW
     commute = spectral_norm(
         (ADW @ W @ BDW @ W) @ (case.C @ W) - (case.C @ W) @ (ADW @ W @ BDW @ W)
@@ -368,13 +364,10 @@ def reverse_order_weak_mpd(
             raise HypothesisError("weak MPD reverse order law hypotheses fail")
         return report
 
-    ppair = weighted_pair(A @ W @ B, W, tol)
-    pa = weighted_pair(A, W, tol)
-    pb = weighted_pair(B, W, tol)
     product_member = Y3 @ W @ Z2
-    lhs = weak_mpd(ppair, product_member, tol).value
-    B_wmpd = weak_mpd(pb, Y3, tol).value
-    A_wmpd = weak_mpd(pa, Z2, tol).value
+    lhs = weak_mpd(case._pair("AWB", tol), product_member, tol).value
+    B_wmpd = weak_mpd(case._pair("B", tol), Y3, tol).value
+    A_wmpd = weak_mpd(case._pair("A", tol), Z2, tol).value
     report.add_equation("factored weak MPD inverse", lhs, B_wmpd @ Wp @ A_wmpd)
     report.note(
         "unweighted factoring residual",
@@ -422,22 +415,12 @@ def matrix_equation_solution(
 
     Returns (family, report). R defaults to the weight itself.
     """
-    A = as_matrix(A)
-    B = as_matrix(B)
-    W = as_matrix(W)
-    member = as_matrix(member)
-    label = "pair" if C is None else "triple"
-    if C is None:
-        product = A @ W @ B
-        factors = [A, B]
-    else:
-        C = as_matrix(C)
-        product = A @ W @ B @ W @ C
-        factors = [A, B, C]
-    ppair = weighted_pair(product, W, tol)
-    k = max(
-        [weighted_pair(F, W, tol).k_bw for F in factors] + [ppair.k_bw]
+    case = OrderLawCase(
+        A=as_matrix(A), B=as_matrix(B), W=as_matrix(W), C=None if C is None else as_matrix(C)
     )
+    W = case.W
+    member = as_matrix(member)
+    ppair, k = case._product(tol, triple=C is not None)
     Pk = ppair.bw_power(k)
     Pk1 = ppair.bw_power(k + 1)
 
@@ -455,13 +438,13 @@ def matrix_equation_solution(
     if Zfree.shape != (n, m):
         raise ValueError(f"Zfree must be {n} x {m}, got {Zfree.shape}")
 
-    annihilator = np.eye(m, dtype=complex) - product @ W @ member @ W
+    annihilator = np.eye(m, dtype=complex) - ppair.bw() @ member @ W
     family = GeneralSolutionFamily(
         particular=R @ member @ W,
         annihilator=annihilator,
         power_matrix=Pk1,
         rhs=R @ Pk,
-        label=label,
+        label="pair" if C is None else "triple",
     )
 
     report = VerificationReport("mateq-pair" if C is None else "mateq-triple", tol)

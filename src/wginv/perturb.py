@@ -132,8 +132,9 @@ def _right_flags(pair: WeightedPair, Z, E, tol: ToleranceConfig) -> tuple:
 
 def _flags(values: dict, E, tol: ToleranceConfig) -> dict:
     # a norm hypothesis holds below 1, a subspace one at roundoff relative to E
+    scale = spectral_norm(E)
     return {
-        name: value < 1.0 if name.startswith("norm") else _passes(value, spectral_norm(E), tol)
+        name: value < 1.0 if name.startswith("norm") else _passes(value, scale, tol)
         for name, value in values.items()
     }
 

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from wginv import orderlaw
 from wginv._gen import ex2_matrices, ex2_member
 from wginv.matcore import HypothesisError, spectral_norm, weighted_pair
 from wginv.orderlaw import (
@@ -18,7 +21,7 @@ from wginv.orderlaw import (
     wdrazin_order_corollaries,
 )
 from wginv.winv import _left_member_residual, mrwwd_family
-from wginv.matcore import DEFAULT_TOL
+from wginv.matcore import DEFAULT_TOL, ToleranceConfig
 
 
 def test_fixture_factors_commute_exactly():
@@ -194,3 +197,89 @@ def test_fixture_pair_case_leaves_out_the_third_factor():
     # a triple law on it finds its hypotheses unset
     with pytest.raises(HypothesisError):
         triple_reverse(pair)
+
+
+# An order-law case builds the weighted pair of each factor and product once
+# per tolerance and shares it between its flags, its members and every law.
+
+PAIR_LAWS = (
+    reverse_order_weak,
+    forward_order_weak,
+    reverse_order_minimal,
+    forward_order_minimal,
+    wdrazin_order_corollaries,
+)
+
+
+def _counting_pairs(monkeypatch) -> list:
+    built = []
+    original = orderlaw.weighted_pair
+
+    def counted(B, W, tol=DEFAULT_TOL):
+        built.append(tol)
+        return original(B, W, tol)
+
+    monkeypatch.setattr(orderlaw, "weighted_pair", counted)
+    return built
+
+
+def test_pair_laws_share_three_pairs(monkeypatch):
+    built = _counting_pairs(monkeypatch)
+    case = ex2_case()
+    for law in PAIR_LAWS:
+        assert law(case).overall
+    assert len(built) == 3  # A, B and A W B
+
+
+def test_triple_laws_share_four_pairs(monkeypatch):
+    built = _counting_pairs(monkeypatch)
+    case = ex2_case()
+    assert triple_reverse(case).overall
+    assert triple_forward(case).overall
+    assert len(built) == 4  # A, B, C and A W B W C
+
+
+def test_case_pairs_are_built_per_tolerance(monkeypatch):
+    case = ex2_case()
+    built = _counting_pairs(monkeypatch)
+    other = ToleranceConfig(rank_rtol=1e-9)
+    reverse_order_weak(case, other)
+    assert built == [other] * 3
+    forward_order_weak(case, other)
+    assert len(built) == 3
+    # the factor pairs at the default tolerance were built with the flags
+    reverse_order_weak(case)
+    assert built[3:] == [DEFAULT_TOL]
+
+
+def test_case_matrices_are_read_only():
+    case = ex2_case()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        case.A = np.zeros_like(case.A)
+    for name in ("A", "B", "C", "W"):
+        with pytest.raises(ValueError):
+            getattr(case, name)[0, 0] = 7
+
+
+def _laws(case) -> list:
+    reports = [law(case) for law in PAIR_LAWS + (triple_reverse, triple_forward)]
+    reports.append(reverse_order_weak_mpd(case, require_hypotheses=False))
+    return [report.to_dict() for report in reports]
+
+
+def test_case_copies_the_callers_matrices():
+    reference = ex2_case()
+    A, B, C, W = ex2_matrices()
+    case = orderlaw.OrderLawCase(
+        W=W,
+        A=A,
+        B=B,
+        C=C,
+        inverses=dict(reference.inverses),
+        commutation_flags=dict(reference.commutation_flags),
+        flag_residuals=dict(reference.flag_residuals),
+    )
+    for M in (A, B, C, W):
+        M += 1
+    assert case.A.dtype == A.dtype
+    assert _laws(case) == _laws(reference)

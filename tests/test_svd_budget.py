@@ -6,12 +6,16 @@ SVDs. Every numpy SVD is counted: the public `numpy.linalg.svd` and the one
 in `numpy.linalg._linalg` that `norm(A, 2)` calls.
 """
 
+import contextlib
+import io
+
 import numpy as np
 import numpy.linalg._linalg as linalg_impl
 import pytest
 
 from wginv import matcore, sqinv
 from wginv._gen import random_pair, random_square_with_index
+from wginv.cli import main
 from wginv.matcore import CertificationError, HypothesisError, ToleranceConfig
 from wginv.verify import (
     check_dmp_characterizations,
@@ -216,3 +220,17 @@ def test_checks_rebuild_their_factors_on_every_call(monkeypatch, name):
     assert counts[0] == counts[1] > 0
     assert not pair._memo
     assert not pair.H._memo
+
+
+# An order-law case builds each factor and product pair once and shares it
+# between its flags, its members and the law. `verify thm3.31` on its fixture
+# made 113 SVDs when each of them built its own pairs.
+TRIPLE_LAW_FIXTURE_SVDS = 89
+
+
+def test_triple_law_fixture_svd_count(monkeypatch):
+    calls = _counting(monkeypatch, linalg_impl, "svd")
+    monkeypatch.setattr(np.linalg, "svd", linalg_impl.svd)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "thm3.31"]) == 0
+    assert len(calls) <= TRIPLE_LAW_FIXTURE_SVDS
