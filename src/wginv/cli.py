@@ -49,11 +49,11 @@ from .matcore import (
 )
 from .orderlaw import (
     _drazin_case,
+    _equation_solution,
     commuting_case,
     ex2_case,
     forward_order_minimal,
     forward_order_weak,
-    matrix_equation_solution,
     reverse_order_minimal,
     reverse_order_weak,
     reverse_order_weak_mpd,
@@ -301,9 +301,7 @@ def _weak_mpd_order_law(d: _Draw, fixture_case) -> VerificationReport:
 def _matrix_equation(d: _Draw, with_c: bool, member) -> VerificationReport:
     case = d.case(with_c)
     Zfree = 0.3 * d.rng.standard_normal(case.W.shape) if d.instance == "random" else None
-    return matrix_equation_solution(
-        case.A, case.B, case.W, member(case.inverses, case.W), Zfree=Zfree, C=case.C, tol=d.tol
-    )[1]
+    return _equation_solution(case, member(case.inverses, case.W), None, Zfree, d.tol)[1]
 
 
 # id -> (the instances it runs on, the default first; its check of one trial)

@@ -352,12 +352,15 @@ class WeightedPair:
     The pair stores read-only copies of B and W, however it is built, so the
     memo depends only on data that cannot change. The memo holds values
     that cost an SVD (B^+, the Drazin and core-EP kernels of BW and WB, the
-    projectors onto their powers, ...), keyed by (quantity, tolerance[, power]).
-    Each is built, and certified where it is a kernel value, on first use, is
-    read-only from then on, and is never a public result: constructors still
-    assemble and certify their own values on every call. The checkers in
-    `verify` and the family membership test read nothing from it: what
-    judges a caller's candidate rebuilds its factors from B and W.
+    projectors onto their powers, ...) and the certified values of the inner
+    inverses that constructors compose (the W-weighted Drazin inverse inside
+    the MPD inverse, the core-EP inverse inside MPCEP, ...), keyed by
+    (quantity, tolerance[, power or m]). Each is built and certified on first
+    use and is read-only from then on. A public call is never read from it:
+    every constructor still assembles and certifies its own value on every
+    call. The checkers in `verify` and the family membership test read
+    nothing from it: what judges a caller's candidate rebuilds its factors
+    from B and W.
     """
 
     B: np.ndarray

@@ -418,9 +418,18 @@ def matrix_equation_solution(
     case = OrderLawCase(
         A=as_matrix(A), B=as_matrix(B), W=as_matrix(W), C=None if C is None else as_matrix(C)
     )
+    return _equation_solution(case, member, R, Zfree, tol)
+
+
+def _equation_solution(
+    case: OrderLawCase, member, R, Zfree, tol: ToleranceConfig
+) -> tuple:
+    """matrix_equation_solution on the factors of `case` (the triple product
+    when it has a C), built on the case's own pairs."""
     W = case.W
     member = as_matrix(member)
-    ppair, k = case._product(tol, triple=C is not None)
+    triple = case.C is not None
+    ppair, k = case._product(tol, triple=triple)
     Pk = ppair.bw_power(k)
     Pk1 = ppair.bw_power(k + 1)
 
@@ -444,10 +453,10 @@ def matrix_equation_solution(
         annihilator=annihilator,
         power_matrix=Pk1,
         rhs=R @ Pk,
-        label="pair" if C is None else "triple",
+        label="triple" if triple else "pair",
     )
 
-    report = VerificationReport("mateq-pair" if C is None else "mateq-triple", tol)
+    report = VerificationReport("mateq-triple" if triple else "mateq-pair", tol)
     report.add_equation(
         "particular solution", family.particular @ Pk1, family.rhs
     )

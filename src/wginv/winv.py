@@ -20,6 +20,7 @@ from .matcore import (
     HypothesisError,
     ToleranceConfig,
     WeightedPair,
+    _frobenius_pass,
     _judge,
     _passes,
     as_matrix,
@@ -90,6 +91,15 @@ def _wb_m_wgi(pair: WeightedPair, m: int, tol: ToleranceConfig) -> np.ndarray:
     )
 
 
+def _value(pair: WeightedPair, constructor, tol: ToleranceConfig, *args) -> np.ndarray:
+    """The value of the public `constructor(pair, *args, tol)`, built and
+    certified once per pair, tolerance and arguments, for a constructor that
+    composes it into its own value. A failed certification stores nothing."""
+    return pair._cached(
+        (constructor.__name__, tol, *args), lambda: constructor(pair, *args, tol).value
+    )
+
+
 @dataclass(frozen=True)
 class WeightedInverseResult:
     value: np.ndarray
@@ -151,7 +161,7 @@ def w_m_wgi(
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
     B, W = pair.B, pair.W
-    CW = w_core_ep(pair, tol).value @ W
+    CW = _value(pair, w_core_ep, tol) @ W
     val = np.linalg.matrix_power(CW, m + 1) @ pair.bw_power(m - 1) @ B
     residuals = _certify(
         "w_m_wgi",
@@ -177,7 +187,7 @@ def w_m_weak_core(
         raise ValueError(f"m must be a positive integer, got {m}")
     B, W = pair.B, pair.W
     P = pair._projector("WB", m, tol)
-    val = w_m_wgi(pair, m, tol).value @ P
+    val = _value(pair, w_m_wgi, tol, m) @ P
     star = _wb_m_wgi(pair, m, tol) @ P
     residuals = _certify(
         "w_m_weak_core",
@@ -199,7 +209,7 @@ def _outer_only(kind: str, pair: WeightedPair, val: np.ndarray, tol: ToleranceCo
 def w_mpcep(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedInverseResult:
     """MP-core-EP composition B^+ B W B^core-EP,W W."""
     B, W = pair.B, pair.W
-    val = pair._pinv(tol) @ B @ W @ w_core_ep(pair, tol).value @ W
+    val = pair._pinv(tol) @ B @ W @ _value(pair, w_core_ep, tol) @ W
     residuals = _outer_only("w_mpcep", pair, val, tol)
     return WeightedInverseResult(
         value=val, kind="w-mpcep", index_used=pair.k_bw, residuals=residuals
@@ -209,7 +219,7 @@ def w_mpcep(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedI
 def w_cepmp(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedInverseResult:
     """Core-EP-MP composition W B^core-EP,W W B B^+."""
     B, W = pair.B, pair.W
-    val = W @ w_core_ep(pair, tol).value @ W @ B @ pair._pinv(tol)
+    val = W @ _value(pair, w_core_ep, tol) @ W @ B @ pair._pinv(tol)
     residuals = _outer_only("w_cepmp", pair, val, tol)
     return WeightedInverseResult(
         value=val, kind="w-cepmp", index_used=pair.k_wb, residuals=residuals
@@ -221,7 +231,7 @@ def w_m_wgmp(
 ) -> WeightedInverseResult:
     """m-fold weak-group-MP composition W B^wgi(m),W W B B^+."""
     B, W = pair.B, pair.W
-    val = W @ w_m_wgi(pair, m, tol).value @ W @ B @ pair._pinv(tol)
+    val = W @ _value(pair, w_m_wgi, tol, m) @ W @ B @ pair._pinv(tol)
     residuals = _outer_only("w_m_wgmp", pair, val, tol)
     return WeightedInverseResult(
         value=val, kind="w-m-wgmp", index_used=pair.k_wb, residuals=residuals
@@ -233,14 +243,15 @@ def w_mpd(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedInv
     B, W = pair.B, pair.W
     k = pair.k_bw
     Bp = pair._pinv(tol)
-    WdW = W @ w_drazin(pair, tol).value @ W
+    WdW = W @ _value(pair, w_drazin, tol) @ W
     val = Bp @ B @ WdW
+    P1 = pair.bw_power(k + 1)
     residuals = _certify(
         "w_mpd",
         {
             "outer": _eq(val @ B @ val, val),
             "product": _eq(B @ val, B @ WdW),
-            "power": _eq(val @ pair.bw_power(k + 1), Bp @ pair.bw_power(k + 1)),
+            "power": _eq(val @ P1, Bp @ P1),
         },
         tol,
     )
@@ -362,14 +373,24 @@ def _as_member(pair: WeightedPair, X) -> np.ndarray:
     return X
 
 
-def _left_member_residual(pair: WeightedPair, X, tol: ToleranceConfig) -> tuple:
+def _power_equation(pair: WeightedPair, X, tol: ToleranceConfig) -> tuple:
+    """(X M - K, K, |rank X - rank K|) with K = (BW)^k and M = W (BW)^(k+1):
+    the terms of the left family's membership test, rebuilt from B and W."""
     X = _as_member(pair, X)
     K = pair.bw_power(pair.k_bw)
     M = pair.W @ pair.bw_power(pair.k_bw + 1)
-    residual = spectral_norm(X @ M - K)
-    rank_gap = abs(rank_of(X, tol) - rank_of(K, tol))
+    return X @ M - K, K, abs(rank_of(X, tol) - rank_of(K, tol))
+
+
+def _exact_membership(R, K, rank_gap: int, tol: ToleranceConfig) -> tuple:
+    residual = spectral_norm(R)
     ok = _passes(residual, spectral_norm(K), tol) and rank_gap == 0
     return ok, residual, rank_gap
+
+
+def _left_member_residual(pair: WeightedPair, X, tol: ToleranceConfig) -> tuple:
+    """(pass, exact spectral residual, rank gap) of the membership test."""
+    return _exact_membership(*_power_equation(pair, X, tol), tol)
 
 
 def _right_member_residual(pair: WeightedPair, Z, tol: ToleranceConfig) -> tuple:
@@ -377,9 +398,16 @@ def _right_member_residual(pair: WeightedPair, Z, tol: ToleranceConfig) -> tuple
 
 
 def _require_member(pair: WeightedPair, X, tol: ToleranceConfig) -> np.ndarray:
-    """X as a matrix, certified to be a member of the left solution family."""
+    """X as a matrix, certified to be a member of the left solution family.
+
+    Both ranks are decided on every call. A pass of the power equation is
+    proved by the Frobenius bound; a failed bound or a rank gap takes the two
+    exact spectral norms, which decide the verdict and name the residual."""
     X = as_matrix(X)
-    ok, residual, rank_gap = _left_member_residual(pair, X, tol)
+    R, K, rank_gap = _power_equation(pair, X, tol)
+    if rank_gap == 0 and _frobenius_pass((R,), (K,), tol) is not None:
+        return X
+    ok, residual, _ = _exact_membership(R, K, rank_gap, tol)
     if not ok:
         raise HypothesisError(
             f"X is not a member of the left solution family "
@@ -401,13 +429,14 @@ def weak_mpd(pair: WeightedPair, X, tol: ToleranceConfig = DEFAULT_TOL) -> Weigh
     Bp = pair._pinv(tol)
     BWXW = B @ W @ X @ W
     val = Bp @ BWXW
+    P1 = pair.bw_power(k + 1)
     residuals = _certify(
         "weak_mpd",
         {
             "outer": _eq(val @ B @ val, val),
             "image": _eq(B @ val, BWXW),
-            "power": _eq(val @ pair.bw_power(k + 1), Bp @ pair.bw_power(k + 1)),
-            "absorption": _eq(w_mpd(pair, tol).value @ BWXW, val),
+            "power": _eq(val @ P1, Bp @ P1),
+            "absorption": _eq(_value(pair, w_mpd, tol) @ BWXW, val),
         },
         tol,
     )

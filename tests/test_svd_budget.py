@@ -13,10 +13,16 @@ import numpy as np
 import numpy.linalg._linalg as linalg_impl
 import pytest
 
-from wginv import matcore, sqinv
+from wginv import matcore, sqinv, winv
 from wginv._gen import random_pair, random_square_with_index
 from wginv.cli import main
-from wginv.matcore import CertificationError, HypothesisError, ToleranceConfig
+from wginv.matcore import (
+    DEFAULT_TOL,
+    CertificationError,
+    HypothesisError,
+    ToleranceConfig,
+    spectral_norm,
+)
 from wginv.verify import (
     check_dmp_characterizations,
     check_mpd_characterizations,
@@ -29,10 +35,14 @@ from wginv.winv import (
     compute_kind,
     mrwwd_family,
     mrwwd_right_family,
+    w_cepmp,
     w_core_ep,
     w_dmp,
     w_drazin,
     w_m_weak_core,
+    w_m_wgi,
+    w_m_wgmp,
+    w_mpcep,
     w_mpd,
     weak_dmp,
     weak_mpd,
@@ -107,11 +117,13 @@ def test_constructors_reuse_the_cached_indices(monkeypatch, pair_and_member, bui
     assert result.index_used == 2
 
 
-# A WeightedPair caches B^+, the Drazin and core-EP kernels of BW and WB and
-# the projectors onto their powers, so kinds built on the same pair share
-# them. The nine catalog kinds with weak_mpd and weak_dmp took 83 SVDs on a
-# fresh pair when each constructor built its own factors.
-CATALOG_AND_WEAK_BUDGET = 25
+# A WeightedPair caches B^+, the Drazin and core-EP kernels of BW and WB, the
+# projectors onto their powers and the certified values of the inverses that
+# other constructors compose, so kinds built on the same pair share them. The
+# nine catalog kinds with weak_mpd and weak_dmp took 83 SVDs on a fresh pair
+# when each constructor built its own factors, and 25 when each certified its
+# inner inverse anew and each membership test took exact norms.
+CATALOG_AND_WEAK_BUDGET = 17
 
 
 def _members():
@@ -170,6 +182,90 @@ def test_index_decision_factors_each_power_once(monkeypatch):
     del calls[:]
     pair = matcore.weighted_pair(S, np.eye(6))
     assert len(calls) == pair.k_bw + pair.k_wb + 2
+
+
+# A family operation of the `dense` benchmark: a member drawn from the family,
+# then its weak inverse.
+FAMILIES = [(mrwwd_family, weak_mpd), (mrwwd_right_family, weak_dmp)]
+
+
+@pytest.mark.parametrize("family, weak", FAMILIES)
+def test_warm_family_operation_takes_two_rank_decisions(monkeypatch, family, weak):
+    # the membership test decides rank(X) and rank((BW)^k) on every call; its
+    # pass, the certificates and the memoized w_mpd need no SVD
+    pair = random_pair(7, 6, 2, 5)
+    P = np.ones((7, 6))
+    weak(pair, family(pair).member(P))
+    calls = _counting(monkeypatch, linalg_impl, "svd")
+    monkeypatch.setattr(np.linalg, "svd", linalg_impl.svd)
+    for _ in range(2):
+        del calls[:]
+        weak(pair, family(pair).member(P))
+        assert len(calls) == 2
+
+
+@pytest.mark.parametrize("family, weak", FAMILIES)
+def test_refusing_a_perturbed_member_takes_four_svds(monkeypatch, family, weak):
+    # both ranks and the two exact norms that name the residual, on every call
+    pair = random_pair(7, 6, 2, 5)
+    member = family(matcore.weighted_pair(pair.B, pair.W)).member(np.zeros((7, 6)))
+    noise = np.random.default_rng(1).standard_normal(member.shape)
+    perturbed = member + 1e-2 * spectral_norm(member) * noise
+    calls = _counting(monkeypatch, linalg_impl, "svd")
+    monkeypatch.setattr(np.linalg, "svd", linalg_impl.svd)
+    for _ in range(2):
+        del calls[:]
+        with pytest.raises(HypothesisError):
+            weak(pair, perturbed)
+        assert len(calls) == 4
+    assert not pair._memo
+    assert not pair.H._memo
+
+
+def test_nested_core_ep_is_certified_once_per_pair(monkeypatch):
+    pair = random_pair(7, 6, 2, 5)
+    kinds = []
+    certify = winv._certify
+
+    def recording(kind, checks, tol):
+        kinds.append(kind)
+        return certify(kind, checks, tol)
+
+    monkeypatch.setattr(winv, "_certify", recording)
+    w_mpcep(pair)
+    w_cepmp(pair)
+    for build in (w_m_wgi, w_m_weak_core, w_m_wgmp):
+        build(pair, 2)
+    assert kinds.count("w_core_ep") == 1
+    # once for its own public call, once as the value the other two compose
+    assert kinds.count("w_m_wgi") == 2
+
+
+def test_memoized_inner_values_are_keyed_by_tolerance():
+    pair = random_pair(7, 6, 2, 5)
+    X = mrwwd_family(pair).member(np.zeros((7, 6)))
+    w_mpcep(pair)
+    w_m_wgmp(pair, 2)
+    weak_mpd(pair, X)
+    tight = ToleranceConfig(residual_atol=1e-300)
+    # the inner core-EP value is built anew at the tight tolerance, so the
+    # first refusal is that of its Drazin kernel, not of the outer equation
+    with pytest.raises(CertificationError, match="^drazin:"):
+        w_mpcep(pair, tight)
+    with pytest.raises(CertificationError, match="^drazin:"):
+        w_m_wgmp(pair, 2, tight)
+    with pytest.raises(HypothesisError):
+        weak_mpd(pair, X, tight)
+
+
+def test_m_fold_weak_group_values_are_memoized_per_m():
+    pair = random_pair(7, 6, 2, 5)
+    for m in (1, 2):
+        w_m_wgmp(pair, m)
+    values = {m: pair._memo["w_m_wgi", DEFAULT_TOL, m] for m in (1, 2)}
+    assert not np.array_equal(values[1], values[2])
+    for m, value in values.items():
+        assert np.array_equal(value, w_m_wgi(pair, m).value)
 
 
 # The checkers and the membership test judge a caller's candidate: they

@@ -13,6 +13,8 @@ from wginv.matcore import (
     DEFAULT_TOL,
     DimensionError,
     HypothesisError,
+    _frobenius,
+    _passes,
     spectral_norm,
     weighted_pair,
 )
@@ -113,6 +115,27 @@ def test_weak_inverses_reject_non_members():
         weak_mpd(pair, np.zeros((5, 4)))
     with pytest.raises(HypothesisError):
         weak_dmp(pair, np.ones((5, 4)))
+
+
+def test_rank_gap_refusal_names_the_exact_residual():
+    # X + u v^* with v^* M = 0 solves the power equation X M = K as X does,
+    # but has one rank more than K: the residual passes, the rank gap refuses
+    pair = random_pair(7, 6, 2, 5)
+    X = mrwwd_family(pair).member(np.zeros((7, 6)))
+    M = pair.W @ pair.bw_power(pair.k_bw + 1)
+    v = np.linalg.svd(M)[0][:, -1].conj()
+    non_member = X + np.outer(np.ones(7), v)
+    K = pair.bw_power(pair.k_bw)
+    R = non_member @ M - K
+    exact = spectral_norm(R)
+    assert _passes(exact, spectral_norm(K), TOL)
+    assert f"{exact:.3e}" != f"{_frobenius(R):.3e}"
+    with pytest.raises(HypothesisError) as refused:
+        weak_mpd(pair, non_member)
+    assert str(refused.value) == (
+        f"X is not a member of the left solution family "
+        f"(power residual {exact:.3e}, rank gap 1)"
+    )
 
 
 def test_weak_dmp_on_right_family_draw():
