@@ -13,6 +13,7 @@ from .matcore import (
     ToleranceConfig,
     VerificationReport,
     WeightedPair,
+    _exact,
     _passes,
     as_matrix,
     matrix_power,
@@ -86,23 +87,16 @@ def _structure_checks(dec: BlockDecomposition, tol: ToleranceConfig) -> list:
     """(label, residual, pass) rows shared by the constructor and the report."""
     pair = dec.pair
     m, n, q = pair.m, pair.n, dec.q
-    rows = []
-
-    def eq(label, lhs, rhs):
-        r = spectral_norm(lhs - rhs)
-        rows.append((label, r, _passes(r, spectral_norm(rhs), tol)))
-
-    eq("reassembly B", dec.assemble_b(), pair.B)
-    eq("reassembly W", dec.assemble_w(), pair.W)
-    eq("unitary M", dec.M.conj().T @ dec.M, np.eye(m))
-    eq("unitary N", dec.N.conj().T @ dec.N, np.eye(n))
-
     Bhat = dec.M.conj().T @ pair.B @ dec.N
     What = dec.N.conj().T @ pair.W @ dec.M
-    r_bl = spectral_norm(Bhat[q:, :q])
-    rows.append(("lower-left B", r_bl, _passes(r_bl, spectral_norm(pair.B), tol)))
-    r_wl = spectral_norm(What[q:, :q])
-    rows.append(("lower-left W", r_wl, _passes(r_wl, spectral_norm(pair.W), tol)))
+    rows = [
+        ("reassembly B", *_exact(dec.assemble_b() - pair.B, pair.B, tol)),
+        ("reassembly W", *_exact(dec.assemble_w() - pair.W, pair.W, tol)),
+        ("unitary M", *_exact(dec.M.conj().T @ dec.M - np.eye(m), np.eye(m), tol)),
+        ("unitary N", *_exact(dec.N.conj().T @ dec.N - np.eye(n), np.eye(n), tol)),
+        ("lower-left B", *_exact(Bhat[q:, :q], pair.B, tol)),
+        ("lower-left W", *_exact(What[q:, :q], pair.W, tol)),
+    ]
 
     gap = float((q - rank_of(dec.B1, tol)) + (q - rank_of(dec.W1, tol)))
     rows.append(("leading blocks invertible", gap, gap == 0.0))
@@ -190,8 +184,8 @@ def mp_via_blocks(dec: BlockDecomposition, tol: ToleranceConfig = DEFAULT_TOL) -
     core[q:, q:] = B3p - F @ B2.conj().T @ delta @ B2 @ B3p
     val = dec.N @ core @ dec.M.conj().T
     reference = pair._pinv(tol)
-    residual = spectral_norm(val - reference)
-    if not _passes(residual, spectral_norm(reference), tol):
+    residual, ok = _exact(val - reference, reference, tol)
+    if not ok:
         raise CertificationError(
             f"block Moore-Penrose disagrees with the SVD value (residual {residual:.3e})"
         )
@@ -228,7 +222,6 @@ def weak_mpd_canonical(
     canon = np.zeros_like(Xhat)
     canon[:q, :q] = core_inv
     canon[:q, q:] = Xhat[:q, q:]
-    r_form = spectral_norm(Xhat - canon)
     X2 = Xhat[:q, q:]
 
     B1h = B1.conj().T
@@ -242,13 +235,14 @@ def weak_mpd_canonical(
 
     direct = weak_mpd(pair, X, tol).value
     checks = {
-        "canonical member form": (r_form, spectral_norm(Xhat)),
-        "agreement with direct value": (spectral_norm(val - direct), spectral_norm(direct)),
+        "canonical member form": (Xhat - canon, Xhat),
+        "agreement with direct value": (val - direct, direct),
     }
     residuals = {}
-    for label, (r, ref) in checks.items():
+    for label, (R, F) in checks.items():
+        r, ok = _exact(R, F, tol)
         residuals[label] = r
-        if not _passes(r, ref, tol):
+        if not ok:
             raise CertificationError(
                 f"canonical weak MPD check {label!r} failed with residual {r:.3e}"
             )

@@ -89,6 +89,14 @@ def _passes(residual: float, ref_norm: float, tol: ToleranceConfig) -> bool:
     return residual <= tol.residual_atol * (1.0 + ref_norm)
 
 
+def _exact(R, F, tol: ToleranceConfig) -> tuple:
+    """(||R||_2, ||R||_2 <= residual_atol * (1 + ||F||_2)): the exact residual
+    and verdict of one row. A residual within residual_atol passes whatever
+    ||F|| is, so ||F|| is taken only for a residual above it."""
+    residual = spectral_norm(R)
+    return residual, residual <= tol.residual_atol or _passes(residual, spectral_norm(F), tol)
+
+
 # A Frobenius norm is a root of a sum of squares, which loses entries below
 # 1e-154: thresholds under this floor are left to the spectral norms.
 _FROBENIUS_FLOOR = 1e-100
@@ -213,8 +221,7 @@ def range_inclusion(A, B, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
         raise DimensionError(
             f"column spaces live in different dimensions: {A.shape[0]} vs {B.shape[0]}"
         )
-    residual = spectral_norm(A - projector_onto(B, tol) @ A)
-    return _passes(residual, spectral_norm(A), tol)
+    return _exact(A - projector_onto(B, tol) @ A, A, tol)[1]
 
 
 @dataclass
@@ -236,10 +243,8 @@ class VerificationReport:
 
     def add_equation(self, label: str, lhs, rhs) -> float:
         """Record ||lhs - rhs|| against the (1 + ||rhs||)-scaled threshold."""
-        lhs = np.asarray(lhs, dtype=complex)
-        rhs = np.asarray(rhs, dtype=complex)
-        residual = spectral_norm(lhs - rhs)
-        self.add(label, residual, _passes(residual, spectral_norm(rhs), self.tolerances))
+        residual, ok = _exact(np.subtract(lhs, rhs), rhs, self.tolerances)
+        self.add(label, residual, ok)
         return residual
 
     def add_rank_gap(self, label: str, r1: int, r2: int) -> None:
@@ -298,17 +303,20 @@ class VerificationReport:
 
 
 def _range_eqc(A, B, tol: ToleranceConfig) -> tuple:
-    # (residual, pass) of R(A) = R(B), by projector residuals both ways
-    r_ab = spectral_norm(A - projector_onto(B, tol) @ A)
-    r_ba = spectral_norm(B - projector_onto(A, tol) @ B)
-    ok = _passes(r_ab, spectral_norm(A), tol) and _passes(r_ba, spectral_norm(B), tol)
+    # (residual, pass) of R(A) = R(B), by projector residuals both ways; ||B||
+    # is taken only when the first inclusion holds
+    r_ab, ok = _exact(A - projector_onto(B, tol) @ A, A, tol)
+    R_ba = B - projector_onto(A, tol) @ B
+    r_ba, ok = _exact(R_ba, B, tol) if ok else (spectral_norm(R_ba), False)
     return max(r_ab, r_ba), ok
 
 
-def _null_eqc(A, B, tol: ToleranceConfig) -> tuple:
-    # (rank gap, pass) of N(A) = N(B): the row spaces agree iff stacking adds no rank
+def _null_eqc(A, B, tol: ToleranceConfig, ranks: tuple | None = None) -> tuple:
+    # (rank gap, pass) of N(A) = N(B): the row spaces agree iff stacking adds
+    # no rank; `ranks` are rank(A) and rank(B) when the caller has them
     stacked = rank_of(np.vstack([A, B]), tol)
-    gap = float(max(stacked - rank_of(A, tol), stacked - rank_of(B, tol)))
+    r_a, r_b = (rank_of(A, tol), rank_of(B, tol)) if ranks is None else ranks
+    gap = float(max(stacked - r_a, stacked - r_b))
     return gap, gap == 0.0
 
 

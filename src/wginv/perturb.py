@@ -15,6 +15,7 @@ from .matcore import (
     ToleranceConfig,
     VerificationReport,
     WeightedPair,
+    _exact,
     _passes,
     as_matrix,
     mp_inverse,
@@ -441,8 +442,8 @@ def drazin_case_perturbation(
     pair = scenario.pair
     B, W, E, D = pair.B, pair.W, scenario.E, scenario.D
     Xd = w_drazin(pair, tol).value
-    gap = spectral_norm(scenario.member - Xd)
-    if not _passes(gap, spectral_norm(Xd), tol):
+    gap, ok = _exact(scenario.member - Xd, Xd, tol)
+    if not ok:
         raise HypothesisError(
             f"scenario member is not the weighted Drazin inverse (gap {gap:.3e})"
         )

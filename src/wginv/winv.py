@@ -20,14 +20,13 @@ from .matcore import (
     HypothesisError,
     ToleranceConfig,
     WeightedPair,
+    _exact,
     _frobenius_pass,
     _judge,
-    _passes,
     as_matrix,
     mp_inverse,
     projector_onto,
     rank_of,
-    spectral_norm,
 )
 from .sqinv import _certify, _core_ep, _drazin, _eq, _m_wgi
 
@@ -308,7 +307,6 @@ class SolutionFamily:
     particular: np.ndarray
     left_factor: np.ndarray
     annihilator: np.ndarray
-    rank_target: int
     side: str
 
     def member(self, P) -> np.ndarray:
@@ -341,7 +339,6 @@ def mrwwd_family(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> Solu
         particular=particular,
         left_factor=K,
         annihilator=np.eye(pair.n, dtype=complex) - M @ Mp,
-        rank_target=pair._rank("BW", pair.k_bw, tol),
         side="left",
     )
 
@@ -361,7 +358,6 @@ def mrwwd_right_family(
         particular=dual.particular.conj().T,
         left_factor=dual.annihilator.conj().T,
         annihilator=dual.left_factor.conj().T,
-        rank_target=dual.rank_target,
         side="right",
     )
 
@@ -374,46 +370,44 @@ def _as_member(pair: WeightedPair, X) -> np.ndarray:
 
 
 def _power_equation(pair: WeightedPair, X, tol: ToleranceConfig) -> tuple:
-    """(X M - K, K, |rank X - rank K|) with K = (BW)^k and M = W (BW)^(k+1):
-    the terms of the left family's membership test, rebuilt from B and W."""
+    """(X M - K, K, |rank X - rank K|, (BW)^(k+1)) with K = (BW)^k and
+    M = W (BW)^(k+1): the terms of the left family's membership test, rebuilt
+    from B and W."""
     X = _as_member(pair, X)
     K = pair.bw_power(pair.k_bw)
-    M = pair.W @ pair.bw_power(pair.k_bw + 1)
-    return X @ M - K, K, abs(rank_of(X, tol) - rank_of(K, tol))
-
-
-def _exact_membership(R, K, rank_gap: int, tol: ToleranceConfig) -> tuple:
-    residual = spectral_norm(R)
-    ok = _passes(residual, spectral_norm(K), tol) and rank_gap == 0
-    return ok, residual, rank_gap
+    P1 = pair.bw_power(pair.k_bw + 1)
+    return X @ (pair.W @ P1) - K, K, abs(rank_of(X, tol) - rank_of(K, tol)), P1
 
 
 def _left_member_residual(pair: WeightedPair, X, tol: ToleranceConfig) -> tuple:
     """(pass, exact spectral residual, rank gap) of the membership test."""
-    return _exact_membership(*_power_equation(pair, X, tol), tol)
+    R, K, rank_gap, _ = _power_equation(pair, X, tol)
+    residual, ok = _exact(R, K, tol)
+    return ok and rank_gap == 0, residual, rank_gap
 
 
 def _right_member_residual(pair: WeightedPair, Z, tol: ToleranceConfig) -> tuple:
     return _left_member_residual(pair.H, _as_member(pair, Z).conj().T, tol)
 
 
-def _require_member(pair: WeightedPair, X, tol: ToleranceConfig) -> np.ndarray:
-    """X as a matrix, certified to be a member of the left solution family.
+def _require_member(pair: WeightedPair, X, tol: ToleranceConfig) -> tuple:
+    """(X as a matrix, (BW)^(k+1)), X certified to be a member of the left
+    solution family; the power is the one its test formed.
 
     Both ranks are decided on every call. A pass of the power equation is
-    proved by the Frobenius bound; a failed bound or a rank gap takes the two
+    proved by the Frobenius bound; a failed bound or a rank gap takes the
     exact spectral norms, which decide the verdict and name the residual."""
     X = as_matrix(X)
-    R, K, rank_gap = _power_equation(pair, X, tol)
+    R, K, rank_gap, P1 = _power_equation(pair, X, tol)
     if rank_gap == 0 and _frobenius_pass((R,), (K,), tol) is not None:
-        return X
-    ok, residual, _ = _exact_membership(R, K, rank_gap, tol)
-    if not ok:
+        return X, P1
+    residual, ok = _exact(R, K, tol)
+    if not ok or rank_gap:
         raise HypothesisError(
             f"X is not a member of the left solution family "
             f"(power residual {residual:.3e}, rank gap {rank_gap})"
         )
-    return X
+    return X, P1
 
 
 def weak_mpd(pair: WeightedPair, X, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedInverseResult:
@@ -423,13 +417,12 @@ def weak_mpd(pair: WeightedPair, X, tol: ToleranceConfig = DEFAULT_TOL) -> Weigh
     identity Y (BW)^(k+1) = B^+ (BW)^(k+1), and absorption of B^+ into the
     weighted MPD inverse.
     """
-    X = _require_member(pair, X, tol)
+    X, P1 = _require_member(pair, X, tol)
     B, W = pair.B, pair.W
     k = pair.k_bw
     Bp = pair._pinv(tol)
     BWXW = B @ W @ X @ W
     val = Bp @ BWXW
-    P1 = pair.bw_power(k + 1)
     residuals = _certify(
         "weak_mpd",
         {

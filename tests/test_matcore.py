@@ -2,11 +2,13 @@ import gc
 import weakref
 
 import numpy as np
+import numpy.linalg._linalg as linalg_impl
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from wginv import matcore
 from wginv._gen import random_pair
 from wginv.matcore import (
     DEFAULT_TOL,
@@ -14,6 +16,9 @@ from wginv.matcore import (
     ToleranceConfig,
     VerificationReport,
     WeightedPair,
+    _exact,
+    _passes,
+    _range_eqc,
     as_matrix,
     index_of,
     mp_inverse,
@@ -218,3 +223,101 @@ def test_pair_with_dual_and_memo_is_freed_without_the_cycle_collector():
         assert dual_ref() is None
     finally:
         gc.enable()
+
+
+# Every report row, refusal and hypothesis test is judged by `_exact`: the
+# exact ||R||_2 against residual_atol * (1 + ||F||_2), where ||F|| is taken
+# only for a residual above residual_atol.
+F_THREE = np.array([[3.0]])
+THRESHOLD = DEFAULT_TOL.residual_atol * (1.0 + 3.0)
+
+
+def test_exact_passes_a_residual_at_the_threshold():
+    R = np.array([[THRESHOLD]])
+    assert spectral_norm(R) == THRESHOLD  # a 1 x 1 norm is exact
+    assert _exact(R, F_THREE, DEFAULT_TOL) == (THRESHOLD, True)
+
+
+def test_exact_fails_the_next_float_above_with_the_exact_residual():
+    above = float(np.nextafter(THRESHOLD, np.inf))
+    assert _exact(np.array([[above]]), F_THREE, DEFAULT_TOL) == (above, False)
+
+
+def test_exact_fails_a_nan_residual():
+    R = np.array([[np.inf, 1.0]])  # its 2-norm comes back NaN
+    residual, ok = _exact(R, F_THREE, DEFAULT_TOL)
+    assert np.isnan(residual)
+    assert ok is False
+
+
+def _svd_calls(monkeypatch) -> list:
+    calls = []
+    original = linalg_impl.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linalg_impl, "svd", counted)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "residual, svds",
+    [
+        (DEFAULT_TOL.residual_atol, 1),
+        (float(np.nextafter(DEFAULT_TOL.residual_atol, np.inf)), 2),
+        (2.0 * DEFAULT_TOL.residual_atol, 2),
+    ],
+)
+def test_exact_takes_the_reference_norm_only_above_the_floor(monkeypatch, residual, svds):
+    calls = _svd_calls(monkeypatch)
+    assert _exact(np.array([[residual]]), F_THREE, DEFAULT_TOL) == (residual, True)
+    assert len(calls) == svds
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-12, 1e-9, 1e-8, 3e-8, 1e-6])
+def test_exact_gives_the_verdict_of_the_full_rule(scale):
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        F = rng.standard_normal((4, 3)) * rng.choice([0.0, 1e-3, 1.0, 1e3])
+        R = scale * rng.standard_normal((4, 3))
+        residual = spectral_norm(R)
+        assert _exact(R, F, DEFAULT_TOL) == (
+            residual,
+            _passes(residual, spectral_norm(F), DEFAULT_TOL),
+        )
+
+
+def _spectral_arguments(monkeypatch) -> list:
+    seen = []
+    original = matcore.spectral_norm
+
+    def recording(A):
+        seen.append(A)
+        return original(A)
+
+    monkeypatch.setattr(matcore, "spectral_norm", recording)
+    return seen
+
+
+def test_range_equality_skips_the_second_reference_after_a_failure(monkeypatch):
+    A = RNG.standard_normal((5, 1))
+    B = RNG.standard_normal((5, 2))
+    seen = _spectral_arguments(monkeypatch)
+    residual, ok = _range_eqc(A, B, DEFAULT_TOL)
+    assert not ok and residual > DEFAULT_TOL.residual_atol
+    assert any(arg is A for arg in seen)
+    assert not any(arg is B for arg in seen)
+
+
+def test_range_equality_takes_the_second_reference_when_the_first_holds(monkeypatch):
+    B = RNG.standard_normal((5, 2))
+    A = B[:, :1].copy()
+    seen = _spectral_arguments(monkeypatch)
+    _, ok = _range_eqc(A, B, DEFAULT_TOL)
+    assert not ok
+    # R(A) lies in R(B) to roundoff, so ||A|| is not needed; ||B|| is
+    assert not any(arg is A for arg in seen)
+    assert any(arg is B for arg in seen)

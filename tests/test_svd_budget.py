@@ -330,3 +330,45 @@ def test_triple_law_fixture_svd_count(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["verify", "thm3.31"]) == 0
     assert len(calls) <= TRIPLE_LAW_FIXTURE_SVDS
+
+
+# A report row takes ||F|| only when its residual exceeds residual_atol, and
+# thm2.8's null-space test reuses the two ranks its row (i) decides: the
+# characterizations took 23 and 20 SVDs when every row took both norms and
+# the null-space test decided both ranks again.
+CHARACTERIZATION_BUDGET = {"check_mrwwd": 17, "check_mrwwd_right": 13}
+
+
+@pytest.mark.parametrize("name", sorted(CHARACTERIZATION_BUDGET))
+def test_characterization_svd_count(monkeypatch, name):
+    pair, *candidates = _candidates()
+    calls = _counting(monkeypatch, linalg_impl, "svd")
+    monkeypatch.setattr(np.linalg, "svd", linalg_impl.svd)
+    assert CHECKS[name](pair, *candidates) is not None
+    assert len(calls) <= CHARACTERIZATION_BUDGET[name]
+
+
+def test_fresh_family_takes_one_svd(monkeypatch):
+    # the M^+ of the particular solution; no rank is decided for the family
+    pair = random_pair(7, 6, 2, 5)
+    calls = _counting(monkeypatch, linalg_impl, "svd")
+    monkeypatch.setattr(np.linalg, "svd", linalg_impl.svd)
+    mrwwd_family(pair)
+    assert len(calls) == 1
+
+
+def test_warm_weak_mpd_forms_the_stabilized_power_once(monkeypatch):
+    # the membership test hands its (BW)^(k+1) on to the power row
+    pair = random_pair(7, 6, 2, 5)
+    X = mrwwd_family(pair).member(np.ones((7, 6)))
+    weak_mpd(pair, X)
+    powers = []
+    original = np.linalg.matrix_power
+
+    def recording(A, j):
+        powers.append(j)
+        return original(A, j)
+
+    monkeypatch.setattr(np.linalg, "matrix_power", recording)
+    weak_mpd(pair, X)
+    assert sorted(powers) == [pair.k_bw, pair.k_bw + 1]
