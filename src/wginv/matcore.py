@@ -172,39 +172,79 @@ def rank_of(A, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     A = as_matrix(A)
     if A.size == 0:
         return 0
-    return _count_above(np.linalg.svd(A, compute_uv=False), 0.0, max(A.shape), tol)
+    s = np.linalg.svd(A, compute_uv=False)
+    return int(np.count_nonzero(s > tol.rank_rtol * s[0] * max(A.shape)))
 
 
-def _count_above(s: np.ndarray, floor: float, dim: int, tol: ToleranceConfig) -> int:
-    # Singular values s above rank_rtol * max(s[0], floor) * dim. The floor
-    # keeps high powers of a nearly nilpotent matrix from picking up roundoff
-    # rank: index_of judges S^j with floor = ||S||^j.
-    scale = max(float(s[0]) if s.size else 0.0, floor)
-    if scale == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.rank_rtol * scale * dim))
+def _read_only(A: np.ndarray) -> np.ndarray:
+    A.flags.writeable = False
+    return A
+
+
+@dataclass(frozen=True, eq=False)
+class _Staircase:
+    """S = U [[T, S12], [0, N]] U^* with U unitary, T invertible of order q
+    and N strictly block upper triangular, N^k = 0: k is the index of S and
+    the leading q columns U1 of U span R(S^j) for every j >= k. The blocks
+    are formed on first use, so an index decision costs little beyond its SVDs."""
+
+    S: np.ndarray
+    U: np.ndarray
+    sizes: tuple  # n = m_0 > m_1 > ... > m_k = q, the orders of the deflated blocks
+
+    @property
+    def q(self) -> int:
+        return self.sizes[-1]
+
+    @property
+    def k(self) -> int:
+        return len(self.sizes) - 1
+
+    @cached_property
+    def core(self) -> np.ndarray:
+        """[[T, S12], [0, N]]: U^* S U with the rows each step dropped zeroed."""
+        core = self.U.conj().T @ self.S @ self.U
+        for m, r in zip(self.sizes, self.sizes[1:]):
+            core[r:m, :m] = 0.0
+        return _read_only(core)
+
+    @cached_property
+    def P(self) -> np.ndarray:
+        """U1 U1^*, the orthogonal projector onto R(S^k)."""
+        U1 = self.U[:, : self.q]
+        return _read_only(U1 @ U1.conj().T)
+
+    @cached_property
+    def T_inv(self) -> np.ndarray:
+        return _read_only(np.linalg.inv(self.core[: self.q, : self.q]))
+
+
+def _staircase(S, tol: ToleranceConfig) -> _Staircase:
+    """The staircase form of a square S (kept without a copy if complex) by
+    orthogonal deflation (Golub and Wilkinson, SIAM Rev. 18, 1976): each step
+    takes one SVD of the active leading block A and rotates A onto its r left
+    singular vectors above rank_rtol * ||S||_2 * n, dropping the rows below
+    that cutoff, until A has full rank. Every rank is decided on S's scale."""
+    S = as_matrix(S)
+    if S.shape[0] != S.shape[1]:
+        raise DimensionError(f"expected a square matrix, got {S.shape}")
+    A, U, sizes = S, np.eye(S.shape[0], dtype=complex), [S.shape[0]]
+    while sizes[-1]:
+        Q, s, Vh = np.linalg.svd(A)
+        if len(sizes) == 1:
+            cutoff = tol.rank_rtol * s[0] * S.shape[0]
+        r = int(np.count_nonzero(s > cutoff))
+        if r == sizes[-1]:
+            break
+        A = (s[:r, None] * Vh[:r]) @ Q[:, :r]  # the leading block of Q^* A Q
+        U[:, : sizes[-1]] = U[:, : sizes[-1]] @ Q
+        sizes.append(r)
+    return _Staircase(S, _read_only(U), tuple(sizes))
 
 
 def index_of(S, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Smallest k >= 0 with rank(S^k) = rank(S^(k+1)), where S^0 = I."""
-    S = as_matrix(S)
-    n, nc = S.shape
-    if n != nc:
-        raise DimensionError(f"the index needs a square matrix, got {S.shape}")
-    if n == 0:
-        return 0
-    prev_rank = n  # rank of S^0
-    P = np.eye(n, dtype=complex)
-    for k in range(1, n + 2):
-        P = P @ S
-        s = np.linalg.svd(P, compute_uv=False)
-        if k == 1:
-            norm_s = float(s[0])  # ||S||: the first step factors S itself
-        r = _count_above(s, norm_s**k, n, tol)
-        if r == prev_rank:
-            return k - 1
-        prev_rank = r
-    return n
+    """Smallest k >= 0 with rank(S^k) = rank(S^(k+1)), S^0 = I: the k of S's staircase form."""
+    return _staircase(S, tol).k
 
 
 def projector_onto(A, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -347,34 +387,27 @@ def oblique_projector_check(
     return report
 
 
-def _read_only(A: np.ndarray) -> np.ndarray:
-    A.flags.writeable = False
-    return A
-
-
 @dataclass(frozen=True)
 class WeightedPair:
     """A rectangular matrix B (m x n) with weight W (n x m), the indices of
     both products, and a memo of the factors that several inverses share.
 
-    The pair stores read-only copies of B and W, however it is built, so the
-    memo depends only on data that cannot change. The memo holds values
-    that cost an SVD (B^+, the Drazin and core-EP kernels of BW and WB, the
-    projectors onto their powers, ...) and the certified values of the inner
-    inverses that constructors compose (the W-weighted Drazin inverse inside
-    the MPD inverse, the core-EP inverse inside MPCEP, ...), keyed by
-    (quantity, tolerance[, power or m]). Each is built and certified on first
-    use and is read-only from then on. A public call is never read from it:
-    every constructor still assembles and certifies its own value on every
-    call. The checkers in `verify` and the family membership test read
-    nothing from it: what judges a caller's candidate rebuilds its factors
-    from B and W.
+    The pair stores read-only copies of B and W, however it is built. The
+    memo holds what costs an SVD (the staircase forms of BW and WB, which
+    `weighted_pair` seeds, B^+, the kernels, projectors onto powers) and the
+    certified inner inverses that constructors compose, keyed by (quantity,
+    tolerance[, side, power or m]), each built on first use and read-only.
+    Public results are never read from it, and what judges a caller's
+    candidate (the checkers, the membership test) reads nothing from it.
     """
 
     B: np.ndarray
     W: np.ndarray
     k_bw: int
     k_wb: int
+
+    # on a dual pair (see H), a twin of the pair it is the dual of
+    _primal = None
 
     def __post_init__(self):
         for name in ("B", "W"):
@@ -403,10 +436,16 @@ class WeightedPair:
 
     @cached_property
     def H(self) -> "WeightedPair":
-        """The dual pair (B^*, W^*): B^* W^* = (WB)^* has the index of WB, so
-        the indices swap and none is recomputed. It is built once and keeps
-        its own memo; it holds no reference back to this pair."""
-        return WeightedPair(self.B.conj().T, self.W.conj().T, self.k_wb, self.k_bw)
+        """The dual pair (B^*, W^*) with the indices swapped. Its B^+ and
+        Drazin kernels are adjoints of this pair's, read through a twin of
+        this pair on its memo (the dual's dual): no SVD, and no reference back."""
+        if self._primal is not None:
+            return self._primal
+        twin = WeightedPair(self.B, self.W, self.k_bw, self.k_wb)
+        twin.__dict__["_memo"] = self._memo
+        dual = WeightedPair(self.B.conj().T, self.W.conj().T, self.k_wb, self.k_bw)
+        dual.__dict__["_primal"] = twin
+        return dual
 
     @cached_property
     def _memo(self) -> dict:
@@ -424,24 +463,39 @@ class WeightedPair:
     def _power(self, side: str, j: int) -> np.ndarray:
         return self.bw_power(j) if side == "BW" else self.wb_power(j)
 
+    def _k(self, side: str) -> int:
+        return self.k_bw if side == "BW" else self.k_wb
+
+    def _staircase_of(self, side: str, tol: ToleranceConfig) -> _Staircase:
+        """The staircase form of BW (side "BW") or WB ("WB")."""
+        return self._cached(("staircase", tol, side), lambda: _staircase(self._power(side, 1), tol))
+
     def _pinv(self, tol: ToleranceConfig) -> np.ndarray:
-        """B^+."""
+        """B^+; on a dual pair, the adjoint of the pair's B^+."""
+        if self._primal is not None:
+            return _read_only(self._primal._pinv(tol).conj().T)
         return self._cached(("B^+", tol), lambda: mp_inverse(self.B, tol))
 
+    def _of_power(self, quantity: str, side: str, j: int, tol: ToleranceConfig):
+        """The "projector" onto R((BW)^j) (side "BW") or R((WB)^j), or its "rank":
+        from the staircase form at the pair's index if it spans R(S^j), else by SVD."""
+        form = self._staircase_of(side, tol) if j == self._k(side) else None
+        if form is not None and j >= form.k:
+            return form.P if quantity == "projector" else form.q
+        build = projector_onto if quantity == "projector" else rank_of
+        return self._cached((quantity, tol, side, j), lambda: build(self._power(side, j), tol))
+
     def _projector(self, side: str, j: int, tol: ToleranceConfig) -> np.ndarray:
-        """Orthogonal projector onto R((BW)^j) (side "BW") or R((WB)^j) ("WB")."""
-        return self._cached(
-            ("projector", tol, side, j), lambda: projector_onto(self._power(side, j), tol)
-        )
+        return self._of_power("projector", side, j, tol)
 
     def _rank(self, side: str, j: int, tol: ToleranceConfig) -> int:
-        """rank((BW)^j) or rank((WB)^j)."""
-        return self._cached(("rank", tol, side, j), lambda: rank_of(self._power(side, j), tol))
+        return self._of_power("rank", side, j, tol)
 
 
 def weighted_pair(B, W, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedPair:
-    """Validate shapes, reject the zero weight, and cache both indices. The
-    pair keeps read-only copies of B and W, so the caller's arrays may change."""
+    """Validate shapes, reject the zero weight, and decide both indices from
+    the staircase forms of BW and WB, which the pair keeps (with read-only
+    copies of B and W, so the caller's arrays may change)."""
     B = as_matrix(B)
     W = as_matrix(W)
     m, n = B.shape
@@ -449,4 +503,7 @@ def weighted_pair(B, W, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedPair:
         raise DimensionError(f"weight shape {W.shape} does not match required ({n}, {m})")
     if not W.any():
         raise ValueError("the zero weight is excluded")
-    return WeightedPair(B=B, W=W, k_bw=index_of(B @ W, tol), k_wb=index_of(W @ B, tol))
+    bw, wb = _staircase(B @ W, tol), _staircase(W @ B, tol)
+    pair = WeightedPair(B=B, W=W, k_bw=bw.k, k_wb=wb.k)
+    pair._memo.update({("staircase", tol, "BW"): bw, ("staircase", tol, "WB"): wb})
+    return pair

@@ -473,6 +473,6 @@ def drazin_case_perturbation(
     report.add_equation("dmp: coimage projector transport", D @ Ddmp, B @ Ydmp)
     _sandwich(report, "dmp: sandwich", spectral_norm(Ddmp), spectral_norm(Ydmp), v_dmp, tol)
 
-    report.note("stated norm form", spectral_norm(w_drazin(pair, tol).value @ W @ B @ W))
+    report.note("stated norm form", spectral_norm(Xd @ W @ B @ W))
     _note_flags(report, scenario)
     return report

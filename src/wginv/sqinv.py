@@ -10,13 +10,11 @@ import numpy as np
 from .matcore import (
     DEFAULT_TOL,
     CertificationError,
-    DimensionError,
     ToleranceConfig,
     _judge,
-    as_matrix,
-    index_of,
+    _staircase,
+    _Staircase,
     matrix_power,
-    mp_inverse,
     projector_onto,
     rank_of,
 )
@@ -32,13 +30,6 @@ class SquareInverseResult:
     value: np.ndarray
     index_used: int
     residuals: dict
-
-
-def _square(S) -> np.ndarray:
-    S = as_matrix(S)
-    if S.shape[0] != S.shape[1]:
-        raise DimensionError(f"expected a square matrix, got {S.shape}")
-    return S
 
 
 def _certify(kind: str, checks: dict, tol: ToleranceConfig) -> dict:
@@ -67,47 +58,47 @@ def _eq(lhs, rhs) -> tuple:
     return ((lhs - rhs,), (rhs,))
 
 
-# The public functions decide the index, build the factors a kernel takes and
-# call it; a WeightedPair holds both indices and its factors and calls the
-# kernels directly.
+# The kernels take a staircase form (matcore), which keeps S: the public
+# functions factor S, a WeightedPair keeps the forms of BW and WB.
 
 
 def drazin(S, tol: ToleranceConfig = DEFAULT_TOL) -> SquareInverseResult:
-    """Drazin inverse through the power representation S^k (S^(2k+1))^+ S^k."""
-    S = _square(S)
-    return _drazin(S, index_of(S, tol), tol)
+    """Drazin inverse U [[T^-1, X12], [0, 0]] U^* of the staircase form
+    S = U [[T, S12], [0, N]] U^*, X12 = sum_(j<k) T^-(j+2) S12 N^j (Meyer and
+    Rose)."""
+    return _drazin(_staircase(S, tol), tol)
 
 
-def _drazin(S: np.ndarray, k: int, tol: ToleranceConfig) -> SquareInverseResult:
+def _drazin_checks(S: np.ndarray, X: np.ndarray, k: int) -> dict:
+    """The defining equations of X = S^D for S of index k."""
     Sk = matrix_power(S, k)
-    X = Sk @ mp_inverse(matrix_power(S, 2 * k + 1), tol) @ Sk
-    residuals = _certify(
-        "drazin",
-        {
-            "outer": _eq(X @ S @ X, X),
-            "commute": _eq(S @ X, X @ S),
-            "power": _eq(matrix_power(S, k + 1) @ X, Sk),
-        },
-        tol,
-    )
-    return SquareInverseResult(value=X, index_used=k, residuals=residuals)
+    return {
+        "outer": _eq(X @ S @ X, X),
+        "commute": _eq(S @ X, X @ S),
+        "power": _eq(S @ Sk @ X, Sk),
+    }
+
+
+def _drazin(form: _Staircase, tol: ToleranceConfig) -> SquareInverseResult:
+    q, Ti, core = form.q, form.T_inv, form.core
+    X12 = np.zeros_like(core[:q, q:])
+    for _ in range(form.k):  # Horner's scheme
+        X12 = Ti @ (Ti @ core[:q, q:] + X12 @ core[q:, q:])
+    X = form.U[:, :q] @ np.concatenate((Ti, X12), axis=1) @ form.U.conj().T
+    residuals = _certify("drazin", _drazin_checks(form.S, X, form.k), tol)
+    return SquareInverseResult(value=X, index_used=form.k, residuals=residuals)
 
 
 def core_ep(S, tol: ToleranceConfig = DEFAULT_TOL) -> SquareInverseResult:
-    """Core-EP inverse S^D S^k (S^k)^+; its range and null space both come
-    from S^k."""
-    S = _square(S)
-    k = index_of(S, tol)
-    P = projector_onto(matrix_power(S, k), tol)
-    return _core_ep(S, k, _drazin(S, k, tol).value, P, tol)
+    """Core-EP inverse U1 T^-1 U1^* of the staircase form, U1 the leading q
+    columns of U: its range and null space both come from S^k."""
+    return _core_ep(_staircase(S, tol), tol)
 
 
-def _core_ep(
-    S: np.ndarray, k: int, Sd: np.ndarray, P: np.ndarray, tol: ToleranceConfig
-) -> SquareInverseResult:
-    # Sd is the certified Drazin inverse of S, P the projector onto R(S^k).
-    Sk = matrix_power(S, k)
-    X = Sd @ P
+def _core_ep(form: _Staircase, tol: ToleranceConfig) -> SquareInverseResult:
+    S, P, U1 = form.S, form.P, form.U[:, : form.q]
+    Sk = matrix_power(S, form.k)
+    X = U1 @ form.T_inv @ U1.conj().T
     residuals = _certify(
         "core_ep",
         {
@@ -117,10 +108,10 @@ def _core_ep(
         },
         tol,
     )
-    # defensive: the construction already forces rank(X) = rank(S^k)
-    if rank_of(X, tol) != rank_of(Sk, tol):
+    # defensive: the construction already forces rank(X) = q = rank(S^k)
+    if rank_of(X, tol) != form.q:
         raise CertificationError("core_ep: rank differs from rank(S^k)")
-    return SquareInverseResult(value=X, index_used=k, residuals=residuals)
+    return SquareInverseResult(value=X, index_used=form.k, residuals=residuals)
 
 
 def m_wgi(S, m: int, tol: ToleranceConfig = DEFAULT_TOL) -> SquareInverseResult:
@@ -128,27 +119,23 @@ def m_wgi(S, m: int, tol: ToleranceConfig = DEFAULT_TOL) -> SquareInverseResult:
 
     m = 1 is the weak group inverse; large m approaches the Drazin inverse.
     """
-    S = _square(S)
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
-    k = index_of(S, tol)
-    P = projector_onto(matrix_power(S, k), tol)
-    C = _core_ep(S, k, _drazin(S, k, tol).value, P, tol).value
-    return _m_wgi(S, m, k, C, P, tol)
+    form = _staircase(S, tol)
+    return _m_wgi(form, m, _core_ep(form, tol).value, tol)
 
 
-def _m_wgi(
-    S: np.ndarray, m: int, k: int, C: np.ndarray, P: np.ndarray, tol: ToleranceConfig
-) -> SquareInverseResult:
-    # C is the certified core-EP inverse of S, P the projector onto R(S^k).
+def _m_wgi(form: _Staircase, m: int, C: np.ndarray, tol: ToleranceConfig) -> SquareInverseResult:
+    # C is the certified core-EP inverse of S
+    S = form.S
     X = matrix_power(C, m + 1) @ matrix_power(S, m)
     residuals = _certify(
         "m_wgi",
         {
             "outer": _eq(X @ S @ X, X),
             "product": _eq(S @ X, matrix_power(C, m) @ matrix_power(S, m)),
-            "range": ((X - P @ X,), (X,)),
+            "range": ((X - form.P @ X,), (X,)),
         },
         tol,
     )
-    return SquareInverseResult(value=X, index_used=k, residuals=residuals)
+    return SquareInverseResult(value=X, index_used=form.k, residuals=residuals)

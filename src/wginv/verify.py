@@ -280,12 +280,11 @@ def check_projectors(
         # weak_mpd certifies the membership of X itself
         X = as_matrix(X)
         Y = weak_mpd(pair, X, tol).value
+        K, P1 = pair.bw_power(pair.k_bw), pair.bw_power(pair.k_bw + 1)
     else:
-        X, _ = _require_member(pair, X, tol)
+        X, K, P1 = _require_member(pair, X, tol)
     Y = as_matrix(Y)
-    k = pair.k_bw
-    K = pair.bw_power(k)
-    col_gen = mp_inverse(B, tol) @ pair.bw_power(k + 1)
+    col_gen = mp_inverse(B, tol) @ P1
 
     report = VerificationReport("lem3.6", tol)
     report.merge(oblique_projector_check(B @ Y, K, X @ W, tol), prefix="(i) B Y: ")
@@ -353,9 +352,8 @@ def check_unique_projector_solution(
         )
     if side != "left":
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    X, _ = _require_member(pair, member, tol)
+    X, K, _ = _require_member(pair, member, tol)
     B, W = pair.B, pair.W
-    K = pair.bw_power(pair.k_bw)
     report = VerificationReport("thm3.8", tol)
     report.merge(oblique_projector_check(B @ Y, K, X @ W, tol), prefix="projector: ")
     report.add(
@@ -373,7 +371,7 @@ def check_mp_drazin_absorption(
 ) -> VerificationReport:
     """The Moore-Penrose factor in both weak inverses can be replaced by the
     corresponding weighted MPD / DMP inverse."""
-    X, _ = _require_member(pair, X, tol)
+    X, _, _ = _require_member(pair, X, tol)
     Z = _as_member(pair, Z)
     with _right_hand():
         _require_member(pair.H, Z.conj().T, tol)
@@ -403,9 +401,8 @@ def one_inverse_family(
         raise ValueError(f"U must be {pair.n} x {pair.m}, got {U.shape}")
     if X is None:
         X = w_drazin(pair, tol).value
-    X, P1 = _require_member(pair, X, tol)
+    X, K, P1 = _require_member(pair, X, tol)
     Bp = mp_inverse(B, tol)
-    K = pair.bw_power(pair.k_bw)
     Q = Bp + U @ (np.eye(pair.m, dtype=complex) - projector_onto(K, tol))
 
     report = VerificationReport("thm3.12", tol)
@@ -435,7 +432,7 @@ def mpd_general_solution(
 ) -> tuple:
     """General solution Y = B^+ + Zfree (I - B W X W) of the power identity
     Y (BW)^(k+1) = B^+ (BW)^(k+1). Returns (Y, report)."""
-    X, P1 = _require_member(pair, X, tol)
+    X, _, P1 = _require_member(pair, X, tol)
     Zfree = as_matrix(Zfree)
     B, W = pair.B, pair.W
     if Zfree.shape != (pair.n, pair.m):

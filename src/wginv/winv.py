@@ -23,12 +23,13 @@ from .matcore import (
     _exact,
     _frobenius_pass,
     _judge,
+    _read_only,
     as_matrix,
     mp_inverse,
     projector_onto,
     rank_of,
 )
-from .sqinv import _certify, _core_ep, _drazin, _eq, _m_wgi
+from .sqinv import _certify, _core_ep, _drazin, _drazin_checks, _eq, _m_wgi
 
 __all__ = [
     "WeightedInverseResult",
@@ -52,41 +53,34 @@ __all__ = [
 ]
 
 
-# Certified kernel values of a pair, shared by every constructor that needs
-# them: each is built and certified once per pair and tolerance and then read
-# from the pair's memo (see WeightedPair). The right-hand (DMP) half reads
-# them from the dual pair's memo.
+# Certified kernel values of a pair, built from the staircase forms of BW and
+# WB once per pair and tolerance and read from its memo (see WeightedPair).
 
 
-def _bw_drazin(pair: WeightedPair, tol: ToleranceConfig) -> np.ndarray:
-    """(BW)^D."""
-    return pair._cached(("(BW)^D", tol), lambda: _drazin(pair.bw(), pair.k_bw, tol).value)
-
-
-def _wb_drazin(pair: WeightedPair, tol: ToleranceConfig) -> np.ndarray:
-    """(WB)^D."""
-    return pair._cached(("(WB)^D", tol), lambda: _drazin(pair.wb(), pair.k_wb, tol).value)
+def _drazin_kernel(pair: WeightedPair, side: str, tol: ToleranceConfig) -> np.ndarray:
+    """(BW)^D (side "BW") or (WB)^D; on a dual pair, the adjoint of the pair's
+    kernel of the other product, (B^* W^*)^D = ((WB)^D)^*, certified anew."""
+    if pair._primal is None:
+        return pair._cached(
+            (f"({side})^D", tol), lambda: _drazin(pair._staircase_of(side, tol), tol).value
+        )
+    X = _drazin_kernel(pair._primal, "WB" if side == "BW" else "BW", tol).conj().T
+    _certify("drazin", _drazin_checks(pair._power(side, 1), X, pair._k(side)), tol)
+    return _read_only(X)
 
 
 def _wb_core_ep(pair: WeightedPair, tol: ToleranceConfig) -> np.ndarray:
-    """(WB)^core-EP, from the cached (WB)^D and projector onto R((WB)^k)."""
-    k = pair.k_wb
+    """(WB)^core-EP."""
     return pair._cached(
-        ("(WB)^core-EP", tol),
-        lambda: _core_ep(
-            pair.wb(), k, _wb_drazin(pair, tol), pair._projector("WB", k, tol), tol
-        ).value,
+        ("(WB)^core-EP", tol), lambda: _core_ep(pair._staircase_of("WB", tol), tol).value
     )
 
 
 def _wb_m_wgi(pair: WeightedPair, m: int, tol: ToleranceConfig) -> np.ndarray:
     """The m-fold weak group inverse of WB, from the cached (WB)^core-EP."""
-    k = pair.k_wb
     return pair._cached(
         ("(WB)^wgi", tol, m),
-        lambda: _m_wgi(
-            pair.wb(), m, k, _wb_core_ep(pair, tol), pair._projector("WB", k, tol), tol
-        ).value,
+        lambda: _m_wgi(pair._staircase_of("WB", tol), m, _wb_core_ep(pair, tol), tol).value,
     )
 
 
@@ -112,9 +106,9 @@ def w_drazin(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> Weighted
     defining equations and the dual representation B ((WB)^D)^2."""
     B, W = pair.B, pair.W
     k = pair.k_bw
-    Xd = _bw_drazin(pair, tol)
+    Xd = _drazin_kernel(pair, "BW", tol)
     val = Xd @ Xd @ B
-    dual = B @ np.linalg.matrix_power(_wb_drazin(pair, tol), 2)
+    dual = B @ np.linalg.matrix_power(_drazin_kernel(pair, "WB", tol), 2)
     residuals = _certify(
         "w_drazin",
         {
@@ -318,6 +312,12 @@ class SolutionFamily:
         return self.particular + self.left_factor @ P @ self.annihilator
 
 
+def _family_factors(pair: WeightedPair, tol: ToleranceConfig) -> tuple:
+    """K = (BW)^k, M = W (BW)^(k+1) and M^+, read-only."""
+    K, M = pair.bw_power(pair.k_bw), pair.W @ pair.bw_power(pair.k_bw + 1)
+    return tuple(_read_only(A) for A in (K, M, mp_inverse(M, tol)))
+
+
 def mrwwd_family(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> SolutionFamily:
     """All m x n solutions X of X W (BW)^(k+1) = (BW)^k with rank((BW)^k).
 
@@ -326,9 +326,7 @@ def mrwwd_family(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> Solu
     solution (K M^+ M = K) is certified; the rank and range constraints then
     hold automatically for every member.
     """
-    K = pair.bw_power(pair.k_bw)
-    M = pair.W @ pair.bw_power(pair.k_bw + 1)
-    Mp = pair._cached(("M^+", tol), lambda: mp_inverse(M, tol))
+    K, M, Mp = pair._cached(("M^+", tol), lambda: _family_factors(pair, tol))
     particular = K @ Mp
     residual, ok = _judge((particular @ M - K,), (K,), tol)
     if not ok:
@@ -391,8 +389,8 @@ def _right_member_residual(pair: WeightedPair, Z, tol: ToleranceConfig) -> tuple
 
 
 def _require_member(pair: WeightedPair, X, tol: ToleranceConfig) -> tuple:
-    """(X as a matrix, (BW)^(k+1)), X certified to be a member of the left
-    solution family; the power is the one its test formed.
+    """(X as a matrix, (BW)^k, (BW)^(k+1)), X certified to be a member of the
+    left solution family; the powers are the ones its test formed.
 
     Both ranks are decided on every call. A pass of the power equation is
     proved by the Frobenius bound; a failed bound or a rank gap takes the
@@ -400,14 +398,14 @@ def _require_member(pair: WeightedPair, X, tol: ToleranceConfig) -> tuple:
     X = as_matrix(X)
     R, K, rank_gap, P1 = _power_equation(pair, X, tol)
     if rank_gap == 0 and _frobenius_pass((R,), (K,), tol) is not None:
-        return X, P1
+        return X, K, P1
     residual, ok = _exact(R, K, tol)
     if not ok or rank_gap:
         raise HypothesisError(
             f"X is not a member of the left solution family "
             f"(power residual {residual:.3e}, rank gap {rank_gap})"
         )
-    return X, P1
+    return X, K, P1
 
 
 def weak_mpd(pair: WeightedPair, X, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedInverseResult:
@@ -417,7 +415,7 @@ def weak_mpd(pair: WeightedPair, X, tol: ToleranceConfig = DEFAULT_TOL) -> Weigh
     identity Y (BW)^(k+1) = B^+ (BW)^(k+1), and absorption of B^+ into the
     weighted MPD inverse.
     """
-    X, P1 = _require_member(pair, X, tol)
+    X, _, P1 = _require_member(pair, X, tol)
     B, W = pair.B, pair.W
     k = pair.k_bw
     Bp = pair._pinv(tol)

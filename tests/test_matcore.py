@@ -29,7 +29,7 @@ from wginv.matcore import (
     spectral_norm,
     weighted_pair,
 )
-from wginv.winv import _bw_drazin, _wb_core_ep, w_core_ep, w_dmp, w_m_weak_core, w_mpd
+from wginv.winv import _drazin_kernel, _wb_core_ep, w_core_ep, w_dmp, w_m_weak_core, w_mpd
 
 RNG = np.random.default_rng(20240817)
 
@@ -197,7 +197,7 @@ def test_pair_matrices_and_cached_factors_are_read_only():
         pair.H.B,
         pair._pinv(DEFAULT_TOL),
         pair._projector("WB", pair.k_wb, DEFAULT_TOL),
-        _bw_drazin(pair, DEFAULT_TOL),
+        _drazin_kernel(pair, "BW", DEFAULT_TOL),
         _wb_core_ep(pair, DEFAULT_TOL),
     ]
     for A in factors:

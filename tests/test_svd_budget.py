@@ -31,7 +31,7 @@ from wginv.verify import (
 )
 from wginv.winv import (
     CATALOG,
-    _bw_drazin,
+    _drazin_kernel,
     compute_kind,
     mrwwd_family,
     mrwwd_right_family,
@@ -110,7 +110,10 @@ def test_counter_sees_the_svd_inside_the_two_norm(monkeypatch):
 
 @pytest.mark.parametrize("build", [w_drazin, w_core_ep])
 def test_constructors_reuse_the_cached_indices(monkeypatch, pair_and_member, build):
-    calls = _counting(monkeypatch, sqinv, "index_of")
+    # the kernels read the staircase forms that weighted_pair decided the
+    # indices from: no index is decided and nothing is factored again
+    calls = _counting(monkeypatch, sqinv, "_staircase")
+    calls += _counting(monkeypatch, matcore, "_staircase")
     calls += _counting(monkeypatch, matcore, "index_of")
     result = build(pair_and_member[0])
     assert calls == []
@@ -157,6 +160,41 @@ def test_warm_pair_needs_no_svd(monkeypatch, build):
     assert again.value is not first.value  # results themselves are not memoized
 
 
+def test_dual_reads_the_pair_kernels_as_adjoints(monkeypatch):
+    # (B^* W^*)^D = ((WB)^D)^*, (W^* B^*)^D = ((BW)^D)^* and (B^*)^+ = (B^+)^*:
+    # once the pair has them, the dual's cost no SVD, and a right-hand
+    # inverse after its left-hand one takes none
+    pair = random_pair(7, 6, 2, 5)
+    w_mpd(pair)
+    calls = _counting(monkeypatch, linalg_impl, "svd")
+    monkeypatch.setattr(np.linalg, "svd", linalg_impl.svd)
+    for side, other in (("BW", "WB"), ("WB", "BW")):
+        dual = _drazin_kernel(pair.H, side, DEFAULT_TOL)
+        assert np.array_equal(dual, _drazin_kernel(pair, other, DEFAULT_TOL).conj().T)
+    assert np.array_equal(pair.H._pinv(DEFAULT_TOL), pair._pinv(DEFAULT_TOL).conj().T)
+    w_dmp(pair)
+    assert calls == []
+    assert pair.H.H._memo is pair._memo  # the dual's dual is a twin on the pair's memo
+
+
+def test_dual_certifies_the_adjoint_kernels_on_its_own_equations(monkeypatch):
+    pair = random_pair(7, 6, 2, 5)
+    w_drazin(pair)
+    checked = []
+    checks = winv._drazin_checks
+
+    def recording(S, X, k):
+        checked.append((S, X, k))
+        return checks(S, X, k)
+
+    monkeypatch.setattr(winv, "_drazin_checks", recording)
+    X = _drazin_kernel(pair.H, "BW", DEFAULT_TOL)
+    [(S, certified, k)] = checked
+    assert np.array_equal(S, pair.H.bw()) and k == pair.k_wb
+    assert np.array_equal(certified.conj().T, _drazin_kernel(pair, "WB", DEFAULT_TOL))
+    assert np.array_equal(X, certified)
+
+
 def test_cached_factors_are_keyed_by_tolerance():
     pair = random_pair(7, 6, 2, 5)
     w_mpd(pair)
@@ -165,7 +203,7 @@ def test_cached_factors_are_keyed_by_tolerance():
         w_mpd(pair, tight)
     # a kernel value certified at one tolerance is certified anew at another
     with pytest.raises(CertificationError):
-        _bw_drazin(pair, tight)
+        _drazin_kernel(pair, "BW", tight)
     coarse = ToleranceConfig(rank_rtol=0.5)
     assert matcore.rank_of(pair._pinv(coarse)) < matcore.rank_of(pair._pinv(matcore.DEFAULT_TOL))
 
@@ -204,10 +242,17 @@ def test_warm_family_operation_takes_two_rank_decisions(monkeypatch, family, wea
         assert len(calls) == 2
 
 
-@pytest.mark.parametrize("family, weak", FAMILIES)
-def test_refusing_a_perturbed_member_takes_four_svds(monkeypatch, family, weak):
+def _direct(pair):
+    """A pair built directly from B, W and the indices: its memo starts empty."""
+    return matcore.WeightedPair(pair.B, pair.W, pair.k_bw, pair.k_wb)
+
+
+def _memo_keys(pair) -> tuple:
+    return set(pair._memo), set(pair.H._memo)
+
+
+def _refuse_a_perturbed_member(monkeypatch, pair, family, weak):
     # both ranks and the two exact norms that name the residual, on every call
-    pair = random_pair(7, 6, 2, 5)
     member = family(matcore.weighted_pair(pair.B, pair.W)).member(np.zeros((7, 6)))
     noise = np.random.default_rng(1).standard_normal(member.shape)
     perturbed = member + 1e-2 * spectral_norm(member) * noise
@@ -218,6 +263,21 @@ def test_refusing_a_perturbed_member_takes_four_svds(monkeypatch, family, weak):
         with pytest.raises(HypothesisError):
             weak(pair, perturbed)
         assert len(calls) == 4
+
+
+@pytest.mark.parametrize("family, weak", FAMILIES)
+def test_refusing_a_perturbed_member_takes_four_svds(monkeypatch, family, weak):
+    pair = random_pair(7, 6, 2, 5)
+    before = _memo_keys(pair)
+    _refuse_a_perturbed_member(monkeypatch, pair, family, weak)
+    # weighted_pair seeds the two staircase forms; nothing joins them
+    assert _memo_keys(pair) == before
+
+
+@pytest.mark.parametrize("family, weak", FAMILIES)
+def test_refusing_a_perturbed_member_of_a_direct_pair_takes_four_svds(monkeypatch, family, weak):
+    pair = _direct(random_pair(7, 6, 2, 5))
+    _refuse_a_perturbed_member(monkeypatch, pair, family, weak)
     assert not pair._memo
     assert not pair.H._memo
 
@@ -249,10 +309,10 @@ def test_memoized_inner_values_are_keyed_by_tolerance():
     weak_mpd(pair, X)
     tight = ToleranceConfig(residual_atol=1e-300)
     # the inner core-EP value is built anew at the tight tolerance, so the
-    # first refusal is that of its Drazin kernel, not of the outer equation
-    with pytest.raises(CertificationError, match="^drazin:"):
+    # first refusal is that of its core-EP kernel, not of the outer equation
+    with pytest.raises(CertificationError, match="^core_ep:"):
         w_mpcep(pair, tight)
-    with pytest.raises(CertificationError, match="^drazin:"):
+    with pytest.raises(CertificationError, match="^core_ep:"):
         w_m_wgmp(pair, 2, tight)
     with pytest.raises(HypothesisError):
         weak_mpd(pair, X, tight)
@@ -273,10 +333,13 @@ def test_m_fold_weak_group_values_are_memoized_per_m():
 # a check costs the same on every call and cannot inherit a cached factor.
 
 
-def _candidates():
+def _candidates(direct=False):
     """A fresh pair, members X and Z of its two families and their weak
-    inverses Y and Y1, drawn on a twin pair so that the pair's memo is empty."""
+    inverses Y and Y1, drawn on a twin pair so that the pair's memo holds only
+    what weighted_pair seeded (nothing, for a pair built directly)."""
     pair = random_pair(7, 6, 2, 5)
+    if direct:
+        pair = _direct(pair)
     twin = matcore.weighted_pair(pair.B, pair.W)
     zero = np.zeros((7, 6))
     X = mrwwd_family(twin).member(zero)
@@ -303,9 +366,7 @@ CHECKS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CHECKS))
-def test_checks_rebuild_their_factors_on_every_call(monkeypatch, name):
-    pair, *candidates = _candidates()
+def _check_twice(monkeypatch, name, pair, candidates):
     calls = _counting(monkeypatch, linalg_impl, "svd")
     monkeypatch.setattr(np.linalg, "svd", linalg_impl.svd)
     counts = []
@@ -314,6 +375,20 @@ def test_checks_rebuild_their_factors_on_every_call(monkeypatch, name):
         CHECKS[name](pair, *candidates)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_checks_rebuild_their_factors_on_every_call(monkeypatch, name):
+    pair, *candidates = _candidates()
+    before = _memo_keys(pair)
+    _check_twice(monkeypatch, name, pair, candidates)
+    assert _memo_keys(pair) == before
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_checks_on_a_direct_pair_rebuild_their_factors_on_every_call(monkeypatch, name):
+    pair, *candidates = _candidates(direct=True)
+    _check_twice(monkeypatch, name, pair, candidates)
     assert not pair._memo
     assert not pair.H._memo
 
@@ -358,10 +433,11 @@ def test_fresh_family_takes_one_svd(monkeypatch):
 
 
 def test_warm_weak_mpd_forms_the_stabilized_power_once(monkeypatch):
-    # the membership test hands its (BW)^(k+1) on to the power row
+    # a warm family operation on either side: the family keeps K and M beside
+    # its M^+, and the membership test hands its (BW)^k and (BW)^(k+1) on to
+    # the power row
     pair = random_pair(7, 6, 2, 5)
-    X = mrwwd_family(pair).member(np.ones((7, 6)))
-    weak_mpd(pair, X)
+    P = np.ones((7, 6))
     powers = []
     original = np.linalg.matrix_power
 
@@ -369,6 +445,13 @@ def test_warm_weak_mpd_forms_the_stabilized_power_once(monkeypatch):
         powers.append(j)
         return original(A, j)
 
-    monkeypatch.setattr(np.linalg, "matrix_power", recording)
-    weak_mpd(pair, X)
-    assert sorted(powers) == [pair.k_bw, pair.k_bw + 1]
+    for (family, weak), k in zip(FAMILIES, (pair.k_bw, pair.k_wb)):
+        X = family(pair).member(P)
+        first = weak(pair, X).value
+        monkeypatch.setattr(np.linalg, "matrix_power", recording)
+        del powers[:]
+        again = family(pair).member(P)
+        value = weak(pair, again).value
+        monkeypatch.setattr(np.linalg, "matrix_power", original)
+        assert sorted(powers) == [k, k + 1]
+        assert np.array_equal(again, X) and np.array_equal(value, first)
