@@ -9,18 +9,20 @@ import numpy as np
 
 from .matcore import (
     DEFAULT_TOL,
-    CertificationError,
     ToleranceConfig,
     VerificationReport,
     WeightedPair,
+    _certify,
+    _eq,
     _exact,
-    as_matrix,
+    _rank_gap,
+    _refuse,
     matrix_power,
     mp_inverse,
     rank_of,
     spectral_norm,
 )
-from .winv import WeightedInverseResult, _left_member_residual, weak_mpd
+from .winv import WeightedInverseResult, _require_member, weak_mpd
 
 __all__ = [
     "BlockDecomposition",
@@ -79,8 +81,8 @@ def _structure_checks(dec: BlockDecomposition, tol: ToleranceConfig) -> list:
         ("lower-left W", *_exact(What[q:, :q], pair.W, tol)),
     ]
 
-    gap = float((q - rank_of(dec.B1, tol)) + (q - rank_of(dec.W1, tol)))
-    rows.append(("leading blocks invertible", gap, gap == 0.0))
+    ranks = rank_of(dec.B1, tol) + rank_of(dec.W1, tol)
+    rows.append(("leading blocks invertible", *_rank_gap(2 * q, ranks)))
 
     # the tails' powers vanish on the tails' own scale
     for side, tail, k in (("BW", dec.B3 @ dec.W3, pair.k_bw), ("WB", dec.W3 @ dec.B3, pair.k_wb)):
@@ -96,17 +98,13 @@ def weighted_core_ep_decompose(
     and W map into each other. Structural failures raise CertificationError."""
     bw, wb = pair._staircase_of("BW", tol), pair._staircase_of("WB", tol)
     q = bw.q
-    if wb.q != q:
-        raise CertificationError(f"stabilized product ranks disagree: {q} vs {wb.q}")
+    kind = "weighted_core_ep_decompose"
+    _refuse(kind, [("stabilized product ranks agree", *_rank_gap(q, wb.q))])
     M, N = bw.U, wb.U
     B_blocks = _upper_blocks(M.conj().T @ pair.B @ N, q)  # B1, B2, B3
     W_blocks = _upper_blocks(N.conj().T @ pair.W @ M, q)
     dec = BlockDecomposition(pair, M, N, *B_blocks, *W_blocks, q)
-    for label, residual, ok in _structure_checks(dec, tol):
-        if not ok:
-            raise CertificationError(
-                f"decomposition check {label!r} failed with residual {residual:.3e}"
-            )
+    _refuse(kind, _structure_checks(dec, tol))
     return dec
 
 
@@ -144,12 +142,7 @@ def mp_via_blocks(dec: BlockDecomposition, tol: ToleranceConfig = DEFAULT_TOL) -
     core[q:, :q] = F @ B2.conj().T @ delta
     core[q:, q:] = B3p - F @ B2.conj().T @ delta @ B2 @ B3p
     val = dec.N @ core @ dec.M.conj().T
-    reference = pair._pinv(tol)
-    residual, ok = _exact(val - reference, reference, tol)
-    if not ok:
-        raise CertificationError(
-            f"block Moore-Penrose disagrees with the SVD value (residual {residual:.3e})"
-        )
+    _certify("mp_via_blocks", {"agreement with the SVD value": _eq(val, pair._pinv(tol))}, tol)
     return val
 
 
@@ -166,13 +159,7 @@ def weak_mpd_canonical(
     rebuilt from B1, B2, B3, W1, W2, W3 and X2 alone, then certified against
     the direct construction.
     """
-    X = as_matrix(X)
-    ok, residual, rank_gap = _left_member_residual(pair, X, tol)
-    if not ok:
-        raise CertificationError(
-            f"X is not a certified left family member "
-            f"(power residual {residual:.3e}, rank gap {rank_gap})"
-        )
+    X, _, _ = _require_member(pair, X, tol)
     if dec is None:
         dec = weighted_core_ep_decompose(pair, tol)
     q = dec.q
@@ -184,6 +171,9 @@ def weak_mpd_canonical(
     canon[:q, :q] = core_inv
     canon[:q, q:] = Xhat[:q, q:]
     X2 = Xhat[:q, q:]
+    # the member's form is refused before a value is built on it
+    rows = [("canonical member form", *_exact(Xhat - canon, Xhat, tol))]
+    _refuse("weak_mpd_canonical", rows)
 
     B1h = B1.conj().T
     B3p, F, delta = _schur_parts(dec, tol)
@@ -195,18 +185,9 @@ def weak_mpd_canonical(
     val = dec.N @ left @ right @ dec.M.conj().T
 
     direct = weak_mpd(pair, X, tol).value
-    checks = {
-        "canonical member form": (Xhat - canon, Xhat),
-        "agreement with direct value": (val - direct, direct),
-    }
-    residuals = {}
-    for label, (R, F) in checks.items():
-        r, ok = _exact(R, F, tol)
-        residuals[label] = r
-        if not ok:
-            raise CertificationError(
-                f"canonical weak MPD check {label!r} failed with residual {r:.3e}"
-            )
+    rows.append(("agreement with direct value", *_exact(val - direct, direct, tol)))
+    _refuse("weak_mpd_canonical", rows)
+    residuals = {label: residual for label, residual, _ in rows}
     return WeightedInverseResult(
         value=val, kind="weak-mpd", index_used=pair.k_bw, residuals=residuals
     )

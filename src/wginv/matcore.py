@@ -89,12 +89,20 @@ def _passes(residual: float, ref_norm: float, tol: ToleranceConfig) -> bool:
     return residual <= tol.residual_atol * (1.0 + ref_norm)
 
 
+def _spectral(residuals, references, tol: ToleranceConfig) -> tuple:
+    """(max ||R_i||_2, max ||R_i||_2 <= residual_atol * (1 + max ||F_j||_2)):
+    the exact residual and verdict. A residual within residual_atol passes
+    whatever the references are, so their norms are taken only above it."""
+    residual = max(map(spectral_norm, residuals))
+    if residual <= tol.residual_atol:
+        return residual, True
+    return residual, _passes(residual, max(map(spectral_norm, references)), tol)
+
+
 def _exact(R, F, tol: ToleranceConfig) -> tuple:
-    """(||R||_2, ||R||_2 <= residual_atol * (1 + ||F||_2)): the exact residual
-    and verdict of one row. A residual within residual_atol passes whatever
-    ||F|| is, so ||F|| is taken only for a residual above it."""
-    residual = spectral_norm(R)
-    return residual, residual <= tol.residual_atol or _passes(residual, spectral_norm(F), tol)
+    """(||R||_2, pass) of one row whose residual is printed: always the exact
+    spectral residual."""
+    return _spectral((R,), (F,), tol)
 
 
 # A Frobenius norm is a root of a sum of squares, which loses entries below
@@ -127,14 +135,45 @@ def _frobenius_pass(residuals, references, tol: ToleranceConfig) -> float | None
 
 
 def _judge(residuals, references, tol: ToleranceConfig) -> tuple:
-    """(residual, pass) of max ||R_i||_2 <= residual_atol * (1 + max ||F_j||_2):
-    the Frobenius bound when it proves the pass, else the exact spectral
-    residual with the exact verdict, so a failure always reports the latter."""
+    """(residual, pass) of a certificate row: the Frobenius bound when it
+    proves the pass, else `_exact`'s exact residual and verdict, so a failure
+    always reports the exact spectral residual."""
     bound = _frobenius_pass(residuals, references, tol)
     if bound is not None:
         return bound, True
-    residual = max(spectral_norm(R) for R in residuals)
-    return residual, _passes(residual, max(spectral_norm(F) for F in references), tol)
+    return _spectral(residuals, references, tol)
+
+
+def _rank_gap(r1: int, r2: int) -> tuple:
+    """(|r1 - r2|, pass): a rank row passes only on equal ranks."""
+    gap = float(abs(int(r1) - int(r2)))
+    return gap, gap == 0.0
+
+
+def _refuse(kind: str, rows) -> None:
+    """Raise CertificationError on the worst failing (label, residual, pass) row."""
+    worst = max((row for row in rows if not row[2]), key=lambda row: row[1], default=None)
+    if worst is not None:
+        raise CertificationError(
+            f"{kind}: check {worst[0]!r} has residual {worst[1]:.3e} beyond tolerance"
+        )
+
+
+def _certify(kind: str, checks: dict, tol: ToleranceConfig) -> dict:
+    """Decide every check and return {label: residual}; raise on the worst
+    failing one.
+
+    checks: label -> (residual matrices, reference matrices), each judged once
+    by `_judge`: a pass proved by the Frobenius bound records that bound, any
+    other check its exact spectral residual.
+    """
+    rows = [(label, *_judge(terms, refs, tol)) for label, (terms, refs) in checks.items()]
+    _refuse(kind, rows)
+    return {label: residual for label, residual, _ in rows}
+
+
+def _eq(lhs, rhs) -> tuple:
+    return ((lhs - rhs,), (rhs,))
 
 
 def matrix_power(A, j: int) -> np.ndarray:
@@ -288,8 +327,7 @@ class VerificationReport:
         return residual
 
     def add_rank_gap(self, label: str, r1: int, r2: int) -> None:
-        gap = float(abs(int(r1) - int(r2)))
-        self.add(label, gap, gap == 0.0)
+        self.add(label, *_rank_gap(r1, r2))
 
     def note(self, label: str, value: float) -> None:
         self.notes.append((str(label), float(value)))
@@ -356,8 +394,7 @@ def _null_eqc(A, B, tol: ToleranceConfig, ranks: tuple | None = None) -> tuple:
     # no rank; `ranks` are rank(A) and rank(B) when the caller has them
     stacked = rank_of(np.vstack([A, B]), tol)
     r_a, r_b = (rank_of(A, tol), rank_of(B, tol)) if ranks is None else ranks
-    gap = float(max(stacked - r_a, stacked - r_b))
-    return gap, gap == 0.0
+    return _rank_gap(stacked, min(r_a, r_b))
 
 
 def oblique_projector_check(

@@ -87,56 +87,47 @@ class PerturbationScenario:
     seed: object = None
 
 
-def _row_residual(A, T, Tp) -> float:
-    # distance of the rows of A from the row space of T, with Tp = T^+
-    return spectral_norm(A - A @ Tp @ T)
+def _norm_flag(A) -> tuple:
+    # a norm hypothesis holds below 1
+    value = spectral_norm(A)
+    return value, value < 1.0
 
 
-def _col_residual(A, P) -> float:
-    # distance of the columns of A from the range of the orthogonal projector P
-    return spectral_norm(A - P @ A)
+# A subspace hypothesis holds at roundoff relative to E: each flag is the
+# exact residual of the columns (rows) of A against the range (row space) it
+# must lie in, A - P A with P the orthogonal projector (A - A T^+ T).
 
 
-def _left_flags(pair: WeightedPair, X, E, tol: ToleranceConfig) -> tuple:
+def _left_flags(pair: WeightedPair, X, E, tol: ToleranceConfig) -> dict:
     B, W = pair.B, pair.W
     Bp = pair._pinv(tol)
     EW = E @ W
     XWBW = X @ W @ B @ W
-    values = {
-        "range EW in K": _col_residual(EW, pair._projector("BW", pair.k_bw, tol)),
-        "range E in EW": _col_residual(E, projector_onto(EW, tol)),
-        "rows EW in member product": _row_residual(EW, XWBW, mp_inverse(XWBW, tol)),
-        "range E in B": _col_residual(E, B @ Bp),
-        "rows E in B": _row_residual(E, B, Bp),
-        "norm WEWX": spectral_norm(W @ E @ W @ X),
-        "norm BpE": spectral_norm(Bp @ E),
+    P = pair._projector("BW", pair.k_bw, tol)
+    return {
+        "range EW in K": _exact(EW - P @ EW, E, tol),
+        "range E in EW": _exact(E - projector_onto(EW, tol) @ E, E, tol),
+        "rows EW in member product": _exact(EW - EW @ mp_inverse(XWBW, tol) @ XWBW, E, tol),
+        "range E in B": _exact(E - B @ Bp @ E, E, tol),
+        "rows E in B": _exact(E - E @ Bp @ B, E, tol),
+        "norm WEWX": _norm_flag(W @ E @ W @ X),
+        "norm BpE": _norm_flag(Bp @ E),
     }
-    return _flags(values, E, tol), values
 
 
-def _right_flags(pair: WeightedPair, Z, E, tol: ToleranceConfig) -> tuple:
+def _right_flags(pair: WeightedPair, Z, E, tol: ToleranceConfig) -> dict:
     B, W = pair.B, pair.W
     Bp = pair._pinv(tol)
     WE = W @ E
     WBWZ = W @ B @ W @ Z
     N1 = pair.wb_power(pair.k_wb + 1)
-    values = {
-        "range WE in member product": _col_residual(WE, projector_onto(WBWZ, tol)),
-        "rows WE in WB power": _row_residual(WE, N1, mp_inverse(N1, tol)),
-        "range E in B": _col_residual(E, B @ Bp),
-        "rows E in B": _row_residual(E, B, Bp),
-        "norm ZWEW": spectral_norm(Z @ W @ E @ W),
-        "norm EBp": spectral_norm(E @ Bp),
-    }
-    return _flags(values, E, tol), values
-
-
-def _flags(values: dict, E, tol: ToleranceConfig) -> dict:
-    # a norm hypothesis holds below 1, a subspace one at roundoff relative to E
-    scale = spectral_norm(E)
     return {
-        name: value < 1.0 if name.startswith("norm") else _passes(value, scale, tol)
-        for name, value in values.items()
+        "range WE in member product": _exact(WE - projector_onto(WBWZ, tol) @ WE, E, tol),
+        "rows WE in WB power": _exact(WE - WE @ mp_inverse(N1, tol) @ N1, E, tol),
+        "range E in B": _exact(E - B @ Bp @ E, E, tol),
+        "rows E in B": _exact(E - E @ Bp @ B, E, tol),
+        "norm ZWEW": _norm_flag(Z @ W @ E @ W),
+        "norm EBp": _norm_flag(E @ Bp),
     }
 
 
@@ -155,20 +146,17 @@ def scenario_from_parts(
     E = as_matrix(E)
     if E.shape != (pair.m, pair.n):
         raise ValueError(f"E must be {pair.m} x {pair.n}, got {E.shape}")
-    if side == "left":
-        flags, values = _left_flags(pair, member, E, tol)
-    elif side == "right":
-        flags, values = _right_flags(pair, member, E, tol)
-    else:
+    if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    rows = (_left_flags if side == "left" else _right_flags)(pair, member, E, tol)
     return PerturbationScenario(
         pair=pair,
         member=member,
         side=side,
         E=E,
         D=pair.B + E,
-        flags=flags,
-        flag_values=values,
+        flags={name: ok for name, (_, ok) in rows.items()},
+        flag_values={name: value for name, (value, _) in rows.items()},
         alpha=float(alpha),
         seed=seed,
     )
@@ -332,13 +320,12 @@ def perturbed_mrwwd_right(
 
 def _sandwich(report: VerificationReport, label: str, center: float, base: float, shift: float, tol: ToleranceConfig) -> None:
     # base/(1+shift) <= center <= base/(1-shift), the upper bound only when
-    # the series converges
-    lower = base / (1.0 + shift)
-    slack = tol.residual_atol * (1.0 + base)
-    report.add(f"{label} lower bound", max(0.0, lower - center), lower - center <= slack)
+    # the series converges; each bound's excess is judged like a residual
+    below = base / (1.0 + shift) - center
+    report.add(f"{label} lower bound", max(0.0, below), _passes(below, base, tol))
     if shift < 1.0:
-        upper = base / (1.0 - shift)
-        report.add(f"{label} upper bound", max(0.0, center - upper), center - upper <= slack)
+        above = center - base / (1.0 - shift)
+        report.add(f"{label} upper bound", max(0.0, above), _passes(above, base, tol))
     else:
         report.add(f"{label} upper bound", float("inf"), False)
 
@@ -455,8 +442,8 @@ def drazin_case_perturbation(
 
     Ympd = w_mpd(pair, tol).value
     Dmpd = w_mpd(dpair, tol).value
-    v_mpd = spectral_norm(Ympd @ E)
-    report.add("mpd: norm hypothesis", v_mpd, v_mpd < 1.0)
+    v_mpd, small = _norm_flag(Ympd @ E)
+    report.add("mpd: norm hypothesis", v_mpd, small)
     report.add_equation("mpd: resolvent update", Dmpd, _inv(n_id + Ympd @ E, "I + Ympd E") @ Ympd)
     report.add_equation("mpd: dual resolvent update", Dmpd, Ympd @ _inv(m_id + E @ Ympd, "I + E Ympd"))
     report.add_equation("mpd: image projector transport", D @ Dmpd, B @ Ympd)
@@ -465,8 +452,8 @@ def drazin_case_perturbation(
 
     Ydmp = w_dmp(pair, tol).value
     Ddmp = w_dmp(dpair, tol).value
-    v_dmp = spectral_norm(E @ Ydmp)
-    report.add("dmp: norm hypothesis", v_dmp, v_dmp < 1.0)
+    v_dmp, small = _norm_flag(E @ Ydmp)
+    report.add("dmp: norm hypothesis", v_dmp, small)
     report.add_equation("dmp: resolvent update", Ddmp, Ydmp @ _inv(m_id + E @ Ydmp, "I + E Ydmp"))
     report.add_equation("dmp: dual resolvent update", Ddmp, _inv(n_id + Ydmp @ E, "I + Ydmp E") @ Ydmp)
     report.add_equation("dmp: image projector transport", Ddmp @ D, Ydmp @ B)

@@ -9,9 +9,11 @@ import numpy as np
 
 from .matcore import (
     DEFAULT_TOL,
-    CertificationError,
     ToleranceConfig,
-    _judge,
+    _certify,
+    _eq,
+    _rank_gap,
+    _refuse,
     _staircase,
     _Staircase,
     matrix_power,
@@ -30,32 +32,6 @@ class SquareInverseResult:
     value: np.ndarray
     index_used: int
     residuals: dict
-
-
-def _certify(kind: str, checks: dict, tol: ToleranceConfig) -> dict:
-    """Decide every check and return {label: residual}; raise on the worst
-    failing one.
-
-    checks: label -> (residual matrices, reference matrices), each judged once
-    by `_judge`: a pass proved by the Frobenius bound records that bound, any
-    other check its exact spectral residual.
-    """
-    residuals = {}
-    worst = None
-    for label, (terms, refs) in checks.items():
-        residual, ok = _judge(terms, refs, tol)
-        residuals[label] = residual
-        if not ok and (worst is None or residual > worst[1]):
-            worst = (label, residual)
-    if worst is not None:
-        raise CertificationError(
-            f"{kind}: equation {worst[0]!r} has residual {worst[1]:.3e} beyond tolerance"
-        )
-    return residuals
-
-
-def _eq(lhs, rhs) -> tuple:
-    return ((lhs - rhs,), (rhs,))
 
 
 # The kernels take a staircase form (matcore), which keeps S: the public
@@ -109,8 +85,7 @@ def _core_ep(form: _Staircase, tol: ToleranceConfig) -> SquareInverseResult:
         tol,
     )
     # defensive: the construction already forces rank(X) = q = rank(S^k)
-    if rank_of(X, tol) != form.q:
-        raise CertificationError("core_ep: rank differs from rank(S^k)")
+    _refuse("core_ep", [("rank equals rank(S^k)", *_rank_gap(rank_of(X, tol), form.q))])
     return SquareInverseResult(value=X, index_used=form.k, residuals=residuals)
 
 

@@ -14,6 +14,7 @@ from .matcore import (
     _exact,
     _null_eqc,
     _range_eqc,
+    _rank_gap,
     as_matrix,
     mp_inverse,
     oblique_projector_check,
@@ -51,11 +52,6 @@ __all__ = [
 ]
 
 
-def _rank_eqc(r1: int, r2: int) -> tuple:
-    gap = float(abs(int(r1) - int(r2)))
-    return gap, gap == 0.0
-
-
 def _item(report: VerificationReport, label: str, comps: list) -> None:
     report.add(
         label,
@@ -84,7 +80,7 @@ def check_mrwwd(
 
     report = VerificationReport("thm2.1", tol)
     eq = _exact(X @ M - K, K, tol)
-    rank = _rank_eqc(rank_of(X, tol), rank_of(K, tol))
+    rank = _rank_gap(rank_of(X, tol), rank_of(K, tol))
     rng = _range_eqc(X, K, tol)
 
     _item(report, "(i) power equation, rank", [eq, rank])
@@ -123,7 +119,7 @@ def check_mrwwd_right(
     report = VerificationReport("thm2.8", tol)
     eq = _exact(M @ Z - N, N, tol)
     ranks = rank_of(Z, tol), rank_of(N, tol)
-    rank = _rank_eqc(*ranks)
+    rank = _rank_gap(*ranks)
     nul = _null_eqc(Z, N, tol, ranks)
 
     _item(report, "(i) power equation, rank", [eq, rank])

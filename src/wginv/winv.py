@@ -20,8 +20,9 @@ from .matcore import (
     HypothesisError,
     ToleranceConfig,
     WeightedPair,
+    _certify,
+    _eq,
     _exact,
-    _frobenius_pass,
     _judge,
     _read_only,
     as_matrix,
@@ -29,7 +30,7 @@ from .matcore import (
     projector_onto,
     rank_of,
 )
-from .sqinv import _certify, _core_ep, _drazin, _drazin_checks, _eq, _m_wgi
+from .sqinv import _core_ep, _drazin, _drazin_checks, _m_wgi
 
 __all__ = [
     "WeightedInverseResult",
@@ -328,11 +329,7 @@ def mrwwd_family(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> Solu
     """
     K, M, Mp = pair._cached(("M^+", tol), lambda: _family_factors(pair, tol))
     particular = K @ Mp
-    residual, ok = _judge((particular @ M - K,), (K,), tol)
-    if not ok:
-        raise CertificationError(
-            f"mrwwd_family: the power equation is inconsistent (residual {residual:.3e})"
-        )
+    _certify("mrwwd_family", {"power equation": _eq(particular @ M, K)}, tol)
     return SolutionFamily(
         particular=particular,
         left_factor=K,
@@ -392,14 +389,12 @@ def _require_member(pair: WeightedPair, X, tol: ToleranceConfig) -> tuple:
     """(X as a matrix, (BW)^k, (BW)^(k+1)), X certified to be a member of the
     left solution family; the powers are the ones its test formed.
 
-    Both ranks are decided on every call. A pass of the power equation is
-    proved by the Frobenius bound; a failed bound or a rank gap takes the
-    exact spectral norms, which decide the verdict and name the residual."""
+    Both ranks are decided on every call. The power equation is judged as a
+    certificate (`_judge`) at equal ranks and exactly (`_exact`) on a rank
+    gap, so a refusal always names the exact spectral residual."""
     X = as_matrix(X)
     R, K, rank_gap, P1 = _power_equation(pair, X, tol)
-    if rank_gap == 0 and _frobenius_pass((R,), (K,), tol) is not None:
-        return X, K, P1
-    residual, ok = _exact(R, K, tol)
+    residual, ok = _exact(R, K, tol) if rank_gap else _judge((R,), (K,), tol)
     if not ok or rank_gap:
         raise HypothesisError(
             f"X is not a member of the left solution family "

@@ -11,7 +11,7 @@ from wginv.decomp import (
 )
 from wginv.matcore import (
     DEFAULT_TOL,
-    CertificationError,
+    HypothesisError,
     index_of,
     mp_inverse,
     spectral_norm,
@@ -97,8 +97,9 @@ def test_canonical_form_small_rank_deficient_tail():
 
 
 def test_canonical_rejects_non_member():
+    # a non-member is a failed hypothesis, as in weak_mpd (CLI exit 3)
     pair = ex1_pair()
-    with pytest.raises(CertificationError):
+    with pytest.raises(HypothesisError, match="^X is not a member of the left solution family"):
         weak_mpd_canonical(pair, np.ones((5, 4)))
 
 

@@ -206,5 +206,5 @@ def test_one_inverse_family_right_reports_the_callers_u_shape(case):
 
 def test_right_hand_certification_errors_use_the_callers_names(case):
     pair = case[0]
-    with pytest.raises(CertificationError, match="^mrwwd_right_family: the power equation"):
+    with pytest.raises(CertificationError, match="^mrwwd_right_family: check 'power equation'"):
         mrwwd_right_family(pair, ToleranceConfig(residual_atol=1e-30))

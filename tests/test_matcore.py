@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -9,14 +10,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wginv import matcore
-from wginv._gen import random_pair
+from wginv._gen import ex1_member, ex1_pair, random_pair, random_square_with_index
+from wginv.decomp import mp_via_blocks, weak_mpd_canonical, weighted_core_ep_decompose
 from wginv.matcore import (
     DEFAULT_TOL,
+    CertificationError,
     DimensionError,
     ToleranceConfig,
     VerificationReport,
     WeightedPair,
     _exact,
+    _judge,
     _passes,
     _range_eqc,
     as_matrix,
@@ -29,7 +33,17 @@ from wginv.matcore import (
     spectral_norm,
     weighted_pair,
 )
-from wginv.winv import _drazin_kernel, _wb_core_ep, w_core_ep, w_dmp, w_m_weak_core, w_mpd
+from wginv.sqinv import drazin
+from wginv.winv import (
+    _drazin_kernel,
+    _wb_core_ep,
+    mrwwd_family,
+    mrwwd_right_family,
+    w_core_ep,
+    w_dmp,
+    w_m_weak_core,
+    w_mpd,
+)
 
 RNG = np.random.default_rng(20240817)
 
@@ -225,9 +239,11 @@ def test_pair_with_dual_and_memo_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
-# Every report row, refusal and hypothesis test is judged by `_exact`: the
-# exact ||R||_2 against residual_atol * (1 + ||F||_2), where ||F|| is taken
-# only for a residual above residual_atol.
+# The rule has two evaluators. `_exact` judges every printed row: the exact
+# ||R||_2 against residual_atol * (1 + ||F||_2), where ||F|| is taken only
+# for a residual above residual_atol. `_judge` judges certificates: a
+# Frobenius bound that proves the pass, else `_exact`'s rule. Every refusal
+# is raised by one path, `_certify` / `_refuse`.
 F_THREE = np.array([[3.0]])
 THRESHOLD = DEFAULT_TOL.residual_atol * (1.0 + 3.0)
 
@@ -277,17 +293,28 @@ def test_exact_takes_the_reference_norm_only_above_the_floor(monkeypatch, residu
     assert len(calls) == svds
 
 
+def _judge_one(R, F, tol):
+    return _judge((R,), (F,), tol)
+
+
+@pytest.mark.parametrize("evaluate", [_exact, _judge_one], ids=["_exact", "_judge"])
 @pytest.mark.parametrize("scale", [0.0, 1e-12, 1e-9, 1e-8, 3e-8, 1e-6])
-def test_exact_gives_the_verdict_of_the_full_rule(scale):
+def test_exact_gives_the_verdict_of_the_full_rule(evaluate, scale):
+    # both evaluators give the verdict of the spectral rule; `_exact` always
+    # reports the exact residual, `_judge` may report the Frobenius bound of
+    # a pass, and a failure's exact residual
     rng = np.random.default_rng(7)
     for _ in range(20):
         F = rng.standard_normal((4, 3)) * rng.choice([0.0, 1e-3, 1.0, 1e3])
         R = scale * rng.standard_normal((4, 3))
         residual = spectral_norm(R)
-        assert _exact(R, F, DEFAULT_TOL) == (
-            residual,
-            _passes(residual, spectral_norm(F), DEFAULT_TOL),
-        )
+        verdict = _passes(residual, spectral_norm(F), DEFAULT_TOL)
+        reported, ok = evaluate(R, F, DEFAULT_TOL)
+        assert ok == verdict
+        if evaluate is _exact or not ok:
+            assert reported == residual
+        else:
+            assert residual <= reported <= np.linalg.norm(R)
 
 
 def _spectral_arguments(monkeypatch) -> list:
@@ -321,3 +348,45 @@ def test_range_equality_takes_the_second_reference_when_the_first_holds(monkeypa
     # R(A) lies in R(B) to roundoff, so ||A|| is not needed; ||B|| is
     assert not any(arg is A for arg in seen)
     assert any(arg is B for arg in seen)
+
+
+def _refuse_canonical(tol):
+    # the fixture member solves its power equation exactly, so it passes the
+    # membership test at any tolerance and the refusal is the canonical form's
+    pair = ex1_pair()
+    weak_mpd_canonical(pair, ex1_member(2, -1), tol, dec=weighted_core_ep_decompose(pair))
+
+
+REFUSALS = {
+    "drazin": lambda tol: drazin(random_square_with_index(6, 2, np.random.default_rng(7)), tol),
+    "mrwwd_family": lambda tol: mrwwd_family(random_pair(7, 6, 2, 5), tol),
+    "mrwwd_right_family": lambda tol: mrwwd_right_family(random_pair(7, 6, 2, 5), tol),
+    "mp_via_blocks": lambda tol: mp_via_blocks(weighted_core_ep_decompose(ex1_pair()), tol),
+    "weak_mpd_canonical": _refuse_canonical,
+}
+
+
+@pytest.mark.parametrize("kind", REFUSALS)
+def test_every_refusal_names_the_callers_kind_and_the_exact_residual(monkeypatch, kind):
+    # one raising path, matcore._refuse: the message opens with the caller's
+    # kind and names an exact spectral residual, never a Frobenius bound
+    spectral, frobenius = set(), set()
+    original_norm, original_frobenius = matcore.spectral_norm, matcore._frobenius
+
+    def recording_norm(A):
+        value = original_norm(A)
+        spectral.add(f"{value:.3e}")
+        return value
+
+    def recording_frobenius(A):
+        value = original_frobenius(A)
+        frobenius.add(f"{value:.3e}")
+        return value
+
+    monkeypatch.setattr(matcore, "spectral_norm", recording_norm)
+    monkeypatch.setattr(matcore, "_frobenius", recording_frobenius)
+    with pytest.raises(CertificationError, match=f"^{kind}: check '") as info:
+        REFUSALS[kind](ToleranceConfig(residual_atol=1e-30))
+    named = re.search(r"has residual (\S+) beyond tolerance$", str(info.value)).group(1)
+    assert named in spectral
+    assert named not in frobenius - spectral

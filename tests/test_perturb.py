@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wginv._gen import ex1_pair, random_pair
-from wginv.matcore import GenerationError, HypothesisError, spectral_norm
+from wginv.matcore import DEFAULT_TOL, GenerationError, HypothesisError, spectral_norm
 from wginv.perturb import (
     admissible_perturbation,
     dmp_perturbation,
@@ -102,6 +102,11 @@ def test_scenario_from_parts_flags_inadmissible_direction():
     E = 0.05 * rng.standard_normal((pair.m, pair.n))
     scenario = scenario_from_parts(pair, Xd, E, side="left")
     assert not all(scenario.flags.values())
+    # every subspace flag is the residual rule against ||E||_2
+    bar = DEFAULT_TOL.residual_atol * (1.0 + spectral_norm(E))
+    for name, value in scenario.flag_values.items():
+        if not name.startswith("norm"):
+            assert scenario.flags[name] == (value <= bar), name
     with pytest.raises(HypothesisError):
         mpd_perturbation(scenario)
     # with the gate off the chain still runs and reports what it sees
