@@ -22,7 +22,7 @@ from .matcore import (
     rank_of,
     spectral_norm,
 )
-from .winv import WeightedInverseResult, _require_member, weak_mpd
+from .winv import WeightedInverseResult, _require_member, _weak_mpd
 
 __all__ = [
     "BlockDecomposition",
@@ -159,7 +159,7 @@ def weak_mpd_canonical(
     rebuilt from B1, B2, B3, W1, W2, W3 and X2 alone, then certified against
     the direct construction.
     """
-    X, _, _ = _require_member(pair, X, tol)
+    X = _require_member(pair, X, tol)
     if dec is None:
         dec = weighted_core_ep_decompose(pair, tol)
     q = dec.q
@@ -184,7 +184,7 @@ def weak_mpd_canonical(
     right = np.hstack([delta @ Q, D + delta @ B1 @ W1 @ X2 @ W3])  # q x m
     val = dec.N @ left @ right @ dec.M.conj().T
 
-    direct = weak_mpd(pair, X, tol).value
+    direct = _weak_mpd(pair, X, tol).value
     rows.append(("agreement with direct value", *_exact(val - direct, direct, tol)))
     _refuse("weak_mpd_canonical", rows)
     residuals = {label: residual for label, residual, _ in rows}

@@ -89,13 +89,28 @@ def _passes(residual: float, ref_norm: float, tol: ToleranceConfig) -> bool:
     return residual <= tol.residual_atol * (1.0 + ref_norm)
 
 
+def _frobenius(A) -> float:
+    # a BLAS dot, which overflows to inf without a floating-point warning; an
+    # integer dot would wrap around instead, so integers are cast first
+    A = np.asarray(A)
+    if A.dtype.kind not in "fc":
+        A = A.astype(float)
+    return math.sqrt(np.vdot(A, A).real)
+
+
 def _spectral(residuals, references, tol: ToleranceConfig) -> tuple:
     """(max ||R_i||_2, max ||R_i||_2 <= residual_atol * (1 + max ||F_j||_2)):
     the exact residual and verdict. A residual within residual_atol passes
-    whatever the references are, so their norms are taken only above it."""
+    whatever the references are, and since ||F||_2 <= ||F||_F one above
+    residual_atol * (1 + max ||F_j||_F) fails whatever they are (shaded by
+    1e-12 against the norms' roundoff), so their spectral norms are taken only
+    in the band between. An infinite Frobenius bound proves nothing."""
     residual = max(map(spectral_norm, residuals))
     if residual <= tol.residual_atol:
         return residual, True
+    bound = max(map(_frobenius, references))
+    if residual > tol.residual_atol * (1.0 + bound) * (1.0 + 1e-12):
+        return residual, False
     return residual, _passes(residual, max(map(spectral_norm, references)), tol)
 
 
@@ -108,11 +123,6 @@ def _exact(R, F, tol: ToleranceConfig) -> tuple:
 # A Frobenius norm is a root of a sum of squares, which loses entries below
 # 1e-154: thresholds under this floor are left to the spectral norms.
 _FROBENIUS_FLOOR = 1e-100
-
-
-def _frobenius(A: np.ndarray) -> float:
-    # a BLAS dot, which overflows to inf without a floating-point warning
-    return math.sqrt(np.vdot(A, A).real)
 
 
 def _frobenius_pass(residuals, references, tol: ToleranceConfig) -> float | None:
@@ -430,12 +440,18 @@ class WeightedPair:
     both products, and a memo of the factors that several inverses share.
 
     The pair stores read-only copies of B and W, however it is built. The
-    memo holds what costs an SVD (the staircase forms of BW and WB, which
-    `weighted_pair` seeds, B^+, the kernels, projectors onto powers) and the
+    memo holds the powers of BW and WB, keyed ("BW^", j) or ("WB^", j), what
+    costs an SVD (the staircase forms of BW and WB, which `weighted_pair`
+    seeds, B^+, the kernels, projectors onto powers and their ranks) and the
     certified inner inverses that constructors compose, keyed by (quantity,
     tolerance[, side, power or m]), each built on first use and read-only.
-    Public results are never read from it, and what judges a caller's
-    candidate (the checkers, the membership test) reads nothing from it.
+    Public results are never read from it. What judges a caller's candidate
+    (the checkers, the membership test) may read from it only what does not
+    depend on the candidate: the powers, bitwise what it would form again
+    from B and W, and the ranks of the stabilized powers, decided by the
+    staircase form that decided the index. It stores nothing about the
+    candidate: the candidate's ranks and the report norms are taken on
+    every call.
     """
 
     B: np.ndarray
@@ -466,16 +482,19 @@ class WeightedPair:
         return self.W @ self.B
 
     def bw_power(self, j: int) -> np.ndarray:
-        return matrix_power(self.B @ self.W, j)
+        """(BW)^j, formed once per pair and read-only."""
+        return self._cached(("BW^", j), lambda: matrix_power(self.B @ self.W, j))
 
     def wb_power(self, j: int) -> np.ndarray:
-        return matrix_power(self.W @ self.B, j)
+        """(WB)^j, formed once per pair and read-only."""
+        return self._cached(("WB^", j), lambda: matrix_power(self.W @ self.B, j))
 
     @cached_property
     def H(self) -> "WeightedPair":
-        """The dual pair (B^*, W^*) with the indices swapped. Its B^+ and
-        Drazin kernels are adjoints of this pair's, read through a twin of
-        this pair on its memo (the dual's dual): no SVD, and no reference back."""
+        """The dual pair (B^*, W^*) with the indices swapped. Its B^+, Drazin
+        kernels and ranks of powers are this pair's (the first two as
+        adjoints), read through a twin of this pair on its memo (the dual's
+        dual): no SVD, and no reference back."""
         if self._primal is not None:
             return self._primal
         twin = WeightedPair(self.B, self.W, self.k_bw, self.k_wb)
@@ -526,7 +545,13 @@ class WeightedPair:
         return self._of_power("projector", side, j, tol)
 
     def _rank(self, side: str, j: int, tol: ToleranceConfig) -> int:
-        return self._of_power("rank", side, j, tol)
+        """rank((BW)^j) (side "BW") or rank((WB)^j), which for every j >= k is
+        rank at the index k, the staircase form's q. On a dual pair, the
+        pair's rank of the other product's power, since B^* W^* = (WB)^* and
+        an adjoint keeps the rank."""
+        if self._primal is not None:
+            return self._primal._rank("WB" if side == "BW" else "BW", j, tol)
+        return self._of_power("rank", side, min(j, self._k(side)), tol)
 
 
 def weighted_pair(B, W, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedPair:

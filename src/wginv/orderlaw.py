@@ -24,7 +24,7 @@ from .matcore import (
 )
 from ._gen import commuting_products, ex2_matrices, ex2_member, rol_matrices
 from .verify import check_mrwwd
-from .winv import mrwwd_family, w_drazin, weak_mpd
+from .winv import _value, mrwwd_family, w_drazin, weak_mpd
 
 __all__ = [
     "OrderLawCase",
@@ -119,8 +119,8 @@ def _populate_flags(case: OrderLawCase, tol: ToleranceConfig) -> None:
     _set_flag(case, "awbw_commute", AW, BW, tol)
     _set_flag(case, "y3w_aw_commute", inv["Y3"] @ W, AW, tol)
     _set_flag(case, "z2w_bw_commute", inv["Z2"] @ W, BW, tol)
-    _set_flag(case, "adw_bw_commute", w_drazin(case._pair("A", tol), tol).value @ W, BW, tol)
-    _set_flag(case, "bdw_aw_commute", w_drazin(case._pair("B", tol), tol).value @ W, AW, tol)
+    _set_flag(case, "adw_bw_commute", _value(case._pair("A", tol), w_drazin, tol) @ W, BW, tol)
+    _set_flag(case, "bdw_aw_commute", _value(case._pair("B", tol), w_drazin, tol) @ W, AW, tol)
     if case.C is not None:
         CW = case.C @ W
         AWBW = AW @ BW
@@ -187,10 +187,10 @@ def _drazin_case(A, B, C, W, tol: ToleranceConfig) -> OrderLawCase:
     """The case of factors A, B (and C) with weight W whose member slots all
     hold the factors' weighted Drazin inverses."""
     case = OrderLawCase(W=W, A=A, B=B, C=C)
-    ZD, YD = (w_drazin(case._pair(name, tol), tol).value for name in "AB")
+    ZD, YD = (_value(case._pair(name, tol), w_drazin, tol) for name in "AB")
     case.inverses.update(Z1=ZD, Y2=YD, Z2=ZD, Y3=YD, Z3=ZD, Y4=YD)
     if C is not None:
-        case.inverses["U1"] = w_drazin(case._pair("C", tol), tol).value
+        case.inverses["U1"] = _value(case._pair("C", tol), w_drazin, tol)
     _populate_flags(case, tol)
     return case
 
@@ -254,8 +254,8 @@ def wdrazin_order_corollaries(case: OrderLawCase, tol: ToleranceConfig = DEFAULT
     equality residual is reported as a note."""
     ppair, k = case._product(tol, triple=False)
     W = case.W
-    ADW, BDW = (w_drazin(case._pair(name, tol), tol).value for name in "AB")
-    product_drazin = w_drazin(ppair, tol).value
+    ADW, BDW = (_value(case._pair(name, tol), w_drazin, tol) for name in "AB")
+    product_drazin = _value(ppair, w_drazin, tol)
 
     report = VerificationReport("thm3.29", tol)
     _require_case_flags(case, ["adw_bw_commute"])
@@ -282,7 +282,7 @@ def triple_reverse(case: OrderLawCase, tol: ToleranceConfig = DEFAULT_TOL) -> Ve
     report = VerificationReport("thm3.31", tol)
     report.merge(check_mrwwd(ppair, P, tol, power=k), prefix="product member: ")
 
-    ADW, BDW, CDW = (w_drazin(case._pair(name, tol), tol).value for name in "ABC")
+    ADW, BDW, CDW = (_value(case._pair(name, tol), w_drazin, tol) for name in "ABC")
     rev = CDW @ W @ BDW @ W @ ADW
     CDWW, AWBW = CDW @ W, case.A @ W @ case.B @ W
     commute, ok = _exact(CDWW @ AWBW - AWBW @ CDWW, CDWW @ case.A @ W @ case.B @ W, tol)
@@ -292,7 +292,7 @@ def triple_reverse(case: OrderLawCase, tol: ToleranceConfig = DEFAULT_TOL) -> Ve
         report.note("Drazin reverse commutation residual (hypothesis fails)", commute)
     report.note(
         "Drazin reverse equality residual",
-        spectral_norm(rev - w_drazin(ppair, tol).value),
+        spectral_norm(rev - _value(ppair, w_drazin, tol)),
     )
     return report
 
@@ -311,7 +311,7 @@ def triple_forward(case: OrderLawCase, tol: ToleranceConfig = DEFAULT_TOL) -> Ve
     report = VerificationReport("thm3.32", tol)
     report.merge(check_mrwwd(ppair, P, tol, power=k), prefix="product member: ")
 
-    ADW, BDW, CDW = (w_drazin(case._pair(name, tol), tol).value for name in "ABC")
+    ADW, BDW, CDW = (_value(case._pair(name, tol), w_drazin, tol) for name in "ABC")
     fwd = ADW @ W @ BDW @ W @ CDW
     ADWBDWW, CW = ADW @ W @ BDW @ W, case.C @ W
     commute, ok = _exact(ADWBDWW @ CW - CW @ ADWBDWW, ADWBDWW @ case.C @ W, tol)
@@ -319,7 +319,7 @@ def triple_forward(case: OrderLawCase, tol: ToleranceConfig = DEFAULT_TOL) -> Ve
         report.add_equation(
             "forward Drazin product equals the product inverse",
             fwd,
-            w_drazin(ppair, tol).value,
+            _value(ppair, w_drazin, tol),
         )
     else:
         report.note("Drazin forward commutation residual (hypothesis fails)", commute)

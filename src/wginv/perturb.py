@@ -98,6 +98,16 @@ def _norm_flag(A) -> tuple:
 # must lie in, A - P A with P the orthogonal projector (A - A T^+ T).
 
 
+def _left_norm_flags(pair: WeightedPair, X, E, tol: ToleranceConfig) -> dict:
+    W, Bp = pair.W, pair._pinv(tol)
+    return {"norm WEWX": _norm_flag(W @ E @ W @ X), "norm BpE": _norm_flag(Bp @ E)}
+
+
+def _right_norm_flags(pair: WeightedPair, Z, E, tol: ToleranceConfig) -> dict:
+    W, Bp = pair.W, pair._pinv(tol)
+    return {"norm ZWEW": _norm_flag(Z @ W @ E @ W), "norm EBp": _norm_flag(E @ Bp)}
+
+
 def _left_flags(pair: WeightedPair, X, E, tol: ToleranceConfig) -> dict:
     B, W = pair.B, pair.W
     Bp = pair._pinv(tol)
@@ -110,8 +120,7 @@ def _left_flags(pair: WeightedPair, X, E, tol: ToleranceConfig) -> dict:
         "rows EW in member product": _exact(EW - EW @ mp_inverse(XWBW, tol) @ XWBW, E, tol),
         "range E in B": _exact(E - B @ Bp @ E, E, tol),
         "rows E in B": _exact(E - E @ Bp @ B, E, tol),
-        "norm WEWX": _norm_flag(W @ E @ W @ X),
-        "norm BpE": _norm_flag(Bp @ E),
+        **_left_norm_flags(pair, X, E, tol),
     }
 
 
@@ -126,8 +135,7 @@ def _right_flags(pair: WeightedPair, Z, E, tol: ToleranceConfig) -> dict:
         "rows WE in WB power": _exact(WE - WE @ mp_inverse(N1, tol) @ N1, E, tol),
         "range E in B": _exact(E - B @ Bp @ E, E, tol),
         "rows E in B": _exact(E - E @ Bp @ B, E, tol),
-        "norm ZWEW": _norm_flag(Z @ W @ E @ W),
-        "norm EBp": _norm_flag(E @ Bp),
+        **_right_norm_flags(pair, Z, E, tol),
     }
 
 
@@ -176,7 +184,9 @@ def admissible_perturbation(
     The closed family is (BW)^k B scaled; the random family inserts a seeded
     Gaussian factor while keeping both subspace constraints by construction.
     The norm conditions are retried by halving alpha (at most 20 times); the
-    subspace flags do not depend on the scale, so a failure there is final.
+    subspace flags do not depend on the scale, so a failure there is final,
+    and only the norm flags are judged again while halving. The scenario is
+    built once more, whole, at the alpha that passes.
     """
     member = as_matrix(member)
     if alpha < 0:
@@ -223,16 +233,15 @@ def admissible_perturbation(
         raise GenerationError(
             f"subspace conditions cannot be met for this member: {bad_subspace}"
         )
-    for _ in range(20):
-        norms = {
-            name: value
-            for name, value in scenario.flag_values.items()
-            if name.startswith("norm")
-        }
-        if all(value <= 0.5 for value in norms.values()):
-            return scenario
+    norm_flags = _left_norm_flags if side == "left" else _right_norm_flags
+    norms = [scenario.flag_values[name] for name in scenario.flags if name.startswith("norm")]
+    for halvings in range(20):
+        if all(value <= 0.5 for value in norms):
+            if halvings == 0:
+                return scenario
+            return scenario_from_parts(pair, member, a * E0, side, tol, alpha=a, seed=seed)
         a /= 2.0
-        scenario = scenario_from_parts(pair, member, a * E0, side, tol, alpha=a, seed=seed)
+        norms = [value for value, _ in norm_flags(pair, member, a * E0, tol).values()]
     raise GenerationError("norm conditions still above 1/2 after 20 halvings")
 
 

@@ -70,7 +70,8 @@ def check_mrwwd(
     pair: WeightedPair, X, tol: ToleranceConfig = DEFAULT_TOL, power: int | None = None
 ) -> VerificationReport:
     """Seven equivalent characterizations of membership in the left family of
-    X W (BW)^(k+1) = (BW)^k at rank((BW)^k)."""
+    X W (BW)^(k+1) = (BW)^k at rank((BW)^k), which is read from the pair (the
+    q of the staircase form that decided k, see WeightedPair)."""
     X = as_matrix(X)
     B, W = pair.B, pair.W
     k = pair.k_bw if power is None else int(power)
@@ -80,7 +81,7 @@ def check_mrwwd(
 
     report = VerificationReport("thm2.1", tol)
     eq = _exact(X @ M - K, K, tol)
-    rank = _rank_gap(rank_of(X, tol), rank_of(K, tol))
+    rank = _rank_gap(rank_of(X, tol), pair._rank("BW", k, tol))
     rng = _range_eqc(X, K, tol)
 
     _item(report, "(i) power equation, rank", [eq, rank])
@@ -105,9 +106,10 @@ def check_mrwwd_right(
     equation M Z = N with N = (WB)^k.
 
     Kept by hand rather than derived from check_mrwwd on the dual pair: its
-    null-space test is one stacked rank beyond the two ranks row (i) decides
+    null-space test is one stacked rank beyond the two ranks row (i) has
     (1 SVD), where the dual's range test is a projector residual (4 to 6
-    SVDs), and it runs on every perturbed right member.
+    SVDs), and it runs on every perturbed right member. rank(N) is the q of
+    the staircase form that decided k.
     """
     Z = as_matrix(Z)
     B, W = pair.B, pair.W
@@ -118,7 +120,7 @@ def check_mrwwd_right(
 
     report = VerificationReport("thm2.8", tol)
     eq = _exact(M @ Z - N, N, tol)
-    ranks = rank_of(Z, tol), rank_of(N, tol)
+    ranks = rank_of(Z, tol), pair._rank("WB", k, tol)
     rank = _rank_gap(*ranks)
     nul = _null_eqc(Z, N, tol, ranks)
 
@@ -276,10 +278,10 @@ def check_projectors(
         # weak_mpd certifies the membership of X itself
         X = as_matrix(X)
         Y = weak_mpd(pair, X, tol).value
-        K, P1 = pair.bw_power(pair.k_bw), pair.bw_power(pair.k_bw + 1)
     else:
-        X, K, P1 = _require_member(pair, X, tol)
+        X = _require_member(pair, X, tol)
     Y = as_matrix(Y)
+    K, P1 = pair.bw_power(pair.k_bw), pair.bw_power(pair.k_bw + 1)
     col_gen = mp_inverse(B, tol) @ P1
 
     report = VerificationReport("lem3.6", tol)
@@ -348,9 +350,10 @@ def check_unique_projector_solution(
         )
     if side != "left":
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    X, K, _ = _require_member(pair, member, tol)
+    X = _require_member(pair, member, tol)
     B, W = pair.B, pair.W
     report = VerificationReport("thm3.8", tol)
+    K = pair.bw_power(pair.k_bw)
     report.merge(oblique_projector_check(B @ Y, K, X @ W, tol), prefix="projector: ")
     report.add(
         "column space inside row space of B",
@@ -367,7 +370,7 @@ def check_mp_drazin_absorption(
 ) -> VerificationReport:
     """The Moore-Penrose factor in both weak inverses can be replaced by the
     corresponding weighted MPD / DMP inverse."""
-    X, _, _ = _require_member(pair, X, tol)
+    X = _require_member(pair, X, tol)
     Z = _as_member(pair, Z)
     with _right_hand():
         _require_member(pair.H, Z.conj().T, tol)
@@ -397,7 +400,8 @@ def one_inverse_family(
         raise ValueError(f"U must be {pair.n} x {pair.m}, got {U.shape}")
     if X is None:
         X = w_drazin(pair, tol).value
-    X, K, P1 = _require_member(pair, X, tol)
+    X = _require_member(pair, X, tol)
+    K, P1 = pair.bw_power(pair.k_bw), pair.bw_power(pair.k_bw + 1)
     Bp = mp_inverse(B, tol)
     Q = Bp + U @ (np.eye(pair.m, dtype=complex) - projector_onto(K, tol))
 
@@ -428,7 +432,8 @@ def mpd_general_solution(
 ) -> tuple:
     """General solution Y = B^+ + Zfree (I - B W X W) of the power identity
     Y (BW)^(k+1) = B^+ (BW)^(k+1). Returns (Y, report)."""
-    X, _, P1 = _require_member(pair, X, tol)
+    X = _require_member(pair, X, tol)
+    P1 = pair.bw_power(pair.k_bw + 1)
     Zfree = as_matrix(Zfree)
     B, W = pair.B, pair.W
     if Zfree.shape != (pair.n, pair.m):

@@ -313,10 +313,9 @@ class SolutionFamily:
         return self.particular + self.left_factor @ P @ self.annihilator
 
 
-def _family_factors(pair: WeightedPair, tol: ToleranceConfig) -> tuple:
-    """K = (BW)^k, M = W (BW)^(k+1) and M^+, read-only."""
-    K, M = pair.bw_power(pair.k_bw), pair.W @ pair.bw_power(pair.k_bw + 1)
-    return tuple(_read_only(A) for A in (K, M, mp_inverse(M, tol)))
+def _family_product(pair: WeightedPair) -> np.ndarray:
+    """M = W (BW)^(k+1) of the left family, formed once per pair and read-only."""
+    return pair._cached(("W BW^", pair.k_bw + 1), lambda: pair.W @ pair.bw_power(pair.k_bw + 1))
 
 
 def mrwwd_family(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> SolutionFamily:
@@ -327,7 +326,8 @@ def mrwwd_family(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> Solu
     solution (K M^+ M = K) is certified; the rank and range constraints then
     hold automatically for every member.
     """
-    K, M, Mp = pair._cached(("M^+", tol), lambda: _family_factors(pair, tol))
+    K, M = pair.bw_power(pair.k_bw), _family_product(pair)
+    Mp = pair._cached(("M^+", tol), lambda: mp_inverse(M, tol))
     particular = K @ Mp
     _certify("mrwwd_family", {"power equation": _eq(particular @ M, K)}, tol)
     return SolutionFamily(
@@ -365,18 +365,18 @@ def _as_member(pair: WeightedPair, X) -> np.ndarray:
 
 
 def _power_equation(pair: WeightedPair, X, tol: ToleranceConfig) -> tuple:
-    """(X M - K, K, |rank X - rank K|, (BW)^(k+1)) with K = (BW)^k and
-    M = W (BW)^(k+1): the terms of the left family's membership test, rebuilt
-    from B and W."""
+    """(X M - K, K, |rank X - rank K|) with K = (BW)^k and M = W (BW)^(k+1):
+    the terms of the left family's membership test. rank X is decided on
+    every call, rank K is the q of the staircase form that decided k."""
     X = _as_member(pair, X)
     K = pair.bw_power(pair.k_bw)
-    P1 = pair.bw_power(pair.k_bw + 1)
-    return X @ (pair.W @ P1) - K, K, abs(rank_of(X, tol) - rank_of(K, tol)), P1
+    rank_gap = abs(rank_of(X, tol) - pair._rank("BW", pair.k_bw, tol))
+    return X @ _family_product(pair) - K, K, rank_gap
 
 
 def _left_member_residual(pair: WeightedPair, X, tol: ToleranceConfig) -> tuple:
     """(pass, exact spectral residual, rank gap) of the membership test."""
-    R, K, rank_gap, _ = _power_equation(pair, X, tol)
+    R, K, rank_gap = _power_equation(pair, X, tol)
     residual, ok = _exact(R, K, tol)
     return ok and rank_gap == 0, residual, rank_gap
 
@@ -385,22 +385,21 @@ def _right_member_residual(pair: WeightedPair, Z, tol: ToleranceConfig) -> tuple
     return _left_member_residual(pair.H, _as_member(pair, Z).conj().T, tol)
 
 
-def _require_member(pair: WeightedPair, X, tol: ToleranceConfig) -> tuple:
-    """(X as a matrix, (BW)^k, (BW)^(k+1)), X certified to be a member of the
-    left solution family; the powers are the ones its test formed.
+def _require_member(pair: WeightedPair, X, tol: ToleranceConfig) -> np.ndarray:
+    """X as a matrix, certified to be a member of the left solution family.
 
-    Both ranks are decided on every call. The power equation is judged as a
-    certificate (`_judge`) at equal ranks and exactly (`_exact`) on a rank
-    gap, so a refusal always names the exact spectral residual."""
+    The power equation is judged as a certificate (`_judge`) at equal ranks
+    and exactly (`_exact`) on a rank gap, so a refusal always names the exact
+    spectral residual."""
     X = as_matrix(X)
-    R, K, rank_gap, P1 = _power_equation(pair, X, tol)
+    R, K, rank_gap = _power_equation(pair, X, tol)
     residual, ok = _exact(R, K, tol) if rank_gap else _judge((R,), (K,), tol)
     if not ok or rank_gap:
         raise HypothesisError(
             f"X is not a member of the left solution family "
             f"(power residual {residual:.3e}, rank gap {rank_gap})"
         )
-    return X, K, P1
+    return X
 
 
 def weak_mpd(pair: WeightedPair, X, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedInverseResult:
@@ -410,9 +409,14 @@ def weak_mpd(pair: WeightedPair, X, tol: ToleranceConfig = DEFAULT_TOL) -> Weigh
     identity Y (BW)^(k+1) = B^+ (BW)^(k+1), and absorption of B^+ into the
     weighted MPD inverse.
     """
-    X, _, P1 = _require_member(pair, X, tol)
+    return _weak_mpd(pair, _require_member(pair, X, tol), tol)
+
+
+def _weak_mpd(pair: WeightedPair, X: np.ndarray, tol: ToleranceConfig) -> WeightedInverseResult:
+    """weak_mpd for an X already certified to be a left family member."""
     B, W = pair.B, pair.W
     k = pair.k_bw
+    P1 = pair.bw_power(k + 1)
     Bp = pair._pinv(tol)
     BWXW = B @ W @ X @ W
     val = Bp @ BWXW

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wginv import winv
 from wginv._gen import ex1_member, ex1_pair, random_pair
 from wginv.decomp import (
     canonical_report,
@@ -119,3 +120,17 @@ def test_index_consistency_with_tail():
     tail = dec.B3 @ dec.W3
     if tail.shape[0]:
         assert index_of(tail) <= max(pair.k_bw, pair.k_wb)
+
+
+def test_canonical_runs_the_membership_test_once(monkeypatch):
+    # the value it is checked against is built on the member it certified
+    calls = []
+    power_equation = winv._power_equation
+
+    def recording(*args):
+        calls.append(args)
+        return power_equation(*args)
+
+    monkeypatch.setattr(winv, "_power_equation", recording)
+    weak_mpd_canonical(ex1_pair(), ex1_member(2, -1))
+    assert len(calls) == 1

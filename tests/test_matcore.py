@@ -329,25 +329,68 @@ def _spectral_arguments(monkeypatch) -> list:
     return seen
 
 
-def test_range_equality_skips_the_second_reference_after_a_failure(monkeypatch):
+def test_range_equality_takes_no_reference_norm_after_a_clear_failure(monkeypatch):
     A = RNG.standard_normal((5, 1))
     B = RNG.standard_normal((5, 2))
     seen = _spectral_arguments(monkeypatch)
     residual, ok = _range_eqc(A, B, DEFAULT_TOL)
     assert not ok and residual > DEFAULT_TOL.residual_atol
-    assert any(arg is A for arg in seen)
+    # the residual exceeds residual_atol * (1 + ||A||_F), which proves the
+    # failure; the second inclusion takes its residual only, not ||B||
+    assert not any(arg is A for arg in seen)
     assert not any(arg is B for arg in seen)
+    assert len(seen) == 2
 
 
-def test_range_equality_takes_the_second_reference_when_the_first_holds(monkeypatch):
+def test_range_equality_judges_the_second_inclusion_when_the_first_holds(monkeypatch):
     B = RNG.standard_normal((5, 2))
     A = B[:, :1].copy()
     seen = _spectral_arguments(monkeypatch)
     _, ok = _range_eqc(A, B, DEFAULT_TOL)
     assert not ok
-    # R(A) lies in R(B) to roundoff, so ||A|| is not needed; ||B|| is
+    # R(A) lies in R(B) to roundoff, so ||A|| is not needed; the second
+    # residual is taken, and ||B||_F proves it fails, so ||B||_2 is not needed
     assert not any(arg is A for arg in seen)
+    assert not any(arg is B for arg in seen)
+    assert len(seen) == 2
+
+
+def test_range_equality_takes_the_exact_reference_in_the_band(monkeypatch):
+    # residuals between residual_atol and residual_atol * (1 + ||F||_F) are
+    # judged on the exact ||F||_2 in both inclusions
+    B = 10.0 * RNG.standard_normal((5, 2))
+    Q = np.linalg.qr(np.hstack([B, RNG.standard_normal((5, 1))]))[0]
+    A = B + 3e-8 * np.outer(Q[:, 2], [1.0, 1.0]) / np.sqrt(2.0)
+    seen = _spectral_arguments(monkeypatch)
+    residual, ok = _range_eqc(A, B, DEFAULT_TOL)
+    assert ok and DEFAULT_TOL.residual_atol < residual < 1e-7
+    assert any(arg is A for arg in seen)
     assert any(arg is B for arg in seen)
+
+
+@pytest.mark.parametrize("ratio", [5.0, 4.0 * (1.0 + 2e-12)])
+def test_exact_proves_a_failure_from_the_frobenius_reference(monkeypatch, ratio):
+    # ||F||_2 <= ||F||_F: above residual_atol * (1 + ||F||_F) * (1 + 1e-12)
+    # the residual fails whatever ||F||_2 is, and it is still the exact one
+    calls = _svd_calls(monkeypatch)
+    residual = ratio * DEFAULT_TOL.residual_atol
+    assert _exact(np.array([[residual]]), F_THREE, DEFAULT_TOL) == (residual, False)
+    assert len(calls) == 1
+
+
+def test_exact_judges_an_infinite_frobenius_reference_on_its_spectral_norm(monkeypatch):
+    F = np.array([[1e200, 1e200]])  # ||F||_F overflows, ||F||_2 does not
+    assert matcore._frobenius(F) == np.inf
+    calls = _svd_calls(monkeypatch)
+    assert _exact(np.array([[1.0]]), F, DEFAULT_TOL) == (1.0, True)
+    assert len(calls) == 2
+
+
+def test_exact_proves_no_failure_from_a_wrapped_integer_reference():
+    # the squares of an int64 reference overflow its dot product; the
+    # Frobenius bound is taken in floating point, so the row passes
+    F = np.full((1, 2), 3_037_000_500, dtype=np.int64)
+    assert _exact(np.array([[1.0]]), F, DEFAULT_TOL) == (1.0, True)
 
 
 def _refuse_canonical(tol):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wginv import orderlaw
+from wginv import orderlaw, winv
 from wginv._gen import ex2_matrices, ex2_member
 from wginv.matcore import HypothesisError, spectral_norm, weighted_pair
 from wginv.orderlaw import (
@@ -283,3 +283,18 @@ def test_case_copies_the_callers_matrices():
         M += 1
     assert case.A.dtype == A.dtype
     assert _laws(case) == _laws(reference)
+
+
+def test_drazin_case_certifies_each_factor_inverse_once(monkeypatch):
+    # the member slots and the commutation flags share the value of each
+    # factor's W-weighted Drazin inverse
+    kinds = []
+    certify = winv._certify
+
+    def recording(kind, checks, tol):
+        kinds.append(kind)
+        return certify(kind, checks, tol)
+
+    monkeypatch.setattr(winv, "_certify", recording)
+    commuting_case(5, 4, 1, with_c=True)
+    assert kinds.count("w_drazin") == 3

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wginv import perturb
 from wginv._gen import ex1_pair, random_pair
 from wginv.matcore import DEFAULT_TOL, GenerationError, HypothesisError, spectral_norm
 from wginv.perturb import (
@@ -168,3 +169,28 @@ def test_updated_member_tracks_weak_mpd():
     assert notes["norm YX"] >= 0.0
     assert notes["norm YE"] <= 0.5
     assert spectral_norm(base) > 0.0
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_halving_judges_only_the_norm_flags_again(monkeypatch, side):
+    # ex1's weighted Drazin member at alpha = 10 halves four (right) or five
+    # (left) times: the whole scenario is built at the first alpha, for its
+    # subspace flags, and at the last; the alphas between judge the two norm
+    # flags alone
+    pair = ex1_pair()
+    member = w_drazin(pair).value
+    built = []
+    whole = perturb.scenario_from_parts
+
+    def recording(*args, **kwargs):
+        built.append(kwargs["alpha"])
+        return whole(*args, **kwargs)
+
+    monkeypatch.setattr(perturb, "scenario_from_parts", recording)
+    scenario = admissible_perturbation(pair, member, 10.0, seed=0, side=side)
+    assert built == [10.0, scenario.alpha] and scenario.alpha <= 10.0 / 16
+    again = whole(pair, member, scenario.E, side, alpha=scenario.alpha, seed=0)
+    assert scenario.flags == again.flags and scenario.flag_values == again.flag_values
+    del built[:]
+    admissible_perturbation(pair, member, 0.1, seed=0, side=side)
+    assert built == [0.1]

@@ -13,8 +13,9 @@ import numpy as np
 import numpy.linalg._linalg as linalg_impl
 import pytest
 
+from test_truth import KAPPA_MAX, cx, kappa_on_scale, rank_margin, square_truth
 from wginv import matcore, sqinv, winv
-from wginv._gen import random_pair, random_square_with_index
+from wginv._gen import ex1_pair, ex2_matrices, random_pair, random_square_with_index
 from wginv.cli import main
 from wginv.matcore import (
     DEFAULT_TOL,
@@ -228,9 +229,10 @@ FAMILIES = [(mrwwd_family, weak_mpd), (mrwwd_right_family, weak_dmp)]
 
 
 @pytest.mark.parametrize("family, weak", FAMILIES)
-def test_warm_family_operation_takes_two_rank_decisions(monkeypatch, family, weak):
-    # the membership test decides rank(X) and rank((BW)^k) on every call; its
-    # pass, the certificates and the memoized w_mpd need no SVD
+def test_warm_family_operation_takes_one_rank_decision(monkeypatch, family, weak):
+    # the membership test decides rank(X) on every call and reads rank((BW)^k)
+    # from the staircase form that decided k; its pass, the certificates and
+    # the memoized w_mpd need no SVD
     pair = random_pair(7, 6, 2, 5)
     P = np.ones((7, 6))
     weak(pair, family(pair).member(P))
@@ -239,7 +241,7 @@ def test_warm_family_operation_takes_two_rank_decisions(monkeypatch, family, wea
     for _ in range(2):
         del calls[:]
         weak(pair, family(pair).member(P))
-        assert len(calls) == 2
+        assert len(calls) == 1
 
 
 def _direct(pair):
@@ -251,35 +253,57 @@ def _memo_keys(pair) -> tuple:
     return set(pair._memo), set(pair.H._memo)
 
 
-def _refuse_a_perturbed_member(monkeypatch, pair, family, weak):
-    # both ranks and the two exact norms that name the residual, on every call
+# What a check may keep on a pair: the powers of BW and WB, the left family's
+# W (BW)^(k+1), and the staircase forms whose q is the rank of the stabilized
+# power. Nothing in it depends on the candidate.
+POWERS = {"BW^", "WB^", "W BW^"}
+
+
+def _quantities(keys) -> set:
+    return {key[0] for key in keys}
+
+
+def _refuse_a_perturbed_member(monkeypatch, pair, family, weak) -> list:
+    # the rank of the member and the exact norm that names the residual, on
+    # every call; the reference norm is not needed, since the Frobenius bound
+    # of the reference proves the failure
     member = family(matcore.weighted_pair(pair.B, pair.W)).member(np.zeros((7, 6)))
     noise = np.random.default_rng(1).standard_normal(member.shape)
     perturbed = member + 1e-2 * spectral_norm(member) * noise
     calls = _counting(monkeypatch, linalg_impl, "svd")
     monkeypatch.setattr(np.linalg, "svd", linalg_impl.svd)
-    for _ in range(2):
+    counts = []
+    for _ in range(3):
         del calls[:]
         with pytest.raises(HypothesisError):
             weak(pair, perturbed)
-        assert len(calls) == 4
+        counts.append(len(calls))
+    return counts
 
 
 @pytest.mark.parametrize("family, weak", FAMILIES)
-def test_refusing_a_perturbed_member_takes_four_svds(monkeypatch, family, weak):
+def test_refusing_a_perturbed_member_takes_two_svds(monkeypatch, family, weak):
     pair = random_pair(7, 6, 2, 5)
     before = _memo_keys(pair)
-    _refuse_a_perturbed_member(monkeypatch, pair, family, weak)
-    # weighted_pair seeds the two staircase forms; nothing joins them
-    assert _memo_keys(pair) == before
+    assert _refuse_a_perturbed_member(monkeypatch, pair, family, weak) == [2, 2, 2]
+    # weighted_pair seeds the two staircase forms; only powers join them
+    after = _memo_keys(pair)
+    for old, new in zip(before, after):
+        assert old <= new and _quantities(new - old) <= POWERS
 
 
 @pytest.mark.parametrize("family, weak", FAMILIES)
-def test_refusing_a_perturbed_member_of_a_direct_pair_takes_four_svds(monkeypatch, family, weak):
+def test_refusing_a_perturbed_member_of_a_direct_pair_takes_two_svds_once_factored(
+    monkeypatch, family, weak
+):
+    # the first refusal factors the product whose stabilized rank it reads
+    # (one SVD per power up to k + 1), on the pair itself for either side
     pair = _direct(random_pair(7, 6, 2, 5))
-    _refuse_a_perturbed_member(monkeypatch, pair, family, weak)
-    assert not pair._memo
-    assert not pair.H._memo
+    k = pair.k_bw if weak is weak_mpd else pair.k_wb
+    assert _refuse_a_perturbed_member(monkeypatch, pair, family, weak) == [k + 3, 2, 2]
+    memo, dual_memo = _memo_keys(pair)
+    assert _quantities(memo) <= POWERS | {"staircase"}
+    assert _quantities(dual_memo) <= POWERS
 
 
 def test_nested_core_ep_is_certified_once_per_pair(monkeypatch):
@@ -328,9 +352,12 @@ def test_m_fold_weak_group_values_are_memoized_per_m():
         assert np.array_equal(value, w_m_wgi(pair, m).value)
 
 
-# The checkers and the membership test judge a caller's candidate: they
-# rebuild every factor from B and W and read nothing from the pair's memo, so
-# a check costs the same on every call and cannot inherit a cached factor.
+# The checkers and the membership test judge a caller's candidate. They read
+# from the pair only what does not depend on it: the powers, bitwise what
+# they would form again from B and W, and the ranks of the stabilized powers,
+# decided by the staircase forms that decided the indices. They store nothing
+# about the candidate, so on a pair made by weighted_pair a check costs the
+# same on every call, and on a direct pair it does once the pair is factored.
 
 
 def _candidates(direct=False):
@@ -366,31 +393,39 @@ CHECKS = {
 }
 
 
-def _check_twice(monkeypatch, name, pair, candidates):
+def _check_three_times(monkeypatch, name, pair, candidates) -> list:
     calls = _counting(monkeypatch, linalg_impl, "svd")
     monkeypatch.setattr(np.linalg, "svd", linalg_impl.svd)
     counts = []
-    for _ in range(2):
+    for _ in range(3):
         del calls[:]
         CHECKS[name](pair, *candidates)
         counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+    return counts
 
 
 @pytest.mark.parametrize("name", sorted(CHECKS))
-def test_checks_rebuild_their_factors_on_every_call(monkeypatch, name):
+def test_checks_read_only_powers_and_staircase_ranks_from_the_pair(monkeypatch, name):
     pair, *candidates = _candidates()
     before = _memo_keys(pair)
-    _check_twice(monkeypatch, name, pair, candidates)
-    assert _memo_keys(pair) == before
+    counts = _check_three_times(monkeypatch, name, pair, candidates)
+    assert counts[0] == counts[1] == counts[2] > 0
+    # the powers a check forms are kept; no staircase or rank is added
+    after = _memo_keys(pair)
+    assert all(old <= new for old, new in zip(before, after))
+    added = set().union(*(new - old for old, new in zip(before, after)))
+    assert added and _quantities(added) <= POWERS
 
 
 @pytest.mark.parametrize("name", sorted(CHECKS))
-def test_checks_on_a_direct_pair_rebuild_their_factors_on_every_call(monkeypatch, name):
+def test_checks_on_a_direct_pair_factor_it_once(monkeypatch, name):
     pair, *candidates = _candidates(direct=True)
-    _check_twice(monkeypatch, name, pair, candidates)
-    assert not pair._memo
-    assert not pair.H._memo
+    counts = _check_three_times(monkeypatch, name, pair, candidates)
+    assert counts[0] >= counts[1] == counts[2] > 0
+    memo, dual_memo = _memo_keys(pair)
+    assert memo | dual_memo
+    assert _quantities(memo) <= POWERS | {"staircase"}
+    assert _quantities(dual_memo) <= POWERS
 
 
 # An order-law case builds each factor and product pair once and shares it
@@ -432,10 +467,9 @@ def test_fresh_family_takes_one_svd(monkeypatch):
     assert len(calls) == 1
 
 
-def test_warm_weak_mpd_forms_the_stabilized_power_once(monkeypatch):
-    # a warm family operation on either side: the family keeps K and M beside
-    # its M^+, and the membership test hands its (BW)^k and (BW)^(k+1) on to
-    # the power row
+def test_warm_family_operation_forms_no_power(monkeypatch):
+    # a warm family operation on either side: the family, the membership test
+    # and the power row read (BW)^k, (BW)^(k+1) and W (BW)^(k+1) from the pair
     pair = random_pair(7, 6, 2, 5)
     P = np.ones((7, 6))
     powers = []
@@ -445,7 +479,7 @@ def test_warm_weak_mpd_forms_the_stabilized_power_once(monkeypatch):
         powers.append(j)
         return original(A, j)
 
-    for (family, weak), k in zip(FAMILIES, (pair.k_bw, pair.k_wb)):
+    for family, weak in FAMILIES:
         X = family(pair).member(P)
         first = weak(pair, X).value
         monkeypatch.setattr(np.linalg, "matrix_power", recording)
@@ -453,5 +487,100 @@ def test_warm_weak_mpd_forms_the_stabilized_power_once(monkeypatch):
         again = family(pair).member(P)
         value = weak(pair, again).value
         monkeypatch.setattr(np.linalg, "matrix_power", original)
-        assert sorted(powers) == [k, k + 1]
+        assert powers == []
         assert np.array_equal(again, X) and np.array_equal(value, first)
+
+
+# The pair keeps each power of BW and WB it forms: read-only, formed once, and
+# bitwise the power a caller would form from B and W.
+@pytest.mark.parametrize("direct", [False, True], ids=["weighted_pair", "direct"])
+def test_cached_powers_are_read_only_and_bitwise_the_formed_powers(direct):
+    pair = random_pair(7, 6, 2, 5)
+    if direct:
+        pair = _direct(pair)
+    for p in (pair, pair.H):
+        for j in range(max(p.k_bw, p.k_wb) + 3):
+            for cached, S in ((p.bw_power(j), p.B @ p.W), (p.wb_power(j), p.W @ p.B)):
+                formed = np.linalg.matrix_power(S, j)
+                assert cached.dtype == formed.dtype and cached.shape == formed.shape
+                assert cached.tobytes() == formed.tobytes()
+                assert not cached.flags.writeable
+                with pytest.raises(ValueError):
+                    cached[0, 0] = 1.0
+            assert p.bw_power(j) is p.bw_power(j) and p.wb_power(j) is p.wb_power(j)
+
+
+def test_dual_rank_reads_the_pairs_staircase(monkeypatch):
+    # B^* W^* = (WB)^*, so the dual's rank of a stabilized power is the pair's
+    # rank of the other product's: pair.H builds no staircase to learn it
+    pair = random_pair(7, 6, 2, 5)
+    Z = mrwwd_right_family(matcore.weighted_pair(pair.B, pair.W)).member(np.zeros((7, 6)))
+    calls = _counting(monkeypatch, matcore, "_staircase")
+    svds = _counting(monkeypatch, linalg_impl, "svd")
+    dual = pair.H
+    for side, other in (("BW", "WB"), ("WB", "BW")):
+        k = dual.k_bw if side == "BW" else dual.k_wb
+        assert dual._rank(side, k, DEFAULT_TOL) == pair._rank(other, k, DEFAULT_TOL)
+    assert svds == []
+    # the right-hand membership test runs on the dual
+    weak_dmp(pair, Z)
+    assert calls == []
+    assert "staircase" not in _quantities(dual._memo)
+
+
+def _ex2_pairs():
+    A, B, C, W = ex2_matrices()
+    AWB = A @ W @ B
+    return [matcore.weighted_pair(F, W) for F in (A, B, C, AWB, AWB @ W @ C)]
+
+
+def _truth_draws(count: int, seed: int):
+    """(pair, constructed rank of the stabilized powers) on draws of
+    tests/test_truth.py's strategy: B = S V^*, W = V with BW = S and WB
+    unitarily similar to it, so both powers have rank n - t."""
+    rng = np.random.default_rng(seed)
+    drawn = 0
+    while drawn < count:
+        n = int(rng.integers(1, 9))
+        t = int(rng.integers(1, n + 1))
+        log_kappa = float(rng.uniform(0.0, 8.0))
+        position = float(rng.uniform(0.0, 1.0)) if t <= 2 else 0.0
+        coupling = 0.0 if rng.random() < 0.5 else 10.0 ** rng.uniform(-2.0, 3.0)
+        complex_entries = bool(rng.integers(2))
+        truth = square_truth(n, t, log_kappa, position, coupling, complex_entries, rng)
+        if max(kappa_on_scale(truth), rank_margin(truth)) > KAPPA_MAX:
+            continue
+        V = cx.unitary(rng, n, complex_entries)
+        yield matcore.weighted_pair(truth.S @ V.conj().T, V), n - t
+        drawn += 1
+
+
+def test_staircase_rank_is_the_rank_of_the_stabilized_power():
+    # what the membership test and the checkers read instead of deciding
+    # rank((BW)^k) and rank((WB)^k) by an SVD of the power
+    for pair in [ex1_pair(), *_ex2_pairs()]:
+        for side, k, power in (("BW", pair.k_bw, pair.bw_power), ("WB", pair.k_wb, pair.wb_power)):
+            q = pair._rank(side, k, DEFAULT_TOL)
+            assert q == matcore.rank_of(power(k))
+            # every higher power has the same rank, read without an SVD
+            assert pair._rank(side, k + 2, DEFAULT_TOL) == q
+        assert "rank" not in _quantities(pair._memo)
+    # on the truth draws the SVD of the power is decided on the power's own
+    # scale and misses the constructed rank on about a third of them (a
+    # nilpotent S whose power is roundoff reads as full rank); the staircase
+    # form decides on ||S||'s scale and meets it on every draw
+    for pair, rank in _truth_draws(300, 11):
+        assert pair._rank("BW", pair.k_bw, DEFAULT_TOL) == rank
+        assert pair._rank("WB", pair.k_wb, DEFAULT_TOL) == rank
+
+
+def test_membership_reads_the_rank_of_a_roundoff_power_as_zero():
+    # a nilpotent BW of index 5: (BW)^5 is roundoff, which an SVD of the
+    # power read as rank 5, refusing the true member X = 0 with a rank gap
+    rng = np.random.default_rng(4)
+    truth = square_truth(5, 5, 1.0, 0.0, 0.0, True, rng)
+    V = cx.unitary(rng, 5, True)
+    pair = matcore.weighted_pair(truth.S @ V.conj().T, V)
+    assert pair.k_bw == 5 and np.abs(pair.bw_power(5)).max() > 0.0
+    ok, _, rank_gap = winv._left_member_residual(pair, np.zeros((5, 5)), DEFAULT_TOL)
+    assert ok and rank_gap == 0
