@@ -89,6 +89,7 @@ from .verify import (
 )
 from .winv import (
     CATALOG,
+    _value,
     compute_kind,
     mrwwd_family,
     mrwwd_right_family,
@@ -236,7 +237,7 @@ class _Draw:
 
     def scenario(self, side: str):
         """An admissible perturbation of the pair's weighted Drazin member."""
-        member = w_drazin(self.pair, self.tol).value
+        member = _value(self.pair, w_drazin, self.tol)
         alpha = 0.1 if self.ns.alpha is None else float(self.ns.alpha)
         return admissible_perturbation(
             self.pair, member, alpha, self.seed, side=side, tol=self.tol
@@ -401,7 +402,7 @@ def suite_weak_mpd_family(tol: ToleranceConfig) -> VerificationReport:
     report.add("closed form across x1 in {-1,0,1}", worst_closed, worst_closed <= 1e-10)
     report.add("system residuals", worst_system, worst_system <= 1e-10)
     collapse = spectral_norm(
-        weak_mpd(pair, ex1_member(1, 2), tol).value - w_mpd(pair, tol).value
+        weak_mpd(pair, ex1_member(1, 2), tol).value - _value(pair, w_mpd, tol)
     )
     report.add("x1 = 1 collapses to the weighted MPD", collapse, collapse <= 1e-10)
     return report
@@ -568,7 +569,7 @@ def suite_perturbation(seed: int, tol: ToleranceConfig) -> VerificationReport:
         rng = np.random.default_rng([seed, 401, i])
         m, n, t = _sample_dims(rng)
         pair = random_pair(m, n, t, rng)
-        member = w_drazin(pair, tol).value
+        member = _value(pair, w_drazin, tol)
         left = admissible_perturbation(pair, member, 0.3, rng, side="left", tol=tol)
         right = admissible_perturbation(pair, member, 0.3, rng, side="right", tol=tol)
         if not perturbed_mrwwd(left, tol).overall:
@@ -590,7 +591,7 @@ def suite_perturbation(seed: int, tol: ToleranceConfig) -> VerificationReport:
         report.add(f"{label} (50 scenarios)", float(count), count == 0)
 
     pair = ex1_pair(tol)
-    member = w_drazin(pair, tol).value
+    member = _value(pair, w_drazin, tol)
     zero = admissible_perturbation(pair, member, 0.0, 0, side="left", tol=tol)
     rep = mpd_perturbation(zero, tol)
     notes = dict(rep.notes)

@@ -70,8 +70,9 @@ class ToleranceConfig:
     residual_atol: float = 1e-8
 
     def __post_init__(self):
-        if self.rank_rtol <= 0.0 or self.residual_atol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        # NaN compares false both ways, so it fails this test as infinity does
+        if not (0.0 < self.rank_rtol < math.inf and 0.0 < self.residual_atol < math.inf):
+            raise ValueError("tolerances must be finite and positive")
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -196,6 +197,22 @@ def matrix_power(A, j: int) -> np.ndarray:
     return np.linalg.matrix_power(A, j)
 
 
+def _pinv_rank(A, tol: ToleranceConfig, floor: float = 0.0) -> tuple:
+    """(A^+, rank A) from one SVD: the singular values that the Moore-Penrose
+    inverse keeps are those that count towards the rank."""
+    A = as_matrix(A)
+    if A.size == 0:
+        return np.zeros((A.shape[1], A.shape[0]), dtype=complex), 0
+    U, s, Vh = np.linalg.svd(A, full_matrices=False)
+    scale = max(float(s[0]) if s.size else 0.0, floor)
+    if scale == 0.0:
+        return np.zeros((A.shape[1], A.shape[0]), dtype=complex), 0
+    keep = s > tol.rank_rtol * scale * max(A.shape)
+    inv = np.zeros_like(s)
+    inv[keep] = 1.0 / s[keep]
+    return Vh.conj().T @ np.diag(inv).astype(complex) @ U.conj().T, int(np.count_nonzero(keep))
+
+
 def mp_inverse(A, tol: ToleranceConfig = DEFAULT_TOL, floor: float = 0.0) -> np.ndarray:
     """Moore-Penrose inverse, SVD-truncated at the shared rank threshold.
 
@@ -203,17 +220,7 @@ def mp_inverse(A, tol: ToleranceConfig = DEFAULT_TOL, floor: float = 0.0) -> np.
     a larger matrix passes the parent's norm so that a block of pure roundoff
     inverts to zero instead of to noise^-1.
     """
-    A = as_matrix(A)
-    if A.size == 0:
-        return np.zeros((A.shape[1], A.shape[0]), dtype=complex)
-    U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    scale = max(float(s[0]) if s.size else 0.0, floor)
-    if scale == 0.0:
-        return np.zeros((A.shape[1], A.shape[0]), dtype=complex)
-    keep = s > tol.rank_rtol * scale * max(A.shape)
-    inv = np.zeros_like(s)
-    inv[keep] = 1.0 / s[keep]
-    return Vh.conj().T @ np.diag(inv).astype(complex) @ U.conj().T
+    return _pinv_rank(A, tol, floor)[0]
 
 
 def rank_of(A, tol: ToleranceConfig = DEFAULT_TOL) -> int:
@@ -262,6 +269,14 @@ class _Staircase:
         """U1 U1^*, the orthogonal projector onto R(S^k)."""
         U1 = self.U[:, : self.q]
         return _read_only(U1 @ U1.conj().T)
+
+    def projector(self, j: int) -> np.ndarray:
+        """The orthogonal projector onto R(S^j): the leading sizes[j] columns
+        of U span R(S^j) for j < k, as U1 does for every j >= k."""
+        if j >= self.k:
+            return self.P
+        Uj = self.U[:, : self.sizes[j]]
+        return _read_only(Uj @ Uj.conj().T)
 
     @cached_property
     def T_inv(self) -> np.ndarray:
@@ -437,21 +452,18 @@ def oblique_projector_check(
 @dataclass(frozen=True)
 class WeightedPair:
     """A rectangular matrix B (m x n) with weight W (n x m), the indices of
-    both products, and a memo of the factors that several inverses share.
+    both products, and a memo of every quantity that depends on B and W alone.
 
-    The pair stores read-only copies of B and W, however it is built. The
-    memo holds the powers of BW and WB, keyed ("BW^", j) or ("WB^", j), what
-    costs an SVD (the staircase forms of BW and WB, which `weighted_pair`
-    seeds, B^+, the kernels, projectors onto powers and their ranks) and the
-    certified inner inverses that constructors compose, keyed by (quantity,
-    tolerance[, side, power or m]), each built on first use and read-only.
-    Public results are never read from it. What judges a caller's candidate
-    (the checkers, the membership test) may read from it only what does not
-    depend on the candidate: the powers, bitwise what it would form again
-    from B and W, and the ranks of the stabilized powers, decided by the
-    staircase form that decided the index. It stores nothing about the
-    candidate: the candidate's ranks and the report norms are taken on
-    every call.
+    The pair stores read-only copies of B and W, however it is built. Its memo
+    holds the powers of BW and WB, the staircase forms of BW and WB (which
+    `weighted_pair` seeds and which give the rank of and the projector onto
+    every power), B^+, the kernels and the certified inverses that
+    constructors compose, each built on first use under its tolerance and
+    read-only. Each of them is built once, here: constructors, checkers,
+    perturbation chains and order laws all read it from the pair. A check
+    reads the pair as a constructor does and stores nothing about its
+    candidate, whose ranks and report norms are taken on every call. Public
+    results are never read from the memo.
     """
 
     B: np.ndarray
@@ -532,26 +544,19 @@ class WeightedPair:
             return _read_only(self._primal._pinv(tol).conj().T)
         return self._cached(("B^+", tol), lambda: mp_inverse(self.B, tol))
 
-    def _of_power(self, quantity: str, side: str, j: int, tol: ToleranceConfig):
-        """The "projector" onto R((BW)^j) (side "BW") or R((WB)^j), or its "rank":
-        from the staircase form at the pair's index if it spans R(S^j), else by SVD."""
-        form = self._staircase_of(side, tol) if j == self._k(side) else None
-        if form is not None and j >= form.k:
-            return form.P if quantity == "projector" else form.q
-        build = projector_onto if quantity == "projector" else rank_of
-        return self._cached((quantity, tol, side, j), lambda: build(self._power(side, j), tol))
-
     def _projector(self, side: str, j: int, tol: ToleranceConfig) -> np.ndarray:
-        return self._of_power("projector", side, j, tol)
+        """The orthogonal projector onto R((BW)^j) (side "BW") or R((WB)^j),
+        read from the staircase form."""
+        return self._staircase_of(side, tol).projector(j)
 
     def _rank(self, side: str, j: int, tol: ToleranceConfig) -> int:
-        """rank((BW)^j) (side "BW") or rank((WB)^j), which for every j >= k is
-        rank at the index k, the staircase form's q. On a dual pair, the
-        pair's rank of the other product's power, since B^* W^* = (WB)^* and
-        an adjoint keeps the rank."""
+        """rank((BW)^j) (side "BW") or rank((WB)^j), read from the staircase
+        form. On a dual pair, the pair's rank of the other product's power,
+        since B^* W^* = (WB)^* and an adjoint keeps the rank."""
         if self._primal is not None:
             return self._primal._rank("WB" if side == "BW" else "BW", j, tol)
-        return self._of_power("rank", side, min(j, self._k(side)), tol)
+        form = self._staircase_of(side, tol)
+        return form.sizes[min(j, form.k)]
 
 
 def weighted_pair(B, W, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedPair:

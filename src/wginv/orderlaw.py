@@ -341,7 +341,7 @@ def reverse_order_weak_mpd(
     A, B, W = case.A, case.B, case.W
     Y3, Z2 = case.inverses["Y3"], case.inverses["Z2"]
     Wp = mp_inverse(W, tol)
-    Ap = mp_inverse(A, tol)
+    Ap = case._pair("A", tol)._pinv(tol)  # the B^+ that weak_mpd on A's pair reads
 
     report = VerificationReport("thm3.30", tol)
     T = W @ B @ B.conj().T @ W.conj().T @ A.conj().T

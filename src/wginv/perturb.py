@@ -27,6 +27,7 @@ from .verify import check_mrwwd, check_mrwwd_right
 from .winv import (
     _left_member_residual,
     _right_member_residual,
+    _value,
     w_dmp,
     w_drazin,
     w_mpd,
@@ -189,8 +190,8 @@ def admissible_perturbation(
     built once more, whole, at the alpha that passes.
     """
     member = as_matrix(member)
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    if not 0.0 <= alpha < np.inf:
+        raise ValueError("alpha must be finite and nonnegative")
     B, W = pair.B, pair.W
     if side == "left":
         ok, residual, rank_gap = _left_member_residual(pair, member, tol)
@@ -356,8 +357,8 @@ def mpd_perturbation(
     n_id = np.eye(pair.n, dtype=complex)
     m_id = np.eye(pair.m, dtype=complex)
 
-    Bp = pair._pinv(tol)
-    Dp = mp_inverse(D, tol)
+    dpair = weighted_pair(D, W, tol)
+    Bp, Dp = pair._pinv(tol), dpair._pinv(tol)
     Y = weak_mpd(pair, X, tol).value
     T1 = Dp @ X @ _inv(n_id + W @ E @ W @ X, "I + WEWX") @ W @ D @ W @ X
     T2 = Dp @ X @ W @ D @ W @ _inv(m_id + X @ W @ E @ W, "I + XWEW") @ X
@@ -368,7 +369,6 @@ def mpd_perturbation(
     report.add_equation("representation T1 = T3", T1, T3)
     report.add_equation("recovery D T1 = B Y X", D @ T1, B @ Y @ X)
     report.add_equation("MP update identity", Dp, _inv(n_id + Bp @ E, "I + BpE") @ Bp)
-    dpair = weighted_pair(D, W, tol)
     report.add_rank_gap(
         "stabilized rank preserved",
         dpair._rank("BW", pair.k_bw, tol),
@@ -399,8 +399,8 @@ def dmp_perturbation(
     n_id = np.eye(pair.n, dtype=complex)
     m_id = np.eye(pair.m, dtype=complex)
 
-    Bp = pair._pinv(tol)
-    Dp = mp_inverse(D, tol)
+    dpair = weighted_pair(D, W, tol)
+    Bp, Dp = pair._pinv(tol), dpair._pinv(tol)
     Y1 = weak_dmp(pair, Z, tol).value
     inner = _inv(m_id + Z @ W @ E @ W, "I + ZWEW")
     G1 = Z @ W @ D @ W @ inner @ Z @ Dp
@@ -412,7 +412,6 @@ def dmp_perturbation(
     report.add_equation("representation G1 = G3", G1, G3)
     report.add_equation("recovery G1-core D^+ D = Z Y1 B", Z @ W @ D @ W @ inner @ Z @ Dp @ D, Z @ Y1 @ B)
     report.add_equation("MP update identity", Dp, Bp @ _inv(m_id + E @ Bp, "I + EBp"))
-    dpair = weighted_pair(D, W, tol)
     report.add_rank_gap(
         "stabilized rank preserved",
         dpair._rank("WB", pair.k_wb, tol),
@@ -437,7 +436,7 @@ def drazin_case_perturbation(
     inverse, and their projectors transport unchanged."""
     pair = scenario.pair
     B, W, E, D = pair.B, pair.W, scenario.E, scenario.D
-    Xd = w_drazin(pair, tol).value
+    Xd = _value(pair, w_drazin, tol)
     gap, ok = _exact(scenario.member - Xd, Xd, tol)
     if not ok:
         raise HypothesisError(
@@ -449,8 +448,7 @@ def drazin_case_perturbation(
 
     report = VerificationReport(theorem_id, tol)
 
-    Ympd = w_mpd(pair, tol).value
-    Dmpd = w_mpd(dpair, tol).value
+    Ympd, Dmpd = _value(pair, w_mpd, tol), _value(dpair, w_mpd, tol)
     v_mpd, small = _norm_flag(Ympd @ E)
     report.add("mpd: norm hypothesis", v_mpd, small)
     report.add_equation("mpd: resolvent update", Dmpd, _inv(n_id + Ympd @ E, "I + Ympd E") @ Ympd)
@@ -459,8 +457,7 @@ def drazin_case_perturbation(
     report.add_equation("mpd: coimage projector transport", Dmpd @ D, Ympd @ B)
     _sandwich(report, "mpd: sandwich", spectral_norm(Dmpd), spectral_norm(Ympd), v_mpd, tol)
 
-    Ydmp = w_dmp(pair, tol).value
-    Ddmp = w_dmp(dpair, tol).value
+    Ydmp, Ddmp = _value(pair, w_dmp, tol), _value(dpair, w_dmp, tol)
     v_dmp, small = _norm_flag(E @ Ydmp)
     report.add("dmp: norm hypothesis", v_dmp, small)
     report.add_equation("dmp: resolvent update", Ddmp, Ydmp @ _inv(m_id + E @ Ydmp, "I + E Ydmp"))

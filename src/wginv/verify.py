@@ -22,12 +22,13 @@ from .matcore import (
     rank_of,
     spectral_norm,
 )
-from .sqinv import drazin
 from .winv import (
     _as_member,
+    _drazin_kernel,
     _left_member_residual,
     _require_member,
     _right_hand,
+    _value,
     w_dmp,
     w_drazin,
     w_mpd,
@@ -70,8 +71,8 @@ def check_mrwwd(
     pair: WeightedPair, X, tol: ToleranceConfig = DEFAULT_TOL, power: int | None = None
 ) -> VerificationReport:
     """Seven equivalent characterizations of membership in the left family of
-    X W (BW)^(k+1) = (BW)^k at rank((BW)^k), which is read from the pair (the
-    q of the staircase form that decided k, see WeightedPair)."""
+    X W (BW)^(k+1) = (BW)^k at rank((BW)^k). rank((BW)^k) and (BW)^D are
+    read from the pair (see WeightedPair)."""
     X = as_matrix(X)
     B, W = pair.B, pair.W
     k = pair.k_bw if power is None else int(power)
@@ -94,7 +95,7 @@ def check_mrwwd(
     _item(
         report,
         "(vii) Drazin projector fixes X",
-        [_exact(drazin(BW, tol).value @ BW @ X - X, X, tol), eq],
+        [_exact(_drazin_kernel(pair, "BW", tol) @ BW @ X - X, X, tol), eq],
     )
     return report
 
@@ -108,8 +109,8 @@ def check_mrwwd_right(
     Kept by hand rather than derived from check_mrwwd on the dual pair: its
     null-space test is one stacked rank beyond the two ranks row (i) has
     (1 SVD), where the dual's range test is a projector residual (4 to 6
-    SVDs), and it runs on every perturbed right member. rank(N) is the q of
-    the staircase form that decided k.
+    SVDs), and it runs on every perturbed right member. rank(N) and (WB)^D
+    are read from the pair.
     """
     Z = as_matrix(Z)
     B, W = pair.B, pair.W
@@ -138,7 +139,7 @@ def check_mrwwd_right(
     _item(
         report,
         "(vii) Drazin projector fixes Z",
-        [_exact(Z @ drazin(WB, tol).value @ WB - Z, Z, tol), eq],
+        [_exact(Z @ _drazin_kernel(pair, "WB", tol) @ WB - Z, Z, tol), eq],
     )
     return report
 
@@ -259,12 +260,12 @@ def check_wdrazin_specialization(
 ) -> VerificationReport:
     """The characterizations specialized to the weighted Drazin member, where
     the weak MPD inverse collapses to the weighted MPD inverse."""
-    X = w_drazin(pair, tol).value
+    X = _value(pair, w_drazin, tol)
     Y = weak_mpd(pair, X, tol).value
     inner = check_mpd_characterizations(pair, X, Y, tol)
     report = VerificationReport("thm3.5", tol)
     report.merge(inner)
-    report.add_equation("weak MPD equals weighted MPD", Y, w_mpd(pair, tol).value)
+    report.add_equation("weak MPD equals weighted MPD", Y, _value(pair, w_mpd, tol))
     return report
 
 
@@ -375,15 +376,15 @@ def check_mp_drazin_absorption(
     with _right_hand():
         _require_member(pair.H, Z.conj().T, tol)
     B, W = pair.B, pair.W
-    Bp = mp_inverse(B, tol)
+    Bp = pair._pinv(tol)
     report = VerificationReport("lem3.10", tol)
     BWXW = B @ W @ X @ W
     report.add_equation(
-        "weighted MPD absorbs the MP factor", Bp @ BWXW, w_mpd(pair, tol).value @ BWXW
+        "weighted MPD absorbs the MP factor", Bp @ BWXW, _value(pair, w_mpd, tol) @ BWXW
     )
     WZWB = W @ Z @ W @ B
     report.add_equation(
-        "weighted DMP absorbs the MP factor", WZWB @ Bp, WZWB @ w_dmp(pair, tol).value
+        "weighted DMP absorbs the MP factor", WZWB @ Bp, WZWB @ _value(pair, w_dmp, tol)
     )
     return report
 
@@ -399,7 +400,7 @@ def one_inverse_family(
     if U.shape != (pair.n, pair.m):
         raise ValueError(f"U must be {pair.n} x {pair.m}, got {U.shape}")
     if X is None:
-        X = w_drazin(pair, tol).value
+        X = _value(pair, w_drazin, tol)
     X = _require_member(pair, X, tol)
     K, P1 = pair.bw_power(pair.k_bw), pair.bw_power(pair.k_bw + 1)
     Bp = mp_inverse(B, tol)
@@ -438,7 +439,7 @@ def mpd_general_solution(
     B, W = pair.B, pair.W
     if Zfree.shape != (pair.n, pair.m):
         raise ValueError(f"Zfree must be {pair.n} x {pair.m}, got {Zfree.shape}")
-    Bp = mp_inverse(B, tol)
+    Bp = pair._pinv(tol)
     Y = Bp + Zfree @ (np.eye(pair.m, dtype=complex) - B @ W @ X @ W)
 
     report = VerificationReport("lem3.14", tol)

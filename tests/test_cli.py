@@ -177,6 +177,15 @@ def test_verify_fixture_failure_exits_2(tmp_path):
     assert doc["overall"] is False
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--residual-atol", "inf"), ("--residual-atol", "nan"), ("--rank-rtol", "nan")]
+)
+def test_non_finite_tolerance_exits_1(capsys, flag, value):
+    # an infinite residual_atol would pass every row of a failing report
+    assert main(["verify", "thm3.30", "--fixture", "ex2", flag, value]) == 1
+    assert "tolerances must be finite and positive" in capsys.readouterr().err
+
+
 def test_verify_infeasible_generation_exits_3(tmp_path):
     # alpha too large to ever satisfy the norm bounds
     out = tmp_path / "doc.json"

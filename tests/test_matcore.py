@@ -64,6 +64,11 @@ def test_tolerance_config_validation():
         ToleranceConfig(rank_rtol=-1.0)
     with pytest.raises(ValueError):
         ToleranceConfig(residual_atol=0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            ToleranceConfig(rank_rtol=bad)
+        with pytest.raises(ValueError):
+            ToleranceConfig(residual_atol=bad)
     cfg = ToleranceConfig(rank_rtol=1e-9, residual_atol=1e-7)
     assert cfg.rank_rtol == 1e-9
 

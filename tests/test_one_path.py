@@ -1,0 +1,65 @@
+"""One path per pair quantity: what depends only on B and W (the Drazin and
+core-EP kernels, the index, the weighted Drazin, MPD and DMP inverses) is
+built once, by the WeightedPair, and read from it. So the checkers, the
+perturbation chains and the order laws import no square-matrix inverse and no
+index decision, and the checkers and the perturbation chains call no public
+constructor of a pair's own inverse: they read its value through
+`winv._value`. (The scan parses the sources with `ast`.)"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import wginv
+from wginv import matcore, verify
+
+PACKAGE = Path(wginv.__file__).parent
+
+# names a module must not import, and public constructors it must not call
+SECOND_PATHS = {"drazin", "core_ep", "m_wgi", "index_of"}
+PAIR_INVERSES = {"w_drazin", "w_mpd", "w_dmp"}
+IMPORT_SCAN = ("verify.py", "perturb.py", "orderlaw.py")
+CALL_SCAN = ("verify.py", "perturb.py")
+
+
+def second_paths(source: str, calls: bool) -> list:
+    """(line, name) of every import of a name in SECOND_PATHS and, if `calls`,
+    every call of a name in PAIR_INVERSES."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name.rsplit(".", 1)[-1] in SECOND_PATHS:
+                    found.append((node.lineno, alias.name))
+        elif (
+            calls
+            and isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in PAIR_INVERSES
+        ):
+            found.append((node.lineno, node.func.id))
+    return sorted(found)
+
+
+def test_the_scan_sees_second_paths():
+    source = (
+        "from .sqinv import drazin, _drazin\n"
+        "from .matcore import index_of as idx\n"
+        "from .winv import _value, w_mpd\n"
+        "def check(pair, tol):\n"
+        "    return _value(pair, w_mpd, tol) - w_mpd(pair, tol).value\n"
+    )
+    assert second_paths(source, calls=False) == [(1, "drazin"), (2, "index_of")]
+    assert second_paths(source, calls=True) == [(1, "drazin"), (2, "index_of"), (5, "w_mpd")]
+
+
+@pytest.mark.parametrize("module", IMPORT_SCAN)
+def test_pair_quantities_have_one_path(module):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    assert second_paths(source, calls=module in CALL_SCAN) == []
+
+
+def test_verify_keeps_its_spectral_norm_binding():
+    # the benchmark's self-test wraps verify's own binding of spectral_norm
+    assert verify.spectral_norm is matcore.spectral_norm

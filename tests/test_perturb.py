@@ -118,8 +118,9 @@ def test_scenario_from_parts_flags_inadmissible_direction():
 def test_validation_errors():
     pair = ex1_pair()
     Xd = w_drazin(pair).value
-    with pytest.raises(ValueError):
-        admissible_perturbation(pair, Xd, -1.0)
+    for alpha in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="alpha must be finite and nonnegative"):
+            admissible_perturbation(pair, Xd, alpha)
     with pytest.raises(ValueError):
         admissible_perturbation(pair, Xd, 0.1, side="middle")
     with pytest.raises(ValueError):

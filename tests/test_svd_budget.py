@@ -14,7 +14,7 @@ import numpy.linalg._linalg as linalg_impl
 import pytest
 
 from test_truth import KAPPA_MAX, cx, kappa_on_scale, rank_margin, square_truth
-from wginv import matcore, sqinv, winv
+from wginv import matcore, sqinv, verify, winv
 from wginv._gen import ex1_pair, ex2_matrices, random_pair, random_square_with_index
 from wginv.cli import main
 from wginv.matcore import (
@@ -353,11 +353,11 @@ def test_m_fold_weak_group_values_are_memoized_per_m():
 
 
 # The checkers and the membership test judge a caller's candidate. They read
-# from the pair only what does not depend on it: the powers, bitwise what
-# they would form again from B and W, and the ranks of the stabilized powers,
-# decided by the staircase forms that decided the indices. They store nothing
-# about the candidate, so on a pair made by weighted_pair a check costs the
-# same on every call, and on a direct pair it does once the pair is factored.
+# the pair as a constructor does and store nothing about the candidate, so on
+# a pair made by weighted_pair a check costs the same on every call, and on a
+# direct pair it does once the pair is factored. The checks below read only
+# the powers and the ranks of the stabilized powers; check_mrwwd and
+# check_mrwwd_right also read a Drazin kernel (see the test after them).
 
 
 def _candidates(direct=False):
@@ -379,9 +379,12 @@ def _refused(build, pair, A):
         build(pair, A)
 
 
-CHECKS = {
+KERNEL_CHECKS = {
     "check_mrwwd": lambda pair, X, Z, Y, Y1: check_mrwwd(pair, X),
     "check_mrwwd_right": lambda pair, X, Z, Y, Y1: check_mrwwd_right(pair, Z),
+}
+
+POWER_CHECKS = {
     "check_mpd_characterizations": lambda pair, X, Z, Y, Y1: check_mpd_characterizations(
         pair, X, Y
     ),
@@ -391,6 +394,8 @@ CHECKS = {
     "weak_mpd(non-member)": lambda pair, X, Z, Y, Y1: _refused(weak_mpd, pair, 2.0 * X),
     "weak_dmp(non-member)": lambda pair, X, Z, Y, Y1: _refused(weak_dmp, pair, 2.0 * Z),
 }
+
+CHECKS = {**KERNEL_CHECKS, **POWER_CHECKS}
 
 
 def _check_three_times(monkeypatch, name, pair, candidates) -> list:
@@ -404,7 +409,7 @@ def _check_three_times(monkeypatch, name, pair, candidates) -> list:
     return counts
 
 
-@pytest.mark.parametrize("name", sorted(CHECKS))
+@pytest.mark.parametrize("name", sorted(POWER_CHECKS))
 def test_checks_read_only_powers_and_staircase_ranks_from_the_pair(monkeypatch, name):
     pair, *candidates = _candidates()
     before = _memo_keys(pair)
@@ -417,7 +422,7 @@ def test_checks_read_only_powers_and_staircase_ranks_from_the_pair(monkeypatch, 
     assert added and _quantities(added) <= POWERS
 
 
-@pytest.mark.parametrize("name", sorted(CHECKS))
+@pytest.mark.parametrize("name", sorted(POWER_CHECKS))
 def test_checks_on_a_direct_pair_factor_it_once(monkeypatch, name):
     pair, *candidates = _candidates(direct=True)
     counts = _check_three_times(monkeypatch, name, pair, candidates)
@@ -426,6 +431,39 @@ def test_checks_on_a_direct_pair_factor_it_once(monkeypatch, name):
     assert memo | dual_memo
     assert _quantities(memo) <= POWERS | {"staircase"}
     assert _quantities(dual_memo) <= POWERS
+
+
+# Row (vii) of thm2.1 (thm2.8) reads (BW)^D ((WB)^D) from the pair, the kernel
+# that w_drazin is built on: bitwise what `drazin` computes from the product.
+KERNEL_SIDES = {"check_mrwwd": ("BW", "bw"), "check_mrwwd_right": ("WB", "wb")}
+
+
+@pytest.mark.parametrize("direct", [False, True], ids=["weighted_pair", "direct"])
+@pytest.mark.parametrize("name", sorted(KERNEL_CHECKS))
+def test_characterizations_read_the_drazin_kernel_from_the_pair(monkeypatch, name, direct):
+    pair, X, Z, Y, Y1 = _candidates(direct)
+    side, product = KERNEL_SIDES[name]
+    kernels = []
+
+    def recording(p, s, tol):
+        kernels.append(winv._drazin_kernel(p, s, tol))
+        return kernels[-1]
+
+    monkeypatch.setattr(verify, "_drazin_kernel", recording)
+    counts = _check_three_times(monkeypatch, name, pair, (X, Z, Y, Y1))
+    if direct:  # the first call factors the product
+        assert counts[0] > counts[1] == counts[2] > 0
+    else:
+        assert counts[0] == counts[1] == counts[2] > 0
+    # a second candidate adds nothing to the pair's memo
+    keys = _memo_keys(pair)
+    CHECKS[name](pair, 2.0 * X, 2.0 * Z, Y, Y1)
+    assert _memo_keys(pair) == keys
+    truth = sqinv.drazin(getattr(pair, product)()).value
+    assert len(kernels) == 4
+    for kernel in kernels:
+        assert kernel is kernels[0] and kernel.tobytes() == truth.tobytes()
+    assert kernels[0] is pair._memo[f"({side})^D", DEFAULT_TOL]
 
 
 # An order-law case builds each factor and product pair once and shares it
@@ -442,11 +480,12 @@ def test_triple_law_fixture_svd_count(monkeypatch):
     assert len(calls) <= TRIPLE_LAW_FIXTURE_SVDS
 
 
-# A report row takes ||F|| only when its residual exceeds residual_atol, and
-# thm2.8's null-space test reuses the two ranks its row (i) decides: the
-# characterizations took 23 and 20 SVDs when every row took both norms and
-# the null-space test decided both ranks again.
-CHARACTERIZATION_BUDGET = {"check_mrwwd": 17, "check_mrwwd_right": 13}
+# A report row takes ||F|| only when its residual exceeds residual_atol,
+# thm2.8's null-space test reuses the two ranks its row (i) decides, and row
+# (vii) reads the pair's Drazin kernel: the characterizations took 23 and 20
+# SVDs when every row took both norms and the null-space test decided both
+# ranks again, and 14 and 11 when row (vii) factored the product again.
+CHARACTERIZATION_BUDGET = {"check_mrwwd": 11, "check_mrwwd_right": 8}
 
 
 @pytest.mark.parametrize("name", sorted(CHARACTERIZATION_BUDGET))
@@ -572,6 +611,42 @@ def test_staircase_rank_is_the_rank_of_the_stabilized_power():
     for pair, rank in _truth_draws(300, 11):
         assert pair._rank("BW", pair.k_bw, DEFAULT_TOL) == rank
         assert pair._rank("WB", pair.k_wb, DEFAULT_TOL) == rank
+
+
+def _staircase_truth(n: int, t: int, rng):
+    """(S, Q) with S = Q [[T, C], [0, J]] Q^*, Q unitary, T well conditioned
+    of order n - t and J the shift of order t: R(S^j) is spanned by the
+    leading n - t + max(t - j, 0) columns of Q."""
+    q = n - t
+    core = np.zeros((n, n), dtype=complex)
+    core[:q, :q] = (cx.unitary(rng, q, True) * np.linspace(2.0, 0.5, q)) @ cx.unitary(
+        rng, q, True
+    ).conj().T
+    core[:q, q:] = cx.gaussian(rng, (q, t), True)
+    core[q:, q:] = cx.shift(t)
+    Q = cx.unitary(rng, n, True)
+    return Q @ core @ Q.conj().T, Q
+
+
+def test_staircase_gives_the_rank_and_projector_of_every_power():
+    # the pair reads rank((BW)^j) and the projector onto R((BW)^j) at every j
+    # from the staircase form, index 0 and index n included, with no SVD of
+    # the power; WB = V S V^* has the range V R(S^j)
+    rng = np.random.default_rng(7)
+    for n in range(1, 7):
+        for t in range(n + 1):
+            S, Q = _staircase_truth(n, t, rng)
+            V = cx.unitary(rng, n, True)
+            pair = matcore.weighted_pair(S @ V.conj().T, V)
+            assert pair.k_bw == pair.k_wb == t
+            for side, basis in (("BW", Q), ("WB", V @ Q)):
+                for j in range(t + 2):
+                    rank = n - t + max(t - j, 0)
+                    span = basis[:, :rank]
+                    assert pair._rank(side, j, DEFAULT_TOL) == rank
+                    P = pair._projector(side, j, DEFAULT_TOL)
+                    assert np.allclose(P, span @ span.conj().T, atol=1e-10)
+            assert not {"projector", "rank"} & _quantities(pair._memo)
 
 
 def test_membership_reads_the_rank_of_a_roundoff_power_as_zero():
