@@ -455,15 +455,18 @@ class WeightedPair:
     both products, and a memo of every quantity that depends on B and W alone.
 
     The pair stores read-only copies of B and W, however it is built. Its memo
-    holds the powers of BW and WB, the staircase forms of BW and WB (which
-    `weighted_pair` seeds and which give the rank of and the projector onto
-    every power), B^+, the kernels and the certified inverses that
-    constructors compose, each built on first use under its tolerance and
-    read-only. Each of them is built once, here: constructors, checkers,
-    perturbation chains and order laws all read it from the pair. A check
-    reads the pair as a constructor does and stores nothing about its
-    candidate, whose ranks and report norms are taken on every call. Public
-    results are never read from the memo.
+    holds the powers of BW and WB and the products W (BW)^(k+1) and
+    B^+ (BW)^(k+1), the staircase forms of BW and WB (which `weighted_pair`
+    seeds and which give the rank of and the projector onto every power, and
+    the projector onto the row space of a stabilized power), B^+, the left
+    family's particular solution and annihilator, the kernels and the
+    certified inverses that constructors compose, each built on first use
+    under its tolerance and read-only. Each of them is built once, here:
+    constructors, checkers, perturbation chains and order laws all read it
+    from the pair. A check reads the pair as a constructor does and stores
+    nothing about its candidate, whose report norms are taken on every call.
+    Public inverses are never read from the memo; a solution family's arrays
+    are the pair's, read-only.
     """
 
     B: np.ndarray
@@ -505,8 +508,10 @@ class WeightedPair:
     def H(self) -> "WeightedPair":
         """The dual pair (B^*, W^*) with the indices swapped. Its B^+, Drazin
         kernels and ranks of powers are this pair's (the first two as
-        adjoints), read through a twin of this pair on its memo (the dual's
-        dual): no SVD, and no reference back."""
+        adjoints), and its projector onto a stabilized power is this pair's
+        projector onto the row space of the other product's power, read
+        through a twin of this pair on its memo (the dual's dual): no SVD,
+        and no reference back."""
         if self._primal is not None:
             return self._primal
         twin = WeightedPair(self.B, self.W, self.k_bw, self.k_wb)
@@ -546,8 +551,33 @@ class WeightedPair:
 
     def _projector(self, side: str, j: int, tol: ToleranceConfig) -> np.ndarray:
         """The orthogonal projector onto R((BW)^j) (side "BW") or R((WB)^j),
-        read from the staircase form."""
+        read from the staircase form. On a dual pair and j at or above the
+        index, the pair's projector onto the row space of the other product's
+        power, since B^* W^* = (WB)^* and R((A^j)^*) is the row space of A^j."""
+        if self._primal is not None and j >= self._k(side):
+            return self._primal._row_projector("WB" if side == "BW" else "BW", tol)
         return self._staircase_of(side, tol).projector(j)
+
+    def _row_projector(self, side: str, tol: ToleranceConfig) -> np.ndarray:
+        """The orthogonal projector onto the row space of (BW)^j (side "BW")
+        or (WB)^j for every j at or above the index, R(((BW)^j)^*).
+
+        With S = U [[T, S12], [0, N]] U^*, S^k = U1 T^k [I, G] U^* for
+        G = T^-k Y_k = sum_(j<k) T^-(j+1) S12 N^j, Y_k the upper right block
+        of the k-th power of the core, and U1 T^k has full column rank q, so
+        the row space is R(U [I; G^*]): one QR of that n x q basis, read from
+        the staircase form that decided the index, with no SVD."""
+
+        def build():
+            form = self._staircase_of(side, tol)
+            q, core = form.q, form.core
+            G = np.zeros_like(core[:q, q:])
+            for _ in range(form.k):  # Horner's scheme
+                G = form.T_inv @ (core[:q, q:] + G @ core[q:, q:])
+            Q = np.linalg.qr(form.U[:, :q] + form.U[:, q:] @ G.conj().T)[0]
+            return Q @ Q.conj().T
+
+        return self._cached(("row projector", tol, side), build)
 
     def _rank(self, side: str, j: int, tol: ToleranceConfig) -> int:
         """rank((BW)^j) (side "BW") or rank((WB)^j), read from the staircase
@@ -561,8 +591,9 @@ class WeightedPair:
 
 def weighted_pair(B, W, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedPair:
     """Validate shapes, reject the zero weight, and decide both indices from
-    the staircase forms of BW and WB, which the pair keeps (with read-only
-    copies of B and W, so the caller's arrays may change)."""
+    the staircase forms of BW and WB, which the pair keeps with BW and WB as
+    its first powers (and with read-only copies of B and W, so the caller's
+    arrays may change)."""
     B = as_matrix(B)
     W = as_matrix(W)
     m, n = B.shape
@@ -572,5 +603,13 @@ def weighted_pair(B, W, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedPair:
         raise ValueError("the zero weight is excluded")
     bw, wb = _staircase(B @ W, tol), _staircase(W @ B, tol)
     pair = WeightedPair(B=B, W=W, k_bw=bw.k, k_wb=wb.k)
-    pair._memo.update({("staircase", tol, "BW"): bw, ("staircase", tol, "WB"): wb})
+    # the first powers are the products the forms were taken of
+    pair._memo.update(
+        {
+            ("staircase", tol, "BW"): bw,
+            ("staircase", tol, "WB"): wb,
+            ("BW^", 1): _read_only(bw.S),
+            ("WB^", 1): _read_only(wb.S),
+        }
+    )
     return pair

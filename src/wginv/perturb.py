@@ -5,6 +5,7 @@ DMP inverses."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,7 +76,8 @@ RIGHT_FLAGS = (
 class PerturbationScenario:
     """A pair, a family member, and a perturbation E with its admissibility
     flags. `flags` records pass/fail, `flag_values` the underlying residual
-    or norm; D = B + E."""
+    or norm; D = B + E. The scenario builds the weighted pair of D once per
+    tolerance, and every chain on it shares that pair."""
 
     pair: WeightedPair
     member: np.ndarray
@@ -86,6 +88,16 @@ class PerturbationScenario:
     flag_values: dict
     alpha: float
     seed: object = None
+
+    @cached_property
+    def _memo(self) -> dict:
+        return {}
+
+    def _dpair(self, tol: ToleranceConfig) -> WeightedPair:
+        """The pair (D, W) of the perturbed matrix."""
+        if tol not in self._memo:
+            self._memo[tol] = weighted_pair(self.D, self.pair.W, tol)
+        return self._memo[tol]
 
 
 def _norm_flag(A) -> tuple:
@@ -194,16 +206,17 @@ def admissible_perturbation(
         raise ValueError("alpha must be finite and nonnegative")
     B, W = pair.B, pair.W
     if side == "left":
-        ok, residual, rank_gap = _left_member_residual(pair, member, tol)
+        ok, residual, range_residual = _left_member_residual(pair, member, tol)
         k = pair.k_bw
     elif side == "right":
-        ok, residual, rank_gap = _right_member_residual(pair, member, tol)
+        ok, residual, range_residual = _right_member_residual(pair, member, tol)
         k = pair.k_wb
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if not ok:
         raise HypothesisError(
-            f"member fails its family equation (residual {residual:.3e}, rank gap {rank_gap})"
+            f"member fails its family equation "
+            f"(power residual {residual:.3e}, range residual {range_residual:.3e})"
         )
 
     rng = np.random.default_rng(seed)
@@ -285,7 +298,7 @@ def perturbed_mrwwd(
     m_id = np.eye(pair.m, dtype=complex)
 
     Xp = X @ _inv(n_id + W @ E @ W @ X, "I + WEWX")
-    dpair = weighted_pair(D, W, tol)
+    dpair = scenario._dpair(tol)
 
     report = VerificationReport("thm3.17", tol)
     report.merge(check_mrwwd(dpair, Xp, tol), prefix="updated member: ")
@@ -318,7 +331,7 @@ def perturbed_mrwwd_right(
 
     lead = _inv(m_id + Z @ W @ E @ W, "I + ZWEW")
     Zp = lead @ Z
-    dpair = weighted_pair(D, W, tol)
+    dpair = scenario._dpair(tol)
 
     report = VerificationReport("thm3.18", tol)
     report.merge(check_mrwwd_right(dpair, Zp, tol), prefix="updated member: ")
@@ -357,7 +370,7 @@ def mpd_perturbation(
     n_id = np.eye(pair.n, dtype=complex)
     m_id = np.eye(pair.m, dtype=complex)
 
-    dpair = weighted_pair(D, W, tol)
+    dpair = scenario._dpair(tol)
     Bp, Dp = pair._pinv(tol), dpair._pinv(tol)
     Y = weak_mpd(pair, X, tol).value
     T1 = Dp @ X @ _inv(n_id + W @ E @ W @ X, "I + WEWX") @ W @ D @ W @ X
@@ -399,7 +412,7 @@ def dmp_perturbation(
     n_id = np.eye(pair.n, dtype=complex)
     m_id = np.eye(pair.m, dtype=complex)
 
-    dpair = weighted_pair(D, W, tol)
+    dpair = scenario._dpair(tol)
     Bp, Dp = pair._pinv(tol), dpair._pinv(tol)
     Y1 = weak_dmp(pair, Z, tol).value
     inner = _inv(m_id + Z @ W @ E @ W, "I + ZWEW")
@@ -444,7 +457,7 @@ def drazin_case_perturbation(
         )
     n_id = np.eye(pair.n, dtype=complex)
     m_id = np.eye(pair.m, dtype=complex)
-    dpair = weighted_pair(D, W, tol)
+    dpair = scenario._dpair(tol)
 
     report = VerificationReport(theorem_id, tol)
 

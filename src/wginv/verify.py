@@ -25,6 +25,7 @@ from .matcore import (
 from .winv import (
     _as_member,
     _drazin_kernel,
+    _family_product,
     _left_member_residual,
     _require_member,
     _right_hand,
@@ -67,17 +68,30 @@ def _star(A):
     return None if A is None else as_matrix(A).conj().T
 
 
+def _power_at(pair: WeightedPair, side: str, power: int | None) -> int:
+    """The power k a characterization is checked at: the index of BW (side
+    "BW") or WB by default. Below the index no member exists, since
+    W (BW)^(k+1) then has a smaller rank than (BW)^k and (WB)^k, so such a
+    power is refused."""
+    index = pair._k(side)
+    k = index if power is None else int(power)
+    if k < index:
+        raise ValueError(f"power {k} is below the index {index} of {side}: the family is empty")
+    return k
+
+
 def check_mrwwd(
     pair: WeightedPair, X, tol: ToleranceConfig = DEFAULT_TOL, power: int | None = None
 ) -> VerificationReport:
     """Seven equivalent characterizations of membership in the left family of
-    X W (BW)^(k+1) = (BW)^k at rank((BW)^k). rank((BW)^k) and (BW)^D are
+    X W (BW)^(k+1) = (BW)^k at rank((BW)^k), for k at or above the index.
+    rank((BW)^k), the projector onto R((BW)^k), W (BW)^(k+1) and (BW)^D are
     read from the pair (see WeightedPair)."""
     X = as_matrix(X)
     B, W = pair.B, pair.W
-    k = pair.k_bw if power is None else int(power)
+    k = _power_at(pair, "BW", power)
     K = pair.bw_power(k)
-    M = W @ pair.bw_power(k + 1)
+    M = _family_product(pair, k)
     BW = pair.bw()
 
     report = VerificationReport("thm2.1", tol)
@@ -104,19 +118,19 @@ def check_mrwwd_right(
     pair: WeightedPair, Z, tol: ToleranceConfig = DEFAULT_TOL, power: int | None = None
 ) -> VerificationReport:
     """Mirrored characterizations for the right family (WB)^(k+1) W Z-side
-    equation M Z = N with N = (WB)^k.
+    equation M Z = N with N = (WB)^k, for k at or above the index of WB.
 
     Kept by hand rather than derived from check_mrwwd on the dual pair: its
     null-space test is one stacked rank beyond the two ranks row (i) has
     (1 SVD), where the dual's range test is a projector residual (4 to 6
-    SVDs), and it runs on every perturbed right member. rank(N) and (WB)^D
-    are read from the pair.
+    SVDs), and it runs on every perturbed right member. rank(N), the
+    projector onto the row space of N, M and (WB)^D are read from the pair.
     """
     Z = as_matrix(Z)
     B, W = pair.B, pair.W
-    k = pair.k_wb if power is None else int(power)
+    k = _power_at(pair, "WB", power)
     N = pair.wb_power(k)
-    M = W @ pair.bw_power(k + 1)
+    M = _family_product(pair, k)
     WB = pair.wb()
 
     report = VerificationReport("thm2.8", tol)

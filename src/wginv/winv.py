@@ -27,8 +27,6 @@ from .matcore import (
     _read_only,
     as_matrix,
     mp_inverse,
-    projector_onto,
-    rank_of,
 )
 from .sqinv import _core_ep, _drazin, _drazin_checks, _m_wgi
 
@@ -123,26 +121,30 @@ def w_drazin(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> Weighted
     return WeightedInverseResult(value=val, kind="w-drazin", index_used=k, residuals=residuals)
 
 
-def w_core_ep(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedInverseResult:
-    """W-weighted core-EP inverse B ((WB)^core-EP)^2."""
+def _w_core_ep_checks(pair: WeightedPair, val: np.ndarray, tol: ToleranceConfig) -> dict:
+    """The rows that fix the W-weighted core-EP inverse: W B W val = P_WB,
+    the projector onto R((WB)^k), and val = P_BW val, R(val) inside
+    R((BW)^k), each projector read from the pair's staircase form.
+
+    They fix val uniquely. (BW)^k and (WB)^k have the same rank q at k at or
+    above both indices, so the projector row forces rank val >= q, and the
+    range row rank val <= q, hence R(val) = R((BW)^k). Two solutions differ
+    by a D with W B W D = 0 and R(D) inside R((BW)^k); D = (BW)^k z then
+    gives (BW)^(k+2) z = B W B W D = 0, and (BW)^(k+2) has the null space of
+    (BW)^k, so D = 0."""
     B, W = pair.B, pair.W
+    return {
+        "projector": _eq(W @ B @ W @ val, pair._projector("WB", pair.k_wb, tol)),
+        "range": ((val - pair._projector("BW", pair.k_bw, tol) @ val,), (val,)),
+    }
+
+
+def w_core_ep(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedInverseResult:
+    """W-weighted core-EP inverse B ((WB)^core-EP)^2, certified by the two
+    rows that fix it (see `_w_core_ep_checks`)."""
     C = _wb_core_ep(pair, tol)
-    val = B @ C @ C
-    Kbw = pair.bw_power(pair.k_bw)
-    residuals = _certify(
-        "w_core_ep",
-        {
-            "projector": _eq(W @ B @ W @ val, pair._projector("WB", pair.k_wb, tol)),
-            "range equality": (
-                (
-                    val - pair._projector("BW", pair.k_bw, tol) @ val,
-                    Kbw - projector_onto(val, tol) @ Kbw,
-                ),
-                (val, Kbw),
-            ),
-        },
-        tol,
-    )
+    val = pair.B @ C @ C
+    residuals = _certify("w_core_ep", _w_core_ep_checks(pair, val, tol), tol)
     return WeightedInverseResult(
         value=val, kind="w-core-ep", index_used=pair.k_wb, residuals=residuals
     )
@@ -232,20 +234,25 @@ def w_m_wgmp(
     )
 
 
+def _pinv_power(pair: WeightedPair, tol: ToleranceConfig) -> np.ndarray:
+    """B^+ (BW)^(k+1), the right side of the power rows of the weighted and
+    weak MPD inverses, formed once per pair and tolerance and read-only."""
+    k = pair.k_bw
+    return pair._cached(("B^+ BW^", tol, k + 1), lambda: pair._pinv(tol) @ pair.bw_power(k + 1))
+
+
 def w_mpd(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedInverseResult:
     """Weighted MPD inverse B^+ B W B^D,W W."""
     B, W = pair.B, pair.W
     k = pair.k_bw
-    Bp = pair._pinv(tol)
     WdW = W @ _value(pair, w_drazin, tol) @ W
-    val = Bp @ B @ WdW
-    P1 = pair.bw_power(k + 1)
+    val = pair._pinv(tol) @ B @ WdW
     residuals = _certify(
         "w_mpd",
         {
             "outer": _eq(val @ B @ val, val),
             "product": _eq(B @ val, B @ WdW),
-            "power": _eq(val @ P1, Bp @ P1),
+            "power": _eq(val @ pair.bw_power(k + 1), _pinv_power(pair, tol)),
         },
         tol,
     )
@@ -313,9 +320,24 @@ class SolutionFamily:
         return self.particular + self.left_factor @ P @ self.annihilator
 
 
-def _family_product(pair: WeightedPair) -> np.ndarray:
-    """M = W (BW)^(k+1) of the left family, formed once per pair and read-only."""
-    return pair._cached(("W BW^", pair.k_bw + 1), lambda: pair.W @ pair.bw_power(pair.k_bw + 1))
+def _family_product(pair: WeightedPair, k: int) -> np.ndarray:
+    """M = W (BW)^(k+1) of the family at power k (the left family's at the
+    index k_bw), formed once per pair and power and read-only."""
+    return pair._cached(("W BW^", k + 1), lambda: pair.W @ pair.bw_power(k + 1))
+
+
+def _family_parts(pair: WeightedPair, tol: ToleranceConfig) -> tuple:
+    """(K M^+, I - M M^+) with K = (BW)^k and M = W (BW)^(k+1): the left
+    family's particular solution and annihilator, built from one M^+ once per
+    pair and tolerance and read-only."""
+
+    def build():
+        M = _family_product(pair, pair.k_bw)
+        Mp = mp_inverse(M, tol)
+        particular = pair.bw_power(pair.k_bw) @ Mp
+        return _read_only(particular), _read_only(np.eye(pair.n, dtype=complex) - M @ Mp)
+
+    return pair._cached(("family parts", tol), build)
 
 
 def mrwwd_family(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> SolutionFamily:
@@ -323,18 +345,15 @@ def mrwwd_family(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> Solu
 
     particular = K M^+ with K = (BW)^k and M = W (BW)^(k+1); the family is
     K M^+ + K Z (I - M M^+) over free Z. Consistency of the particular
-    solution (K M^+ M = K) is certified; the rank and range constraints then
-    hold automatically for every member.
+    solution (K M^+ M = K) is certified on every call; the rank and range
+    constraints then hold automatically for every member. The family's
+    arrays are the pair's, read-only (see `_family_parts`).
     """
-    K, M = pair.bw_power(pair.k_bw), _family_product(pair)
-    Mp = pair._cached(("M^+", tol), lambda: mp_inverse(M, tol))
-    particular = K @ Mp
+    K, M = pair.bw_power(pair.k_bw), _family_product(pair, pair.k_bw)
+    particular, annihilator = _family_parts(pair, tol)
     _certify("mrwwd_family", {"power equation": _eq(particular @ M, K)}, tol)
     return SolutionFamily(
-        particular=particular,
-        left_factor=K,
-        annihilator=np.eye(pair.n, dtype=complex) - M @ Mp,
-        side="left",
+        particular=particular, left_factor=K, annihilator=annihilator, side="left"
     )
 
 
@@ -365,20 +384,28 @@ def _as_member(pair: WeightedPair, X) -> np.ndarray:
 
 
 def _power_equation(pair: WeightedPair, X, tol: ToleranceConfig) -> tuple:
-    """(X M - K, K, |rank X - rank K|) with K = (BW)^k and M = W (BW)^(k+1):
-    the terms of the left family's membership test. rank X is decided on
-    every call, rank K is the q of the staircase form that decided k."""
+    """The two rows of the left family's membership test (Thm 2.1 (ii)), each
+    (residual, reference): the power equation (X M - K, K) with K = (BW)^k
+    and M = W (BW)^(k+1), and the range row (X - P X, X) with P the projector
+    onto R(K) that the staircase form deciding k holds. The power equation
+    gives R(K) = R(X M) inside R(X), so X = P X is all that is left of
+    R(X) = R(K); no rank of X is decided. On a dual pair, P is the pair's
+    projector onto the row space of (WB)^k (see WeightedPair._projector)."""
     X = _as_member(pair, X)
     K = pair.bw_power(pair.k_bw)
-    rank_gap = abs(rank_of(X, tol) - pair._rank("BW", pair.k_bw, tol))
-    return X @ _family_product(pair) - K, K, rank_gap
+    P = pair._projector("BW", pair.k_bw, tol)
+    return (X @ _family_product(pair, pair.k_bw) - K, K), (X - P @ X, X)
 
 
 def _left_member_residual(pair: WeightedPair, X, tol: ToleranceConfig) -> tuple:
-    """(pass, exact spectral residual, rank gap) of the membership test."""
-    R, K, rank_gap = _power_equation(pair, X, tol)
+    """(pass, exact spectral residual of the power equation, range residual)
+    of the membership test. The range row is judged as a certificate
+    (`_judge`): its residual reads 0 when it passes, and is exact when it
+    fails."""
+    (R, K), (D, X) = _power_equation(pair, X, tol)
     residual, ok = _exact(R, K, tol)
-    return ok and rank_gap == 0, residual, rank_gap
+    range_residual, in_range = _judge((D,), (X,), tol)
+    return ok and in_range, residual, 0.0 if in_range else range_residual
 
 
 def _right_member_residual(pair: WeightedPair, Z, tol: ToleranceConfig) -> tuple:
@@ -388,16 +415,20 @@ def _right_member_residual(pair: WeightedPair, Z, tol: ToleranceConfig) -> tuple
 def _require_member(pair: WeightedPair, X, tol: ToleranceConfig) -> np.ndarray:
     """X as a matrix, certified to be a member of the left solution family.
 
-    The power equation is judged as a certificate (`_judge`) at equal ranks
-    and exactly (`_exact`) on a rank gap, so a refusal always names the exact
-    spectral residual."""
+    Both rows are judged as certificates (`_judge`); a refusal names the
+    exact spectral residual of each, taking it anew only for a row that a
+    Frobenius bound passed."""
     X = as_matrix(X)
-    R, K, rank_gap = _power_equation(pair, X, tol)
-    residual, ok = _exact(R, K, tol) if rank_gap else _judge((R,), (K,), tol)
-    if not ok or rank_gap:
+    rows = _power_equation(pair, X, tol)
+    judged = [_judge((R,), (F,), tol) for R, F in rows]
+    if not all(ok for _, ok in judged):
+        power, rng = (
+            _exact(R, F, tol)[0] if ok else residual
+            for (residual, ok), (R, F) in zip(judged, rows)
+        )
         raise HypothesisError(
             f"X is not a member of the left solution family "
-            f"(power residual {residual:.3e}, rank gap {rank_gap})"
+            f"(power residual {power:.3e}, range residual {rng:.3e})"
         )
     return X
 
@@ -416,16 +447,14 @@ def _weak_mpd(pair: WeightedPair, X: np.ndarray, tol: ToleranceConfig) -> Weight
     """weak_mpd for an X already certified to be a left family member."""
     B, W = pair.B, pair.W
     k = pair.k_bw
-    P1 = pair.bw_power(k + 1)
-    Bp = pair._pinv(tol)
-    BWXW = B @ W @ X @ W
-    val = Bp @ BWXW
+    BWXW = pair.bw_power(1) @ X @ W
+    val = pair._pinv(tol) @ BWXW
     residuals = _certify(
         "weak_mpd",
         {
             "outer": _eq(val @ B @ val, val),
             "image": _eq(B @ val, BWXW),
-            "power": _eq(val @ P1, Bp @ P1),
+            "power": _eq(val @ pair.bw_power(k + 1), _pinv_power(pair, tol)),
             "absorption": _eq(_value(pair, w_mpd, tol) @ BWXW, val),
         },
         tol,

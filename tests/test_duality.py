@@ -208,3 +208,44 @@ def test_right_hand_certification_errors_use_the_callers_names(case):
     pair = case[0]
     with pytest.raises(CertificationError, match="^mrwwd_right_family: check 'power equation'"):
         mrwwd_right_family(pair, ToleranceConfig(residual_atol=1e-30))
+
+
+def _unequal_index_pair(rng):
+    """A complex pair with ind(BW) = 1 and ind(WB) = 2: B = P (B0 + C) Q^*,
+    W = Q (W0 + D) P^* with B0 W0 = 0, W0 B0 the 2 x 2 shift and C, D
+    invertible blocks."""
+    B0, W0 = np.zeros((4, 4), dtype=complex), np.zeros((4, 4), dtype=complex)
+    B0[0, 1] = W0[0, 0] = 1.0
+    B0[2:, 2:] = np.eye(2) + 0.3 * _noise(rng, (2, 2))
+    W0[2:, 2:] = np.eye(2) + 0.3 * _noise(rng, (2, 2))
+    P, Q = (np.linalg.qr(_noise(rng, (4, 4)))[0] for _ in range(2))
+    return weighted_pair(P @ B0 @ _h(Q), Q @ W0 @ _h(P))
+
+
+def _row_space_reference(A, q):
+    """The orthogonal projector onto the row space of A from the leading q
+    right singular vectors of its SVD."""
+    V = _h(np.linalg.svd(A)[2][:q])
+    return V @ _h(V)
+
+
+def test_row_projector_matches_an_svd_reference():
+    # the dual's projector onto a stabilized power is the pair's projector
+    # onto the row space of the other product's power, built from the
+    # staircase by one QR; it agrees with an SVD of the power, also where
+    # the two indices differ
+    rng = np.random.default_rng(13)
+    pairs = [random_pair(*case) for case in CASES]
+    pairs += [weighted_pair(_noise(rng, (3, 5)), _noise(rng, (5, 3))) for _ in range(3)]
+    pairs += [_unequal_index_pair(rng) for _ in range(3)]
+    assert any(pair.k_bw != pair.k_wb for pair in pairs)
+    for pair in pairs:
+        for side, power, dual_side in (("BW", pair.bw_power, "WB"), ("WB", pair.wb_power, "BW")):
+            k = pair._k(side)
+            q = pair._rank(side, k, DEFAULT_TOL)
+            P = pair._row_projector(side, DEFAULT_TOL)
+            assert np.linalg.norm(P - _row_space_reference(power(k), q), 2) <= 1e-12
+            # read, not rebuilt, by the dual at and above its index
+            dual = pair.H
+            for j in (k, k + 1):
+                assert dual._projector(dual_side, j, DEFAULT_TOL) is P

@@ -60,6 +60,49 @@ def test_pair_quantities_have_one_path(module):
     assert second_paths(source, calls=module in CALL_SCAN) == []
 
 
+# The constructors and the membership test decide no rank of, and build no
+# projector from, a value or candidate on its own scale: every range they
+# judge is read from a staircase form of the pair.
+OWN_SCALE = {"rank_of", "projector_onto", "_pinv_rank"}
+OWN_SCALE_SCAN = ("winv.py", "sqinv.py")
+
+
+def own_scale_references(source: str) -> list:
+    """(line, name) of every import, name or attribute in OWN_SCALE."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias):
+            names = (node.name.rsplit(".", 1)[-1],)
+        elif isinstance(node, ast.Name):
+            names = (node.id,)
+        elif isinstance(node, ast.Attribute):
+            names = (node.attr,)
+        else:
+            continue
+        found += [(getattr(node, "lineno", 0), name) for name in names if name in OWN_SCALE]
+    return sorted(found)
+
+
+def test_the_scan_sees_own_scale_decisions():
+    source = (
+        "from .matcore import rank_of, _pinv_rank as pr\n"
+        "def check(X, tol):\n"
+        "    return matcore.projector_onto(X, tol), rank_of(X, tol)\n"
+    )
+    assert own_scale_references(source) == [
+        (1, "_pinv_rank"),
+        (1, "rank_of"),
+        (3, "projector_onto"),
+        (3, "rank_of"),
+    ]
+
+
+@pytest.mark.parametrize("module", OWN_SCALE_SCAN)
+def test_constructors_decide_no_rank_on_a_values_own_scale(module):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    assert own_scale_references(source) == []
+
+
 def test_verify_keeps_its_spectral_norm_binding():
     # the benchmark's self-test wraps verify's own binding of spectral_norm
     assert verify.spectral_norm is matcore.spectral_norm

@@ -195,3 +195,30 @@ def test_halving_judges_only_the_norm_flags_again(monkeypatch, side):
     del built[:]
     admissible_perturbation(pair, member, 0.1, seed=0, side=side)
     assert built == [0.1]
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_chains_on_one_scenario_share_the_pair_of_d(monkeypatch, side):
+    # the scenario builds the pair (D, W) once per tolerance; the family
+    # stability statement, the inverse chain and the Drazin case read it
+    pair = ex1_pair()
+    member = w_drazin(pair).value
+    scenario = admissible_perturbation(pair, member, 0.1, seed=5, side=side)
+    built = []
+    original = perturb.weighted_pair
+
+    def recording(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(perturb, "weighted_pair", recording)
+    family, chain = (
+        (perturbed_mrwwd, mpd_perturbation)
+        if side == "left"
+        else (perturbed_mrwwd_right, dmp_perturbation)
+    )
+    for run in (family, chain, drazin_case_perturbation, chain):
+        assert run(scenario, DEFAULT_TOL).overall
+    assert len(built) == 1
+    dpair = scenario._dpair(DEFAULT_TOL)
+    assert np.array_equal(dpair.B, scenario.D) and np.array_equal(dpair.W, pair.W)

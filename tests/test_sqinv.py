@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wginv import matcore
+from wginv import matcore, sqinv, winv
 from wginv.matcore import (
     CertificationError,
     ToleranceConfig,
@@ -220,3 +220,66 @@ def test_spectral_norm_matches_two_norm_bitwise():
         # spectral_norm works in complex arithmetic, as it always has
         assert spectral_norm(A) == float(np.linalg.norm(A.astype(complex), 2))
     assert spectral_norm(np.zeros((0, 3))) == 0.0
+
+
+# The core-EP certificates keep the rows that fix the value (see
+# sqinv._core_ep_checks and winv._w_core_ep_checks): the projector row forces
+# rank >= q and the range row rank <= q. Each wrong value below is refused by
+# them with no SVD of the value.
+
+
+def _unit(rng, shape):
+    E = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return E / np.linalg.norm(E)
+
+
+def _wrong_values(X, U1, null_vector, rng) -> dict:
+    """name -> (value, the row that refuses it, the row that passes it): X
+    perturbed by 1e-6 relative; X with one direction of its range dropped
+    (rank q - 1, inside the range), which only the projector row sees; and X
+    plus a rank-one term along a null vector of the product that lies outside
+    R(S^k) (rank q + 1, the same product), which only the range row sees."""
+    lower = U1[:, :-1]
+    w = _unit(rng, X.shape[1])
+    return {
+        "perturbed": (X + 1e-6 * np.linalg.norm(X) * _unit(rng, X.shape), None, None),
+        "rank-deficient": (lower @ lower.conj().T @ X, "projector", "range"),
+        "out of range": (X + np.linalg.norm(X) * np.outer(null_vector, w), "range", "projector"),
+    }
+
+
+def _refused_by(kind, checks, failing, passing):
+    """The certificate refuses; the named rows fail and pass on their own."""
+    with pytest.raises(CertificationError, match=f"^{kind}: check "):
+        _certify(kind, checks, matcore.DEFAULT_TOL)
+    if failing is not None:
+        assert not matcore._judge(*checks[failing], matcore.DEFAULT_TOL)[1]
+        assert matcore._judge(*checks[passing], matcore.DEFAULT_TOL)[1]
+
+
+def test_core_ep_rows_refuse_wrong_values():
+    rng = np.random.default_rng(5)
+    S = random_square_with_index(6, 2, rng)
+    form = matcore._staircase(S, matcore.DEFAULT_TOL)
+    X = core_ep(S).value
+    U1 = form.U[:, : form.q]
+    null_vector = np.linalg.svd(S)[2][-1].conj()  # S v = 0 and v is outside R(S^k)
+    assert np.linalg.norm(S @ null_vector) < 1e-12
+    _certify("core_ep", sqinv._core_ep_checks(form, X), matcore.DEFAULT_TOL)
+    for wrong, failing, passing in _wrong_values(X, U1, null_vector, rng).values():
+        _refused_by("core_ep", sqinv._core_ep_checks(form, wrong), failing, passing)
+
+
+def test_w_core_ep_rows_refuse_wrong_values():
+    rng = np.random.default_rng(6)
+    pair = random_pair(7, 6, 2, 5)
+    tol = matcore.DEFAULT_TOL
+    val = w_core_ep(pair).value
+    form = pair._staircase_of("BW", tol)
+    U1 = form.U[:, : form.q]
+    WBW = pair.W @ pair.B @ pair.W
+    null_vector = np.linalg.svd(WBW)[2][-1].conj()  # W B W v = 0, v outside R((BW)^k)
+    assert np.linalg.norm(WBW @ null_vector) < 1e-12
+    _certify("w_core_ep", winv._w_core_ep_checks(pair, val, tol), tol)
+    for wrong, failing, passing in _wrong_values(val, U1, null_vector, rng).values():
+        _refused_by("w_core_ep", winv._w_core_ep_checks(pair, wrong, tol), failing, passing)

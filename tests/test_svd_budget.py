@@ -15,8 +15,9 @@ import pytest
 
 from test_truth import KAPPA_MAX, cx, kappa_on_scale, rank_margin, square_truth
 from wginv import matcore, sqinv, verify, winv
-from wginv._gen import ex1_pair, ex2_matrices, random_pair, random_square_with_index
+from wginv._gen import ex1_member, ex1_pair, ex2_matrices, random_pair, random_square_with_index
 from wginv.cli import main
+from wginv.decomp import weak_mpd_canonical
 from wginv.matcore import (
     DEFAULT_TOL,
     CertificationError,
@@ -125,9 +126,11 @@ def test_constructors_reuse_the_cached_indices(monkeypatch, pair_and_member, bui
 # projectors onto their powers and the certified values of the inverses that
 # other constructors compose, so kinds built on the same pair share them. The
 # nine catalog kinds with weak_mpd and weak_dmp took 83 SVDs on a fresh pair
-# when each constructor built its own factors, and 25 when each certified its
-# inner inverse anew and each membership test took exact norms.
-CATALOG_AND_WEAK_BUDGET = 17
+# when each constructor built its own factors, 25 when each certified its
+# inner inverse anew and each membership test took exact norms, and 6 when
+# the core-EP certificates took SVDs of their values and each membership test
+# decided the rank of its member. What is left is the one SVD of B^+.
+CATALOG_AND_WEAK_BUDGET = 1
 
 
 def _members():
@@ -146,7 +149,7 @@ def test_catalog_and_weak_inverses_share_the_pair_factors(monkeypatch):
         compute_kind(pair, kind, m=2)
     weak_mpd(pair, X)
     weak_dmp(pair, Z)
-    assert len(calls) <= CATALOG_AND_WEAK_BUDGET
+    assert len(calls) == CATALOG_AND_WEAK_BUDGET
 
 
 @pytest.mark.parametrize("build", [w_mpd, w_drazin, w_dmp])
@@ -229,19 +232,26 @@ FAMILIES = [(mrwwd_family, weak_mpd), (mrwwd_right_family, weak_dmp)]
 
 
 @pytest.mark.parametrize("family, weak", FAMILIES)
-def test_warm_family_operation_takes_one_rank_decision(monkeypatch, family, weak):
-    # the membership test decides rank(X) on every call and reads rank((BW)^k)
-    # from the staircase form that decided k; its pass, the certificates and
-    # the memoized w_mpd need no SVD
+def test_warm_family_operation_takes_no_svd(monkeypatch, family, weak):
+    # the family reads its particular solution and annihilator from the pair
+    # and certifies them anew; the membership test judges X = P X against the
+    # staircase's projector (on the right, the pair's row projector) instead
+    # of deciding rank(X). Every pass is proved from Frobenius norms, and the
+    # memoized w_mpd needs no factorization either
     pair = random_pair(7, 6, 2, 5)
     P = np.ones((7, 6))
     weak(pair, family(pair).member(P))
-    calls = _counting(monkeypatch, linalg_impl, "svd")
-    monkeypatch.setattr(np.linalg, "svd", linalg_impl.svd)
+    calls = []
+    for name in ("svd", "qr", "inv", "lstsq"):
+        calls += _counting(monkeypatch, linalg_impl, name)
+        monkeypatch.setattr(np.linalg, name, getattr(linalg_impl, name))
+    keys = _memo_keys(pair)
     for _ in range(2):
-        del calls[:]
         weak(pair, family(pair).member(P))
-        assert len(calls) == 1
+        assert calls == []
+    assert _memo_keys(pair) == keys
+    primal_memo = pair._memo if weak is weak_mpd else pair.H._memo
+    assert ("family parts", DEFAULT_TOL) in primal_memo
 
 
 def _direct(pair):
@@ -254,9 +264,12 @@ def _memo_keys(pair) -> tuple:
 
 
 # What a check may keep on a pair: the powers of BW and WB, the left family's
-# W (BW)^(k+1), and the staircase forms whose q is the rank of the stabilized
-# power. Nothing in it depends on the candidate.
+# W (BW)^(k+1), the staircase forms whose q is the rank of the stabilized
+# power, and the projector onto the row space of a stabilized power, which
+# the right-hand membership test reads on the dual. Nothing in it depends on
+# the candidate.
 POWERS = {"BW^", "WB^", "W BW^"}
+PAIR_READS = POWERS | {"row projector"}
 
 
 def _quantities(keys) -> set:
@@ -264,9 +277,9 @@ def _quantities(keys) -> set:
 
 
 def _refuse_a_perturbed_member(monkeypatch, pair, family, weak) -> list:
-    # the rank of the member and the exact norm that names the residual, on
-    # every call; the reference norm is not needed, since the Frobenius bound
-    # of the reference proves the failure
+    # the exact norms of the power and range residuals that the refusal
+    # names, on every call; the reference norms are not needed, since their
+    # Frobenius bounds prove the failures
     member = family(matcore.weighted_pair(pair.B, pair.W)).member(np.zeros((7, 6)))
     noise = np.random.default_rng(1).standard_normal(member.shape)
     perturbed = member + 1e-2 * spectral_norm(member) * noise
@@ -286,23 +299,24 @@ def test_refusing_a_perturbed_member_takes_two_svds(monkeypatch, family, weak):
     pair = random_pair(7, 6, 2, 5)
     before = _memo_keys(pair)
     assert _refuse_a_perturbed_member(monkeypatch, pair, family, weak) == [2, 2, 2]
-    # weighted_pair seeds the two staircase forms; only powers join them
+    # weighted_pair seeds the two staircase forms; only powers and the row
+    # projector join them
     after = _memo_keys(pair)
     for old, new in zip(before, after):
-        assert old <= new and _quantities(new - old) <= POWERS
+        assert old <= new and _quantities(new - old) <= PAIR_READS
 
 
 @pytest.mark.parametrize("family, weak", FAMILIES)
 def test_refusing_a_perturbed_member_of_a_direct_pair_takes_two_svds_once_factored(
     monkeypatch, family, weak
 ):
-    # the first refusal factors the product whose stabilized rank it reads
+    # the first refusal factors the product whose stabilized range it reads
     # (one SVD per power up to k + 1), on the pair itself for either side
     pair = _direct(random_pair(7, 6, 2, 5))
     k = pair.k_bw if weak is weak_mpd else pair.k_wb
     assert _refuse_a_perturbed_member(monkeypatch, pair, family, weak) == [k + 3, 2, 2]
     memo, dual_memo = _memo_keys(pair)
-    assert _quantities(memo) <= POWERS | {"staircase"}
+    assert _quantities(memo) <= PAIR_READS | {"staircase"}
     assert _quantities(dual_memo) <= POWERS
 
 
@@ -419,7 +433,7 @@ def test_checks_read_only_powers_and_staircase_ranks_from_the_pair(monkeypatch, 
     after = _memo_keys(pair)
     assert all(old <= new for old, new in zip(before, after))
     added = set().union(*(new - old for old, new in zip(before, after)))
-    assert added and _quantities(added) <= POWERS
+    assert added and _quantities(added) <= PAIR_READS
 
 
 @pytest.mark.parametrize("name", sorted(POWER_CHECKS))
@@ -429,7 +443,7 @@ def test_checks_on_a_direct_pair_factor_it_once(monkeypatch, name):
     assert counts[0] >= counts[1] == counts[2] > 0
     memo, dual_memo = _memo_keys(pair)
     assert memo | dual_memo
-    assert _quantities(memo) <= POWERS | {"staircase"}
+    assert _quantities(memo) <= PAIR_READS | {"staircase"}
     assert _quantities(dual_memo) <= POWERS
 
 
@@ -651,11 +665,34 @@ def test_staircase_gives_the_rank_and_projector_of_every_power():
 
 def test_membership_reads_the_rank_of_a_roundoff_power_as_zero():
     # a nilpotent BW of index 5: (BW)^5 is roundoff, which an SVD of the
-    # power read as rank 5, refusing the true member X = 0 with a rank gap
+    # power read as rank 5, refusing the true member X = 0 with a rank gap;
+    # the staircase reads it as rank 0, and X = 0 lies in its range
     rng = np.random.default_rng(4)
     truth = square_truth(5, 5, 1.0, 0.0, 0.0, True, rng)
     V = cx.unitary(rng, 5, True)
     pair = matcore.weighted_pair(truth.S @ V.conj().T, V)
     assert pair.k_bw == 5 and np.abs(pair.bw_power(5)).max() > 0.0
-    ok, _, rank_gap = winv._left_member_residual(pair, np.zeros((5, 5)), DEFAULT_TOL)
-    assert ok and rank_gap == 0
+    ok, _, range_residual = winv._left_member_residual(pair, np.zeros((5, 5)), DEFAULT_TOL)
+    assert ok and range_residual == 0.0
+
+
+def test_canonical_refusal_names_the_exact_range_residual(monkeypatch):
+    # the fixture member solves its power equation exactly, and X - P X is
+    # roundoff: below it the membership test refuses, naming both exact
+    # residuals, with one SVD each (the power row, passed by its Frobenius
+    # bound, is taken exactly for the message) and before any decomposition
+    pair = ex1_pair()
+    X = ex1_member(2, -1).astype(complex)
+    tight = ToleranceConfig(residual_atol=1e-30)
+    P = pair._projector("BW", pair.k_bw, tight)
+    range_residual = spectral_norm(X - P @ X)
+    assert 0.0 < range_residual < 1e-14
+    calls = _counting(monkeypatch, linalg_impl, "svd")
+    monkeypatch.setattr(np.linalg, "svd", linalg_impl.svd)
+    with pytest.raises(HypothesisError) as refused:
+        weak_mpd_canonical(pair, X, tight)
+    assert str(refused.value) == (
+        f"X is not a member of the left solution family "
+        f"(power residual {0.0:.3e}, range residual {range_residual:.3e})"
+    )
+    assert len(calls) == 2

@@ -74,6 +74,31 @@ def test_membership_at_higher_power_still_holds():
     assert up_r.overall
 
 
+def test_characterizations_read_the_family_product_at_their_power():
+    # W (BW)^(j+1) is read from the pair's memo, keyed by the power j, and is
+    # bitwise the product a check formed for itself
+    pair, X, Z, _ = _case(1)
+    for j in (pair.k_bw, pair.k_bw + 2):
+        check_mrwwd(pair, X, power=j)
+        M = pair._memo["W BW^", j + 1]
+        assert M.tobytes() == (pair.W @ pair.bw_power(j + 1)).tobytes()
+    check_mrwwd_right(pair, Z, power=pair.k_wb + 1)
+    assert ("W BW^", pair.k_wb + 2) in pair._memo
+
+
+def test_characterizations_refuse_a_power_below_the_index():
+    # below the index W (BW)^(j+1) has a smaller rank than (BW)^j and (WB)^j,
+    # so neither family has a member; the right-hand check refuses the power
+    # without building a staircase of the dual pair
+    pair, X, Z, _ = _case(1)
+    assert pair.k_bw >= 1 and pair.k_wb >= 1
+    with pytest.raises(ValueError, match="below the index"):
+        check_mrwwd(pair, X, power=pair.k_bw - 1)
+    with pytest.raises(ValueError, match="below the index"):
+        check_mrwwd_right(pair, Z, power=pair.k_wb - 1)
+    assert "staircase" not in {key[0] for key in pair.H._memo}
+
+
 def test_weak_mpd_system_closed_form():
     pair = ex1_pair()
     X = ex1_member(-1, 4)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from test_truth import cx, square_truth
 from wginv._gen import (
     ex1_member,
     ex1_pair,
@@ -21,6 +22,8 @@ from wginv.matcore import (
 from wginv.sqinv import core_ep, drazin
 from wginv.winv import (
     CATALOG,
+    _left_member_residual,
+    _right_member_residual,
     PARAMETRIZED_KINDS,
     compute_kind,
     mrwwd_family,
@@ -90,8 +93,6 @@ def test_catalog_certifies_on_random_pairs():
 
 
 def test_family_members_satisfy_membership():
-    from wginv.winv import _left_member_residual, _right_member_residual
-
     for i in range(10):
         pair, rng = _pair_and_rng(i)
         X = mrwwd_family(pair).member(0.5 * rng.standard_normal((pair.m, pair.n)))
@@ -117,25 +118,81 @@ def test_weak_inverses_reject_non_members():
         weak_dmp(pair, np.ones((5, 4)))
 
 
-def test_rank_gap_refusal_names_the_exact_residual():
+def _outside(P, rng, n):
+    """A unit vector with no component in the range of the projector P."""
+    g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v = g - P @ g
+    return v / np.linalg.norm(v)
+
+
+def test_planted_left_member_is_refused_with_both_exact_residuals():
     # X + u v^* with v^* M = 0 solves the power equation X M = K as X does,
-    # but has one rank more than K: the residual passes, the rank gap refuses
+    # but u lies outside R(K): the power row passes, the range row refuses,
+    # and the refusal names the exact spectral norm of each residual
     pair = random_pair(7, 6, 2, 5)
+    rng = np.random.default_rng(2)
     X = mrwwd_family(pair).member(np.zeros((7, 6)))
     M = pair.W @ pair.bw_power(pair.k_bw + 1)
     v = np.linalg.svd(M)[0][:, -1].conj()
-    non_member = X + np.outer(np.ones(7), v)
+    u = _outside(pair._projector("BW", pair.k_bw, TOL), rng, 7)
+    non_member = X + np.outer(u, v)
     K = pair.bw_power(pair.k_bw)
     R = non_member @ M - K
-    exact = spectral_norm(R)
-    assert _passes(exact, spectral_norm(K), TOL)
-    assert f"{exact:.3e}" != f"{_frobenius(R):.3e}"
+    P = pair._projector("BW", pair.k_bw, TOL)
+    power, rng_residual = spectral_norm(R), spectral_norm(non_member - P @ non_member)
+    assert _passes(power, spectral_norm(K), TOL)
+    assert f"{power:.3e}" != f"{_frobenius(R):.3e}"
+    assert rng_residual > 0.5
     with pytest.raises(HypothesisError) as refused:
         weak_mpd(pair, non_member)
     assert str(refused.value) == (
         f"X is not a member of the left solution family "
-        f"(power residual {exact:.3e}, rank gap 1)"
+        f"(power residual {power:.3e}, range residual {rng_residual:.3e})"
     )
+
+
+def test_planted_right_member_is_refused_by_its_range_row():
+    # Z + u v^* with M u = 0 solves M Z = N as Z does, but v^* lies outside
+    # the row space of N = (WB)^k, so N(Z + u v^*) misses part of N(N)
+    pair = random_pair(7, 6, 2, 5)
+    rng = np.random.default_rng(3)
+    Z = mrwwd_right_family(pair).member(np.zeros((7, 6)))
+    M = pair.W @ pair.bw_power(pair.k_wb + 1)
+    u = np.linalg.svd(M)[2][-1].conj()
+    v = _outside(pair._row_projector("WB", TOL), rng, 6)
+    non_member = Z + np.outer(u, v.conj())
+    N = pair.wb_power(pair.k_wb)
+    assert _passes(spectral_norm(M @ non_member - N), spectral_norm(N), TOL)
+    with pytest.raises(HypothesisError, match=r"^Z is not a member of the right") as refused:
+        weak_dmp(pair, non_member)
+    named = float(str(refused.value).rsplit("range residual ", 1)[1].rstrip(")"))
+    assert named > 0.5
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_nilpotent_pairs_refuse_every_nonzero_member(n):
+    # BW and WB nilpotent of index n: (BW)^n is roundoff and q = 0, so the
+    # power equation holds for any moderate X while R(X) = R((BW)^n) = 0
+    # admits X = 0 alone. The range row refuses the rest, the family's own
+    # particular solution (a pseudoinverse of roundoff) included
+    rng = np.random.default_rng(4)
+    truth = square_truth(n, n, 1.0, 0.0, 0.0, True, rng)
+    V = cx.unitary(rng, n, True)
+    pair = weighted_pair(truth.S @ V.conj().T, V)
+    assert pair.k_bw == pair.k_wb == n
+    zero = np.zeros((n, n))
+    for residual in (_left_member_residual, _right_member_residual):
+        ok, _, range_residual = residual(pair, zero, TOL)
+        assert ok and range_residual == 0.0
+    for X in (np.ones((n, n)), 1e-6 * rng.standard_normal((n, n))):
+        with pytest.raises(HypothesisError, match="left solution family"):
+            weak_mpd(pair, X)
+        with pytest.raises(HypothesisError, match="right solution family"):
+            weak_dmp(pair, X)
+    particular = mrwwd_family(pair).particular
+    assert np.linalg.norm(particular) > 1.0
+    with pytest.raises(HypothesisError):
+        weak_mpd(pair, particular)
 
 
 def test_weak_dmp_on_right_family_draw():
@@ -166,7 +223,5 @@ PARAM = st.integers(min_value=-3, max_value=3)
 @given(x1=PARAM, x2=PARAM)
 def test_fixture_members_always_in_family(x1, x2):
     pair = ex1_pair()
-    from wginv.winv import _left_member_residual
-
     ok, r, gap = _left_member_residual(pair, ex1_member(x1, x2), TOL)
     assert ok and gap == 0, (x1, x2, r)
