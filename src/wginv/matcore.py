@@ -405,10 +405,13 @@ class VerificationReport:
         return doc
 
 
-def _range_eqc(A, B, tol: ToleranceConfig) -> tuple:
+def _range_eqc(A, B, tol: ToleranceConfig, P_B=None) -> tuple:
     # (residual, pass) of R(A) = R(B), by projector residuals both ways; ||B||
-    # is taken only when the first inclusion holds
-    r_ab, ok = _exact(A - projector_onto(B, tol) @ A, A, tol)
+    # is taken only when the first inclusion holds. P_B is the projector onto
+    # R(B) when the caller holds one decided on a better scale than B's own
+    if P_B is None:
+        P_B = projector_onto(B, tol)
+    r_ab, ok = _exact(A - P_B @ A, A, tol)
     R_ba = B - projector_onto(A, tol) @ B
     r_ba, ok = _exact(R_ba, B, tol) if ok else (spectral_norm(R_ba), False)
     return max(r_ab, r_ba), ok

@@ -95,14 +95,15 @@ def check_mrwwd(
     BW = pair.bw()
 
     report = VerificationReport("thm2.1", tol)
+    P = pair._projector("BW", k, tol)
     eq = _exact(X @ M - K, K, tol)
     rank = _rank_gap(rank_of(X, tol), pair._rank("BW", k, tol))
-    rng = _range_eqc(X, K, tol)
+    rng = _range_eqc(X, K, tol, P)
 
     _item(report, "(i) power equation, rank", [eq, rank])
     _item(report, "(ii) power equation, range", [eq, rng])
     _item(report, "(iii) outer inverse, range", [_exact(X @ W @ B @ W @ X - X, X, tol), rng])
-    fix = _exact(projector_onto(K, tol) @ X - X, X, tol)
+    fix = _exact(P @ X - X, X, tol)
     _item(report, "(iv) core projector fixes X", [fix, eq])
     _item(report, "(v) power equation, rank, range", [eq, rank, rng])
     _item(report, "(vi) left absorption", [_exact(B @ W @ X @ W @ X - X, X, tol), eq])
@@ -146,7 +147,7 @@ def check_mrwwd_right(
     _item(
         report,
         "(iv) row projector fixes Z",
-        [_exact(Z @ mp_inverse(N, tol) @ N - Z, Z, tol), eq],
+        [_exact(Z @ pair._row_projector("WB", tol) - Z, Z, tol), eq],
     )
     _item(report, "(v) power equation, rank, null space", [eq, rank, nul])
     _item(report, "(vi) right absorption", [_exact(Z @ W @ Z @ W @ B - Z, Z, tol), eq])
