@@ -402,9 +402,9 @@ def _left_member_residual(pair: WeightedPair, X, tol: ToleranceConfig) -> tuple:
     of the membership test. The range row is judged as a certificate
     (`_judge`): its residual reads 0 when it passes, and is exact when it
     fails."""
-    (R, K), (D, X) = _power_equation(pair, X, tol)
+    (R, K), (D, F) = _power_equation(pair, X, tol)
     residual, ok = _exact(R, K, tol)
-    range_residual, in_range = _judge((D,), (X,), tol)
+    range_residual, in_range = _judge((D,), (F,), tol)
     return ok and in_range, residual, 0.0 if in_range else range_residual
 
 
@@ -422,13 +422,13 @@ def _require_member(pair: WeightedPair, X, tol: ToleranceConfig) -> np.ndarray:
     rows = _power_equation(pair, X, tol)
     judged = [_judge((R,), (F,), tol) for R, F in rows]
     if not all(ok for _, ok in judged):
-        power, rng = (
+        power_residual, range_residual = (
             _exact(R, F, tol)[0] if ok else residual
             for (residual, ok), (R, F) in zip(judged, rows)
         )
         raise HypothesisError(
             f"X is not a member of the left solution family "
-            f"(power residual {power:.3e}, range residual {rng:.3e})"
+            f"(power residual {power_residual:.3e}, range residual {range_residual:.3e})"
         )
     return X
 
