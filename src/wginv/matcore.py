@@ -460,16 +460,29 @@ class WeightedPair:
     The pair stores read-only copies of B and W, however it is built. Its memo
     holds the powers of BW and WB and the products W (BW)^(k+1) and
     B^+ (BW)^(k+1), the staircase forms of BW and WB (which `weighted_pair`
-    seeds and which give the rank of and the projector onto every power, and
-    the projector onto the row space of a stabilized power), B^+, the left
-    family's particular solution and annihilator, the kernels and the
-    certified inverses that constructors compose, each built on first use
-    under its tolerance and read-only. Each of them is built once, here:
-    constructors, checkers, perturbation chains and order laws all read it
-    from the pair. A check reads the pair as a constructor does and stores
-    nothing about its candidate, whose report norms are taken on every call.
-    Public inverses are never read from the memo; a solution family's arrays
-    are the pair's, read-only.
+    seeds, once for both when BW and WB are one matrix, and which give the
+    rank of and the projector onto every power, and the projector onto the
+    row space of a stabilized power), B^+, the left family's particular
+    solution and annihilator, the kernels and the certified inverses that
+    constructors compose, each built on first use under its tolerance and
+    read-only. Each of them is built once, here: constructors, checkers,
+    perturbation chains and order laws all read it from the pair. A check
+    reads the pair as a constructor does and stores nothing about its
+    candidate, whose report norms are taken on every call. Public inverses
+    are never read from the memo; a solution family's arrays are the pair's,
+    read-only.
+
+    The memo also holds every product of these alone that a catalog
+    constructor forms, keyed by its tolerance (and m) only if it depends on
+    them: ((BW)^D)^2 and B ((WB)^D)^2 (`w_drazin`), B (WB)^core-EP and
+    W B W (`w_core_ep`), (CW)^(m+1) (BW)^(m-1) and (CW)^m (BW)^(m-1) B with
+    C = B^core-EP,W (`w_m_wgi`), B (WB)^wgi(m) P_WB (`w_m_weak_core`),
+    B^+ B W C (`w_mpcep`), W C W B (`w_cepmp`), W B^wgi(m),W W B
+    (`w_m_wgmp`), and B^+ B, W B^D,W W and B W B^D,W W (`w_mpd`). Each is
+    associated as the constructor associates it, so that a value and its
+    residuals are bitwise those of forming every product on each call; the
+    value is still formed by its last product, and every row evaluated, on
+    every call.
     """
 
     B: np.ndarray
@@ -561,6 +574,13 @@ class WeightedPair:
             return self._primal._row_projector("WB" if side == "BW" else "BW", tol)
         return self._staircase_of(side, tol).projector(j)
 
+    def _one_product(self, tol: ToleranceConfig) -> bool:
+        """Whether BW and WB are one matrix, factored once: `weighted_pair`
+        seeds its staircase form under both sides when the two products are
+        equal bit for bit (W = I, say)."""
+        memo = self._memo
+        return memo.get(("staircase", tol, "WB"), 0) is memo.get(("staircase", tol, "BW"))
+
     def _row_projector(self, side: str, tol: ToleranceConfig) -> np.ndarray:
         """The orthogonal projector onto the row space of (BW)^j (side "BW")
         or (WB)^j for every j at or above the index, R(((BW)^j)^*).
@@ -596,7 +616,9 @@ def weighted_pair(B, W, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedPair:
     """Validate shapes, reject the zero weight, and decide both indices from
     the staircase forms of BW and WB, which the pair keeps with BW and WB as
     its first powers (and with read-only copies of B and W, so the caller's
-    arrays may change)."""
+    arrays may change). When BW and WB are equal bit for bit, as for W = I,
+    they are one matrix: it is factored once, and its form and its array
+    serve both sides."""
     B = as_matrix(B)
     W = as_matrix(W)
     m, n = B.shape
@@ -604,7 +626,9 @@ def weighted_pair(B, W, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedPair:
         raise DimensionError(f"weight shape {W.shape} does not match required ({n}, {m})")
     if not W.any():
         raise ValueError("the zero weight is excluded")
-    bw, wb = _staircase(B @ W, tol), _staircase(W @ B, tol)
+    BW, WB = B @ W, W @ B
+    bw = _staircase(BW, tol)
+    wb = bw if m == n and BW.tobytes() == WB.tobytes() else _staircase(WB, tol)
     pair = WeightedPair(B=B, W=W, k_bw=bw.k, k_wb=wb.k)
     # the first powers are the products the forms were taken of
     pair._memo.update(

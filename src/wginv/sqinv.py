@@ -105,12 +105,13 @@ def m_wgi(S, m: int, tol: ToleranceConfig = DEFAULT_TOL) -> SquareInverseResult:
 def _m_wgi(form: _Staircase, m: int, C: np.ndarray, tol: ToleranceConfig) -> SquareInverseResult:
     # C is the certified core-EP inverse of S
     S = form.S
-    X = matrix_power(C, m + 1) @ matrix_power(S, m)
+    Sm = matrix_power(S, m)
+    X = matrix_power(C, m + 1) @ Sm
     residuals = _certify(
         "m_wgi",
         {
             "outer": _eq(X @ S @ X, X),
-            "product": _eq(S @ X, matrix_power(C, m) @ matrix_power(S, m)),
+            "product": _eq(S @ X, matrix_power(C, m) @ Sm),
             "range": ((X - form.P @ X,), (X,)),
         },
         tol,

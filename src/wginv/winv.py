@@ -60,6 +60,8 @@ def _drazin_kernel(pair: WeightedPair, side: str, tol: ToleranceConfig) -> np.nd
     """(BW)^D (side "BW") or (WB)^D; on a dual pair, the adjoint of the pair's
     kernel of the other product, (B^* W^*)^D = ((WB)^D)^*, certified anew."""
     if pair._primal is None:
+        if side == "WB" and pair._one_product(tol):
+            side = "BW"
         return pair._cached(
             (f"({side})^D", tol), lambda: _drazin(pair._staircase_of(side, tol), tol).value
         )
@@ -75,12 +77,9 @@ def _wb_core_ep(pair: WeightedPair, tol: ToleranceConfig) -> np.ndarray:
     )
 
 
-def _wb_m_wgi(pair: WeightedPair, m: int, tol: ToleranceConfig) -> np.ndarray:
-    """The m-fold weak group inverse of WB, from the cached (WB)^core-EP."""
-    return pair._cached(
-        ("(WB)^wgi", tol, m),
-        lambda: _m_wgi(pair._staircase_of("WB", tol), m, _wb_core_ep(pair, tol), tol).value,
-    )
+def _pinv_b(pair: WeightedPair, tol: ToleranceConfig) -> np.ndarray:
+    """B^+ B, the left factor of the MP-core-EP and weighted MPD inverses."""
+    return pair._cached(("B^+ B", tol), lambda: pair._pinv(tol) @ pair.B)
 
 
 def _value(pair: WeightedPair, constructor, tol: ToleranceConfig, *args) -> np.ndarray:
@@ -105,14 +104,22 @@ def w_drazin(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> Weighted
     defining equations and the dual representation B ((WB)^D)^2."""
     B, W = pair.B, pair.W
     k = pair.k_bw
-    Xd = _drazin_kernel(pair, "BW", tol)
-    val = Xd @ Xd @ B
-    dual = B @ np.linalg.matrix_power(_drazin_kernel(pair, "WB", tol), 2)
+
+    def square():
+        Xd = _drazin_kernel(pair, "BW", tol)
+        return Xd @ Xd
+
+    val = pair._cached(("((BW)^D)^2", tol), square) @ B
+    dual = pair._cached(
+        ("B ((WB)^D)^2", tol),
+        lambda: B @ np.linalg.matrix_power(_drazin_kernel(pair, "WB", tol), 2),
+    )
+    vWB = val @ W @ B  # shared by the fixed-point and commute rows
     residuals = _certify(
         "w_drazin",
         {
-            "fixed point": _eq(val @ W @ B @ W @ val, val),
-            "commute": _eq(B @ W @ val, val @ W @ B),
+            "fixed point": _eq(vWB @ W @ val, val),
+            "commute": _eq(pair.bw_power(1) @ val, vWB),
             "power": _eq(pair.bw_power(k + 1) @ val @ W, pair.bw_power(k)),
             "dual agreement": _eq(dual, val),
         },
@@ -132,9 +139,11 @@ def _w_core_ep_checks(pair: WeightedPair, val: np.ndarray, tol: ToleranceConfig)
     by a D with W B W D = 0 and R(D) inside R((BW)^k); D = (BW)^k z then
     gives (BW)^(k+2) z = B W B W D = 0, and (BW)^(k+2) has the null space of
     (BW)^k, so D = 0."""
-    B, W = pair.B, pair.W
     return {
-        "projector": _eq(W @ B @ W @ val, pair._projector("WB", pair.k_wb, tol)),
+        "projector": _eq(
+            pair._cached(("W B W",), lambda: pair.wb_power(1) @ pair.W) @ val,
+            pair._projector("WB", pair.k_wb, tol),
+        ),
         "range": ((val - pair._projector("BW", pair.k_bw, tol) @ val,), (val,)),
     }
 
@@ -143,7 +152,7 @@ def w_core_ep(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> Weighte
     """W-weighted core-EP inverse B ((WB)^core-EP)^2, certified by the two
     rows that fix it (see `_w_core_ep_checks`)."""
     C = _wb_core_ep(pair, tol)
-    val = pair.B @ C @ C
+    val = pair._cached(("B (WB)^core-EP", tol), lambda: pair.B @ C) @ C
     residuals = _certify("w_core_ep", _w_core_ep_checks(pair, val, tol), tol)
     return WeightedInverseResult(
         value=val, kind="w-core-ep", index_used=pair.k_wb, residuals=residuals
@@ -157,14 +166,17 @@ def w_m_wgi(
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
     B, W = pair.B, pair.W
-    CW = _value(pair, w_core_ep, tol) @ W
-    val = np.linalg.matrix_power(CW, m + 1) @ pair.bw_power(m - 1) @ B
+
+    def power(j):  # (CW)^j (BW)^(m-1), C = B^core-EP,W
+        CW = _value(pair, w_core_ep, tol) @ W
+        return np.linalg.matrix_power(CW, j) @ pair.bw_power(m - 1)
+
+    val = pair._cached(("(CW)^(m+1) (BW)^(m-1)", tol, m), lambda: power(m + 1)) @ B
+    product = pair._cached(("(CW)^m (BW)^(m-1) B", tol, m), lambda: power(m) @ B)
     residuals = _certify(
         "w_m_wgi",
         {
-            "product": _eq(
-                B @ W @ val, np.linalg.matrix_power(CW, m) @ pair.bw_power(m - 1) @ B
-            ),
+            "product": _eq(pair.bw_power(1) @ val, product),
             "outer": _eq(val @ W @ B @ W @ val, val),
         },
         tol,
@@ -184,12 +196,17 @@ def w_m_weak_core(
     B, W = pair.B, pair.W
     P = pair._projector("WB", m, tol)
     val = _value(pair, w_m_wgi, tol, m) @ P
-    star = _wb_m_wgi(pair, m, tol) @ P
+
+    def star():  # B (WB)^wgi(m) P, the m-fold weak group inverse of WB from its core-EP
+        wgi = _m_wgi(pair._staircase_of("WB", tol), m, _wb_core_ep(pair, tol), tol).value
+        return B @ (wgi @ P)
+
+    BWval = pair.bw_power(1) @ val  # shared by both rows
     residuals = _certify(
         "w_m_weak_core",
         {
-            "product": _eq(B @ W @ val, B @ star),
-            "inner composition": _eq(B @ W @ val @ W @ val, val),
+            "product": _eq(BWval, pair._cached(("B (WB)^wgi P", tol, m), star)),
+            "inner composition": _eq(BWval @ W @ val, val),
         },
         tol,
     )
@@ -204,8 +221,11 @@ def _outer_only(kind: str, pair: WeightedPair, val: np.ndarray, tol: ToleranceCo
 
 def w_mpcep(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedInverseResult:
     """MP-core-EP composition B^+ B W B^core-EP,W W."""
-    B, W = pair.B, pair.W
-    val = pair._pinv(tol) @ B @ W @ _value(pair, w_core_ep, tol) @ W
+    W = pair.W
+    head = pair._cached(
+        ("B^+ B W B^core-EP,W", tol), lambda: _pinv_b(pair, tol) @ W @ _value(pair, w_core_ep, tol)
+    )
+    val = head @ W
     residuals = _outer_only("w_mpcep", pair, val, tol)
     return WeightedInverseResult(
         value=val, kind="w-mpcep", index_used=pair.k_bw, residuals=residuals
@@ -215,7 +235,10 @@ def w_mpcep(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedI
 def w_cepmp(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedInverseResult:
     """Core-EP-MP composition W B^core-EP,W W B B^+."""
     B, W = pair.B, pair.W
-    val = W @ _value(pair, w_core_ep, tol) @ W @ B @ pair._pinv(tol)
+    head = pair._cached(
+        ("W B^core-EP,W W B", tol), lambda: W @ _value(pair, w_core_ep, tol) @ W @ B
+    )
+    val = head @ pair._pinv(tol)
     residuals = _outer_only("w_cepmp", pair, val, tol)
     return WeightedInverseResult(
         value=val, kind="w-cepmp", index_used=pair.k_wb, residuals=residuals
@@ -227,7 +250,10 @@ def w_m_wgmp(
 ) -> WeightedInverseResult:
     """m-fold weak-group-MP composition W B^wgi(m),W W B B^+."""
     B, W = pair.B, pair.W
-    val = W @ _value(pair, w_m_wgi, tol, m) @ W @ B @ pair._pinv(tol)
+    head = pair._cached(
+        ("W B^wgi,W W B", tol, m), lambda: W @ _value(pair, w_m_wgi, tol, m) @ W @ B
+    )
+    val = head @ pair._pinv(tol)
     residuals = _outer_only("w_m_wgmp", pair, val, tol)
     return WeightedInverseResult(
         value=val, kind="w-m-wgmp", index_used=pair.k_wb, residuals=residuals
@@ -245,13 +271,13 @@ def w_mpd(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedInv
     """Weighted MPD inverse B^+ B W B^D,W W."""
     B, W = pair.B, pair.W
     k = pair.k_bw
-    WdW = W @ _value(pair, w_drazin, tol) @ W
-    val = pair._pinv(tol) @ B @ WdW
+    WdW = pair._cached(("W B^D,W W", tol), lambda: W @ _value(pair, w_drazin, tol) @ W)
+    val = _pinv_b(pair, tol) @ WdW
     residuals = _certify(
         "w_mpd",
         {
             "outer": _eq(val @ B @ val, val),
-            "product": _eq(B @ val, B @ WdW),
+            "product": _eq(B @ val, pair._cached(("B W B^D,W W", tol), lambda: B @ WdW)),
             "power": _eq(val @ pair.bw_power(k + 1), _pinv_power(pair, tol)),
         },
         tol,

@@ -106,3 +106,49 @@ def test_constructors_decide_no_rank_on_a_values_own_scale(module):
 def test_verify_keeps_its_spectral_norm_binding():
     # the benchmark's self-test wraps verify's own binding of spectral_norm
     assert verify.spectral_norm is matcore.spectral_norm
+
+
+# The constructors read B W and W B as the pair's first powers, the products
+# its staircase forms were taken of, instead of forming them again: `winv`
+# spells no product of B and W, in either order, and calls neither `bw()`
+# nor `wb()`.
+FACTOR_NAMES = {"B", "W"}
+
+
+def _factor(node) -> str | None:
+    """"B" or "W" for a name or attribute so called, else None."""
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    return name if name in FACTOR_NAMES else None
+
+
+def pair_products(source: str) -> list:
+    """(line, spelling) of every B @ W or W @ B and every call of bw()/wb()."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            left, right = _factor(node.left), _factor(node.right)
+            if left and right and left != right:
+                found.append((node.lineno, f"{left} @ {right}"))
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in {"bw", "wb"}
+        ):
+            found.append((node.lineno, f"{node.func.attr}()"))
+    return sorted(found)
+
+
+def test_the_scan_sees_pair_products():
+    source = (
+        "def build(pair, val):\n"
+        "    B, W = pair.B, pair.W\n"
+        "    left = B @ W @ val\n"
+        "    right = val @ W @ B\n"
+        "    return pair.W @ pair.B @ W, pair.bw(), pair.bw_power(1) @ val, B @ B\n"
+    )
+    assert pair_products(source) == [(3, "B @ W"), (5, "W @ B"), (5, "bw()")]
+
+
+def test_constructors_read_the_first_powers_from_the_pair():
+    source = (PACKAGE / "winv.py").read_text(encoding="utf-8")
+    assert pair_products(source) == []

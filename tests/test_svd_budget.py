@@ -214,7 +214,8 @@ def test_cached_factors_are_keyed_by_tolerance():
 
 def test_index_decision_factors_each_power_once(monkeypatch):
     # weighted_pair decides both indices and nothing else by SVD: one SVD per
-    # power S, S^2, ..., S^(k+1) of each product, the norm of S included
+    # power S, S^2, ..., S^(k+1) of each product, the norm of S included.
+    # With W = I, B W and W B are one matrix, factored once
     rng = np.random.default_rng(3)
     S = random_square_with_index(6, 2, rng, matcore.DEFAULT_TOL)
     calls = _counting(monkeypatch, linalg_impl, "svd")
@@ -223,7 +224,30 @@ def test_index_decision_factors_each_power_once(monkeypatch):
     assert len(calls) == 3
     del calls[:]
     pair = matcore.weighted_pair(S, np.eye(6))
+    assert pair.k_bw == pair.k_wb == 2
+    assert len(calls) == pair.k_bw + 1
+    del calls[:]
+    pair = matcore.weighted_pair(S, np.diag(np.arange(1.0, 7.0)))
     assert len(calls) == pair.k_bw + pair.k_wb + 2
+
+
+def test_identity_weight_shares_one_form_and_one_kernel():
+    # the form, the first power and the Drazin kernel of W B are those of B W
+    S = random_square_with_index(6, 2, 3, matcore.DEFAULT_TOL)
+    pair = matcore.weighted_pair(S, np.eye(6))
+    assert pair._staircase_of("WB", DEFAULT_TOL) is pair._staircase_of("BW", DEFAULT_TOL)
+    assert pair.wb_power(1) is pair.bw_power(1)
+    assert _drazin_kernel(pair, "WB", DEFAULT_TOL) is _drazin_kernel(pair, "BW", DEFAULT_TOL)
+    # a weight that does not commute with B keeps two forms and two kernels
+    other = matcore.weighted_pair(S, np.diag(np.arange(1.0, 7.0)))
+    assert not other._one_product(DEFAULT_TOL)
+    assert not np.array_equal(
+        _drazin_kernel(other, "WB", DEFAULT_TOL), _drazin_kernel(other, "BW", DEFAULT_TOL)
+    )
+    # nor does a pair built directly, whose forms are built side by side
+    direct = _direct(pair)
+    assert direct._staircase_of("WB", DEFAULT_TOL) is not direct._staircase_of("BW", DEFAULT_TOL)
+    assert not direct._one_product(DEFAULT_TOL)
 
 
 # A family operation of the `dense` benchmark: a member drawn from the family,
