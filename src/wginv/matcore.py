@@ -628,6 +628,7 @@ def weighted_pair(B, W, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedPair:
         raise ValueError("the zero weight is excluded")
     BW, WB = B @ W, W @ B
     bw = _staircase(BW, tol)
+    # compared as bytes, since equal values may differ in the sign of a zero
     wb = bw if m == n and BW.tobytes() == WB.tobytes() else _staircase(WB, tol)
     pair = WeightedPair(B=B, W=W, k_bw=bw.k, k_wb=wb.k)
     # the first powers are the products the forms were taken of
