@@ -66,28 +66,30 @@ def _upper_blocks(A: np.ndarray, q: int) -> tuple:
     return A[:q, :q], A[:q, q:], A[q:, q:]
 
 
-def _structure_checks(dec: BlockDecomposition, tol: ToleranceConfig) -> list:
-    """(label, residual, pass) rows shared by the constructor and the report."""
+def _structure_checks(dec: BlockDecomposition, tol: ToleranceConfig) -> tuple:
+    """The rows shared by the constructor and the report, in the report's
+    order: the rows of the factors and blocks, the rank row (label, gap,
+    pass), and the rows of the tails. A matrix row is label ->
+    ((residual,), (reference,))."""
     pair = dec.pair
     m, n, q = pair.m, pair.n, dec.q
     Bhat = dec.M.conj().T @ pair.B @ dec.N
     What = dec.N.conj().T @ pair.W @ dec.M
-    rows = [
-        ("reassembly B", *_exact(dec.assemble_b() - pair.B, pair.B, tol)),
-        ("reassembly W", *_exact(dec.assemble_w() - pair.W, pair.W, tol)),
-        ("unitary M", *_exact(dec.M.conj().T @ dec.M - np.eye(m), np.eye(m), tol)),
-        ("unitary N", *_exact(dec.N.conj().T @ dec.N - np.eye(n), np.eye(n), tol)),
-        ("lower-left B", *_exact(Bhat[q:, :q], pair.B, tol)),
-        ("lower-left W", *_exact(What[q:, :q], pair.W, tol)),
-    ]
-
+    factors = {
+        "reassembly B": _eq(dec.assemble_b(), pair.B),
+        "reassembly W": _eq(dec.assemble_w(), pair.W),
+        "unitary M": _eq(dec.M.conj().T @ dec.M, np.eye(m)),
+        "unitary N": _eq(dec.N.conj().T @ dec.N, np.eye(n)),
+        "lower-left B": ((Bhat[q:, :q],), (pair.B,)),
+        "lower-left W": ((What[q:, :q],), (pair.W,)),
+    }
     ranks = rank_of(dec.B1, tol) + rank_of(dec.W1, tol)
-    rows.append(("leading blocks invertible", *_rank_gap(2 * q, ranks)))
-
+    rank = ("leading blocks invertible", *_rank_gap(2 * q, ranks))
     # the tails' powers vanish on the tails' own scale
+    tails = {}
     for side, tail, k in (("BW", dec.B3 @ dec.W3, pair.k_bw), ("WB", dec.W3 @ dec.B3, pair.k_wb)):
-        rows.append((f"nilpotent {side} tail", *_exact(matrix_power(tail, k), tail, tol)))
-    return rows
+        tails[f"nilpotent {side} tail"] = ((matrix_power(tail, k),), (tail,))
+    return factors, rank, tails
 
 
 def weighted_core_ep_decompose(
@@ -95,7 +97,8 @@ def weighted_core_ep_decompose(
 ) -> BlockDecomposition:
     """Decompose the pair over the unitaries M and N of the staircase forms of
     BW and WB, whose leading q columns span R((BW)^k) and R((WB)^k), which B
-    and W map into each other. Structural failures raise CertificationError."""
+    and W map into each other. Structural failures raise CertificationError:
+    the rank rows first, then the matrix rows as a certificate."""
     bw, wb = pair._staircase_of("BW", tol), pair._staircase_of("WB", tol)
     q = bw.q
     kind = "weighted_core_ep_decompose"
@@ -104,7 +107,9 @@ def weighted_core_ep_decompose(
     B_blocks = _upper_blocks(M.conj().T @ pair.B @ N, q)  # B1, B2, B3
     W_blocks = _upper_blocks(N.conj().T @ pair.W @ M, q)
     dec = BlockDecomposition(pair, M, N, *B_blocks, *W_blocks, q)
-    _refuse(kind, _structure_checks(dec, tol))
+    factors, rank, tails = _structure_checks(dec, tol)
+    _refuse(kind, [rank])
+    _certify(kind, {**factors, **tails}, tol)
     return dec
 
 
@@ -112,8 +117,10 @@ def decomposition_report(
     dec: BlockDecomposition, tol: ToleranceConfig = DEFAULT_TOL
 ) -> VerificationReport:
     report = VerificationReport("lem3.15", tol)
-    for label, residual, ok in _structure_checks(dec, tol):
-        report.add(label, residual, ok)
+    factors, rank, tails = _structure_checks(dec, tol)
+    exact = [(label, *_exact(R, F, tol)) for label, ((R,), (F,)) in {**factors, **tails}.items()]
+    for row in exact[: len(factors)] + [rank] + exact[len(factors) :]:
+        report.add(*row)
     return report
 
 

@@ -97,9 +97,14 @@ class OrderLawCase:
         return pairs[-1], max(p.k_bw for p in pairs)
 
 
-def _set_flag(case: OrderLawCase, name: str, L, R, tol: ToleranceConfig) -> None:
+def _commutes(L, R, tol: ToleranceConfig) -> tuple:
+    """(||L R - R L||, pass), judged against L R."""
     LR = L @ R
-    case.flag_residuals[name], case.commutation_flags[name] = _exact(LR - R @ L, LR, tol)
+    return _exact(LR - R @ L, LR, tol)
+
+
+def _set_flag(case: OrderLawCase, name: str, L, R, tol: ToleranceConfig) -> None:
+    case.flag_residuals[name], case.commutation_flags[name] = _commutes(L, R, tol)
 
 
 def _require_case_flags(case: OrderLawCase, names) -> None:
@@ -284,8 +289,7 @@ def triple_reverse(case: OrderLawCase, tol: ToleranceConfig = DEFAULT_TOL) -> Ve
 
     ADW, BDW, CDW = (_value(case._pair(name, tol), w_drazin, tol) for name in "ABC")
     rev = CDW @ W @ BDW @ W @ ADW
-    CDWW, AWBW = CDW @ W, case.A @ W @ case.B @ W
-    commute, ok = _exact(CDWW @ AWBW - AWBW @ CDWW, CDWW @ case.A @ W @ case.B @ W, tol)
+    commute, ok = _commutes(CDW @ W, case.A @ W @ case.B @ W, tol)
     if ok:
         report.merge(check_mrwwd(ppair, rev, tol, power=k), prefix="Drazin reverse member: ")
     else:
@@ -313,8 +317,7 @@ def triple_forward(case: OrderLawCase, tol: ToleranceConfig = DEFAULT_TOL) -> Ve
 
     ADW, BDW, CDW = (_value(case._pair(name, tol), w_drazin, tol) for name in "ABC")
     fwd = ADW @ W @ BDW @ W @ CDW
-    ADWBDWW, CW = ADW @ W @ BDW @ W, case.C @ W
-    commute, ok = _exact(ADWBDWW @ CW - CW @ ADWBDWW, ADWBDWW @ case.C @ W, tol)
+    commute, ok = _commutes(ADW @ W @ BDW @ W, case.C @ W, tol)
     if ok:
         report.add_equation(
             "forward Drazin product equals the product inverse",

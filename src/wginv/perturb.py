@@ -108,7 +108,8 @@ def _norm_flag(A) -> tuple:
 
 # A subspace hypothesis holds at roundoff relative to E: each flag is the
 # exact residual of the columns (rows) of A against the range (row space) it
-# must lie in, A - P A with P the orthogonal projector (A - A T^+ T).
+# must lie in, A - P A with P the orthogonal projector (A - A T^+ T), read
+# from the pair when T is a power of BW or WB.
 
 
 def _left_norm_flags(pair: WeightedPair, X, E, tol: ToleranceConfig) -> dict:
@@ -142,10 +143,9 @@ def _right_flags(pair: WeightedPair, Z, E, tol: ToleranceConfig) -> dict:
     Bp = pair._pinv(tol)
     WE = W @ E
     WBWZ = W @ B @ W @ Z
-    N1 = pair.wb_power(pair.k_wb + 1)
     return {
         "range WE in member product": _exact(WE - projector_onto(WBWZ, tol) @ WE, E, tol),
-        "rows WE in WB power": _exact(WE - WE @ mp_inverse(N1, tol) @ N1, E, tol),
+        "rows WE in WB power": _exact(WE - WE @ pair._row_projector("WB", tol), E, tol),
         "range E in B": _exact(E - B @ Bp @ E, E, tol),
         "rows E in B": _exact(E - E @ Bp @ B, E, tol),
         **_right_norm_flags(pair, Z, E, tol),
@@ -280,17 +280,14 @@ def _note_flags(report: VerificationReport, scenario: PerturbationScenario) -> N
 
 
 def perturbed_mrwwd(
-    scenario: PerturbationScenario,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    require_hypotheses: bool = True,
+    scenario: PerturbationScenario, tol: ToleranceConfig = DEFAULT_TOL
 ) -> VerificationReport:
     """Stability of the left family: the updated member X (I + WEWX)^-1
     belongs to the perturbed pair's family and satisfies both inverse-free
     product identities."""
     if scenario.side != "left":
         raise ValueError("left-family perturbation needs a left scenario")
-    if require_hypotheses:
-        _require_flags(scenario, ["range EW in K", "rows EW in member product", "norm WEWX"])
+    _require_flags(scenario, ["range EW in K", "rows EW in member product", "norm WEWX"])
     pair = scenario.pair
     B, W, E, D = pair.B, pair.W, scenario.E, scenario.D
     X = scenario.member
@@ -313,17 +310,12 @@ def perturbed_mrwwd(
 
 
 def perturbed_mrwwd_right(
-    scenario: PerturbationScenario,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    require_hypotheses: bool = True,
+    scenario: PerturbationScenario, tol: ToleranceConfig = DEFAULT_TOL
 ) -> VerificationReport:
     """Mirrored stability statement for the right family."""
     if scenario.side != "right":
         raise ValueError("right-family perturbation needs a right scenario")
-    if require_hypotheses:
-        _require_flags(
-            scenario, ["range WE in member product", "rows WE in WB power", "norm ZWEW"]
-        )
+    _require_flags(scenario, ["range WE in member product", "rows WE in WB power", "norm ZWEW"])
     pair = scenario.pair
     B, W, E, D = pair.B, pair.W, scenario.E, scenario.D
     Z = scenario.member
@@ -354,16 +346,13 @@ def _sandwich(report: VerificationReport, label: str, center: float, base: float
 
 
 def mpd_perturbation(
-    scenario: PerturbationScenario,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    require_hypotheses: bool = True,
+    scenario: PerturbationScenario, tol: ToleranceConfig = DEFAULT_TOL
 ) -> VerificationReport:
     """Three representations of the perturbed product D^+ (weak MPD chain)
     agree, the recovery identity holds, and the norm sandwich brackets it."""
     if scenario.side != "left":
         raise ValueError("the MPD chain needs a left scenario")
-    if require_hypotheses:
-        _require_flags(scenario, LEFT_FLAGS)
+    _require_flags(scenario, LEFT_FLAGS)
     pair = scenario.pair
     B, W, E, D = pair.B, pair.W, scenario.E, scenario.D
     X = scenario.member
@@ -397,15 +386,12 @@ def mpd_perturbation(
 
 
 def dmp_perturbation(
-    scenario: PerturbationScenario,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    require_hypotheses: bool = True,
+    scenario: PerturbationScenario, tol: ToleranceConfig = DEFAULT_TOL
 ) -> VerificationReport:
     """Mirrored perturbation chain for the weak DMP inverse."""
     if scenario.side != "right":
         raise ValueError("the DMP chain needs a right scenario")
-    if require_hypotheses:
-        _require_flags(scenario, RIGHT_FLAGS)
+    _require_flags(scenario, RIGHT_FLAGS)
     pair = scenario.pair
     B, W, E, D = pair.B, pair.W, scenario.E, scenario.D
     Z = scenario.member

@@ -16,9 +16,7 @@ from .matcore import (
     _range_eqc,
     _rank_gap,
     as_matrix,
-    mp_inverse,
     oblique_projector_check,
-    projector_onto,
     rank_of,
     spectral_norm,
 )
@@ -27,6 +25,8 @@ from .winv import (
     _drazin_kernel,
     _family_product,
     _left_member_residual,
+    _pinv_b,
+    _pinv_power,
     _require_member,
     _right_hand,
     _value,
@@ -167,17 +167,15 @@ def check_weak_mpd_system(
     X = as_matrix(X)
     Y = as_matrix(Y)
     B, W = pair.B, pair.W
-    k = pair.k_bw
-    Bp = mp_inverse(B, tol)
-    P1 = pair.bw_power(k + 1)
+    P1 = pair.bw_power(pair.k_bw + 1)
 
     report = VerificationReport("thm3.1", tol)
     ok, m_res, m_gap = _left_member_residual(pair, X, tol)
     report.add("X in left family", max(m_res, float(m_gap)), ok)
     report.add_equation("outer: Y B Y = Y", Y @ B @ Y, Y)
     report.add_equation("image: B Y = B W X W", B @ Y, B @ W @ X @ W)
-    report.add_equation("power: Y (BW)^(k+1) = B^+ (BW)^(k+1)", Y @ P1, Bp @ P1)
-    report.add_equation("uniqueness: Y = B^+ B W X W", Y, Bp @ B @ W @ X @ W)
+    report.add_equation("power: Y (BW)^(k+1) = B^+ (BW)^(k+1)", Y @ P1, _pinv_power(pair, tol))
+    report.add_equation("uniqueness: Y = B^+ B W X W", Y, _pinv_b(pair, tol) @ W @ X @ W)
     return report
 
 
@@ -206,11 +204,10 @@ def check_mpd_characterizations(
     X = as_matrix(X)
     Y = as_matrix(Y)
     B, W = pair.B, pair.W
-    k = pair.k_bw
-    Bp = mp_inverse(B, tol)
+    Bp, BpP1 = pair._pinv(tol), _pinv_power(pair, tol)
     BWXW = B @ W @ X @ W
-    P1 = pair.bw_power(k + 1)
-    BpP1, BpBY, BpX, BpBWXW, BWXWB = Bp @ P1, Bp @ B @ Y, Bp @ X, Bp @ BWXW, BWXW @ B
+    P1 = pair.bw_power(pair.k_bw + 1)
+    BpBY, BpX, BpBWXW, BWXWB = _pinv_b(pair, tol) @ Y, Bp @ X, Bp @ BWXW, BWXW @ B
     BpBYB, BpXBp, BpXWB = BpBY @ B, BpX @ Bp, BpX @ W @ B
 
     report = VerificationReport("thm3.3", tol)
@@ -297,8 +294,7 @@ def check_projectors(
     else:
         X = _require_member(pair, X, tol)
     Y = as_matrix(Y)
-    K, P1 = pair.bw_power(pair.k_bw), pair.bw_power(pair.k_bw + 1)
-    col_gen = mp_inverse(B, tol) @ P1
+    K, col_gen = pair.bw_power(pair.k_bw), _pinv_power(pair, tol)
 
     report = VerificationReport("lem3.6", tol)
     report.merge(oblique_projector_check(B @ Y, K, X @ W, tol), prefix="(i) B Y: ")
@@ -373,7 +369,7 @@ def check_unique_projector_solution(
     report.merge(oblique_projector_check(B @ Y, K, X @ W, tol), prefix="projector: ")
     report.add(
         "column space inside row space of B",
-        *_exact(Y - projector_onto(B.conj().T, tol) @ Y, Y, tol),
+        *_exact(Y - _pinv_b(pair, tol) @ Y, Y, tol),
     )
     rcond = tol.rank_rtol * max(B.shape)
     alt = np.linalg.lstsq(B, B @ Y, rcond=rcond)[0]
@@ -417,13 +413,14 @@ def one_inverse_family(
     if X is None:
         X = _value(pair, w_drazin, tol)
     X = _require_member(pair, X, tol)
-    K, P1 = pair.bw_power(pair.k_bw), pair.bw_power(pair.k_bw + 1)
-    Bp = mp_inverse(B, tol)
-    Q = Bp + U @ (np.eye(pair.m, dtype=complex) - projector_onto(K, tol))
+    P, P1 = pair._projector("BW", pair.k_bw, tol), pair.bw_power(pair.k_bw + 1)
+    Q = pair._pinv(tol) + U @ (np.eye(pair.m, dtype=complex) - P)
 
     report = VerificationReport("thm3.12", tol)
-    report.add_equation("power absorption", Q @ P1, Bp @ P1)
-    report.add_equation("member product absorption", Q @ B @ W @ X @ W, Bp @ B @ W @ X @ W)
+    report.add_equation("power absorption", Q @ P1, _pinv_power(pair, tol))
+    report.add_equation(
+        "member product absorption", Q @ B @ W @ X @ W, _pinv_b(pair, tol) @ W @ X @ W
+    )
     report.note("inner defect of Q", spectral_norm(B @ Q @ B - B))
     return Q, report
 
@@ -458,5 +455,5 @@ def mpd_general_solution(
     Y = Bp + Zfree @ (np.eye(pair.m, dtype=complex) - B @ W @ X @ W)
 
     report = VerificationReport("lem3.14", tol)
-    report.add_equation("power identity", Y @ P1, Bp @ P1)
+    report.add_equation("power identity", Y @ P1, _pinv_power(pair, tol))
     return Y, report

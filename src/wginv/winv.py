@@ -78,7 +78,8 @@ def _wb_core_ep(pair: WeightedPair, tol: ToleranceConfig) -> np.ndarray:
 
 
 def _pinv_b(pair: WeightedPair, tol: ToleranceConfig) -> np.ndarray:
-    """B^+ B, the left factor of the MP-core-EP and weighted MPD inverses."""
+    """B^+ B, the left factor of the MP-core-EP and weighted MPD inverses and
+    the orthogonal projector onto R(B^*) that the checkers read."""
     return pair._cached(("B^+ B", tol), lambda: pair._pinv(tol) @ pair.B)
 
 
@@ -262,7 +263,8 @@ def w_m_wgmp(
 
 def _pinv_power(pair: WeightedPair, tol: ToleranceConfig) -> np.ndarray:
     """B^+ (BW)^(k+1), the right side of the power rows of the weighted and
-    weak MPD inverses, formed once per pair and tolerance and read-only."""
+    weak MPD inverses and of their checkers, formed once per pair and
+    tolerance and read-only."""
     k = pair.k_bw
     return pair._cached(("B^+ BW^", tol, k + 1), lambda: pair._pinv(tol) @ pair.bw_power(k + 1))
 

@@ -4,7 +4,9 @@ built once, by the WeightedPair, and read from it. So the checkers, the
 perturbation chains and the order laws import no square-matrix inverse and no
 index decision, and the checkers and the perturbation chains call no public
 constructor of a pair's own inverse: they read its value through
-`winv._value`. (The scan parses the sources with `ast`.)"""
+`winv._value`. The checkers take no pseudoinverse and build no projector
+either: B^+, its products and the projectors onto the stabilized powers are
+the pair's. (The scan parses the sources with `ast`.)"""
 
 import ast
 from pathlib import Path
@@ -67,19 +69,19 @@ OWN_SCALE = {"rank_of", "projector_onto", "_pinv_rank"}
 OWN_SCALE_SCAN = ("winv.py", "sqinv.py")
 
 
-def own_scale_references(source: str) -> list:
-    """(line, name) of every import, name or attribute in OWN_SCALE."""
+def own_scale_references(source: str, names=OWN_SCALE) -> list:
+    """(line, name) of every import, name or attribute in `names`."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.alias):
-            names = (node.name.rsplit(".", 1)[-1],)
+            spelled = (node.name.rsplit(".", 1)[-1],)
         elif isinstance(node, ast.Name):
-            names = (node.id,)
+            spelled = (node.id,)
         elif isinstance(node, ast.Attribute):
-            names = (node.attr,)
+            spelled = (node.attr,)
         else:
             continue
-        found += [(getattr(node, "lineno", 0), name) for name in names if name in OWN_SCALE]
+        found += [(getattr(node, "lineno", 0), name) for name in spelled if name in names]
     return sorted(found)
 
 
@@ -101,6 +103,30 @@ def test_the_scan_sees_own_scale_decisions():
 def test_constructors_decide_no_rank_on_a_values_own_scale(module):
     source = (PACKAGE / module).read_text(encoding="utf-8")
     assert own_scale_references(source) == []
+
+
+# The checkers read B^+, B^+ B, B^+ (BW)^(k+1) and the projectors onto the
+# stabilized powers from the pair, as the constructors do: `verify` takes no
+# pseudoinverse and builds no projector of its own.
+PAIR_PSEUDOINVERSES = {"mp_inverse", "projector_onto"}
+
+
+def test_the_scan_sees_a_checkers_own_pseudoinverse():
+    source = (
+        "from .matcore import mp_inverse, rank_of\n"
+        "def check(pair, K, tol):\n"
+        "    return matcore.projector_onto(K, tol) @ mp_inverse(pair.B, tol)\n"
+    )
+    assert own_scale_references(source, PAIR_PSEUDOINVERSES) == [
+        (1, "mp_inverse"),
+        (3, "mp_inverse"),
+        (3, "projector_onto"),
+    ]
+
+
+def test_checkers_read_the_pseudoinverse_and_projectors_from_the_pair():
+    source = (PACKAGE / "verify.py").read_text(encoding="utf-8")
+    assert own_scale_references(source, PAIR_PSEUDOINVERSES) == []
 
 
 def test_verify_keeps_its_spectral_norm_binding():

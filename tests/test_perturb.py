@@ -110,9 +110,6 @@ def test_scenario_from_parts_flags_inadmissible_direction():
             assert scenario.flags[name] == (value <= bar), name
     with pytest.raises(HypothesisError):
         mpd_perturbation(scenario)
-    # with the gate off the chain still runs and reports what it sees
-    report = mpd_perturbation(scenario, require_hypotheses=False)
-    assert isinstance(report.overall, bool)
 
 
 def test_validation_errors():

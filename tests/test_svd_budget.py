@@ -30,6 +30,7 @@ from wginv.verify import (
     check_mpd_characterizations,
     check_mrwwd,
     check_mrwwd_right,
+    check_weak_dmp_system,
 )
 from wginv.winv import (
     CATALOG,
@@ -289,11 +290,14 @@ def _memo_keys(pair) -> tuple:
 
 # What a check may keep on a pair: the powers of BW and WB, the left family's
 # W (BW)^(k+1), the staircase forms whose q is the rank of the stabilized
-# power, and the projector onto the row space of a stabilized power, which
-# the right-hand membership test reads on the dual. Nothing in it depends on
-# the candidate.
+# power, the projector onto the row space of a stabilized power, which the
+# right-hand membership test reads on the dual, and B^+ with the products
+# B^+ (BW)^(k+1) and B^+ B that the weak MPD inverse's rows read (a dual pair
+# keeps its own products, on the adjoint of the pair's B^+). Nothing in it
+# depends on the candidate.
 POWERS = {"BW^", "WB^", "W BW^"}
-PAIR_READS = POWERS | {"row projector"}
+PINV_PRODUCTS = {"B^+ BW^", "B^+ B"}
+PAIR_READS = POWERS | PINV_PRODUCTS | {"B^+", "row projector"}
 
 
 def _quantities(keys) -> set:
@@ -391,10 +395,12 @@ def test_m_fold_weak_group_values_are_memoized_per_m():
 
 
 # The checkers and the membership test judge a caller's candidate. They read
-# the pair as a constructor does and store nothing about the candidate, so on
-# a pair made by weighted_pair a check costs the same on every call, and on a
-# direct pair it does once the pair is factored. The checks below read only
-# the powers and the ranks of the stabilized powers; check_mrwwd and
+# the pair as a constructor does and store nothing about the candidate, so a
+# check costs the same on every call after its first. On a pair made by
+# weighted_pair the first call of a check that reads B^+ takes one more SVD,
+# the one that builds it; on a direct pair the first membership test factors
+# the product instead (one SVD per power up to k + 1). The checks below read
+# the powers, the ranks of the stabilized powers and B^+; check_mrwwd and
 # check_mrwwd_right also read a Drazin kernel (see the test after them).
 
 
@@ -434,6 +440,7 @@ POWER_CHECKS = {
 }
 
 CHECKS = {**KERNEL_CHECKS, **POWER_CHECKS}
+READS_PINV = {"check_mpd_characterizations", "check_dmp_characterizations"}
 
 
 def _check_three_times(monkeypatch, name, pair, candidates) -> list:
@@ -452,7 +459,8 @@ def test_checks_read_only_powers_and_staircase_ranks_from_the_pair(monkeypatch, 
     pair, *candidates = _candidates()
     before = _memo_keys(pair)
     counts = _check_three_times(monkeypatch, name, pair, candidates)
-    assert counts[0] == counts[1] == counts[2] > 0
+    first = counts[1] + (name in READS_PINV)
+    assert counts == [first, counts[1], counts[1]] and counts[1] > 0
     # the powers a check forms are kept; no staircase or rank is added
     after = _memo_keys(pair)
     assert all(old <= new for old, new in zip(before, after))
@@ -464,11 +472,32 @@ def test_checks_read_only_powers_and_staircase_ranks_from_the_pair(monkeypatch, 
 def test_checks_on_a_direct_pair_factor_it_once(monkeypatch, name):
     pair, *candidates = _candidates(direct=True)
     counts = _check_three_times(monkeypatch, name, pair, candidates)
-    assert counts[0] >= counts[1] == counts[2] > 0
+    # a characterization decides no range of the pair, so it factors neither
+    # product: its first call builds B^+ alone
+    k = pair.k_bw if "mpd" in name else pair.k_wb
+    first = counts[1] + (1 if name in READS_PINV else k + 1)
+    assert counts == [first, counts[1], counts[1]] and counts[1] > 0
     memo, dual_memo = _memo_keys(pair)
     assert memo | dual_memo
     assert _quantities(memo) <= PAIR_READS | {"staircase"}
-    assert _quantities(dual_memo) <= POWERS
+    assert _quantities(dual_memo) <= POWERS | PINV_PRODUCTS
+
+
+def test_right_hand_check_reads_the_adjoint_of_the_pairs_pinv(monkeypatch):
+    # the dual's B^+ is the adjoint of the pair's: once the pair has built it,
+    # a right-hand check takes no SVD for it, on its first call either
+    pair, X, Z, Y, Y1 = _candidates()
+    pair._pinv(DEFAULT_TOL)
+    pinvs = _counting(monkeypatch, matcore, "mp_inverse")
+    calls = _counting(monkeypatch, linalg_impl, "svd")
+    monkeypatch.setattr(np.linalg, "svd", linalg_impl.svd)
+    counts = []
+    for _ in range(3):
+        del calls[:]
+        assert check_weak_dmp_system(pair, Z, Y1).overall
+        counts.append(len(calls))
+    assert pinvs == []
+    assert counts[0] == counts[1] == counts[2] > 0
 
 
 # Row (vii) of thm2.1 (thm2.8) reads (BW)^D ((WB)^D) from the pair, the kernel
