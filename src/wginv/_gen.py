@@ -249,13 +249,11 @@ def random_square_with_index(
     return Q @ core @ Q.T
 
 
-def commuting_products(
-    m: int,
-    n: int,
-    seed,
-    count: int = 2,
-    nilpotent_size: int = 2,
-) -> tuple:
+# the size of the shift block in the core T0 of both order-law generators
+_NILPOTENT_SIZE = 2
+
+
+def commuting_products(m: int, n: int, seed, count: int = 2) -> tuple:
     """Weight W plus `count` matrices A_i whose products A_i W all commute.
 
     Every A_i W is a polynomial p_i(T0) of one shared core T0 (padded by
@@ -267,7 +265,7 @@ def commuting_products(
         raise ValueError("need m, n >= 3 to fit an invertible part and a shift")
     rng = np.random.default_rng(seed)
     r = min(m, n) - 1
-    t = min(nilpotent_size, r - 1)
+    t = min(_NILPOTENT_SIZE, r - 1)
     if t < 1:
         raise GenerationError(f"no room for a nilpotent part inside rank {r}")
     g = r - t
@@ -296,7 +294,7 @@ def commuting_products(
     return W, mats
 
 
-def rol_matrices(n: int, seed, nilpotent_size: int = 2) -> tuple:
+def rol_matrices(n: int, seed) -> tuple:
     """Square reverse-order-law instance: invertible weight W, B = T0 W^-1,
     and invertible A = p(T0) W^-1 with p(0) != 0, so A W and B W commute.
 
@@ -305,7 +303,7 @@ def rol_matrices(n: int, seed, nilpotent_size: int = 2) -> tuple:
     if n < 3:
         raise ValueError("need n >= 3")
     rng = np.random.default_rng(seed)
-    t = min(nilpotent_size, n - 1)
+    t = min(_NILPOTENT_SIZE, n - 1)
     g = n - t
     T0 = np.zeros((n, n))
     T0[:g, :g] = random_well_conditioned(rng, g, low=0.4, high=1.1)

@@ -412,7 +412,7 @@ def suite_index_fixture(tol: ToleranceConfig) -> VerificationReport:
     """Criterion 3: the fixture product has index exactly 3."""
     pair = ex1_pair(tol)
     report = VerificationReport("suite-3-index", tol)
-    report.add_rank_gap("index of the fixture product", index_of(pair.bw(), tol), 3)
+    report.add_rank_gap("index of the fixture product", index_of(pair.bw_power(1), tol), 3)
     return report
 
 
@@ -446,13 +446,13 @@ def suite_order_products(seed: int, tol: ToleranceConfig) -> VerificationReport:
     return report
 
 
-def _coherence_instances(seed: int, count: int = 100):
+def _coherence_instances(seed: int, tol: ToleranceConfig, count: int = 100):
     for i in range(count):
         rng = np.random.default_rng([seed, 101, i])
         m, n, t = _sample_dims(rng)
-        pair = random_pair(m, n, t, rng)
-        X = _left_draw(pair, rng, DEFAULT_TOL)
-        Z = _right_draw(pair, rng, DEFAULT_TOL)
+        pair = random_pair(m, n, t, rng, tol)
+        X = _left_draw(pair, rng, tol)
+        Z = _right_draw(pair, rng, tol)
         yield rng, pair, X, Z
 
 
@@ -476,7 +476,7 @@ def suite_random_coherence(seed: int, tol: ToleranceConfig) -> VerificationRepor
         "perturbed MPD rejected": 0,
         "perturbed DMP rejected": 0,
     }
-    for rng, pair, X, Z in _coherence_instances(seed):
+    for rng, pair, X, Z in _coherence_instances(seed, tol):
         verdicts = [ok for _, _, ok in check_mrwwd(pair, X, tol).conditions]
         if not all(verdicts):
             fails["left members uniformly accepted"] += 1
@@ -513,7 +513,7 @@ def suite_projector_geometry(seed: int, tol: ToleranceConfig) -> VerificationRep
     worst_right = 0.0
     fail_left = 0
     fail_right = 0
-    for _, pair, X, Z in _coherence_instances(seed):
+    for _, pair, X, Z in _coherence_instances(seed, tol):
         rep = check_projectors(pair, X, None, tol)
         worst_left = max(worst_left, rep.worst_residual())
         if not rep.overall:
@@ -539,7 +539,7 @@ def suite_decomposition(seed: int, tol: ToleranceConfig) -> VerificationReport:
     for i in range(100):
         rng = np.random.default_rng([seed, 301, i])
         m, n, t = _sample_dims(rng)
-        pair = random_pair(m, n, t, rng)
+        pair = random_pair(m, n, t, rng, tol)
         X = _left_draw(pair, rng, tol)
         dec = weighted_core_ep_decompose(pair, tol)
         worst_reassembly = max(
@@ -568,7 +568,7 @@ def suite_perturbation(seed: int, tol: ToleranceConfig) -> VerificationReport:
     for i in range(50):
         rng = np.random.default_rng([seed, 401, i])
         m, n, t = _sample_dims(rng)
-        pair = random_pair(m, n, t, rng)
+        pair = random_pair(m, n, t, rng, tol)
         member = _value(pair, w_drazin, tol)
         left = admissible_perturbation(pair, member, 0.3, rng, side="left", tol=tol)
         right = admissible_perturbation(pair, member, 0.3, rng, side="right", tol=tol)

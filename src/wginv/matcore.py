@@ -405,24 +405,20 @@ class VerificationReport:
         return doc
 
 
-def _range_eqc(A, B, tol: ToleranceConfig, P_B=None) -> tuple:
+def _range_eqc(A, B, tol: ToleranceConfig) -> tuple:
     # (residual, pass) of R(A) = R(B), by projector residuals both ways; ||B||
-    # is taken only when the first inclusion holds. P_B is the projector onto
-    # R(B) when the caller holds one decided on a better scale than B's own
-    if P_B is None:
-        P_B = projector_onto(B, tol)
-    r_ab, ok = _exact(A - P_B @ A, A, tol)
+    # is taken only when the first inclusion holds
+    r_ab, ok = _exact(A - projector_onto(B, tol) @ A, A, tol)
     R_ba = B - projector_onto(A, tol) @ B
     r_ba, ok = _exact(R_ba, B, tol) if ok else (spectral_norm(R_ba), False)
     return max(r_ab, r_ba), ok
 
 
-def _null_eqc(A, B, tol: ToleranceConfig, ranks: tuple | None = None) -> tuple:
+def _null_eqc(A, B, tol: ToleranceConfig) -> tuple:
     # (rank gap, pass) of N(A) = N(B): the row spaces agree iff stacking adds
-    # no rank; `ranks` are rank(A) and rank(B) when the caller has them
+    # no rank
     stacked = rank_of(np.vstack([A, B]), tol)
-    r_a, r_b = (rank_of(A, tol), rank_of(B, tol)) if ranks is None else ranks
-    return _rank_gap(stacked, min(r_a, r_b))
+    return _rank_gap(stacked, min(rank_of(A, tol), rank_of(B, tol)))
 
 
 def oblique_projector_check(
@@ -505,12 +501,6 @@ class WeightedPair:
     @property
     def n(self) -> int:
         return self.B.shape[1]
-
-    def bw(self) -> np.ndarray:
-        return self.B @ self.W
-
-    def wb(self) -> np.ndarray:
-        return self.W @ self.B
 
     def bw_power(self, j: int) -> np.ndarray:
         """(BW)^j, formed once per pair and read-only."""

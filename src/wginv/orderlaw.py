@@ -445,7 +445,7 @@ def _equation_solution(
     if Zfree.shape != (n, m):
         raise ValueError(f"Zfree must be {n} x {m}, got {Zfree.shape}")
 
-    annihilator = np.eye(m, dtype=complex) - ppair.bw() @ member @ W
+    annihilator = np.eye(m, dtype=complex) - ppair.bw_power(1) @ member @ W
     family = GeneralSolutionFamily(
         particular=R @ member @ W,
         annihilator=annihilator,

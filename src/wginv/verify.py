@@ -85,32 +85,31 @@ def check_mrwwd(
 ) -> VerificationReport:
     """Seven equivalent characterizations of membership in the left family of
     X W (BW)^(k+1) = (BW)^k at rank((BW)^k), for k at or above the index.
-    rank((BW)^k), the projector onto R((BW)^k), W (BW)^(k+1) and (BW)^D are
-    read from the pair (see WeightedPair)."""
+    rank((BW)^k), the projector P onto R((BW)^k), W (BW)^(k+1) and (BW)^D are
+    read from the pair (see WeightedPair). R(X) = R((BW)^k) is judged as
+    P X = X (R(X) inside R((BW)^k)) and rank X = rank (BW)^k."""
     X = as_matrix(X)
     B, W = pair.B, pair.W
     k = _power_at(pair, "BW", power)
     K = pair.bw_power(k)
     M = _family_product(pair, k)
-    BW = pair.bw()
 
     report = VerificationReport("thm2.1", tol)
-    P = pair._projector("BW", k, tol)
     eq = _exact(X @ M - K, K, tol)
     rank = _rank_gap(rank_of(X, tol), pair._rank("BW", k, tol))
-    rng = _range_eqc(X, K, tol, P)
+    fix = _exact(pair._projector("BW", k, tol) @ X - X, X, tol)
 
     _item(report, "(i) power equation, rank", [eq, rank])
-    _item(report, "(ii) power equation, range", [eq, rng])
-    _item(report, "(iii) outer inverse, range", [_exact(X @ W @ B @ W @ X - X, X, tol), rng])
-    fix = _exact(P @ X - X, X, tol)
+    _item(report, "(ii) power equation, range", [eq, fix, rank])
+    outer = _exact(X @ W @ B @ W @ X - X, X, tol)
+    _item(report, "(iii) outer inverse, range", [outer, fix, rank])
     _item(report, "(iv) core projector fixes X", [fix, eq])
-    _item(report, "(v) power equation, rank, range", [eq, rank, rng])
+    _item(report, "(v) power equation, rank, range", [eq, rank, fix])
     _item(report, "(vi) left absorption", [_exact(B @ W @ X @ W @ X - X, X, tol), eq])
     _item(
         report,
         "(vii) Drazin projector fixes X",
-        [_exact(_drazin_kernel(pair, "BW", tol) @ BW @ X - X, X, tol), eq],
+        [_exact(_drazin_kernel(pair, "BW", tol) @ pair.bw_power(1) @ X - X, X, tol), eq],
     )
     return report
 
@@ -118,45 +117,24 @@ def check_mrwwd(
 def check_mrwwd_right(
     pair: WeightedPair, Z, tol: ToleranceConfig = DEFAULT_TOL, power: int | None = None
 ) -> VerificationReport:
-    """Mirrored characterizations for the right family (WB)^(k+1) W Z-side
-    equation M Z = N with N = (WB)^k, for k at or above the index of WB.
-
-    Kept by hand rather than derived from check_mrwwd on the dual pair: its
-    null-space test is one stacked rank beyond the two ranks row (i) has
-    (1 SVD), where the dual's range test is a projector residual (4 to 6
-    SVDs), and it runs on every perturbed right member. rank(N), the
-    projector onto the row space of N, M and (WB)^D are read from the pair.
-    """
-    Z = as_matrix(Z)
-    B, W = pair.B, pair.W
-    k = _power_at(pair, "WB", power)
-    N = pair.wb_power(k)
-    M = _family_product(pair, k)
-    WB = pair.wb()
-
-    report = VerificationReport("thm2.8", tol)
-    eq = _exact(M @ Z - N, N, tol)
-    ranks = rank_of(Z, tol), pair._rank("WB", k, tol)
-    rank = _rank_gap(*ranks)
-    nul = _null_eqc(Z, N, tol, ranks)
-
-    _item(report, "(i) power equation, rank", [eq, rank])
-    _item(report, "(ii) power equation, null space", [eq, nul])
-    outer = _exact(Z @ W @ B @ W @ Z - Z, Z, tol)
-    _item(report, "(iii) outer inverse, null space", [outer, nul])
-    _item(
-        report,
-        "(iv) row projector fixes Z",
-        [_exact(Z @ pair._row_projector("WB", tol) - Z, Z, tol), eq],
+    """Seven equivalent characterizations of membership in the right family of
+    (WB)^(k+1) W Z = (WB)^k at rank((WB)^k), for k at or above the index of
+    WB: thm2.1 on the dual pair for Z^*, where a range becomes a null space.
+    A power below the index is refused as one of WB."""
+    _power_at(pair, "WB", power)
+    report = check_mrwwd(pair.H, _star(Z), tol, power)
+    return report.mirrored(
+        "thm2.8",
+        {
+            "(i) power equation, rank": "(i) power equation, rank",
+            "(ii) power equation, range": "(ii) power equation, null space",
+            "(iii) outer inverse, range": "(iii) outer inverse, null space",
+            "(iv) core projector fixes X": "(iv) row projector fixes Z",
+            "(v) power equation, rank, range": "(v) power equation, rank, null space",
+            "(vi) left absorption": "(vi) right absorption",
+            "(vii) Drazin projector fixes X": "(vii) Drazin projector fixes Z",
+        },
     )
-    _item(report, "(v) power equation, rank, null space", [eq, rank, nul])
-    _item(report, "(vi) right absorption", [_exact(Z @ W @ Z @ W @ B - Z, Z, tol), eq])
-    _item(
-        report,
-        "(vii) Drazin projector fixes Z",
-        [_exact(Z @ _drazin_kernel(pair, "WB", tol) @ WB - Z, Z, tol), eq],
-    )
-    return report
 
 
 def check_weak_mpd_system(

@@ -61,7 +61,7 @@ def test_criterion_02_fixture_weak_mpd_family():
 
 
 def test_criterion_03_fixture_index():
-    idx = index_of(ex1_pair().bw())
+    idx = index_of(ex1_pair().bw_power(1))
     _line(3, idx == 3, f"fixture product index == 3 (got {idx})")
 
 

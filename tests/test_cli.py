@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import wginv
+from wginv import _gen, cli, matcore, orderlaw, perturb
 from wginv._gen import ex1_pair, ex2_matrices
 from wginv.cli import (
     REGISTRY,
@@ -245,6 +246,23 @@ def test_verify_has_no_fold_parameter():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "thm2.1", "--m", "2"])
     assert exc.value.code == 1
+
+
+def test_suite_builds_every_pair_at_the_passed_tolerances(monkeypatch, tmp_path):
+    # every battery builds its pairs, and decides their indices, at the
+    # tolerances the flags set, as its checks read them
+    seen = []
+    original = matcore.weighted_pair
+
+    def recording(B, W, tol=matcore.DEFAULT_TOL):
+        seen.append(tol)
+        return original(B, W, tol)
+
+    for module in (_gen, cli, orderlaw, perturb):
+        monkeypatch.setattr(module, "weighted_pair", recording)
+    flags = ["--seed", "1", "--rank-rtol", "1e-9", "--residual-atol", "1e-7"]
+    assert main(["suite", *flags, "--out", str(tmp_path / "suite.jsonl")]) == 0
+    assert seen and set(seen) == {matcore.ToleranceConfig(rank_rtol=1e-9, residual_atol=1e-7)}
 
 
 def test_successive_main_calls_share_no_state(capsys):

@@ -20,6 +20,7 @@ from wginv.matcore import (
 from wginv.verify import (
     check_dmp_characterizations,
     check_mp_drazin_absorption,
+    check_mrwwd_right,
     check_projectors_right,
     check_unique_projector_solution,
     check_weak_dmp_system,
@@ -141,6 +142,14 @@ def test_right_checkers_accept_genuine_and_refuse_bumped_inverses(case, check):
     assert report.overall, report.conditions
     bumped = Y1 + 1e-3 * np.linalg.norm(Y1, 2) * _noise(rng, Y1.shape)
     assert not check(pair, Z, bumped).overall
+
+
+def test_right_membership_accepts_genuine_and_refuses_bumped_members(case):
+    pair, Z, _, rng = case
+    report = check_mrwwd_right(pair, Z)
+    assert report.overall, report.conditions
+    bumped = Z + 1e-3 * np.linalg.norm(Z, 2) * _noise(rng, Z.shape)
+    assert not any(ok for _, _, ok in check_mrwwd_right(pair, bumped).conditions)
 
 
 def test_right_statements_hold_on_genuine_right_inputs(case):

@@ -154,7 +154,7 @@ def test_weighted_pair_shape_and_zero_weight():
         weighted_pair(B, np.zeros((4, 3)))
     pair = weighted_pair(B, RNG.standard_normal((4, 3)))
     assert pair.m == 3 and pair.n == 4
-    assert pair.bw().shape == (3, 3) and pair.wb().shape == (4, 4)
+    assert pair.bw_power(1).shape == (3, 3) and pair.wb_power(1).shape == (4, 4)
 
 
 MAT_DIM = 4

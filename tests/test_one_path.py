@@ -178,3 +178,50 @@ def test_the_scan_sees_pair_products():
 def test_constructors_read_the_first_powers_from_the_pair():
     source = (PACKAGE / "winv.py").read_text(encoding="utf-8")
     assert pair_products(source) == []
+
+
+# Every right-hand (DMP) checker in `verify` is its left-hand counterpart run
+# on the dual pair: it builds its report through `.mirrored(`, so no row of
+# the right-hand half is written by hand.
+RIGHT_HAND_CHECKERS = {
+    "check_mrwwd_right",
+    "check_weak_dmp_system",
+    "check_dmp_characterizations",
+    "check_projectors_right",
+    "one_inverse_family_right",
+}
+
+
+def right_hand_checkers(source: str) -> dict:
+    """{name: whether it calls `.mirrored(`} of every top-level function whose
+    name ends in `_right` or names the DMP side."""
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and (
+            node.name.endswith("_right") or "_dmp_" in node.name
+        ):
+            found[node.name] = any(
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "mirrored"
+                for call in ast.walk(node)
+            )
+    return found
+
+
+def test_the_scan_sees_a_hand_written_right_hand_checker():
+    source = (
+        "def check_left(pair, X):\n"
+        "    return VerificationReport('thm')\n"
+        "def check_left_right(pair, Z):\n"
+        "    return check_left(pair.H, Z).mirrored('thm-r', {})\n"
+        "def check_weak_dmp_rows(pair, Z):\n"
+        "    report = VerificationReport('thm-r')\n"
+        "    return report\n"
+    )
+    assert right_hand_checkers(source) == {"check_left_right": True, "check_weak_dmp_rows": False}
+
+
+def test_right_hand_checkers_mirror_the_left_hand_ones():
+    source = (PACKAGE / "verify.py").read_text(encoding="utf-8")
+    assert right_hand_checkers(source) == dict.fromkeys(RIGHT_HAND_CHECKERS, True)

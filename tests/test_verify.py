@@ -76,14 +76,45 @@ def test_membership_at_higher_power_still_holds():
 
 def test_characterizations_read_the_family_product_at_their_power():
     # W (BW)^(j+1) is read from the pair's memo, keyed by the power j, and is
-    # bitwise the product a check formed for itself
+    # bitwise the product a check formed for itself; the right-hand check
+    # reads it from the dual pair's memo
     pair, X, Z, _ = _case(1)
-    for j in (pair.k_bw, pair.k_bw + 2):
-        check_mrwwd(pair, X, power=j)
-        M = pair._memo["W BW^", j + 1]
-        assert M.tobytes() == (pair.W @ pair.bw_power(j + 1)).tobytes()
-    check_mrwwd_right(pair, Z, power=pair.k_wb + 1)
-    assert ("W BW^", pair.k_wb + 2) in pair._memo
+    sides = (
+        (pair, lambda j: check_mrwwd(pair, X, power=j), pair.k_bw),
+        (pair.H, lambda j: check_mrwwd_right(pair, Z, power=j), pair.k_wb),
+    )
+    for reader, check, k in sides:
+        for j in (k, k + 2):
+            check(j)
+            M = reader._memo["W BW^", j + 1]
+            assert M.tobytes() == (reader.W @ reader.bw_power(j + 1)).tobytes()
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_range_rows_refuse_a_rank_drop_and_a_component_outside_the_range(side):
+    # rows (ii), (iii) and (v) judge R(X) = R((BW)^k) (thm2.8: the row space
+    # of Z against that of (WB)^k) as an inclusion plus equal ranks, so each
+    # half alone must fail them. Both candidates keep the outer equation
+    # X A X = X, A = W B W, so row (iii) fails on the range alone: a member
+    # with its top singular direction removed stays inside the range at rank
+    # q - 1, and a member plus a small component along N(X A) leaves the
+    # range at rank q.
+    pair, X, Z, _ = _case(1)
+    dual = side == "right"
+    p, member = (pair.H, Z.conj().T) if dual else (pair, X)
+    check = check_mrwwd_right if dual else check_mrwwd
+    U, s, Vh = np.linalg.svd(member)
+    q = int(np.sum(s > 1e-8 * s[0]))
+    A = p.W @ p.B @ p.W
+    u = np.linalg.svd(member @ A)[2][-1].conj()  # (X A) u = 0
+    dropped = member - s[0] * np.outer(U[:, 0], Vh[0])
+    outside = member + 1e-3 * s[0] * np.outer(u, Vh[0])
+    assert np.linalg.matrix_rank(dropped) == q - 1 and np.linalg.matrix_rank(outside) == q
+    for candidate in (dropped, outside):
+        assert spectral_norm(candidate @ A @ candidate - candidate) <= 1e-10 * s[0]
+        report = check(pair, candidate.conj().T if dual else candidate)
+        rows = {label.split()[0]: ok for label, _, ok in report.conditions}
+        assert not any(rows[row] for row in ("(ii)", "(iii)", "(v)")), rows
 
 
 def test_characterizations_refuse_a_power_below_the_index():

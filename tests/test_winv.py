@@ -211,7 +211,7 @@ def test_w_drazin_dual_formula_agreement():
         res = w_drazin(pair)
         dual = (
             pair.B
-            @ np.linalg.matrix_power(drazin(pair.wb()).value, 2)
+            @ np.linalg.matrix_power(drazin(pair.wb_power(1)).value, 2)
         )
         assert spectral_norm(res.value - dual) <= 1e-8 * (1.0 + spectral_norm(dual))
 
