@@ -4,7 +4,7 @@ DMP inverses."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -24,15 +24,15 @@ from .matcore import (
     spectral_norm,
     weighted_pair,
 )
-from .verify import check_mrwwd, check_mrwwd_right
+from .verify import _MRWWD_RIGHT_LABELS, check_mrwwd
 from .winv import (
+    _as_member,
     _left_member_residual,
+    _right_hand,
     _right_member_residual,
     _value,
-    w_dmp,
     w_drazin,
     w_mpd,
-    weak_dmp,
     weak_mpd,
 )
 
@@ -57,19 +57,18 @@ LEFT_FLAGS = (
     "norm BpE",
 )
 
-# The right-hand (DMP) side is written out, not derived from the left-hand one
-# on the dual pair (B^*, W^*) as in winv and verify: the duals of these six
-# flags are not the seven left-hand ones ("range E in EW" has no right-hand
-# counterpart), so a derived chain would require another hypothesis and note
-# other flags.
-RIGHT_FLAGS = (
-    "range WE in member product",
-    "rows WE in WB power",
-    "range E in B",
-    "rows E in B",
-    "norm ZWEW",
-    "norm EBp",
-)
+# The right-hand (DMP) side is the left-hand one on the dual scenario
+# (B^*, W^*, Z^*, E^*, D^*), as in winv and verify: each right-hand flag is
+# the left-hand flag of the dual named here. "range E in EW" has no
+# right-hand counterpart, so it is taken for left scenarios only.
+RIGHT_OF = {
+    "range WE in member product": "rows EW in member product",
+    "rows WE in WB power": "range EW in K",
+    "range E in B": "rows E in B",
+    "rows E in B": "range E in B",
+    "norm ZWEW": "norm WEWX",
+    "norm EBp": "norm BpE",
+}
 
 
 @dataclass(frozen=True)
@@ -117,38 +116,28 @@ def _left_norm_flags(pair: WeightedPair, X, E, tol: ToleranceConfig) -> dict:
     return {"norm WEWX": _norm_flag(W @ E @ W @ X), "norm BpE": _norm_flag(Bp @ E)}
 
 
-def _right_norm_flags(pair: WeightedPair, Z, E, tol: ToleranceConfig) -> dict:
-    W, Bp = pair.W, pair._pinv(tol)
-    return {"norm ZWEW": _norm_flag(Z @ W @ E @ W), "norm EBp": _norm_flag(E @ Bp)}
+def _as_left(pair: WeightedPair, member, E, side: str) -> tuple:
+    """(pair, member, E) of a left scenario, or of the dual of a right one."""
+    if side == "left":
+        return pair, member, E
+    return pair.H, member.conj().T, E.conj().T
 
 
-def _left_flags(pair: WeightedPair, X, E, tol: ToleranceConfig) -> dict:
+def _left_flags(pair: WeightedPair, X, E, tol: ToleranceConfig, own_range: bool = True) -> dict:
+    """The left-hand flags, "range E in EW" only if `own_range`."""
     B, W = pair.B, pair.W
     Bp = pair._pinv(tol)
     EW = E @ W
     XWBW = X @ W @ B @ W
     P = pair._projector("BW", pair.k_bw, tol)
-    return {
-        "range EW in K": _exact(EW - P @ EW, E, tol),
-        "range E in EW": _exact(E - projector_onto(EW, tol) @ E, E, tol),
+    flags = {"range EW in K": _exact(EW - P @ EW, E, tol)}
+    if own_range:
+        flags["range E in EW"] = _exact(E - projector_onto(EW, tol) @ E, E, tol)
+    return flags | {
         "rows EW in member product": _exact(EW - EW @ mp_inverse(XWBW, tol) @ XWBW, E, tol),
         "range E in B": _exact(E - B @ Bp @ E, E, tol),
         "rows E in B": _exact(E - E @ Bp @ B, E, tol),
         **_left_norm_flags(pair, X, E, tol),
-    }
-
-
-def _right_flags(pair: WeightedPair, Z, E, tol: ToleranceConfig) -> dict:
-    B, W = pair.B, pair.W
-    Bp = pair._pinv(tol)
-    WE = W @ E
-    WBWZ = W @ B @ W @ Z
-    return {
-        "range WE in member product": _exact(WE - projector_onto(WBWZ, tol) @ WE, E, tol),
-        "rows WE in WB power": _exact(WE - WE @ pair._row_projector("WB", tol), E, tol),
-        "range E in B": _exact(E - B @ Bp @ E, E, tol),
-        "rows E in B": _exact(E - E @ Bp @ B, E, tol),
-        **_right_norm_flags(pair, Z, E, tol),
     }
 
 
@@ -163,13 +152,15 @@ def scenario_from_parts(
 ) -> PerturbationScenario:
     """Wrap explicit parts into a scenario, computing flags without rejecting
     anything. Used for negative cases as well as hand-built ones."""
-    member = as_matrix(member)
+    member = _as_member(pair, member)
     E = as_matrix(E)
     if E.shape != (pair.m, pair.n):
         raise ValueError(f"E must be {pair.m} x {pair.n}, got {E.shape}")
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    rows = (_left_flags if side == "left" else _right_flags)(pair, member, E, tol)
+    rows = _left_flags(*_as_left(pair, member, E, side), tol, own_range=side == "left")
+    if side == "right":
+        rows = {name: rows[left] for name, left in RIGHT_OF.items()}
     return PerturbationScenario(
         pair=pair,
         member=member,
@@ -204,20 +195,17 @@ def admissible_perturbation(
     member = as_matrix(member)
     if not 0.0 <= alpha < np.inf:
         raise ValueError("alpha must be finite and nonnegative")
-    B, W = pair.B, pair.W
-    if side == "left":
-        ok, residual, range_residual = _left_member_residual(pair, member, tol)
-        k = pair.k_bw
-    elif side == "right":
-        ok, residual, range_residual = _right_member_residual(pair, member, tol)
-        k = pair.k_wb
-    else:
+    if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    B, W = pair.B, pair.W
+    residual_of = _left_member_residual if side == "left" else _right_member_residual
+    ok, residual, range_residual = residual_of(pair, member, tol)
     if not ok:
         raise HypothesisError(
             f"member fails its family equation "
             f"(power residual {residual:.3e}, range residual {range_residual:.3e})"
         )
+    k = pair.k_bw if side == "left" else pair.k_wb
 
     rng = np.random.default_rng(seed)
     if family == "closed":
@@ -247,7 +235,6 @@ def admissible_perturbation(
         raise GenerationError(
             f"subspace conditions cannot be met for this member: {bad_subspace}"
         )
-    norm_flags = _left_norm_flags if side == "left" else _right_norm_flags
     norms = [scenario.flag_values[name] for name in scenario.flags if name.startswith("norm")]
     for halvings in range(20):
         if all(value <= 0.5 for value in norms):
@@ -255,7 +242,8 @@ def admissible_perturbation(
                 return scenario
             return scenario_from_parts(pair, member, a * E0, side, tol, alpha=a, seed=seed)
         a /= 2.0
-        norms = [value for value, _ in norm_flags(pair, member, a * E0, tol).values()]
+        left = _as_left(pair, member, a * E0, side)
+        norms = [value for value, _ in _left_norm_flags(*left, tol).values()]
     raise GenerationError("norm conditions still above 1/2 after 20 halvings")
 
 
@@ -279,6 +267,39 @@ def _note_flags(report: VerificationReport, scenario: PerturbationScenario) -> N
         report.note("alpha", scenario.alpha)
 
 
+def _dual(scenario: PerturbationScenario, tol: ToleranceConfig) -> PerturbationScenario:
+    """The left scenario (B^*, W^*, Z^*, E^*, D^*) of a right scenario, its
+    flags under their left-hand names. Its pair of D is the dual of the
+    scenario's, so nothing is factored again."""
+    dual = replace(
+        scenario,
+        pair=scenario.pair.H,
+        member=scenario.member.conj().T,
+        side="left",
+        E=scenario.E.conj().T,
+        D=scenario.D.conj().T,
+        flags={RIGHT_OF[name]: ok for name, ok in scenario.flags.items()},
+        flag_values={RIGHT_OF[name]: value for name, value in scenario.flag_values.items()},
+    )
+    dual._memo[tol] = scenario._dpair(tol).H
+    return dual
+
+
+def _stability(scenario: PerturbationScenario, tol: ToleranceConfig) -> VerificationReport:
+    """thm3.17's rows on a left scenario: the updated member
+    Xp = X (I + WEWX)^-1, formed once, belongs to the perturbed pair's family
+    and satisfies Xp W D W = X W B W and W D W Xp = W B W X."""
+    pair = scenario.pair
+    B, W, E, D, X = pair.B, pair.W, scenario.E, scenario.D, scenario.member
+    Xp = X @ _inv(np.eye(pair.n, dtype=complex) + W @ E @ W @ X, "I + WEWX")
+
+    report = VerificationReport("thm3.17", tol)
+    report.merge(check_mrwwd(scenario._dpair(tol), Xp, tol), prefix="updated member: ")
+    report.add_equation("product identity", Xp @ W @ D @ W, X @ W @ B @ W)
+    report.add_equation("mirrored product identity", W @ D @ W @ Xp, W @ B @ W @ X)
+    return report
+
+
 def perturbed_mrwwd(
     scenario: PerturbationScenario, tol: ToleranceConfig = DEFAULT_TOL
 ) -> VerificationReport:
@@ -288,23 +309,7 @@ def perturbed_mrwwd(
     if scenario.side != "left":
         raise ValueError("left-family perturbation needs a left scenario")
     _require_flags(scenario, ["range EW in K", "rows EW in member product", "norm WEWX"])
-    pair = scenario.pair
-    B, W, E, D = pair.B, pair.W, scenario.E, scenario.D
-    X = scenario.member
-    n_id = np.eye(pair.n, dtype=complex)
-    m_id = np.eye(pair.m, dtype=complex)
-
-    Xp = X @ _inv(n_id + W @ E @ W @ X, "I + WEWX")
-    dpair = scenario._dpair(tol)
-
-    report = VerificationReport("thm3.17", tol)
-    report.merge(check_mrwwd(dpair, Xp, tol), prefix="updated member: ")
-    report.add_equation("product identity", Xp @ W @ D @ W, X @ W @ B @ W)
-    report.add_equation(
-        "mirrored product identity",
-        W @ D @ W @ _inv(m_id + X @ W @ E @ W, "I + XWEW") @ X,
-        W @ B @ W @ X,
-    )
+    report = _stability(scenario, tol)
     _note_flags(report, scenario)
     return report
 
@@ -312,23 +317,19 @@ def perturbed_mrwwd(
 def perturbed_mrwwd_right(
     scenario: PerturbationScenario, tol: ToleranceConfig = DEFAULT_TOL
 ) -> VerificationReport:
-    """Mirrored stability statement for the right family."""
+    """Stability of the right family: thm3.17 on the dual scenario, for the
+    updated member (I + ZWEW)^-1 Z. The adjoint of each product identity is
+    the other one of the right family."""
     if scenario.side != "right":
         raise ValueError("right-family perturbation needs a right scenario")
     _require_flags(scenario, ["range WE in member product", "rows WE in WB power", "norm ZWEW"])
-    pair = scenario.pair
-    B, W, E, D = pair.B, pair.W, scenario.E, scenario.D
-    Z = scenario.member
-    m_id = np.eye(pair.m, dtype=complex)
-
-    lead = _inv(m_id + Z @ W @ E @ W, "I + ZWEW")
-    Zp = lead @ Z
-    dpair = scenario._dpair(tol)
-
-    report = VerificationReport("thm3.18", tol)
-    report.merge(check_mrwwd_right(dpair, Zp, tol), prefix="updated member: ")
-    report.add_equation("product identity", lead @ Z @ W @ D @ W, Z @ W @ B @ W)
-    report.add_equation("mirrored product identity", W @ D @ W @ lead @ Z, W @ B @ W @ Z)
+    with _right_hand():
+        report = _stability(_dual(scenario, tol), tol)
+    prefix = "updated member: "
+    labels = {prefix + row: prefix + name for row, name in _MRWWD_RIGHT_LABELS.items()}
+    labels["mirrored product identity"] = "product identity"
+    labels["product identity"] = "mirrored product identity"
+    report = report.mirrored("thm3.18", labels)
     _note_flags(report, scenario)
     return report
 
@@ -345,17 +346,11 @@ def _sandwich(report: VerificationReport, label: str, center: float, base: float
         report.add(f"{label} upper bound", float("inf"), False)
 
 
-def mpd_perturbation(
-    scenario: PerturbationScenario, tol: ToleranceConfig = DEFAULT_TOL
-) -> VerificationReport:
-    """Three representations of the perturbed product D^+ (weak MPD chain)
-    agree, the recovery identity holds, and the norm sandwich brackets it."""
-    if scenario.side != "left":
-        raise ValueError("the MPD chain needs a left scenario")
-    _require_flags(scenario, LEFT_FLAGS)
+def _mpd_chain(scenario: PerturbationScenario, tol: ToleranceConfig) -> tuple:
+    """thm3.19's rows on a left scenario, with the norms of Y E and Y X that
+    bracket the sandwich, Y the weak MPD inverse of the member."""
     pair = scenario.pair
-    B, W, E, D = pair.B, pair.W, scenario.E, scenario.D
-    X = scenario.member
+    B, W, E, D, X = pair.B, pair.W, scenario.E, scenario.D, scenario.member
     n_id = np.eye(pair.n, dtype=complex)
     m_id = np.eye(pair.m, dtype=complex)
 
@@ -379,6 +374,18 @@ def mpd_perturbation(
     shift = spectral_norm(Y @ E)
     base = spectral_norm(Y @ X)
     _sandwich(report, "sandwich", spectral_norm(T1), base, shift, tol)
+    return report, shift, base
+
+
+def mpd_perturbation(
+    scenario: PerturbationScenario, tol: ToleranceConfig = DEFAULT_TOL
+) -> VerificationReport:
+    """Three representations of the perturbed product D^+ (weak MPD chain)
+    agree, the recovery identity holds, and the norm sandwich brackets it."""
+    if scenario.side != "left":
+        raise ValueError("the MPD chain needs a left scenario")
+    _require_flags(scenario, LEFT_FLAGS)
+    report, shift, base = _mpd_chain(scenario, tol)
     report.note("norm YE", shift)
     report.note("norm YX", base)
     _note_flags(report, scenario)
@@ -388,41 +395,41 @@ def mpd_perturbation(
 def dmp_perturbation(
     scenario: PerturbationScenario, tol: ToleranceConfig = DEFAULT_TOL
 ) -> VerificationReport:
-    """Mirrored perturbation chain for the weak DMP inverse."""
+    """The weak DMP chain: thm3.19 on the dual scenario. Its representations
+    are the adjoints G1 = Z W D W (I + ZWEW)^-1 Z D^+,
+    G2 = Z (I + WEWZ)^-1 W D W Z D^+ and G3 = Z Y1 (I + E Y1)^-1, with Y1 the
+    weak DMP inverse of the member."""
     if scenario.side != "right":
         raise ValueError("the DMP chain needs a right scenario")
-    _require_flags(scenario, RIGHT_FLAGS)
-    pair = scenario.pair
-    B, W, E, D = pair.B, pair.W, scenario.E, scenario.D
-    Z = scenario.member
-    n_id = np.eye(pair.n, dtype=complex)
-    m_id = np.eye(pair.m, dtype=complex)
-
-    dpair = scenario._dpair(tol)
-    Bp, Dp = pair._pinv(tol), dpair._pinv(tol)
-    Y1 = weak_dmp(pair, Z, tol).value
-    inner = _inv(m_id + Z @ W @ E @ W, "I + ZWEW")
-    G1 = Z @ W @ D @ W @ inner @ Z @ Dp
-    G2 = Z @ W @ D @ W @ Z @ _inv(n_id + W @ E @ W @ Z, "I + WEWZ") @ Dp
-    G3 = Z @ Y1 @ _inv(m_id + E @ Y1, "I + EY1")
-
-    report = VerificationReport("thm3.20", tol)
-    report.add_equation("representation G1 = G2", G1, G2)
-    report.add_equation("representation G1 = G3", G1, G3)
-    report.add_equation("recovery G1-core D^+ D = Z Y1 B", Z @ W @ D @ W @ inner @ Z @ Dp @ D, Z @ Y1 @ B)
-    report.add_equation("MP update identity", Dp, Bp @ _inv(m_id + E @ Bp, "I + EBp"))
-    report.add_rank_gap(
-        "stabilized rank preserved",
-        dpair._rank("WB", pair.k_wb, tol),
-        pair._rank("WB", pair.k_wb, tol),
-    )
-    shift = spectral_norm(E @ Y1)
-    base = spectral_norm(Z @ Y1)
-    _sandwich(report, "sandwich", spectral_norm(G1), base, shift, tol)
+    _require_flags(scenario, RIGHT_OF)
+    with _right_hand():
+        report, shift, base = _mpd_chain(_dual(scenario, tol), tol)
+    labels = {label: label for label, _, _ in report.conditions}
+    labels["representation T1 = T2"] = "representation G1 = G2"
+    labels["representation T1 = T3"] = "representation G1 = G3"
+    labels["recovery D T1 = B Y X"] = "recovery G1-core D^+ D = Z Y1 B"
+    report = report.mirrored("thm3.20", labels)
     report.note("norm EY1", shift)
     report.note("norm ZY1", base)
     _note_flags(report, scenario)
     return report
+
+
+def _drazin_rows(report: VerificationReport, prefix: str, pair, dpair, E, tol) -> None:
+    """The rows, each label opening with `prefix`, of the weighted MPD inverse
+    of D as the resolvent update of B's, both projectors transported, and the
+    norm sandwich."""
+    B, D = pair.B, dpair.B
+    n_id = np.eye(pair.n, dtype=complex)
+    m_id = np.eye(pair.m, dtype=complex)
+    Y, Yd = _value(pair, w_mpd, tol), _value(dpair, w_mpd, tol)
+    shift, small = _norm_flag(Y @ E)
+    report.add(f"{prefix}norm hypothesis", shift, small)
+    report.add_equation(f"{prefix}resolvent update", Yd, _inv(n_id + Y @ E, "I + Ympd E") @ Y)
+    report.add_equation(f"{prefix}dual resolvent update", Yd, Y @ _inv(m_id + E @ Y, "I + E Ympd"))
+    report.add_equation(f"{prefix}image projector transport", D @ Yd, B @ Y)
+    report.add_equation(f"{prefix}coimage projector transport", Yd @ D, Y @ B)
+    _sandwich(report, f"{prefix}sandwich", spectral_norm(Yd), spectral_norm(Y), shift, tol)
 
 
 def drazin_case_perturbation(
@@ -432,39 +439,21 @@ def drazin_case_perturbation(
 ) -> VerificationReport:
     """Specialization to the weighted Drazin member: the weighted MPD and DMP
     inverses update by the same resolvent formulas as the Moore-Penrose
-    inverse, and their projectors transport unchanged."""
+    inverse, and their projectors transport unchanged. The DMP rows are the
+    MPD rows of the dual pairs (B^*, W^*) and (D^*, W^*) with E^*."""
     pair = scenario.pair
-    B, W, E, D = pair.B, pair.W, scenario.E, scenario.D
     Xd = _value(pair, w_drazin, tol)
     gap, ok = _exact(scenario.member - Xd, Xd, tol)
     if not ok:
         raise HypothesisError(
             f"scenario member is not the weighted Drazin inverse (gap {gap:.3e})"
         )
-    n_id = np.eye(pair.n, dtype=complex)
-    m_id = np.eye(pair.m, dtype=complex)
     dpair = scenario._dpair(tol)
 
     report = VerificationReport(theorem_id, tol)
-
-    Ympd, Dmpd = _value(pair, w_mpd, tol), _value(dpair, w_mpd, tol)
-    v_mpd, small = _norm_flag(Ympd @ E)
-    report.add("mpd: norm hypothesis", v_mpd, small)
-    report.add_equation("mpd: resolvent update", Dmpd, _inv(n_id + Ympd @ E, "I + Ympd E") @ Ympd)
-    report.add_equation("mpd: dual resolvent update", Dmpd, Ympd @ _inv(m_id + E @ Ympd, "I + E Ympd"))
-    report.add_equation("mpd: image projector transport", D @ Dmpd, B @ Ympd)
-    report.add_equation("mpd: coimage projector transport", Dmpd @ D, Ympd @ B)
-    _sandwich(report, "mpd: sandwich", spectral_norm(Dmpd), spectral_norm(Ympd), v_mpd, tol)
-
-    Ydmp, Ddmp = _value(pair, w_dmp, tol), _value(dpair, w_dmp, tol)
-    v_dmp, small = _norm_flag(E @ Ydmp)
-    report.add("dmp: norm hypothesis", v_dmp, small)
-    report.add_equation("dmp: resolvent update", Ddmp, Ydmp @ _inv(m_id + E @ Ydmp, "I + E Ydmp"))
-    report.add_equation("dmp: dual resolvent update", Ddmp, _inv(n_id + Ydmp @ E, "I + Ydmp E") @ Ydmp)
-    report.add_equation("dmp: image projector transport", Ddmp @ D, Ydmp @ B)
-    report.add_equation("dmp: coimage projector transport", D @ Ddmp, B @ Ydmp)
-    _sandwich(report, "dmp: sandwich", spectral_norm(Ddmp), spectral_norm(Ydmp), v_dmp, tol)
-
-    report.note("stated norm form", spectral_norm(Xd @ W @ B @ W))
+    _drazin_rows(report, "mpd: ", pair, dpair, scenario.E, tol)
+    with _right_hand():
+        _drazin_rows(report, "dmp: ", pair.H, dpair.H, scenario.E.conj().T, tol)
+    report.note("stated norm form", spectral_norm(Xd @ pair.W @ pair.B @ pair.W))
     _note_flags(report, scenario)
     return report

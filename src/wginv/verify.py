@@ -114,6 +114,18 @@ def check_mrwwd(
     return report
 
 
+# thm2.1's rows under the names thm2.8 (and thm3.18's updated member) gives them
+_MRWWD_RIGHT_LABELS = {
+    "(i) power equation, rank": "(i) power equation, rank",
+    "(ii) power equation, range": "(ii) power equation, null space",
+    "(iii) outer inverse, range": "(iii) outer inverse, null space",
+    "(iv) core projector fixes X": "(iv) row projector fixes Z",
+    "(v) power equation, rank, range": "(v) power equation, rank, null space",
+    "(vi) left absorption": "(vi) right absorption",
+    "(vii) Drazin projector fixes X": "(vii) Drazin projector fixes Z",
+}
+
+
 def check_mrwwd_right(
     pair: WeightedPair, Z, tol: ToleranceConfig = DEFAULT_TOL, power: int | None = None
 ) -> VerificationReport:
@@ -122,19 +134,7 @@ def check_mrwwd_right(
     WB: thm2.1 on the dual pair for Z^*, where a range becomes a null space.
     A power below the index is refused as one of WB."""
     _power_at(pair, "WB", power)
-    report = check_mrwwd(pair.H, _star(Z), tol, power)
-    return report.mirrored(
-        "thm2.8",
-        {
-            "(i) power equation, rank": "(i) power equation, rank",
-            "(ii) power equation, range": "(ii) power equation, null space",
-            "(iii) outer inverse, range": "(iii) outer inverse, null space",
-            "(iv) core projector fixes X": "(iv) row projector fixes Z",
-            "(v) power equation, rank, range": "(v) power equation, rank, null space",
-            "(vi) left absorption": "(vi) right absorption",
-            "(vii) Drazin projector fixes X": "(vii) Drazin projector fixes Z",
-        },
-    )
+    return check_mrwwd(pair.H, _star(Z), tol, power).mirrored("thm2.8", _MRWWD_RIGHT_LABELS)
 
 
 def check_weak_mpd_system(

@@ -58,16 +58,20 @@ __all__ = [
 
 def _drazin_kernel(pair: WeightedPair, side: str, tol: ToleranceConfig) -> np.ndarray:
     """(BW)^D (side "BW") or (WB)^D; on a dual pair, the adjoint of the pair's
-    kernel of the other product, (B^* W^*)^D = ((WB)^D)^*, certified anew."""
+    kernel of the other product, (B^* W^*)^D = ((WB)^D)^*, certified once: the
+    dual's memo keeps the certificate's residuals, not the adjoint."""
     if pair._primal is None:
         if side == "WB" and pair._one_product(tol):
             side = "BW"
         return pair._cached(
             (f"({side})^D", tol), lambda: _drazin(pair._staircase_of(side, tol), tol).value
         )
-    X = _drazin_kernel(pair._primal, "WB" if side == "BW" else "BW", tol).conj().T
-    _certify("drazin", _drazin_checks(pair._power(side, 1), X, pair._k(side)), tol)
-    return _read_only(X)
+    X = _read_only(_drazin_kernel(pair._primal, "WB" if side == "BW" else "BW", tol).conj().T)
+    pair._cached(
+        (f"({side})^D certified", tol),
+        lambda: _certify("drazin", _drazin_checks(pair._power(side, 1), X, pair._k(side)), tol),
+    )
+    return X
 
 
 def _wb_core_ep(pair: WeightedPair, tol: ToleranceConfig) -> np.ndarray:
@@ -291,12 +295,19 @@ def w_mpd(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedInv
 # (B^*, W^*), read through the adjoint: right(pair, Z) = left(pair.H, Z^*)^*.
 
 # The left-hand subjects that open error messages, and the names a caller of
-# a right-hand wrapper knows them by.
+# a right-hand wrapper knows them by: on the dual, a resolvent that a
+# perturbation chain inverts is the adjoint of the right-hand one.
 _RIGHT_HAND_NAMES = {
     "X is not a member of the left": "Z is not a member of the right",
     "w_mpd:": "w_dmp:",
     "weak_mpd:": "weak_dmp:",
     "mrwwd_family:": "mrwwd_right_family:",
+    "I + WEWX ": "I + ZWEW ",
+    "I + XWEW ": "I + WEWZ ",
+    "I + YE ": "I + EY1 ",
+    "I + BpE ": "I + EBp ",
+    "I + Ympd E ": "I + E Ydmp ",
+    "I + E Ympd ": "I + Ydmp E ",
 }
 
 

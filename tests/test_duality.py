@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from wginv._gen import random_pair
-from wginv.perturb import admissible_perturbation
+from wginv.perturb import (
+    admissible_perturbation,
+    dmp_perturbation,
+    perturbed_mrwwd_right,
+    scenario_from_parts,
+)
 from wginv.matcore import (
     DEFAULT_TOL,
     CertificationError,
@@ -164,6 +169,40 @@ def test_right_statements_hold_on_genuine_right_inputs(case):
     assert _close(Q, np.linalg.pinv(B, rcond=1e-10) + (np.eye(pair.n) - row_projector) @ U)
     # the weighted Drazin inverse lies in both families
     assert admissible_perturbation(pair, Xd, 0.1, 0, side="right").side == "right"
+
+
+def test_right_perturbation_statements_hold_on_complex_pairs(case):
+    # thm3.18 and thm3.20 are thm3.17 and thm3.19 on the dual scenario, so
+    # a plain transpose in place of an adjoint would fail them here
+    pair, Z, _, _ = case
+    scenario = admissible_perturbation(pair, Z, 0.1, 4, side="right", family="random")
+    assert np.abs(scenario.E.imag).max() > 0.0
+    for chain in (perturbed_mrwwd_right, dmp_perturbation):
+        report = chain(scenario)
+        assert report.overall, report.conditions
+
+
+def test_right_flags_are_the_right_hand_subspace_and_norm_tests(case):
+    # a generic E fails every subspace flag, so each value is a residual of
+    # its own size, computed here from the right-hand definitions
+    pair, Z, _, _ = case
+    E = 0.05 * _noise(np.random.default_rng(17), (pair.m, pair.n))
+    flags = scenario_from_parts(pair, Z, E, side="right").flag_values
+    B, W = pair.B, pair.W
+    Bp = np.linalg.pinv(B, rcond=1e-10)
+    WE, WBWZ = W @ E, W @ B @ W @ Z
+    N = np.linalg.matrix_power(W @ B, pair.k_wb)
+    direct = {
+        "range WE in member product": WE - WBWZ @ np.linalg.pinv(WBWZ, rcond=1e-10) @ WE,
+        "rows WE in WB power": WE - WE @ np.linalg.pinv(N, rcond=1e-10) @ N,
+        "range E in B": E - B @ Bp @ E,
+        "rows E in B": E - E @ Bp @ B,
+        "norm ZWEW": Z @ W @ E @ W,
+        "norm EBp": E @ Bp,
+    }
+    assert list(flags) == list(direct)
+    for name, A in direct.items():
+        assert np.isclose(flags[name], np.linalg.norm(A, 2), rtol=1e-8, atol=1e-14), name
 
 
 def test_mirrored_renames_reorders_and_keeps_notes():

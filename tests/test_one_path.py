@@ -180,25 +180,29 @@ def test_constructors_read_the_first_powers_from_the_pair():
     assert pair_products(source) == []
 
 
-# Every right-hand (DMP) checker in `verify` is its left-hand counterpart run
-# on the dual pair: it builds its report through `.mirrored(`, so no row of
-# the right-hand half is written by hand.
+# Every right-hand (DMP) checker in `verify`, and every right-hand
+# perturbation statement in `perturb`, is its left-hand counterpart run on the
+# dual pair or scenario: it builds its report through `.mirrored(`, so no row
+# of the right-hand half is written by hand.
 RIGHT_HAND_CHECKERS = {
-    "check_mrwwd_right",
-    "check_weak_dmp_system",
-    "check_dmp_characterizations",
-    "check_projectors_right",
-    "one_inverse_family_right",
+    "verify.py": {
+        "check_mrwwd_right",
+        "check_weak_dmp_system",
+        "check_dmp_characterizations",
+        "check_projectors_right",
+        "one_inverse_family_right",
+    },
+    "perturb.py": {"perturbed_mrwwd_right", "dmp_perturbation"},
 }
 
 
 def right_hand_checkers(source: str) -> dict:
     """{name: whether it calls `.mirrored(`} of every top-level function whose
-    name ends in `_right` or names the DMP side."""
+    name ends in `_right` or names the DMP side (`dmp_` in it)."""
     found = {}
     for node in ast.parse(source).body:
         if isinstance(node, ast.FunctionDef) and (
-            node.name.endswith("_right") or "_dmp_" in node.name
+            node.name.endswith("_right") or "dmp_" in node.name
         ):
             found[node.name] = any(
                 isinstance(call, ast.Call)
@@ -222,6 +226,25 @@ def test_the_scan_sees_a_hand_written_right_hand_checker():
     assert right_hand_checkers(source) == {"check_left_right": True, "check_weak_dmp_rows": False}
 
 
-def test_right_hand_checkers_mirror_the_left_hand_ones():
-    source = (PACKAGE / "verify.py").read_text(encoding="utf-8")
-    assert right_hand_checkers(source) == dict.fromkeys(RIGHT_HAND_CHECKERS, True)
+def test_the_scan_sees_a_hand_written_right_hand_chain():
+    source = (
+        "def mpd_perturbation(scenario):\n"
+        "    return VerificationReport('thm')\n"
+        "def dmp_perturbation(scenario):\n"
+        "    Z = scenario.member\n"
+        "    report = VerificationReport('thm-r')\n"
+        "    report.add_equation('representation', Z @ Z, Z)\n"
+        "    return report\n"
+        "def perturbed_mrwwd_right(scenario):\n"
+        "    return _stability(_dual(scenario)).mirrored('thm-r', {})\n"
+    )
+    assert right_hand_checkers(source) == {
+        "dmp_perturbation": False,
+        "perturbed_mrwwd_right": True,
+    }
+
+
+@pytest.mark.parametrize("module", sorted(RIGHT_HAND_CHECKERS))
+def test_right_hand_checkers_mirror_the_left_hand_ones(module):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    assert right_hand_checkers(source) == dict.fromkeys(RIGHT_HAND_CHECKERS[module], True)

@@ -41,6 +41,8 @@ FACTORS = {
     "B^+ BW^",
     "(BW)^D",
     "(WB)^D",
+    "(BW)^D certified",  # a dual's record of the residuals that certified
+    "(WB)^D certified",  # the adjoint of the pair's kernel, with no array
     "(WB)^core-EP",
     "w_drazin",
     "w_core_ep",

@@ -1,9 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 
 from wginv import perturb
 from wginv._gen import ex1_pair, random_pair
-from wginv.matcore import DEFAULT_TOL, GenerationError, HypothesisError, spectral_norm
+from wginv.matcore import (
+    DEFAULT_TOL,
+    DimensionError,
+    GenerationError,
+    HypothesisError,
+    spectral_norm,
+)
 from wginv.perturb import (
     admissible_perturbation,
     dmp_perturbation,
@@ -131,6 +139,52 @@ def test_validation_errors():
         perturbed_mrwwd_right(scenario)
     with pytest.raises(ValueError):
         dmp_perturbation(scenario)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_scenario_from_parts_checks_the_member_shape(side):
+    pair = ex1_pair()
+    with pytest.raises(DimensionError, match=r"member shape \(4, 5\) != \(5, 4\)"):
+        scenario_from_parts(pair, np.zeros((4, 5)), np.zeros((5, 4)), side=side)
+
+
+def test_dmp_chain_refuses_a_non_member_in_the_callers_terms():
+    # E = 0 passes every flag, so the chain itself meets the non-member
+    pair = ex1_pair()
+    scenario = scenario_from_parts(pair, np.ones((5, 4)), np.zeros((5, 4)), side="right")
+    assert all(scenario.flags.values())
+    with pytest.raises(HypothesisError, match="^Z is not a member of the right solution family"):
+        dmp_perturbation(scenario)
+
+
+# The right-hand statements run the left-hand ones on the dual scenario, where
+# each resolvent is the adjoint of a right-hand one: a singular resolvent is
+# reported under its right-hand name, in the order the chain inverts them.
+RESOLVENTS = [
+    (perturbed_mrwwd_right, ["I + ZWEW"]),
+    (dmp_perturbation, ["I + ZWEW", "I + WEWZ", "I + EY1", "I + EBp"]),
+    (drazin_case_perturbation, ["I + Ympd E", "I + E Ympd", "I + E Ydmp", "I + Ydmp E"]),
+]
+
+
+@pytest.mark.parametrize(
+    "chain, call, name",
+    [(chain, call, name) for chain, names in RESOLVENTS for call, name in enumerate(names)],
+)
+def test_right_hand_chains_name_their_own_resolvents(monkeypatch, chain, call, name):
+    pair = ex1_pair()
+    scenario = admissible_perturbation(pair, w_drazin(pair).value, 0.1, seed=5, side="right")
+    assert chain(scenario).overall
+    calls = []
+    inverse = perturb._inv
+
+    def singular_at_call(Mat, what):
+        calls.append(what)
+        return inverse(np.zeros_like(Mat) if len(calls) == call + 1 else Mat, what)
+
+    monkeypatch.setattr(perturb, "_inv", singular_at_call)
+    with pytest.raises(HypothesisError, match=f"^{re.escape(name)} is singular"):
+        chain(scenario)
 
 
 def test_drazin_case_updates_weighted_inverses():

@@ -200,6 +200,33 @@ def test_dual_certifies_the_adjoint_kernels_on_its_own_equations(monkeypatch):
     assert np.array_equal(X, certified)
 
 
+def test_dual_certifies_each_adjoint_kernel_once(monkeypatch):
+    # the dual's memo records the certificate's residuals, not the kernel; a
+    # failed certificate raises and records nothing
+    pair = random_pair(7, 6, 2, 5)
+    w_drazin(pair)
+    pair.H.bw_power(1)  # the product the certificate is taken on
+    keys = set(pair.H._memo)
+    checks = winv._drazin_checks
+    monkeypatch.setattr(winv, "_drazin_checks", lambda S, X, k: checks(S, X + 1e-3, k))
+    with pytest.raises(CertificationError):
+        _drazin_kernel(pair.H, "BW", DEFAULT_TOL)
+    assert set(pair.H._memo) == keys
+    checked = []
+
+    def recording(S, X, k):
+        checked.append(k)
+        return checks(S, X, k)
+
+    monkeypatch.setattr(winv, "_drazin_checks", recording)
+    first = _drazin_kernel(pair.H, "BW", DEFAULT_TOL)
+    assert checked == [pair.k_wb]
+    again = _drazin_kernel(pair.H, "BW", DEFAULT_TOL)
+    assert checked == [pair.k_wb] and again.tobytes() == first.tobytes()
+    added = [pair.H._memo[key] for key in set(pair.H._memo) - keys]
+    assert len(added) == 1 and not isinstance(added[0], np.ndarray)
+
+
 def test_cached_factors_are_keyed_by_tolerance():
     pair = random_pair(7, 6, 2, 5)
     w_mpd(pair)
