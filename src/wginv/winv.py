@@ -302,12 +302,12 @@ _RIGHT_HAND_NAMES = {
     "w_mpd:": "w_dmp:",
     "weak_mpd:": "weak_dmp:",
     "mrwwd_family:": "mrwwd_right_family:",
-    "I + WEWX ": "I + ZWEW ",
-    "I + XWEW ": "I + WEWZ ",
-    "I + YE ": "I + EY1 ",
-    "I + BpE ": "I + EBp ",
-    "I + Ympd E ": "I + E Ydmp ",
-    "I + E Ympd ": "I + Ydmp E ",
+    "I + WEWX": "I + ZWEW",
+    "I + XWEW": "I + WEWZ",
+    "I + YE": "I + EY1",
+    "I + BpE": "I + EBp",
+    "I + Ympd E": "I + E Ydmp",
+    "I + E Ympd": "I + Ydmp E",
 }
 
 

@@ -41,8 +41,10 @@ FACTORS = {
     "B^+ BW^",
     "(BW)^D",
     "(WB)^D",
-    "(BW)^D certified",  # a dual's record of the residuals that certified
-    "(WB)^D certified",  # the adjoint of the pair's kernel, with no array
+    # a dual's record that the adjoint of the pair's kernel passed its
+    # certificate: the residuals, no array
+    "(BW)^D certified",
+    "(WB)^D certified",
     "(WB)^core-EP",
     "w_drazin",
     "w_core_ep",
