@@ -124,8 +124,18 @@ def _populate_flags(case: OrderLawCase, tol: ToleranceConfig) -> None:
     _set_flag(case, "awbw_commute", AW, BW, tol)
     _set_flag(case, "y3w_aw_commute", inv["Y3"] @ W, AW, tol)
     _set_flag(case, "z2w_bw_commute", inv["Z2"] @ W, BW, tol)
-    _set_flag(case, "adw_bw_commute", _value(case._pair("A", tol), w_drazin, tol) @ W, BW, tol)
-    _set_flag(case, "bdw_aw_commute", _value(case._pair("B", tol), w_drazin, tol) @ W, AW, tol)
+    # in a Drazin case Z2 and Y3 are the factors' own W-weighted Drazin values,
+    # whose flags are then the ones just decided
+    for flag, name, member, twin, R in (
+        ("adw_bw_commute", "A", "Z2", "z2w_bw_commute", BW),
+        ("bdw_aw_commute", "B", "Y3", "y3w_aw_commute", AW),
+    ):
+        D = _value(case._pair(name, tol), w_drazin, tol)
+        if inv[member] is D:
+            case.flag_residuals[flag] = case.flag_residuals[twin]
+            case.commutation_flags[flag] = case.commutation_flags[twin]
+        else:
+            _set_flag(case, flag, D @ W, R, tol)
     if case.C is not None:
         CW = case.C @ W
         AWBW = AW @ BW

@@ -21,10 +21,12 @@ from .matcore import (
     ToleranceConfig,
     WeightedPair,
     _certify,
-    _eq,
     _exact,
     _judge,
+    _Power,
     _read_only,
+    _Row,
+    _verdicts,
     as_matrix,
     mp_inverse,
 )
@@ -115,20 +117,18 @@ def w_drazin(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> Weighted
         return Xd @ Xd
 
     val = pair._cached(("((BW)^D)^2", tol), square) @ B
-    dual = pair._cached(
-        ("B ((WB)^D)^2", tol),
-        lambda: B @ np.linalg.matrix_power(_drazin_kernel(pair, "WB", tol), 2),
-    )
-    vWB = val @ W @ B  # shared by the fixed-point and commute rows
+    Xwb = _drazin_kernel(pair, "WB", tol)
+    vWB = (val, W, B)  # shared by the fixed-point and commute rows
     residuals = _certify(
         "w_drazin",
         {
-            "fixed point": _eq(vWB @ W @ val, val),
-            "commute": _eq(pair.bw_power(1) @ val, vWB),
-            "power": _eq(pair.bw_power(k + 1) @ val @ W, pair.bw_power(k)),
-            "dual agreement": _eq(dual, val),
+            "fixed point": _Row((vWB, W, val), val),
+            "commute": _Row((pair.bw_power(1), val), vWB),
+            "power": _Row((pair.bw_power(k + 1), val, W), pair.bw_power(k)),
+            "dual agreement": _Row((B, (Xwb, Xwb)), val),
         },
         tol,
+        pair,
     )
     return WeightedInverseResult(value=val, kind="w-drazin", index_used=k, residuals=residuals)
 
@@ -145,11 +145,8 @@ def _w_core_ep_checks(pair: WeightedPair, val: np.ndarray, tol: ToleranceConfig)
     gives (BW)^(k+2) z = B W B W D = 0, and (BW)^(k+2) has the null space of
     (BW)^k, so D = 0."""
     return {
-        "projector": _eq(
-            pair._cached(("W B W",), lambda: pair.wb_power(1) @ pair.W) @ val,
-            pair._projector("WB", pair.k_wb, tol),
-        ),
-        "range": ((val - pair._projector("BW", pair.k_bw, tol) @ val,), (val,)),
+        "projector": _Row(((pair.wb_power(1), pair.W), val), pair._projector("WB", pair.k_wb, tol)),
+        "range": _Row(val, (pair._projector("BW", pair.k_bw, tol), val), lhs_reference=True),
     }
 
 
@@ -158,7 +155,7 @@ def w_core_ep(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> Weighte
     rows that fix it (see `_w_core_ep_checks`)."""
     C = _wb_core_ep(pair, tol)
     val = pair._cached(("B (WB)^core-EP", tol), lambda: pair.B @ C) @ C
-    residuals = _certify("w_core_ep", _w_core_ep_checks(pair, val, tol), tol)
+    residuals = _certify("w_core_ep", _w_core_ep_checks(pair, val, tol), tol, pair)
     return WeightedInverseResult(
         value=val, kind="w-core-ep", index_used=pair.k_wb, residuals=residuals
     )
@@ -171,20 +168,18 @@ def w_m_wgi(
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
     B, W = pair.B, pair.W
-
-    def power(j):  # (CW)^j (BW)^(m-1), C = B^core-EP,W
-        CW = _value(pair, w_core_ep, tol) @ W
-        return np.linalg.matrix_power(CW, j) @ pair.bw_power(m - 1)
-
-    val = pair._cached(("(CW)^(m+1) (BW)^(m-1)", tol, m), lambda: power(m + 1)) @ B
-    product = pair._cached(("(CW)^m (BW)^(m-1) B", tol, m), lambda: power(m) @ B)
+    C, BWm = _value(pair, w_core_ep, tol), pair.bw_power(m - 1)  # C = B^core-EP,W
+    val = pair._cached(
+        ("(CW)^(m+1) (BW)^(m-1)", tol, m), lambda: np.linalg.matrix_power(C @ W, m + 1) @ BWm
+    ) @ B
     residuals = _certify(
         "w_m_wgi",
         {
-            "product": _eq(pair.bw_power(1) @ val, product),
-            "outer": _eq(val @ W @ B @ W @ val, val),
+            "product": _Row((pair.bw_power(1), val), (_Power((C, W), m), BWm, B)),
+            "outer": _Row((val, W, B, W, val), val),
         },
         tol,
+        pair,
     )
     return WeightedInverseResult(
         value=val, kind="w-m-wgi", index_used=pair.k_bw, residuals=residuals
@@ -202,18 +197,19 @@ def w_m_weak_core(
     P = pair._projector("WB", m, tol)
     val = _value(pair, w_m_wgi, tol, m) @ P
 
-    def star():  # B (WB)^wgi(m) P, the m-fold weak group inverse of WB from its core-EP
-        wgi = _m_wgi(pair._staircase_of("WB", tol), m, _wb_core_ep(pair, tol), tol).value
-        return B @ (wgi @ P)
-
-    BWval = pair.bw_power(1) @ val  # shared by both rows
+    wgi = pair._cached(  # the m-fold weak group inverse of WB, from its core-EP
+        ("(WB)^wgi", tol, m),
+        lambda: _m_wgi(pair._staircase_of("WB", tol), m, _wb_core_ep(pair, tol), tol).value,
+    )
+    BWval = (pair.bw_power(1), val)  # shared by both rows
     residuals = _certify(
         "w_m_weak_core",
         {
-            "product": _eq(BWval, pair._cached(("B (WB)^wgi P", tol, m), star)),
-            "inner composition": _eq(BWval @ W @ val, val),
+            "product": _Row(BWval, (B, (wgi, P))),
+            "inner composition": _Row((BWval, W, val), val),
         },
         tol,
+        pair,
     )
     return WeightedInverseResult(
         value=val, kind="w-m-weak-core", index_used=pair.k_bw, residuals=residuals
@@ -221,7 +217,7 @@ def w_m_weak_core(
 
 
 def _outer_only(kind: str, pair: WeightedPair, val: np.ndarray, tol: ToleranceConfig) -> dict:
-    return _certify(kind, {"outer": _eq(val @ pair.B @ val, val)}, tol)
+    return _certify(kind, {"outer": _Row((val, pair.B, val), val)}, tol, pair)
 
 
 def w_mpcep(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedInverseResult:
@@ -282,11 +278,12 @@ def w_mpd(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedInv
     residuals = _certify(
         "w_mpd",
         {
-            "outer": _eq(val @ B @ val, val),
-            "product": _eq(B @ val, pair._cached(("B W B^D,W W", tol), lambda: B @ WdW)),
-            "power": _eq(val @ pair.bw_power(k + 1), _pinv_power(pair, tol)),
+            "outer": _Row((val, B, val), val),
+            "product": _Row((B, val), (B, WdW)),
+            "power": _Row((val, pair.bw_power(k + 1)), _pinv_power(pair, tol)),
         },
         tol,
+        pair,
     )
     return WeightedInverseResult(value=val, kind="w-mpd", index_used=k, residuals=residuals)
 
@@ -390,7 +387,7 @@ def mrwwd_family(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> Solu
     """
     K, M = pair.bw_power(pair.k_bw), _family_product(pair, pair.k_bw)
     particular, annihilator = _family_parts(pair, tol)
-    _certify("mrwwd_family", {"power equation": _eq(particular @ M, K)}, tol)
+    _certify("mrwwd_family", {"power equation": _Row((particular, M), K)}, tol, pair)
     return SolutionFamily(
         particular=particular, left_factor=K, annihilator=annihilator, side="left"
     )
@@ -422,18 +419,20 @@ def _as_member(pair: WeightedPair, X) -> np.ndarray:
     return X
 
 
-def _power_equation(pair: WeightedPair, X, tol: ToleranceConfig) -> tuple:
-    """The two rows of the left family's membership test (Thm 2.1 (ii)), each
-    (residual, reference): the power equation (X M - K, K) with K = (BW)^k
-    and M = W (BW)^(k+1), and the range row (X - P X, X) with P the projector
-    onto R(K) that the staircase form deciding k holds. The power equation
+def _power_equation(pair: WeightedPair, X, tol: ToleranceConfig) -> dict:
+    """The two rows of the left family's membership test (Thm 2.1 (ii)): the
+    power equation X M = K with K = (BW)^k and M = W (BW)^(k+1), and the
+    range row X = P X, judged against X, with P the projector onto R(K) that
+    the staircase form deciding k holds. The power equation
     gives R(K) = R(X M) inside R(X), so X = P X is all that is left of
     R(X) = R(K); no rank of X is decided. On a dual pair, P is the pair's
     projector onto the row space of (WB)^k (see WeightedPair._projector)."""
     X = _as_member(pair, X)
-    K = pair.bw_power(pair.k_bw)
     P = pair._projector("BW", pair.k_bw, tol)
-    return (X @ _family_product(pair, pair.k_bw) - K, K), (X - P @ X, X)
+    return {
+        "power": _Row((X, _family_product(pair, pair.k_bw)), pair.bw_power(pair.k_bw)),
+        "range": _Row(X, (P, X), lhs_reference=True),
+    }
 
 
 def _left_member_residual(pair: WeightedPair, X, tol: ToleranceConfig) -> tuple:
@@ -441,7 +440,7 @@ def _left_member_residual(pair: WeightedPair, X, tol: ToleranceConfig) -> tuple:
     of the membership test. The range row is judged as a certificate
     (`_judge`): its residual reads 0 when it passes, and is exact when it
     fails."""
-    (R, K), (D, F) = _power_equation(pair, X, tol)
+    (R, K), (D, F) = (row.formed({}) for row in _power_equation(pair, X, tol).values())
     residual, ok = _exact(R, K, tol)
     range_residual, in_range = _judge((D,), (F,), tol)
     return ok and in_range, residual, 0.0 if in_range else range_residual
@@ -454,16 +453,15 @@ def _right_member_residual(pair: WeightedPair, Z, tol: ToleranceConfig) -> tuple
 def _require_member(pair: WeightedPair, X, tol: ToleranceConfig) -> np.ndarray:
     """X as a matrix, certified to be a member of the left solution family.
 
-    Both rows are judged as certificates (`_judge`); a refusal names the
-    exact spectral residual of each, taking it anew only for a row that a
-    Frobenius bound passed."""
+    Both rows are judged as certificates (`_verdicts`); a refusal names the
+    exact spectral residual of each, taking it anew only for a row that passed."""
     X = as_matrix(X)
-    rows = _power_equation(pair, X, tol)
-    judged = [_judge((R,), (F,), tol) for R, F in rows]
-    if not all(ok for _, ok in judged):
+    rows, products = _power_equation(pair, X, tol), {}
+    judged = _verdicts(rows, tol, pair, products)
+    if not all(ok for _, _, ok in judged):
         power_residual, range_residual = (
-            _exact(R, F, tol)[0] if ok else residual
-            for (residual, ok), (R, F) in zip(judged, rows)
+            _exact(*row.formed(products), tol)[0] if ok else residual
+            for (_, residual, ok), row in zip(judged, rows.values())
         )
         raise HypothesisError(
             f"X is not a member of the left solution family "
@@ -491,12 +489,13 @@ def _weak_mpd(pair: WeightedPair, X: np.ndarray, tol: ToleranceConfig) -> Weight
     residuals = _certify(
         "weak_mpd",
         {
-            "outer": _eq(val @ B @ val, val),
-            "image": _eq(B @ val, BWXW),
-            "power": _eq(val @ pair.bw_power(k + 1), _pinv_power(pair, tol)),
-            "absorption": _eq(_value(pair, w_mpd, tol) @ BWXW, val),
+            "outer": _Row((val, B, val), val),
+            "image": _Row((B, val), BWXW),
+            "power": _Row((val, pair.bw_power(k + 1)), _pinv_power(pair, tol)),
+            "absorption": _Row((_value(pair, w_mpd, tol), BWXW), val),
         },
         tol,
+        pair,
     )
     return WeightedInverseResult(value=val, kind="weak-mpd", index_used=k, residuals=residuals)
 

@@ -291,10 +291,40 @@ def test_drazin_case_certifies_each_factor_inverse_once(monkeypatch):
     kinds = []
     certify = winv._certify
 
-    def recording(kind, checks, tol):
+    def recording(kind, checks, tol, *pair):
         kinds.append(kind)
-        return certify(kind, checks, tol)
+        return certify(kind, checks, tol, *pair)
 
     monkeypatch.setattr(winv, "_certify", recording)
     commuting_case(5, 4, 1, with_c=True)
     assert kinds.count("w_drazin") == 3
+
+
+def _counting_commutes(monkeypatch) -> list:
+    calls = []
+    commutes = orderlaw._commutes
+
+    def recording(L, R, tol):
+        calls.append(1)
+        return commutes(L, R, tol)
+
+    monkeypatch.setattr(orderlaw, "_commutes", recording)
+    return calls
+
+
+def test_drazin_case_decides_each_drazin_flag_once(monkeypatch):
+    # in a Drazin case Z2 and Y3 are the factors' own W-weighted Drazin
+    # values, so the flags of those values are the members' flags, copied:
+    # two commutation tests fewer, and the flags and residuals a test gives
+    calls = _counting_commutes(monkeypatch)
+    case = commuting_case(5, 4, 3)
+    assert len(calls) == 3
+    W, AW, BW = case.W, case.A @ case.W, case.B @ case.W
+    for flag, name, R in (("adw_bw_commute", "A", BW), ("bdw_aw_commute", "B", AW)):
+        L = winv._value(case._pair(name, DEFAULT_TOL), winv.w_drazin, DEFAULT_TOL) @ W
+        residual, ok = orderlaw._exact(L @ R - R @ L, L @ R, DEFAULT_TOL)
+        assert (case.flag_residuals[flag], case.commutation_flags[flag]) == (residual, ok)
+    # the fixture's members are not the Drazin values: every flag is decided
+    del calls[:]
+    ex2_case(with_c=False)
+    assert len(calls) == 5

@@ -1,15 +1,19 @@
 """The products a WeightedPair keeps for the catalog constructors.
 
 A product of pair factors alone (B, W, B^+, the kernels, nested certified
-values) is formed once per pair and read from the pair's memo; the value is
-still formed by its last product, and every certificate row is still
-evaluated, on every call. So an error that reaches a value or a row through
-a cached product is still refused: planting a copy of any such entry moved by
-1e-6 relative must make every constructor that reads it raise."""
+values) that a value is formed from is formed once per pair and read from the
+pair's memo; the value is still formed by its last product, and every
+certificate row is still evaluated, on every call. So an error that reaches a
+value through a cached product is still refused: planting a copy of any such
+entry moved by 1e-6 relative must make every constructor that reads it raise,
+above the probe gate with the message of the formed rows."""
+
+import math
 
 import numpy as np
 import pytest
 
+from wginv import matcore
 from wginv._gen import random_pair
 from wginv.matcore import CertificationError, ToleranceConfig, WeightedPair
 from wginv.winv import CATALOG, PARAMETRIZED_KINDS, compute_kind
@@ -17,18 +21,15 @@ from wginv.winv import CATALOG, PARAMETRIZED_KINDS, compute_kind
 # the products the catalog constructors keep on a pair (and on its dual)
 PRODUCTS = {
     "((BW)^D)^2",
-    "B ((WB)^D)^2",
     "B (WB)^core-EP",
-    "W B W",
     "(CW)^(m+1) (BW)^(m-1)",
-    "(CW)^m (BW)^(m-1) B",
-    "B (WB)^wgi P",
     "B^+ B",
     "B^+ B W B^core-EP,W",
     "W B^core-EP,W W B",
     "W B^wgi,W W B",
     "W B^D,W W",
-    "B W B^D,W W",
+    # the certified kernel (WB)^wgi(m) that w_m_weak_core's product row reads
+    "(WB)^wgi",
 }
 
 # what else a catalog call keeps: powers, forms, factors, kernels and the
@@ -46,6 +47,8 @@ FACTORS = {
     "(BW)^D certified",
     "(WB)^D certified",
     "(WB)^core-EP",
+    # the probe blocks that the rows of a pair above the probe gate are judged on
+    "probe",
     "w_drazin",
     "w_core_ep",
     "w_m_wgi",
@@ -64,9 +67,13 @@ def _fresh():
     return random_pair(7, 6, 2, 5)
 
 
-def _reads(monkeypatch, kind, m) -> set:
+def _probed():  # min(m, n) at the probe gate or above
+    return random_pair(40, 36, 2, 5)
+
+
+def _reads(monkeypatch, kind, m, fresh=_fresh) -> set:
     """(side, key) of every product a warm call reads, side "pair" or "dual"."""
-    pair = _fresh()
+    pair = fresh()
     _call(pair, kind, m)
     sides = {id(pair._memo): "pair", id(pair.H._memo): "dual"}
     reads = set()
@@ -91,16 +98,32 @@ def _perturbed(A: np.ndarray) -> np.ndarray:
     return moved
 
 
+def _refusal(kind, m, side, key, fresh=_fresh) -> str:
+    """The message of a warm call on a pair whose product `key` is perturbed."""
+    pair = fresh()
+    _call(pair, kind, m)
+    memo = pair._memo if side == "pair" else pair.H._memo
+    memo[key] = _perturbed(memo[key])
+    with pytest.raises(CertificationError) as refused:
+        _call(pair, kind, m)
+    return str(refused.value)
+
+
 @pytest.mark.parametrize("kind, m", CALLS)
 def test_a_perturbed_product_is_refused_by_every_reader(monkeypatch, kind, m):
-    reads = _reads(monkeypatch, kind, m)
-    for side, key in sorted(reads):
-        pair = _fresh()
-        _call(pair, kind, m)
-        memo = pair._memo if side == "pair" else pair.H._memo
-        memo[key] = _perturbed(memo[key])
-        with pytest.raises(CertificationError):
-            _call(pair, kind, m)
+    for side, key in sorted(_reads(monkeypatch, kind, m)):
+        _refusal(kind, m, side, key)
+
+
+@pytest.mark.parametrize("kind, m", CALLS)
+def test_above_the_probe_gate_a_refusal_names_the_formed_rows_residual(monkeypatch, kind, m):
+    # a row the probe does not pass is formed and judged exactly, so every
+    # refusal, and its message, is the one of the formed rows alone
+    reads = sorted(_reads(monkeypatch, kind, m, _probed))
+    assert reads
+    probed = [_refusal(kind, m, *read, _probed) for read in reads]
+    monkeypatch.setattr(matcore, "_PROBE_GATE", math.inf)
+    assert probed == [_refusal(kind, m, *read, _probed) for read in reads]
 
 
 def test_every_product_has_a_reader_and_every_entry_is_listed(monkeypatch):
@@ -127,10 +150,10 @@ def test_warm_calls_read_the_products_and_match_the_cold_call(kind, m):
     assert warm.value.flags.writeable
 
 
-def test_products_that_do_not_depend_on_the_tolerance_are_kept_once():
+def test_products_are_kept_per_tolerance_and_powers_once():
     pair = _fresh()
     compute_kind(pair, "w-core-ep")
     compute_kind(pair, "w-core-ep", tol=ToleranceConfig(residual_atol=1e-7))
-    assert [key for key in pair._memo if key[0] == "W B W"] == [("W B W",)]
+    assert [key for key in pair._memo if key[0] == "WB^"] == [("WB^", 1)]
     assert len([key for key in pair._memo if key[0] == "B (WB)^core-EP"]) == 2
 

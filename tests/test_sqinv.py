@@ -253,8 +253,8 @@ def _refused_by(kind, checks, failing, passing):
     with pytest.raises(CertificationError, match=f"^{kind}: check "):
         _certify(kind, checks, matcore.DEFAULT_TOL)
     if failing is not None:
-        assert not matcore._judge(*checks[failing], matcore.DEFAULT_TOL)[1]
-        assert matcore._judge(*checks[passing], matcore.DEFAULT_TOL)[1]
+        for label, ok in ((failing, False), (passing, True)):
+            assert matcore._verdicts({label: checks[label]}, matcore.DEFAULT_TOL)[0][2] is ok
 
 
 def test_core_ep_rows_refuse_wrong_values():

@@ -153,12 +153,27 @@ def test_catalog_and_weak_inverses_share_the_pair_factors(monkeypatch):
     assert len(calls) == CATALOG_AND_WEAK_BUDGET
 
 
+# Below the probe gate the rows of a pair are formed, above it (40 x 36) they
+# are applied to the pair's probe block: a warm call takes no numpy.linalg call
+# on either side of the gate.
+SHAPES = {"7x6": (7, 6), "40x36": (40, 36)}
+LINALG = ("svd", "qr", "inv", "lstsq", "matrix_power")
+
+
+def _counting_linalg(monkeypatch) -> list:
+    calls = []
+    for name in LINALG:
+        calls += _counting(monkeypatch, linalg_impl, name)
+        monkeypatch.setattr(np.linalg, name, getattr(linalg_impl, name))
+    return calls
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
 @pytest.mark.parametrize("build", [w_mpd, w_drazin, w_dmp])
-def test_warm_pair_needs_no_svd(monkeypatch, build):
-    pair = random_pair(7, 6, 2, 5)
+def test_warm_pair_needs_no_svd(monkeypatch, build, shape):
+    pair = random_pair(*SHAPES[shape], 2, 5)
     first = build(pair)
-    calls = _counting(monkeypatch, linalg_impl, "svd")
-    monkeypatch.setattr(np.linalg, "svd", linalg_impl.svd)
+    calls = _counting_linalg(monkeypatch)
     again = build(pair)
     assert calls == []
     assert np.array_equal(again.value, first.value)
@@ -277,20 +292,18 @@ def test_identity_weight_shares_one_form_and_one_kernel():
 FAMILIES = [(mrwwd_family, weak_mpd), (mrwwd_right_family, weak_dmp)]
 
 
+@pytest.mark.parametrize("shape", sorted(SHAPES))
 @pytest.mark.parametrize("family, weak", FAMILIES)
-def test_warm_family_operation_takes_no_svd(monkeypatch, family, weak):
+def test_warm_family_operation_takes_no_svd(monkeypatch, family, weak, shape):
     # the family reads its particular solution and annihilator from the pair
     # and certifies them anew; the membership test judges X = P X against the
     # staircase's projector (on the right, the pair's row projector) instead
     # of deciding rank(X). Every pass is proved from Frobenius norms, and the
     # memoized w_mpd needs no factorization either
-    pair = random_pair(7, 6, 2, 5)
-    P = np.ones((7, 6))
+    pair = random_pair(*SHAPES[shape], 2, 5)
+    P = np.ones(SHAPES[shape])
     weak(pair, family(pair).member(P))
-    calls = []
-    for name in ("svd", "qr", "inv", "lstsq"):
-        calls += _counting(monkeypatch, linalg_impl, name)
-        monkeypatch.setattr(np.linalg, name, getattr(linalg_impl, name))
+    calls = _counting_linalg(monkeypatch)
     keys = _memo_keys(pair)
     for _ in range(2):
         weak(pair, family(pair).member(P))
@@ -374,9 +387,9 @@ def test_nested_core_ep_is_certified_once_per_pair(monkeypatch):
     kinds = []
     certify = winv._certify
 
-    def recording(kind, checks, tol):
+    def recording(kind, checks, tol, *pair):
         kinds.append(kind)
-        return certify(kind, checks, tol)
+        return certify(kind, checks, tol, *pair)
 
     monkeypatch.setattr(winv, "_certify", recording)
     w_mpcep(pair)
@@ -761,8 +774,9 @@ def test_membership_reads_the_rank_of_a_roundoff_power_as_zero():
 def test_canonical_refusal_names_the_exact_range_residual(monkeypatch):
     # the fixture member solves its power equation exactly, and X - P X is
     # roundoff: below it the membership test refuses, naming both exact
-    # residuals, with one SVD each (the power row, passed by its Frobenius
-    # bound, is taken exactly for the message) and before any decomposition
+    # residuals before any decomposition. The power row, passed by its
+    # Frobenius bound, is taken exactly for the message, and needs no SVD
+    # since its residual is exactly zero: the range row takes the one SVD
     pair = ex1_pair()
     X = ex1_member(2, -1).astype(complex)
     tight = ToleranceConfig(residual_atol=1e-30)
@@ -777,4 +791,4 @@ def test_canonical_refusal_names_the_exact_range_residual(monkeypatch):
         f"X is not a member of the left solution family "
         f"(power residual {0.0:.3e}, range residual {range_residual:.3e})"
     )
-    assert len(calls) == 2
+    assert len(calls) == 1
