@@ -1,10 +1,12 @@
-"""Bitwise certificates: for every catalog kind (m = 1 and 2 for the m-fold
-kinds), `weak_mpd` and `weak_dmp`, on five pairs, the sha256 of the value's
-bytes and of `repr(residuals)` must match tests/data/certificate_digest.json,
-on a cold call (a fresh pair) and on a warm one (the same call again). A
-change that reuses a product from the pair's memo, or shares it within a call,
-must keep every value and every certificate residual bit for bit; one that
-moves roundoff fails here. A call that raises is pinned by its error.
+"""Bitwise certificates: for every catalog kind (m = 1, 2 and 3 for the
+m-fold kinds), `weak_mpd`, `weak_dmp`, and the square kernels `drazin`,
+`core_ep` and `m_wgi` (m = 1 and 2) of BW, on five pairs, the sha256 of the
+value's bytes and of `repr(residuals)` must match
+tests/data/certificate_digest.json, on a cold call (a fresh pair) and on a
+warm one (the same call again). A change that reuses a product from the
+pair's memo, or shares it within a call, or rewrites how a row is handed to
+the certificate, must keep every value and every certificate residual bit for
+bit; one that moves roundoff fails here. A call that raises is pinned by its error.
 
 Regenerate the file (only when a change of values or residuals is intended
 and recorded in CHANGES.md) with:
@@ -22,6 +24,7 @@ import pytest
 
 from wginv._gen import ex1_member, ex1_pair, ex2_matrices, random_pair, random_square_with_index
 from wginv.matcore import weighted_pair
+from wginv.sqinv import core_ep, drazin, m_wgi
 from wginv.winv import (
     CATALOG,
     PARAMETRIZED_KINDS,
@@ -77,13 +80,17 @@ def _calls() -> dict:
     matrices that draws the family members, so that the called pair is cold."""
     calls = {}
     for kind in CATALOG:
-        for m in (1, 2) if kind in PARAMETRIZED_KINDS else (1,):
+        for m in (1, 2, 3) if kind in PARAMETRIZED_KINDS else (1,):
             label = f"{kind}(m={m})" if kind in PARAMETRIZED_KINDS else kind
             calls[label] = lambda name, pair, twin, kind=kind, m=m: compute_kind(
                 pair, kind, m=m
             )
     calls["weak_mpd"] = lambda name, pair, twin: weak_mpd(pair, _left_member(name, twin))
     calls["weak_dmp"] = lambda name, pair, twin: weak_dmp(pair, _right_member(name, twin))
+    calls["drazin(BW)"] = lambda name, pair, twin: drazin(pair.bw_power(1))
+    calls["core_ep(BW)"] = lambda name, pair, twin: core_ep(pair.bw_power(1))
+    for m in (1, 2):
+        calls[f"m_wgi(BW, m={m})"] = lambda name, pair, twin, m=m: m_wgi(pair.bw_power(1), m)
     return calls
 
 
