@@ -13,10 +13,10 @@ from .matcore import (
     VerificationReport,
     WeightedPair,
     _certify,
-    _eq,
     _exact,
     _rank_gap,
     _refuse,
+    _Row,
     matrix_power,
     mp_inverse,
     rank_of,
@@ -69,26 +69,25 @@ def _upper_blocks(A: np.ndarray, q: int) -> tuple:
 def _structure_checks(dec: BlockDecomposition, tol: ToleranceConfig) -> tuple:
     """The rows shared by the constructor and the report, in the report's
     order: the rows of the factors and blocks, the rank row (label, gap,
-    pass), and the rows of the tails. A matrix row is label ->
-    ((residual,), (reference,))."""
+    pass), and the rows of the tails, each matrix row a `_Row`."""
     pair = dec.pair
     m, n, q = pair.m, pair.n, dec.q
     Bhat = dec.M.conj().T @ pair.B @ dec.N
     What = dec.N.conj().T @ pair.W @ dec.M
     factors = {
-        "reassembly B": _eq(dec.assemble_b(), pair.B),
-        "reassembly W": _eq(dec.assemble_w(), pair.W),
-        "unitary M": _eq(dec.M.conj().T @ dec.M, np.eye(m)),
-        "unitary N": _eq(dec.N.conj().T @ dec.N, np.eye(n)),
-        "lower-left B": ((Bhat[q:, :q],), (pair.B,)),
-        "lower-left W": ((What[q:, :q],), (pair.W,)),
+        "reassembly B": _Row(dec.assemble_b(), pair.B),
+        "reassembly W": _Row(dec.assemble_w(), pair.W),
+        "unitary M": _Row(dec.M.conj().T @ dec.M, np.eye(m)),
+        "unitary N": _Row(dec.N.conj().T @ dec.N, np.eye(n)),
+        "lower-left B": _Row(Bhat[q:, :q], np.zeros_like(Bhat[q:, :q]), pair.B),
+        "lower-left W": _Row(What[q:, :q], np.zeros_like(What[q:, :q]), pair.W),
     }
     ranks = rank_of(dec.B1, tol) + rank_of(dec.W1, tol)
     rank = ("leading blocks invertible", *_rank_gap(2 * q, ranks))
     # the tails' powers vanish on the tails' own scale
     tails = {}
     for side, tail, k in (("BW", dec.B3 @ dec.W3, pair.k_bw), ("WB", dec.W3 @ dec.B3, pair.k_wb)):
-        tails[f"nilpotent {side} tail"] = ((matrix_power(tail, k),), (tail,))
+        tails[f"nilpotent {side} tail"] = _Row(matrix_power(tail, k), np.zeros_like(tail), tail)
     return factors, rank, tails
 
 
@@ -118,7 +117,7 @@ def decomposition_report(
 ) -> VerificationReport:
     report = VerificationReport("lem3.15", tol)
     factors, rank, tails = _structure_checks(dec, tol)
-    exact = [(label, *_exact(R, F, tol)) for label, ((R,), (F,)) in {**factors, **tails}.items()]
+    exact = [(label, *_exact(*row.formed({}), tol)) for label, row in {**factors, **tails}.items()]
     for row in exact[: len(factors)] + [rank] + exact[len(factors) :]:
         report.add(*row)
     return report
@@ -149,7 +148,7 @@ def mp_via_blocks(dec: BlockDecomposition, tol: ToleranceConfig = DEFAULT_TOL) -
     core[q:, :q] = F @ B2.conj().T @ delta
     core[q:, q:] = B3p - F @ B2.conj().T @ delta @ B2 @ B3p
     val = dec.N @ core @ dec.M.conj().T
-    _certify("mp_via_blocks", {"agreement with the SVD value": _eq(val, pair._pinv(tol))}, tol)
+    _certify("mp_via_blocks", {"agreement with the SVD value": _Row(val, pair._pinv(tol))}, tol)
     return val
 
 

@@ -99,26 +99,19 @@ def _frobenius(A) -> float:
     return math.sqrt(np.vdot(A, A).real)
 
 
-def _spectral(residuals, references, tol: ToleranceConfig) -> tuple:
-    """(max ||R_i||_2, max ||R_i||_2 <= residual_atol * (1 + max ||F_j||_2)):
-    the exact residual and verdict. A residual within residual_atol passes
-    whatever the references are, and since ||F||_2 <= ||F||_F one above
-    residual_atol * (1 + max ||F_j||_F) fails whatever they are (shaded by
-    1e-12 against the norms' roundoff), so their spectral norms are taken only
-    in the band between. An infinite Frobenius bound proves nothing."""
-    residual = max(map(spectral_norm, residuals))
+def _exact(R, F, tol: ToleranceConfig) -> tuple:
+    """(||R||_2, ||R||_2 <= residual_atol * (1 + ||F||_2)): the exact residual
+    and verdict of a row with residual R and reference F. A residual within
+    residual_atol passes whatever F is, and since ||F||_2 <= ||F||_F one above
+    residual_atol * (1 + ||F||_F) fails whatever it is (shaded by 1e-12
+    against the norms' roundoff), so ||F||_2 is taken only in the band
+    between. An infinite Frobenius bound proves nothing."""
+    residual = spectral_norm(R)
     if residual <= tol.residual_atol:
         return residual, True
-    bound = max(map(_frobenius, references))
-    if residual > tol.residual_atol * (1.0 + bound) * (1.0 + 1e-12):
+    if residual > tol.residual_atol * (1.0 + _frobenius(F)) * (1.0 + 1e-12):
         return residual, False
-    return residual, _passes(residual, max(map(spectral_norm, references)), tol)
-
-
-def _exact(R, F, tol: ToleranceConfig) -> tuple:
-    """(||R||_2, pass) of one row whose residual is printed: always the exact
-    spectral residual."""
-    return _spectral((R,), (F,), tol)
+    return residual, _passes(residual, spectral_norm(F), tol)
 
 
 # A Frobenius norm is a root of a sum of squares, which loses entries below
@@ -126,33 +119,32 @@ def _exact(R, F, tol: ToleranceConfig) -> tuple:
 _FROBENIUS_FLOOR = 1e-100
 
 
-def _frobenius_pass(residuals, references, tol: ToleranceConfig) -> float | None:
-    """max ||R_i||_F when it proves max ||R_i||_2 <= residual_atol * (1 +
-    max ||F_j||_2) for the residuals R_i and references F_j, else None.
+def _frobenius_pass(R, F, tol: ToleranceConfig) -> float | None:
+    """||R||_F when it proves ||R||_2 <= residual_atol * (1 + ||F||_2) for the
+    residual R and reference F, else None.
 
-    ||R||_2 <= ||R||_F, and ||F||_2 >= ||F||_F / sqrt(d) for d >= min(F.shape)
+    ||R||_2 <= ||R||_F, and ||F||_2 >= ||F||_F / sqrt(d) for d = min(F.shape)
     (Golub and Van Loan, Matrix Computations, 2.3), so the bound implies the
     spectral test and needs no SVD. The threshold is shaded by 1e-12 so that
     the two norms' roundoff cannot turn a spectral failure into a pass.
     """
-    bound = max(_frobenius(R) for R in residuals)
-    ref = max(_frobenius(F) for F in references)
-    d = max(1, max(min(F.shape) for F in references))
-    threshold = tol.residual_atol * (1.0 + ref / math.sqrt(d)) * (1.0 - 1e-12)
+    bound = _frobenius(R)
+    d = max(1, min(F.shape))
+    threshold = tol.residual_atol * (1.0 + _frobenius(F) / math.sqrt(d)) * (1.0 - 1e-12)
     # an infinite threshold is an overflowed reference, not a large one
     if _FROBENIUS_FLOOR <= threshold < np.inf and bound <= threshold:
         return bound
     return None
 
 
-def _judge(residuals, references, tol: ToleranceConfig) -> tuple:
+def _judge(R, F, tol: ToleranceConfig) -> tuple:
     """(residual, pass) of a certificate row: the Frobenius bound when it
     proves the pass, else `_exact`'s exact residual and verdict, so a failure
     always reports the exact spectral residual."""
-    bound = _frobenius_pass(residuals, references, tol)
+    bound = _frobenius_pass(R, F, tol)
     if bound is not None:
         return bound, True
-    return _spectral(residuals, references, tol)
+    return _exact(R, F, tol)
 
 
 def _rank_gap(r1: int, r2: int) -> tuple:
@@ -171,31 +163,23 @@ def _refuse(kind: str, rows) -> None:
 
 
 @dataclass(eq=False, slots=True)
-class _Power:
-    """The factor base^j of a certificate row, formed by numpy's matrix_power."""
-
-    base: object
-    j: int
-
-
-@dataclass(eq=False, slots=True)
 class _Row:
-    """The certificate row lhs = rhs, judged against rhs (against lhs if
-    `lhs_reference`, as a range row X = P X is). Each side is a factor: an
-    array, a `_Power`, or a chain, a tuple of factors whose product is formed
-    left to right, so that a chain spells the association its product was
-    formed in. A chain shared by several rows of one certificate is formed
-    once."""
+    """The certificate row lhs = rhs, judged against `reference` (against rhs
+    when None): a range row X = P X names its lhs, a row whose rhs is zero the
+    matrix its residual is measured on. Each side is a factor: an array, or a
+    chain, a tuple of factors whose product is formed left to right, so that
+    a chain spells the association its product was formed in. A chain shared
+    by several rows of one certificate is formed once."""
 
     lhs: object
     rhs: object
-    lhs_reference: bool = False
+    reference: object = None
 
     def formed(self, products: dict) -> tuple:
-        """(lhs - rhs, reference), each side formed as a dense product;
-        `products` keeps the chains formed so far, by identity."""
+        """(lhs - rhs, reference), each formed as a dense product; `products`
+        keeps the chains formed so far, by identity."""
         lhs, rhs = _formed(self.lhs, products), _formed(self.rhs, products)
-        return lhs - rhs, lhs if self.lhs_reference else rhs
+        return lhs - rhs, rhs if self.reference is None else _formed(self.reference, products)
 
 
 def _formed(factor, products: dict) -> np.ndarray:
@@ -203,12 +187,9 @@ def _formed(factor, products: dict) -> np.ndarray:
         return factor
     value = products.get(id(factor))
     if value is None:
-        if isinstance(factor, _Power):
-            value = np.linalg.matrix_power(_formed(factor.base, products), factor.j)
-        else:
-            for f in factor:  # most factors are arrays, taken without a call
-                f = f if isinstance(f, np.ndarray) else _formed(f, products)
-                value = f if value is None else value @ f
+        for f in factor:  # most factors are arrays, taken without a call
+            f = f if isinstance(f, np.ndarray) else _formed(f, products)
+            value = f if value is None else value @ f
         products[id(factor)] = value
     return value
 
@@ -217,10 +198,6 @@ def _applied(factor, G: np.ndarray) -> np.ndarray:
     """factor @ G, applied right to left: thin products only."""
     if isinstance(factor, np.ndarray):
         return factor @ G
-    if isinstance(factor, _Power):
-        for _ in range(factor.j):
-            G = _applied(factor.base, G)
-        return G
     for f in reversed(factor):
         G = _applied(f, G)
     return G
@@ -228,7 +205,7 @@ def _applied(factor, G: np.ndarray) -> np.ndarray:
 
 def _columns(factor) -> int:
     while not isinstance(factor, np.ndarray):
-        factor = factor.base if isinstance(factor, _Power) else factor[-1]
+        factor = factor[-1]
     return factor.shape[1]
 
 
@@ -254,34 +231,31 @@ def _probe(row: _Row, G: np.ndarray, tol: ToleranceConfig) -> float | None:
     chi^2_8 < 8e-4, with probability 1.1e-15 at p = 4, whatever R is."""
     lhs, rhs = _applied(row.lhs, G), _applied(row.rhs, G)
     estimate = _PROBE_MARGIN * _frobenius(lhs - rhs) / math.sqrt(G.shape[1])
-    reference = _frobenius(lhs if row.lhs_reference else rhs) / _frobenius(G)
-    threshold = tol.residual_atol * (1.0 + reference)
+    if row.reference is None:
+        FG = rhs
+    else:
+        FG = lhs if row.reference is row.lhs else _applied(row.reference, G)
+    threshold = tol.residual_atol * (1.0 + _frobenius(FG) / _frobenius(G))
     if _FROBENIUS_FLOOR <= threshold < np.inf and estimate <= threshold:
         return estimate
     return None
 
 
 def _verdicts(checks: dict, tol: ToleranceConfig, pair=None, products=None) -> list:
-    """[(label, residual, pass)] of certificate rows, label -> a `_Row` or
-    (residual matrices, reference matrices).
+    """[(label, residual, pass)] of certificate rows, label -> `_Row`.
 
-    A `_Row` of a pair at or above the probe gate is first judged by `_probe`,
-    which records 100 e for a pass. Any other row, and a `_Row` the probe does
-    not pass, is formed (a shared chain once, kept in `products`) and judged by
-    `_judge`: the Frobenius bound when it proves the pass, else the exact
+    A row of a pair at or above the probe gate is first judged by `_probe`,
+    which records 100 e for a pass. Any other row, and a row the probe does
+    not pass, is formed (a shared chain once, kept in `products`) and judged
+    by `_judge`: the Frobenius bound when it proves the pass, else the exact
     spectral residual and verdict."""
     products = {} if products is None else products
     probed = pair is not None and min(pair.B.shape) >= _PROBE_GATE
     rows = []
     for label, row in checks.items():
-        if isinstance(row, _Row):
-            estimate = _probe(row, pair._probe_block(_columns(row.rhs)), tol) if probed else None
-            if estimate is not None:
-                rows.append((label, estimate, True))
-                continue
-            R, F = row.formed(products)
-            row = (R,), (F,)
-        rows.append((label, *_judge(*row, tol)))
+        estimate = _probe(row, pair._probe_block(_columns(row.rhs)), tol) if probed else None
+        verdict = (estimate, True) if estimate is not None else _judge(*row.formed(products), tol)
+        rows.append((label, *verdict))
     return rows
 
 
@@ -291,10 +265,6 @@ def _certify(kind: str, checks: dict, tol: ToleranceConfig, pair=None) -> dict:
     rows = _verdicts(checks, tol, pair)
     _refuse(kind, rows)
     return {label: residual for label, residual, _ in rows}
-
-
-def _eq(lhs, rhs) -> tuple:
-    return ((lhs - rhs,), (rhs,))
 
 
 def matrix_power(A, j: int) -> np.ndarray:

@@ -11,7 +11,7 @@ from .matcore import (
     DEFAULT_TOL,
     ToleranceConfig,
     _certify,
-    _eq,
+    _Row,
     _staircase,
     _Staircase,
     matrix_power,
@@ -45,9 +45,9 @@ def _drazin_checks(S: np.ndarray, X: np.ndarray, k: int) -> dict:
     """The defining equations of X = S^D for S of index k."""
     Sk = matrix_power(S, k)
     return {
-        "outer": _eq(X @ S @ X, X),
-        "commute": _eq(S @ X, X @ S),
-        "power": _eq(S @ Sk @ X, Sk),
+        "outer": _Row(X @ S @ X, X),
+        "commute": _Row(S @ X, X @ S),
+        "power": _Row(S @ Sk @ X, Sk),
     }
 
 
@@ -78,9 +78,9 @@ def _core_ep_checks(form: _Staircase, X: np.ndarray) -> dict:
     the unique solution of S X = P with R(X) inside R(S^k)."""
     S, P = form.S, form.P
     return {
-        "outer": _eq(X @ S @ X, X),
-        "projector": _eq(S @ X, P),
-        "range": ((X - P @ X,), (X,)),
+        "outer": _Row(X @ S @ X, X),
+        "projector": _Row(S @ X, P),
+        "range": _Row(X, P @ X, X),
     }
 
 
@@ -110,9 +110,9 @@ def _m_wgi(form: _Staircase, m: int, C: np.ndarray, tol: ToleranceConfig) -> Squ
     residuals = _certify(
         "m_wgi",
         {
-            "outer": _eq(X @ S @ X, X),
-            "product": _eq(S @ X, matrix_power(C, m) @ Sm),
-            "range": ((X - form.P @ X,), (X,)),
+            "outer": _Row(X @ S @ X, X),
+            "product": _Row(S @ X, matrix_power(C, m) @ Sm),
+            "range": _Row(X, form.P @ X, X),
         },
         tol,
     )

@@ -23,7 +23,6 @@ from .matcore import (
     _certify,
     _exact,
     _judge,
-    _Power,
     _read_only,
     _Row,
     _verdicts,
@@ -146,7 +145,7 @@ def _w_core_ep_checks(pair: WeightedPair, val: np.ndarray, tol: ToleranceConfig)
     (BW)^k, so D = 0."""
     return {
         "projector": _Row(((pair.wb_power(1), pair.W), val), pair._projector("WB", pair.k_wb, tol)),
-        "range": _Row(val, (pair._projector("BW", pair.k_bw, tol), val), lhs_reference=True),
+        "range": _Row(val, (pair._projector("BW", pair.k_bw, tol), val), val),
     }
 
 
@@ -175,7 +174,7 @@ def w_m_wgi(
     residuals = _certify(
         "w_m_wgi",
         {
-            "product": _Row((pair.bw_power(1), val), (_Power((C, W), m), BWm, B)),
+            "product": _Row((pair.bw_power(1), val), (((C, W),) * m, BWm, B)),
             "outer": _Row((val, W, B, W, val), val),
         },
         tol,
@@ -431,7 +430,7 @@ def _power_equation(pair: WeightedPair, X, tol: ToleranceConfig) -> dict:
     P = pair._projector("BW", pair.k_bw, tol)
     return {
         "power": _Row((X, _family_product(pair, pair.k_bw)), pair.bw_power(pair.k_bw)),
-        "range": _Row(X, (P, X), lhs_reference=True),
+        "range": _Row(X, (P, X), X),
     }
 
 
@@ -442,7 +441,7 @@ def _left_member_residual(pair: WeightedPair, X, tol: ToleranceConfig) -> tuple:
     fails."""
     (R, K), (D, F) = (row.formed({}) for row in _power_equation(pair, X, tol).values())
     residual, ok = _exact(R, K, tol)
-    range_residual, in_range = _judge((D,), (F,), tol)
+    range_residual, in_range = _judge(D, F, tol)
     return ok and in_range, residual, 0.0 if in_range else range_residual
 
 

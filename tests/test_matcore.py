@@ -299,11 +299,7 @@ def test_exact_takes_the_reference_norm_only_above_the_floor(monkeypatch, residu
     assert len(calls) == svds
 
 
-def _judge_one(R, F, tol):
-    return _judge((R,), (F,), tol)
-
-
-@pytest.mark.parametrize("evaluate", [_exact, _judge_one], ids=["_exact", "_judge"])
+@pytest.mark.parametrize("evaluate", [_exact, _judge], ids=["_exact", "_judge"])
 @pytest.mark.parametrize("scale", [0.0, 1e-12, 1e-9, 1e-8, 3e-8, 1e-6])
 def test_exact_gives_the_verdict_of_the_full_rule(evaluate, scale):
     # both evaluators give the verdict of the spectral rule; `_exact` always

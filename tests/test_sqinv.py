@@ -7,6 +7,7 @@ from wginv.matcore import (
     ToleranceConfig,
     _certify,
     _frobenius_pass,
+    _Row,
     index_of,
     spectral_norm,
     weighted_pair,
@@ -118,7 +119,7 @@ def test_certify_undecided_band_passes_on_exact_norms(spectral_calls):
     # cannot decide, so the exact fallback must, and it passes
     n, c = 4, ATOL
     zero = np.zeros((n, n))
-    residuals = _certify("band", {"eq": ((c * np.eye(n),), (zero,))}, ToleranceConfig())
+    residuals = _certify("band", {"eq": _Row(c * np.eye(n), zero)}, ToleranceConfig())
     assert residuals == {"eq": spectral_norm(c * np.eye(n))}
     # decided by the residual's SVD alone: a residual within residual_atol
     # passes whatever the reference is, so its norm is not taken
@@ -128,7 +129,7 @@ def test_certify_undecided_band_passes_on_exact_norms(spectral_calls):
 def test_certify_just_above_threshold_reports_exact_residual(spectral_calls):
     n, c = 4, 1.001 * ATOL
     with pytest.raises(CertificationError) as info:
-        _certify("above", {"eq": ((c * np.eye(n),), (np.zeros((n, n)),))}, ToleranceConfig())
+        _certify("above", {"eq": _Row(c * np.eye(n), np.zeros((n, n)))}, ToleranceConfig())
     message = str(info.value)
     assert f"{spectral_norm(c * np.eye(n)):.3e}" in message  # 1.001e-08, the spectral norm
     assert f"{np.linalg.norm(c * np.eye(n)):.3e}" not in message  # not the 2.002e-08 bound
@@ -143,8 +144,9 @@ def test_certify_bound_decided_pass_is_not_judged_again(spectral_calls):
     R_big = np.full((n, n), 1e-6 / n)  # Frobenius 1e-6, spectral 1e-6
     tiny = np.full((n, n), 1e-3)
     R_tiny = np.full((n, n), 1e-12)
+    zero = np.zeros((n, n))
     residuals = _certify(
-        "trap", {"big": ((R_big,), (big,)), "tiny": ((R_tiny,), (tiny,))}, ToleranceConfig()
+        "trap", {"big": _Row(R_big, zero, big), "tiny": _Row(R_tiny, zero, tiny)}, ToleranceConfig()
     )
     assert residuals["big"] == pytest.approx(1e-6)
     assert residuals["big"] > ATOL * (1.0 + spectral_norm(tiny))
@@ -201,13 +203,13 @@ def test_tight_tolerance_still_raises_everywhere():
 def test_frobenius_bound_leaves_extreme_scales_to_exact_norms():
     tol = ToleranceConfig()
     small = np.full((3, 3), 1e-12)
-    assert _frobenius_pass((small,), (np.eye(3),), tol) == pytest.approx(3e-12)
+    assert _frobenius_pass(small, np.eye(3), tol) == pytest.approx(3e-12)
     # an overflowed reference is no licence to pass
     huge = np.full((3, 3), 1e160)
-    assert _frobenius_pass((np.full((3, 3), 1e150),), (huge,), tol) is None
+    assert _frobenius_pass(np.full((3, 3), 1e150), huge, tol) is None
     # below the floor the squares of entries underflow
     tiny_tol = ToleranceConfig(residual_atol=1e-300)
-    assert _frobenius_pass((np.zeros((3, 3)),), (np.eye(3),), tiny_tol) is None
+    assert _frobenius_pass(np.zeros((3, 3)), np.eye(3), tiny_tol) is None
 
 
 def test_spectral_norm_matches_two_norm_bitwise():
