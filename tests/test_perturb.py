@@ -273,3 +273,29 @@ def test_chains_on_one_scenario_share_the_pair_of_d(monkeypatch, side):
     assert len(built) == 1
     dpair = scenario._dpair(DEFAULT_TOL)
     assert np.array_equal(dpair.B, scenario.D) and np.array_equal(dpair.W, pair.W)
+
+
+# thm3.19's row "representation T1 = T2", and so thm3.20's "G1 = G2", holds
+# for every member X and every E, admissible or not: X W B W X = X gives
+# X W D W X = (I + XWEW) X, and by push-through both T1 and T2 reduce to
+# D^+ X. The row certifies nothing beyond membership; T1 = T3 does.
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("seed", range(4))
+def test_representation_t1_t2_holds_for_every_perturbation(seed, side):
+    pair = random_pair(6, 5, 2, seed)
+    rng = np.random.default_rng([29, seed])
+    family = mrwwd_family if side == "left" else mrwwd_right_family
+    free = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+    E = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+    E *= 0.05 / spectral_norm(E)
+    scenario = scenario_from_parts(pair, family(pair).member(0.4 * free), E, side=side)
+    assert not all(scenario.flags.values())  # a generic E is not admissible
+    left = scenario if side == "left" else perturb._dual(scenario, DEFAULT_TOL)
+    report = perturb._mpd_chain(left, DEFAULT_TOL)[0]
+    rows = {label: (residual, ok) for label, residual, ok in report.conditions}
+    residual, ok = rows["representation T1 = T2"]
+    assert ok and residual < 1e-13
+    residual, ok = rows["representation T1 = T3"]
+    assert not ok and residual > 0.5

@@ -26,10 +26,21 @@ def _unitary(rng, d: int) -> np.ndarray:
     return np.linalg.qr(Z)[0]
 
 
-def _planted(scale: float, rank_one: bool) -> _Row:
-    """The row F + R = F with ||F||_2 = 3 and every singular value of F equal,
-    so ||F G||_F / ||G||_F = ||F||_2, and ||R||_2 = scale times the spectral
-    test's threshold residual_atol * (1 + ||F||_2)."""
+# How the planted row states its reference F: as its rhs (F + R = F), as
+# its lhs, the range-row form (F = F - R, judged against F), or as a third
+# matrix, the zero-row form (R = 0, judged against F).
+FORMS = {
+    "rhs": lambda F, R: _Row(F + R, F),
+    "lhs": lambda F, R: _Row(F, F - R, F),
+    "zero": lambda F, R: _Row(R, np.zeros_like(R), F),
+}
+
+
+def _planted(scale: float, rank_one: bool, form: str) -> _Row:
+    """A row with residual R and reference F, stated in `form`, with
+    ||F||_2 = 3 and every singular value of F equal, so ||F G||_F / ||G||_F
+    = ||F||_2, and ||R||_2 = scale times the spectral test's threshold
+    residual_atol * (1 + ||F||_2)."""
     rng = np.random.default_rng(3)
     F = 3.0 * _unitary(rng, D)
     if rank_one:
@@ -38,7 +49,7 @@ def _planted(scale: float, rank_one: bool) -> _Row:
     else:
         R = _unitary(rng, D)
     R *= scale * DEFAULT_TOL.residual_atol * (1.0 + 3.0)
-    return _Row(F + R, F)
+    return FORMS[form](F, R)
 
 
 @pytest.fixture(scope="module")
@@ -53,14 +64,16 @@ def blocks() -> list:
 @pytest.mark.parametrize("rank_one", [True, False], ids=["rank-one", "full-rank"])
 @pytest.mark.parametrize("scale", [1.0, 10.0, 100.0])
 def test_a_residual_at_the_threshold_or_above_is_never_passed(blocks, scale, rank_one):
-    row = _planted(scale, rank_one)
-    assert not any(_probe(row, G, DEFAULT_TOL) is not None for G in blocks)
+    for form in FORMS:
+        row = _planted(scale, rank_one, form)
+        assert not any(_probe(row, G, DEFAULT_TOL) is not None for G in blocks), form
 
 
 @pytest.mark.parametrize("rank_one", [True, False], ids=["rank-one", "full-rank"])
 def test_a_residual_far_inside_the_threshold_is_always_passed(blocks, rank_one):
-    row = _planted(1e-3, rank_one)
-    assert all(_probe(row, G, DEFAULT_TOL) is not None for G in blocks)
+    for form in FORMS:
+        row = _planted(1e-3, rank_one, form)
+        assert all(_probe(row, G, DEFAULT_TOL) is not None for G in blocks), form
 
 
 def test_one_probe_block_per_pair_of_unit_variance(blocks):
