@@ -106,7 +106,10 @@ def _weak(pair) -> None:
 
 
 def _square(S) -> None:
-    drazin(S), core_ep(S), m_wgi(S, 1), m_wgi(S, 2)
+    drazin(S)
+    core_ep(S)
+    for m in (1, 2):
+        m_wgi(S, m)
 
 
 def _blocks(pair) -> None:
