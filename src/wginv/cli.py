@@ -252,7 +252,7 @@ class _Draw:
         z = tuple(_sample_int(rng, getattr(ns, f"z{i}")) for i in (1, 2, 3))
         y = tuple(_sample_int(rng, getattr(ns, f"y{i}")) for i in (1, 2))
         u = _sample_int(rng, ns.u1)  # drawn for pair laws too, so later draws keep their order
-        return ex2_case(z=z, y=y, u=u, tol=self.tol, with_c=with_c)
+        return ex2_case(z=z, y=y, u=u, with_c=with_c)
 
 
 # Checks name the library functions they call at call time (never bind them
@@ -423,7 +423,7 @@ def suite_order_products(seed: int, tol: ToleranceConfig) -> VerificationReport:
     worst = {"reverse": 0.0, "forward": 0.0, "triple reverse": 0.0, "triple forward": 0.0}
     for _ in range(10):
         z1, z2, z3, y1, y2, u1 = (int(v) for v in rng.integers(-2, 3, size=6))
-        case = ex2_case(z=(z1, z2, z3), y=(y1, y2), u=u1, tol=tol)
+        case = ex2_case(z=(z1, z2, z3), y=(y1, y2), u=u1)
         W = case.W
         inv = case.inverses
         prods = {

@@ -277,22 +277,6 @@ def matrix_power(A, j: int) -> np.ndarray:
     return np.linalg.matrix_power(A, j)
 
 
-def _pinv_rank(A, tol: ToleranceConfig, floor: float = 0.0) -> tuple:
-    """(A^+, rank A) from one SVD: the singular values that the Moore-Penrose
-    inverse keeps are those that count towards the rank."""
-    A = as_matrix(A)
-    if A.size == 0:
-        return np.zeros((A.shape[1], A.shape[0]), dtype=complex), 0
-    U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    scale = max(float(s[0]) if s.size else 0.0, floor)
-    if scale == 0.0:
-        return np.zeros((A.shape[1], A.shape[0]), dtype=complex), 0
-    keep = s > tol.rank_rtol * scale * max(A.shape)
-    inv = np.zeros_like(s)
-    inv[keep] = 1.0 / s[keep]
-    return Vh.conj().T @ np.diag(inv).astype(complex) @ U.conj().T, int(np.count_nonzero(keep))
-
-
 def mp_inverse(A, tol: ToleranceConfig = DEFAULT_TOL, floor: float = 0.0) -> np.ndarray:
     """Moore-Penrose inverse, SVD-truncated at the shared rank threshold.
 
@@ -300,7 +284,17 @@ def mp_inverse(A, tol: ToleranceConfig = DEFAULT_TOL, floor: float = 0.0) -> np.
     a larger matrix passes the parent's norm so that a block of pure roundoff
     inverts to zero instead of to noise^-1.
     """
-    return _pinv_rank(A, tol, floor)[0]
+    A = as_matrix(A)
+    if A.size == 0:
+        return np.zeros((A.shape[1], A.shape[0]), dtype=complex)
+    U, s, Vh = np.linalg.svd(A, full_matrices=False)
+    scale = max(float(s[0]), floor)
+    if scale == 0.0:
+        return np.zeros((A.shape[1], A.shape[0]), dtype=complex)
+    keep = s > tol.rank_rtol * scale * max(A.shape)
+    inv = np.zeros_like(s)
+    inv[keep] = 1.0 / s[keep]
+    return Vh.conj().T @ np.diag(inv).astype(complex) @ U.conj().T
 
 
 def rank_of(A, tol: ToleranceConfig = DEFAULT_TOL) -> int:

@@ -5,7 +5,7 @@ the weighted Drazin inverses multiply exactly."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -46,8 +46,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OrderLawCase:
-    """Factors with a shared weight, chosen family members for each factor,
-    and the commutation flags the order laws hypothesize.
+    """Factors with a shared weight and chosen family members for each factor.
+    Each law decides the commutation hypotheses it reads (`_FLAGS`) when it
+    runs, on the members the case holds then, so a caller may swap one in.
 
     Members: Z-slots belong to the first factor A, Y-slots to the second
     factor B, U1 to the third factor C. Z1/Y2 are plain weak members; Z2/Y3
@@ -63,8 +64,6 @@ class OrderLawCase:
     B: np.ndarray
     C: np.ndarray | None = None
     inverses: dict = field(default_factory=dict)
-    commutation_flags: dict = field(default_factory=dict)
-    flag_residuals: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name in ("W", "A", "B", "C"):
@@ -103,68 +102,59 @@ def _commutes(L, R, tol: ToleranceConfig) -> tuple:
     return _exact(LR - R @ L, LR, tol)
 
 
-def _set_flag(case: OrderLawCase, name: str, L, R, tol: ToleranceConfig) -> None:
-    case.flag_residuals[name], case.commutation_flags[name] = _commutes(L, R, tol)
+# The hypotheses the order laws read: each flag states that two products
+# commute, written as chains of factors, member slots and W-weighted Drazin
+# inverses ("A^D"). A flag that reads what the case lacks (C, U1) states none.
+_FLAGS = {
+    "awbw_commute": (("A", "W"), ("B", "W")),
+    "y3w_aw_commute": (("Y3", "W"), ("A", "W")),
+    "z2w_bw_commute": (("Z2", "W"), ("B", "W")),
+    "adw_bw_commute": (("A^D", "W"), ("B", "W")),
+    "bdw_aw_commute": (("B^D", "W"), ("A", "W")),
+    "awcw_commute": (("A", "W"), ("C", "W")),
+    "bwcw_commute": (("B", "W"), ("C", "W")),
+    "u1w_awbw_commute": (("U1", "W"), ("A", "W", "B", "W")),
+    "z3wy4w_cw_commute": (("Z3", "W", "Y4", "W"), ("C", "W")),
+}
 
 
-def _require_case_flags(case: OrderLawCase, names) -> None:
+def _factor(case: OrderLawCase, name: str, tol: ToleranceConfig):
+    if name.endswith("^D"):
+        return _value(case._pair(name[0], tol), w_drazin, tol)
+    return getattr(case, name) if len(name) == 1 else case.inverses.get(name)
+
+
+def _require_case_flags(case: OrderLawCase, names, tol: ToleranceConfig) -> None:
+    """Decide each named flag on the members the case holds now."""
     bad = []
     for name in names:
-        if not case.commutation_flags.get(name, False):
-            bad.append(f"{name} (residual {case.flag_residuals.get(name, float('nan')):.3e})")
+        sides = [[_factor(case, f, tol) for f in chain] for chain in _FLAGS[name]]
+        residual, ok = float("nan"), False
+        if all(M is not None for chain in sides for M in chain):
+            residual, ok = _commutes(*(reduce(np.matmul, chain) for chain in sides), tol)
+        if not ok:
+            bad.append(f"{name} (residual {residual:.3e})")
     if bad:
         raise HypothesisError(f"commutation hypotheses fail: {bad}")
-
-
-def _populate_flags(case: OrderLawCase, tol: ToleranceConfig) -> None:
-    W = case.W
-    AW = case.A @ W
-    BW = case.B @ W
-    inv = case.inverses
-    _set_flag(case, "awbw_commute", AW, BW, tol)
-    _set_flag(case, "y3w_aw_commute", inv["Y3"] @ W, AW, tol)
-    _set_flag(case, "z2w_bw_commute", inv["Z2"] @ W, BW, tol)
-    # in a Drazin case Z2 and Y3 are the factors' own W-weighted Drazin values,
-    # whose flags are then the ones just decided
-    for flag, name, member, twin, R in (
-        ("adw_bw_commute", "A", "Z2", "z2w_bw_commute", BW),
-        ("bdw_aw_commute", "B", "Y3", "y3w_aw_commute", AW),
-    ):
-        D = _value(case._pair(name, tol), w_drazin, tol)
-        if inv[member] is D:
-            case.flag_residuals[flag] = case.flag_residuals[twin]
-            case.commutation_flags[flag] = case.commutation_flags[twin]
-        else:
-            _set_flag(case, flag, D @ W, R, tol)
-    if case.C is not None:
-        CW = case.C @ W
-        AWBW = AW @ BW
-        _set_flag(case, "awcw_commute", AW, CW, tol)
-        _set_flag(case, "bwcw_commute", BW, CW, tol)
-        _set_flag(case, "u1w_awbw_commute", inv["U1"] @ W, AWBW, tol)
-        _set_flag(case, "z3wy4w_cw_commute", inv["Z3"] @ W @ inv["Y4"] @ W, CW, tol)
 
 
 def ex2_case(
     z=(1, 1, 1),
     y=(1, 1),
     u=1,
-    tol: ToleranceConfig = DEFAULT_TOL,
     with_c: bool = True,
 ) -> OrderLawCase:
     """The integer fixture case: members are first-row matrices whose free
     entries are exactly the given parameters. With with_c=False the third
-    factor, its member U1 (u is then unused) and their flags are left out,
-    which is all the pair laws read."""
+    factor and its member U1 (u is then unused) are left out, which the pair
+    laws never read."""
     A, B, C, W = ex2_matrices()
     Z2 = ex2_member((1, z[0], z[1], z[2]))
     Y3 = ex2_member((1, y[0], 0, y[1]))
     inverses = {"Z1": Z2, "Y2": Y3, "Z2": Z2, "Y3": Y3, "Z3": Z2, "Y4": Y3}
     if with_c:
         inverses["U1"] = ex2_member((1, u, 0, 0))
-    case = OrderLawCase(W=W, A=A, B=B, C=C if with_c else None, inverses=inverses)
-    _populate_flags(case, tol)
-    return case
+    return OrderLawCase(W=W, A=A, B=B, C=C if with_c else None, inverses=inverses)
 
 
 def commuting_case(
@@ -206,7 +196,6 @@ def _drazin_case(A, B, C, W, tol: ToleranceConfig) -> OrderLawCase:
     case.inverses.update(Z1=ZD, Y2=YD, Z2=ZD, Y3=YD, Z3=ZD, Y4=YD)
     if C is not None:
         case.inverses["U1"] = _value(case._pair("C", tol), w_drazin, tol)
-    _populate_flags(case, tol)
     return case
 
 
@@ -215,7 +204,7 @@ def _weak_law(
 ) -> VerificationReport:
     """inverses[first] W inverses[second] solves the power equation of A W B
     (no rank condition)."""
-    _require_case_flags(case, ["awbw_commute"])
+    _require_case_flags(case, ["awbw_commute"], tol)
     ppair, k = case._product(tol, triple=False)
     P = case.inverses[first] @ case.W @ case.inverses[second]
     report = VerificationReport(theorem_id, tol)
@@ -233,7 +222,7 @@ def _minimal_law(
 ) -> VerificationReport:
     """inverses[first] W inverses[second] is a full member of the family of
     A W B, under the member commutation hypothesis `flag`."""
-    _require_case_flags(case, ["awbw_commute", flag])
+    _require_case_flags(case, ["awbw_commute", flag], tol)
     ppair, k = case._product(tol, triple=False)
     P = case.inverses[first] @ case.W @ case.inverses[second]
     report = VerificationReport(theorem_id, tol)
@@ -273,9 +262,9 @@ def wdrazin_order_corollaries(case: OrderLawCase, tol: ToleranceConfig = DEFAULT
     product_drazin = _value(ppair, w_drazin, tol)
 
     report = VerificationReport("thm3.29", tol)
-    _require_case_flags(case, ["adw_bw_commute"])
+    _require_case_flags(case, ["adw_bw_commute"], tol)
     report.add_equation("forward product equals the product inverse", ADW @ W @ BDW, product_drazin)
-    _require_case_flags(case, ["bdw_aw_commute"])
+    _require_case_flags(case, ["bdw_aw_commute"], tol)
     reverse = BDW @ W @ ADW
     report.merge(check_mrwwd(ppair, reverse, tol, power=k), prefix="reverse product member: ")
     report.note(
@@ -288,7 +277,7 @@ def triple_reverse(case: OrderLawCase, tol: ToleranceConfig = DEFAULT_TOL) -> Ve
     """U1 W Y4 W Z3 is a member of the triple product's family; the weighted
     Drazin specialization is appended when its hypotheses hold."""
     _require_case_flags(
-        case, ["awbw_commute", "awcw_commute", "bwcw_commute", "u1w_awbw_commute"]
+        case, ["awbw_commute", "awcw_commute", "bwcw_commute", "u1w_awbw_commute"], tol
     )
     ppair, k = case._product(tol, triple=True)
     W = case.W
@@ -316,7 +305,7 @@ def triple_forward(case: OrderLawCase, tol: ToleranceConfig = DEFAULT_TOL) -> Ve
     weighted Drazin product equals the product inverse when the factor
     inverses commute with the remaining product."""
     _require_case_flags(
-        case, ["awbw_commute", "awcw_commute", "bwcw_commute", "z3wy4w_cw_commute"]
+        case, ["awbw_commute", "awcw_commute", "bwcw_commute", "z3wy4w_cw_commute"], tol
     )
     ppair, k = case._product(tol, triple=True)
     W = case.W

@@ -91,9 +91,19 @@ def test_commuting_case_triple_laws():
 
 def test_hypothesis_gate_blocks_broken_flags():
     case = commuting_case(5, 4, 0)
-    case.commutation_flags["awbw_commute"] = False
-    with pytest.raises(HypothesisError):
-        reverse_order_weak(case)
+    B = np.random.default_rng(2).standard_normal(case.B.shape)
+    with pytest.raises(HypothesisError, match="awbw_commute"):
+        reverse_order_weak(dataclasses.replace(case, B=B))
+
+
+def test_a_swapped_member_is_judged_by_its_own_flags():
+    # a member swapped in after the case was built is what the law's
+    # hypotheses are decided on: this one of B's family fails y3w_aw_commute
+    case = commuting_case(5, 4, 1)
+    family = mrwwd_family(case._pair("B", DEFAULT_TOL))
+    case.inverses["Y3"] = family.member(0.5 * np.random.default_rng(0).standard_normal((5, 4)))
+    with pytest.raises(HypothesisError, match="y3w_aw_commute"):
+        reverse_order_minimal(case)
 
 
 def test_weak_mpd_reverse_law_on_invertible_weight():
@@ -173,19 +183,10 @@ def test_plain_weak_slots_accept_generic_members():
 
 def test_fixture_pair_case_leaves_out_the_third_factor():
     # the pair laws read no third factor: without it the case holds the same
-    # pair members and flags, and each pair law gives the same report
+    # pair members, and each pair law gives the same report
     full = ex2_case(z=(2, -1, 3), y=(1, -2), u=2)
     pair = ex2_case(z=(2, -1, 3), y=(1, -2), u=2, with_c=False)
     assert pair.C is None and "U1" not in pair.inverses
-    assert pair.commutation_flags == {
-        name: ok for name, ok in full.commutation_flags.items() if name in pair.commutation_flags
-    }
-    assert set(full.commutation_flags) - set(pair.commutation_flags) == {
-        "awcw_commute",
-        "bwcw_commute",
-        "u1w_awbw_commute",
-        "z3wy4w_cw_commute",
-    }
     for law in (
         reverse_order_weak,
         forward_order_weak,
@@ -200,7 +201,7 @@ def test_fixture_pair_case_leaves_out_the_third_factor():
 
 
 # An order-law case builds the weighted pair of each factor and product once
-# per tolerance and shares it between its flags, its members and every law.
+# per tolerance and shares it between its members and every law.
 
 PAIR_LAWS = (
     reverse_order_weak,
@@ -247,9 +248,9 @@ def test_case_pairs_are_built_per_tolerance(monkeypatch):
     assert built == [other] * 3
     forward_order_weak(case, other)
     assert len(built) == 3
-    # the factor pairs at the default tolerance were built with the flags
+    # building the case decided nothing, so the default tolerance builds its own
     reverse_order_weak(case)
-    assert built[3:] == [DEFAULT_TOL]
+    assert built[3:] == [DEFAULT_TOL] * 3
 
 
 def test_case_matrices_are_read_only():
@@ -276,8 +277,6 @@ def test_case_copies_the_callers_matrices():
         B=B,
         C=C,
         inverses=dict(reference.inverses),
-        commutation_flags=dict(reference.commutation_flags),
-        flag_residuals=dict(reference.flag_residuals),
     )
     for M in (A, B, C, W):
         M += 1
@@ -312,19 +311,32 @@ def _counting_commutes(monkeypatch) -> list:
     return calls
 
 
-def test_drazin_case_decides_each_drazin_flag_once(monkeypatch):
-    # in a Drazin case Z2 and Y3 are the factors' own W-weighted Drazin
-    # values, so the flags of those values are the members' flags, copied:
-    # two commutation tests fewer, and the flags and residuals a test gives
+# Building a case decides no hypothesis; each law decides the flags it names
+# when it runs, and a triple law one more for its Drazin specialization.
+COMMUTES_PER_LAW = {
+    reverse_order_weak: 1,
+    forward_order_weak: 1,
+    reverse_order_minimal: 2,
+    forward_order_minimal: 2,
+    wdrazin_order_corollaries: 2,
+    triple_reverse: 5,
+    triple_forward: 5,
+}
+
+
+def test_each_law_decides_only_the_flags_it_names(monkeypatch):
     calls = _counting_commutes(monkeypatch)
-    case = commuting_case(5, 4, 3)
-    assert len(calls) == 3
-    W, AW, BW = case.W, case.A @ case.W, case.B @ case.W
-    for flag, name, R in (("adw_bw_commute", "A", BW), ("bdw_aw_commute", "B", AW)):
-        L = winv._value(case._pair(name, DEFAULT_TOL), winv.w_drazin, DEFAULT_TOL) @ W
-        residual, ok = orderlaw._exact(L @ R - R @ L, L @ R, DEFAULT_TOL)
-        assert (case.flag_residuals[flag], case.commutation_flags[flag]) == (residual, ok)
-    # the fixture's members are not the Drazin values: every flag is decided
+    cases = [commuting_case(5, 4, 3, with_c=True), ex2_case()]
+    assert calls == []
+    for case in cases:
+        for law, count in COMMUTES_PER_LAW.items():
+            del calls[:]
+            law(case)
+            assert len(calls) == count, (law.__name__, len(calls))
+    # thm3.30 states its hypotheses as report rows, and mateq-* has none
     del calls[:]
-    ex2_case(with_c=False)
-    assert len(calls) == 5
+    case = ex2_case()
+    reverse_order_weak_mpd(case, require_hypotheses=False)
+    member = case.inverses["Y3"] @ case.W @ case.inverses["Z2"]
+    matrix_equation_solution(case.A, case.B, case.W, member)
+    assert calls == []

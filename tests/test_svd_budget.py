@@ -571,10 +571,10 @@ def test_characterizations_read_the_drazin_kernel_from_the_pair(monkeypatch, nam
 
 
 # An order-law case builds each factor and product pair once and shares it
-# between its flags, its members and the law. `verify thm3.31` on its fixture
-# made 113 SVDs when each of them built its own pairs, and 45 when the range
-# rows of thm2.1 took a projector of the candidate.
-TRIPLE_LAW_FIXTURE_SVDS = 39
+# between its members and the law. `verify thm3.31` on its fixture made 113
+# SVDs when each of them built its own pairs, and 45 when the range rows of
+# thm2.1 took a projector of the candidate.
+TRIPLE_LAW_FIXTURE_SVDS = 21
 
 
 def test_triple_law_fixture_svd_count(monkeypatch):
