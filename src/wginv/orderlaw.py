@@ -348,12 +348,9 @@ def reverse_order_weak_mpd(
     report = VerificationReport("thm3.30", tol)
     T = W @ B @ B.conj().T @ W.conj().T @ A.conj().T
     report.add("H1 range condition", *_exact(T - (Ap @ A) @ T, T, tol))
-    L2, R2 = Wp @ W, B @ B.conj().T
-    report.add_equation("H2 weight-row commutation", L2 @ R2, R2 @ L2)
-    L3, R3 = Wp @ Ap, B @ W @ Y3 @ W
-    report.add_equation("H3 mixed commutation", L3 @ R3, R3 @ L3)
-    L4, R4 = A @ W, Y3 @ W
-    report.add_equation("H4 member commutation", L4 @ R4, R4 @ L4)
+    report.add("H2 weight-row commutation", *_commutes(Wp @ W, B @ B.conj().T, tol))
+    report.add("H3 mixed commutation", *_commutes(Wp @ Ap, B @ W @ Y3 @ W, tol))
+    report.add("H4 member commutation", *_commutes(A @ W, Y3 @ W, tol))
 
     hyps_ok = report.overall
     if not hyps_ok:

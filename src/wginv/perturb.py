@@ -27,9 +27,8 @@ from .matcore import (
 from .verify import _MRWWD_RIGHT_LABELS, check_mrwwd
 from .winv import (
     _as_member,
-    _left_member_residual,
+    _require_member,
     _right_hand,
-    _right_member_residual,
     _value,
     w_drazin,
     w_mpd,
@@ -47,16 +46,6 @@ __all__ = [
     "drazin_case_perturbation",
 ]
 
-LEFT_FLAGS = (
-    "range EW in K",
-    "range E in EW",
-    "rows EW in member product",
-    "range E in B",
-    "rows E in B",
-    "norm WEWX",
-    "norm BpE",
-)
-
 # The right-hand (DMP) side is the left-hand one on the dual scenario
 # (B^*, W^*, Z^*, E^*, D^*), as in winv and verify: each right-hand flag is
 # the left-hand flag of the dual named here. "range E in EW" has no
@@ -73,20 +62,22 @@ RIGHT_OF = {
 
 @dataclass(frozen=True)
 class PerturbationScenario:
-    """A pair, a family member, and a perturbation E with its admissibility
-    flags. `flags` records pass/fail, `flag_values` the underlying residual
-    or norm; D = B + E. The scenario builds the weighted pair of D once per
-    tolerance, and every chain on it shares that pair."""
+    """A pair, a member of its left or right family, and a perturbation E of
+    B, with the alpha and seed E was drawn at. A scenario holds only these
+    parts: D = B + E, the pair (D, W) and the admissibility flags are read
+    from them when a chain asks, once per tolerance, and every chain on the
+    scenario shares them. A scenario with a part replaced is decided anew."""
 
     pair: WeightedPair
     member: np.ndarray
     side: str
     E: np.ndarray
-    D: np.ndarray
-    flags: dict
-    flag_values: dict
     alpha: float
     seed: object = None
+
+    @property
+    def D(self) -> np.ndarray:
+        return self.pair.B + self.E
 
     @cached_property
     def _memo(self) -> dict:
@@ -94,9 +85,21 @@ class PerturbationScenario:
 
     def _dpair(self, tol: ToleranceConfig) -> WeightedPair:
         """The pair (D, W) of the perturbed matrix."""
-        if tol not in self._memo:
-            self._memo[tol] = weighted_pair(self.D, self.pair.W, tol)
-        return self._memo[tol]
+        if ("D", tol) not in self._memo:
+            self._memo["D", tol] = weighted_pair(self.D, self.pair.W, tol)
+        return self._memo["D", tol]
+
+    def _flags(self, tol: ToleranceConfig) -> dict:
+        """{flag: (value, pass)}, the value the residual or norm it judges. A
+        right scenario's flags are the left-hand flags of its dual, under
+        their names in RIGHT_OF."""
+        if ("flags", tol) not in self._memo:
+            left = _as_left(self.pair, self.member, self.E, self.side)
+            rows = _left_flags(*left, tol, own_range=self.side == "left")
+            if self.side == "right":
+                rows = {name: rows[of] for name, of in RIGHT_OF.items()}
+            self._memo["flags", tol] = rows
+        return self._memo["flags", tol]
 
 
 def _norm_flag(A) -> tuple:
@@ -146,32 +149,19 @@ def scenario_from_parts(
     member,
     E,
     side: str = "left",
-    tol: ToleranceConfig = DEFAULT_TOL,
     alpha: float = float("nan"),
     seed=None,
 ) -> PerturbationScenario:
-    """Wrap explicit parts into a scenario, computing flags without rejecting
-    anything. Used for negative cases as well as hand-built ones."""
+    """Wrap explicit parts into a scenario, checking only their shapes and
+    the side: its flags are decided when a chain asks, so an inadmissible E
+    is wrapped too. Used for negative cases as well as hand-built ones."""
     member = _as_member(pair, member)
     E = as_matrix(E)
     if E.shape != (pair.m, pair.n):
         raise ValueError(f"E must be {pair.m} x {pair.n}, got {E.shape}")
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    rows = _left_flags(*_as_left(pair, member, E, side), tol, own_range=side == "left")
-    if side == "right":
-        rows = {name: rows[left] for name, left in RIGHT_OF.items()}
-    return PerturbationScenario(
-        pair=pair,
-        member=member,
-        side=side,
-        E=E,
-        D=pair.B + E,
-        flags={name: ok for name, (_, ok) in rows.items()},
-        flag_values={name: value for name, (value, _) in rows.items()},
-        alpha=float(alpha),
-        seed=seed,
-    )
+    return PerturbationScenario(pair, member, side, E, float(alpha), seed)
 
 
 def admissible_perturbation(
@@ -189,22 +179,20 @@ def admissible_perturbation(
     Gaussian factor while keeping both subspace constraints by construction.
     The norm conditions are retried by halving alpha (at most 20 times); the
     subspace flags do not depend on the scale, so a failure there is final,
-    and only the norm flags are judged again while halving. The scenario is
-    built once more, whole, at the alpha that passes.
+    and only the norm flags are judged again while halving. At the alpha
+    that passes, the scenario is made anew of its parts alone.
     """
-    member = as_matrix(member)
     if not 0.0 <= alpha < np.inf:
         raise ValueError("alpha must be finite and nonnegative")
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    member = _as_member(pair, member)
+    if side == "left":
+        _require_member(pair, member, tol)
+    else:
+        with _right_hand():
+            _require_member(pair.H, member.conj().T, tol)
     B, W = pair.B, pair.W
-    residual_of = _left_member_residual if side == "left" else _right_member_residual
-    ok, residual, range_residual = residual_of(pair, member, tol)
-    if not ok:
-        raise HypothesisError(
-            f"member fails its family equation "
-            f"(power residual {residual:.3e}, range residual {range_residual:.3e})"
-        )
     k = pair.k_bw if side == "left" else pair.k_wb
 
     rng = np.random.default_rng(seed)
@@ -225,30 +213,34 @@ def admissible_perturbation(
         E0 = E0 / scale
 
     a = float(alpha)
-    scenario = scenario_from_parts(pair, member, a * E0, side, tol, alpha=a, seed=seed)
+    scenario = scenario_from_parts(pair, member, a * E0, side, alpha=a, seed=seed)
+    flags = scenario._flags(tol)
     bad_subspace = [
         name
-        for name, good in scenario.flags.items()
+        for name, (_, good) in flags.items()
         if not good and not name.startswith("norm")
     ]
     if bad_subspace:
         raise GenerationError(
             f"subspace conditions cannot be met for this member: {bad_subspace}"
         )
-    norms = [scenario.flag_values[name] for name in scenario.flags if name.startswith("norm")]
+    norms = [value for name, (value, _) in flags.items() if name.startswith("norm")]
     for halvings in range(20):
         if all(value <= 0.5 for value in norms):
             if halvings == 0:
                 return scenario
-            return scenario_from_parts(pair, member, a * E0, side, tol, alpha=a, seed=seed)
+            return scenario_from_parts(pair, member, a * E0, side, alpha=a, seed=seed)
         a /= 2.0
         left = _as_left(pair, member, a * E0, side)
         norms = [value for value, _ in _left_norm_flags(*left, tol).values()]
     raise GenerationError("norm conditions still above 1/2 after 20 halvings")
 
 
-def _require_flags(scenario: PerturbationScenario, names) -> None:
-    bad = [name for name in names if not scenario.flags[name]]
+def _require_flags(scenario: PerturbationScenario, tol: ToleranceConfig, *names) -> None:
+    """Refuse a scenario that fails any of the named flags (every flag when
+    none is named), decided at `tol`."""
+    flags = scenario._flags(tol)
+    bad = [name for name in names or flags if not flags[name][1]]
     if bad:
         raise HypothesisError(f"scenario violates hypotheses: {bad}")
 
@@ -260,28 +252,22 @@ def _inv(Mat, what: str) -> np.ndarray:
         raise HypothesisError(f"{what} is singular, the update series diverges") from exc
 
 
-def _note_flags(report: VerificationReport, scenario: PerturbationScenario) -> None:
-    for name, value in scenario.flag_values.items():
+def _note_flags(
+    report: VerificationReport, scenario: PerturbationScenario, tol: ToleranceConfig
+) -> None:
+    for name, (value, _) in scenario._flags(tol).items():
         report.note(f"flag {name}", value)
     if not np.isnan(scenario.alpha):
         report.note("alpha", scenario.alpha)
 
 
 def _dual(scenario: PerturbationScenario, tol: ToleranceConfig) -> PerturbationScenario:
-    """The left scenario (B^*, W^*, Z^*, E^*, D^*) of a right scenario, its
-    flags under their left-hand names. Its pair of D is the dual of the
+    """The left scenario (B^*, W^*, Z^*, E^*) of a right scenario, whose
+    D = B^* + E^* is bitwise (B + E)^*. Its pair of D is the dual of the
     scenario's, so nothing is factored again."""
-    dual = replace(
-        scenario,
-        pair=scenario.pair.H,
-        member=scenario.member.conj().T,
-        side="left",
-        E=scenario.E.conj().T,
-        D=scenario.D.conj().T,
-        flags={RIGHT_OF[name]: ok for name, ok in scenario.flags.items()},
-        flag_values={RIGHT_OF[name]: value for name, value in scenario.flag_values.items()},
-    )
-    dual._memo[tol] = scenario._dpair(tol).H
+    pair, member, E = _as_left(scenario.pair, scenario.member, scenario.E, scenario.side)
+    dual = replace(scenario, pair=pair, member=member, side="left", E=E)
+    dual._memo["D", tol] = scenario._dpair(tol).H
     return dual
 
 
@@ -308,9 +294,9 @@ def perturbed_mrwwd(
     product identities."""
     if scenario.side != "left":
         raise ValueError("left-family perturbation needs a left scenario")
-    _require_flags(scenario, ["range EW in K", "rows EW in member product", "norm WEWX"])
+    _require_flags(scenario, tol, "range EW in K", "rows EW in member product", "norm WEWX")
     report = _stability(scenario, tol)
-    _note_flags(report, scenario)
+    _note_flags(report, scenario, tol)
     return report
 
 
@@ -322,7 +308,7 @@ def perturbed_mrwwd_right(
     the other one of the right family."""
     if scenario.side != "right":
         raise ValueError("right-family perturbation needs a right scenario")
-    _require_flags(scenario, ["range WE in member product", "rows WE in WB power", "norm ZWEW"])
+    _require_flags(scenario, tol, "range WE in member product", "rows WE in WB power", "norm ZWEW")
     with _right_hand():
         report = _stability(_dual(scenario, tol), tol)
     prefix = "updated member: "
@@ -330,7 +316,7 @@ def perturbed_mrwwd_right(
     labels["mirrored product identity"] = "product identity"
     labels["product identity"] = "mirrored product identity"
     report = report.mirrored("thm3.18", labels)
-    _note_flags(report, scenario)
+    _note_flags(report, scenario, tol)
     return report
 
 
@@ -384,11 +370,11 @@ def mpd_perturbation(
     agree, the recovery identity holds, and the norm sandwich brackets it."""
     if scenario.side != "left":
         raise ValueError("the MPD chain needs a left scenario")
-    _require_flags(scenario, LEFT_FLAGS)
+    _require_flags(scenario, tol)
     report, shift, base = _mpd_chain(scenario, tol)
     report.note("norm YE", shift)
     report.note("norm YX", base)
-    _note_flags(report, scenario)
+    _note_flags(report, scenario, tol)
     return report
 
 
@@ -401,7 +387,7 @@ def dmp_perturbation(
     weak DMP inverse of the member."""
     if scenario.side != "right":
         raise ValueError("the DMP chain needs a right scenario")
-    _require_flags(scenario, RIGHT_OF)
+    _require_flags(scenario, tol)
     with _right_hand():
         report, shift, base = _mpd_chain(_dual(scenario, tol), tol)
     labels = {label: label for label, _, _ in report.conditions}
@@ -411,7 +397,7 @@ def dmp_perturbation(
     report = report.mirrored("thm3.20", labels)
     report.note("norm EY1", shift)
     report.note("norm ZY1", base)
-    _note_flags(report, scenario)
+    _note_flags(report, scenario, tol)
     return report
 
 
@@ -455,5 +441,5 @@ def drazin_case_perturbation(
     with _right_hand():
         _drazin_rows(report, "dmp: ", pair.H, dpair.H, scenario.E.conj().T, tol)
     report.note("stated norm form", spectral_norm(Xd @ pair.W @ pair.B @ pair.W))
-    _note_flags(report, scenario)
+    _note_flags(report, scenario, tol)
     return report

@@ -445,10 +445,6 @@ def _left_member_residual(pair: WeightedPair, X, tol: ToleranceConfig) -> tuple:
     return ok and in_range, residual, 0.0 if in_range else range_residual
 
 
-def _right_member_residual(pair: WeightedPair, Z, tol: ToleranceConfig) -> tuple:
-    return _left_member_residual(pair.H, _as_member(pair, Z).conj().T, tol)
-
-
 def _require_member(pair: WeightedPair, X, tol: ToleranceConfig) -> np.ndarray:
     """X as a matrix, certified to be a member of the left solution family.
 

@@ -187,7 +187,7 @@ def test_right_flags_are_the_right_hand_subspace_and_norm_tests(case):
     # its own size, computed here from the right-hand definitions
     pair, Z, _, _ = case
     E = 0.05 * _noise(np.random.default_rng(17), (pair.m, pair.n))
-    flags = scenario_from_parts(pair, Z, E, side="right").flag_values
+    flags = scenario_from_parts(pair, Z, E, side="right")._flags(DEFAULT_TOL)
     B, W = pair.B, pair.W
     Bp = np.linalg.pinv(B, rcond=1e-10)
     WE, WBWZ = W @ E, W @ B @ W @ Z
@@ -202,7 +202,7 @@ def test_right_flags_are_the_right_hand_subspace_and_norm_tests(case):
     }
     assert list(flags) == list(direct)
     for name, A in direct.items():
-        assert np.isclose(flags[name], np.linalg.norm(A, 2), rtol=1e-8, atol=1e-14), name
+        assert np.isclose(flags[name][0], np.linalg.norm(A, 2), rtol=1e-8, atol=1e-14), name
 
 
 def test_mirrored_renames_reorders_and_keeps_notes():

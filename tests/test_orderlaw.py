@@ -333,10 +333,13 @@ def test_each_law_decides_only_the_flags_it_names(monkeypatch):
             del calls[:]
             law(case)
             assert len(calls) == count, (law.__name__, len(calls))
-    # thm3.30 states its hypotheses as report rows, and mateq-* has none
+    # thm3.30 states its three commutation hypotheses (H2-H4) as report
+    # rows, and mateq-* has none
     del calls[:]
     case = ex2_case()
     reverse_order_weak_mpd(case, require_hypotheses=False)
+    assert len(calls) == 3
+    del calls[:]
     member = case.inverses["Y3"] @ case.W @ case.inverses["Z2"]
     matrix_equation_solution(case.A, case.B, case.W, member)
     assert calls == []

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,7 +37,8 @@ def test_closed_family_admissible_for_drazin_member():
     pair = ex1_pair()
     Xd = w_drazin(pair).value
     scenario = admissible_perturbation(pair, Xd, 0.1, seed=5)
-    assert all(scenario.flags.values()), scenario.flag_values
+    flags = scenario._flags(DEFAULT_TOL)
+    assert all(ok for _, ok in flags.values()), flags
     assert scenario.alpha == 0.1
     assert spectral_norm(scenario.D - pair.B - scenario.E) <= 1e-15
     report = perturbed_mrwwd(scenario)
@@ -72,7 +74,8 @@ def test_overlarge_alpha_is_halved_until_norms_settle():
     Xd = w_drazin(pair).value
     scenario = admissible_perturbation(pair, Xd, 5.0, seed=5)
     assert scenario.alpha < 5.0
-    norms = {k: v for k, v in scenario.flag_values.items() if k.startswith("norm")}
+    flags = scenario._flags(DEFAULT_TOL)
+    norms = {k: v for k, (v, _) in flags.items() if k.startswith("norm")}
     assert all(v <= 0.5 for v in norms.values())
     with pytest.raises(GenerationError):
         admissible_perturbation(pair, Xd, 1e6, seed=5)
@@ -87,7 +90,7 @@ def test_closed_family_rejects_generic_member_subspace():
     with pytest.raises(GenerationError):
         admissible_perturbation(pair, X, 0.1, seed=5, family="closed")
     scenario = admissible_perturbation(pair, X, 0.1, seed=5, family="random")
-    assert all(scenario.flags.values())
+    assert all(ok for _, ok in scenario._flags(DEFAULT_TOL).values())
     report = perturbed_mrwwd(scenario)
     assert report.overall, report.to_dict()
     report = mpd_perturbation(scenario)
@@ -110,12 +113,13 @@ def test_scenario_from_parts_flags_inadmissible_direction():
     rng = np.random.default_rng(9)
     E = 0.05 * rng.standard_normal((pair.m, pair.n))
     scenario = scenario_from_parts(pair, Xd, E, side="left")
-    assert not all(scenario.flags.values())
+    flags = scenario._flags(DEFAULT_TOL)
+    assert not all(ok for _, ok in flags.values())
     # every subspace flag is the residual rule against ||E||_2
     bar = DEFAULT_TOL.residual_atol * (1.0 + spectral_norm(E))
-    for name, value in scenario.flag_values.items():
+    for name, (value, ok) in flags.items():
         if not name.startswith("norm"):
-            assert scenario.flags[name] == (value <= bar), name
+            assert ok == (value <= bar), name
     with pytest.raises(HypothesisError):
         mpd_perturbation(scenario)
 
@@ -130,8 +134,6 @@ def test_validation_errors():
         admissible_perturbation(pair, Xd, 0.1, side="middle")
     with pytest.raises(ValueError):
         admissible_perturbation(pair, Xd, 0.1, family="exotic")
-    with pytest.raises(HypothesisError):
-        admissible_perturbation(pair, np.ones((5, 4)), 0.1)
     with pytest.raises(ValueError):
         scenario_from_parts(pair, Xd, np.zeros((2, 2)))
     scenario = admissible_perturbation(pair, Xd, 0.1, seed=5)
@@ -152,9 +154,23 @@ def test_dmp_chain_refuses_a_non_member_in_the_callers_terms():
     # E = 0 passes every flag, so the chain itself meets the non-member
     pair = ex1_pair()
     scenario = scenario_from_parts(pair, np.ones((5, 4)), np.zeros((5, 4)), side="right")
-    assert all(scenario.flags.values())
+    assert all(ok for _, ok in scenario._flags(DEFAULT_TOL).values())
     with pytest.raises(HypothesisError, match="^Z is not a member of the right solution family"):
         dmp_perturbation(scenario)
+
+
+@pytest.mark.parametrize(
+    "side, refusal",
+    [
+        ("left", "X is not a member of the left solution family"),
+        ("right", "Z is not a member of the right solution family"),
+    ],
+)
+def test_admissible_perturbation_refuses_a_non_member_in_the_callers_terms(side, refusal):
+    # the one membership gate, on the dual pair for a right member
+    pair = ex1_pair()
+    with pytest.raises(HypothesisError, match=f"^{refusal} "):
+        admissible_perturbation(pair, np.ones((5, 4)), 0.1, side=side)
 
 
 # The right-hand statements run the left-hand ones on the dual scenario, where
@@ -226,9 +242,9 @@ def test_updated_member_tracks_weak_mpd():
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_halving_judges_only_the_norm_flags_again(monkeypatch, side):
     # ex1's weighted Drazin member at alpha = 10 halves four (right) or five
-    # (left) times: the whole scenario is built at the first alpha, for its
-    # subspace flags, and at the last; the alphas between judge the two norm
-    # flags alone
+    # (left) times: the scenario built at the first alpha decides every flag,
+    # the alphas between judge the two norm flags alone, and the scenario at
+    # the last is made of its parts, its flags decided when a chain asks
     pair = ex1_pair()
     member = w_drazin(pair).value
     built = []
@@ -242,7 +258,8 @@ def test_halving_judges_only_the_norm_flags_again(monkeypatch, side):
     scenario = admissible_perturbation(pair, member, 10.0, seed=0, side=side)
     assert built == [10.0, scenario.alpha] and scenario.alpha <= 10.0 / 16
     again = whole(pair, member, scenario.E, side, alpha=scenario.alpha, seed=0)
-    assert scenario.flags == again.flags and scenario.flag_values == again.flag_values
+    assert ("flags", DEFAULT_TOL) not in scenario._memo
+    assert scenario._flags(DEFAULT_TOL) == again._flags(DEFAULT_TOL)
     del built[:]
     admissible_perturbation(pair, member, 0.1, seed=0, side=side)
     assert built == [0.1]
@@ -273,6 +290,8 @@ def test_chains_on_one_scenario_share_the_pair_of_d(monkeypatch, side):
     assert len(built) == 1
     dpair = scenario._dpair(DEFAULT_TOL)
     assert np.array_equal(dpair.B, scenario.D) and np.array_equal(dpair.W, pair.W)
+    if side == "right":  # the dual's D = B^* + E^* is the adjoint pair's B
+        assert np.array_equal(perturb._dual(scenario, DEFAULT_TOL).D, dpair.H.B)
 
 
 # thm3.19's row "representation T1 = T2", and so thm3.20's "G1 = G2", holds
@@ -291,7 +310,8 @@ def test_representation_t1_t2_holds_for_every_perturbation(seed, side):
     E = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
     E *= 0.05 / spectral_norm(E)
     scenario = scenario_from_parts(pair, family(pair).member(0.4 * free), E, side=side)
-    assert not all(scenario.flags.values())  # a generic E is not admissible
+    flags = scenario._flags(DEFAULT_TOL)
+    assert not all(ok for _, ok in flags.values())  # a generic E is not admissible
     left = scenario if side == "left" else perturb._dual(scenario, DEFAULT_TOL)
     report = perturb._mpd_chain(left, DEFAULT_TOL)[0]
     rows = {label: (residual, ok) for label, residual, ok in report.conditions}
@@ -299,3 +319,37 @@ def test_representation_t1_t2_holds_for_every_perturbation(seed, side):
     assert ok and residual < 1e-13
     residual, ok = rows["representation T1 = T3"]
     assert not ok and residual > 0.5
+
+
+# A scenario holds only its parts, so one with a part replaced is decided
+# anew: a generic E swapped into an admissible scenario breaks the hypotheses,
+# and each chain refuses it, naming the flags it requires that fail, instead
+# of judging the theorem on a scenario it does not cover.
+STALE_CHAINS = {
+    "left": {
+        perturbed_mrwwd: ("range EW in K", "rows EW in member product", "norm WEWX"),
+        mpd_perturbation: None,  # every flag of the scenario
+    },
+    "right": {
+        perturbed_mrwwd_right: ("range WE in member product", "rows WE in WB power", "norm ZWEW"),
+        dmp_perturbation: None,
+    },
+}
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_a_replaced_perturbation_is_judged_by_its_own_flags(side):
+    pair = random_pair(6, 5, 2, 0)
+    scenario = admissible_perturbation(pair, w_drazin(pair).value, 0.1, seed=3, side=side)
+    for chain in STALE_CHAINS[side]:
+        assert chain(scenario).overall
+    rng = np.random.default_rng(3)
+    E = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+    stale = replace(scenario, E=0.05 * E / spectral_norm(E))
+    for chain, names in STALE_CHAINS[side].items():
+        with pytest.raises(HypothesisError) as refusal:
+            chain(stale)
+        flags = stale._flags(DEFAULT_TOL)
+        violated = [name for name in names or flags if not flags[name][1]]
+        assert violated and str(refusal.value) == f"scenario violates hypotheses: {violated}"
+    assert np.array_equal(stale.D, pair.B + stale.E)

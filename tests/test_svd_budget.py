@@ -25,6 +25,7 @@ from wginv.matcore import (
     ToleranceConfig,
     spectral_norm,
 )
+from wginv.perturb import admissible_perturbation
 from wginv.verify import (
     check_dmp_characterizations,
     check_mpd_characterizations,
@@ -792,3 +793,21 @@ def test_canonical_refusal_names_the_exact_range_residual(monkeypatch):
         f"(power residual {0.0:.3e}, range residual {range_residual:.3e})"
     )
     assert len(calls) == 1
+
+
+# admissible_perturbation gates its member through the one membership test,
+# `_require_member`, whose passing power row takes no exact SVD. It took 11
+# and 9 when it read the member's exact residuals. The right side runs after
+# the left, on the same pair.
+PERTURBATION_SVDS = {"left": 10, "right": 8}
+
+
+def test_admissible_perturbation_svd_count(monkeypatch):
+    pair = ex1_pair()
+    member = w_drazin(pair).value
+    calls = _counting(monkeypatch, linalg_impl, "svd")
+    monkeypatch.setattr(np.linalg, "svd", linalg_impl.svd)
+    for side, svds in PERTURBATION_SVDS.items():
+        del calls[:]
+        admissible_perturbation(pair, member, 0.1, seed=5, side=side)
+        assert len(calls) == svds, side
