@@ -194,13 +194,26 @@ def _formed(factor, products: dict) -> np.ndarray:
     return value
 
 
-def _applied(factor, G: np.ndarray) -> np.ndarray:
-    """factor @ G, applied right to left: thin products only."""
-    if isinstance(factor, np.ndarray):
-        return factor @ G
-    for f in reversed(factor):
-        G = _applied(f, G)
-    return G
+def _applied(factor, G: np.ndarray, images: dict, kept: dict) -> np.ndarray:
+    """factor @ G, applied right to left: thin products only. Each array's
+    product with each block is formed once and held in `images`, keyed by the
+    identities of both, so a suffix that rows share is applied once. `kept`
+    is a pair's `_images`: a product of two arrays it holds is read from it,
+    or formed and kept there, as one of its own."""
+    if not isinstance(factor, np.ndarray):
+        for f in reversed(factor):
+            G = _applied(f, G, images, kept)
+        return G
+    key = (id(factor), id(G))
+    image = images.get(key)
+    if image is None:
+        image = kept.get(key)
+        if image is None:
+            image = factor @ G
+            if id(factor) in kept and id(G) in kept:
+                kept[key] = kept[id(image)] = _read_only(image)
+        images[key] = image
+    return image
 
 
 def _columns(factor) -> int:
@@ -217,10 +230,13 @@ _PROBE_COLUMNS = 4
 _PROBE_MARGIN = 100.0
 
 
-def _probe(row: _Row, G: np.ndarray, tol: ToleranceConfig) -> float | None:
+def _probe(
+    row: _Row, G: np.ndarray, tol: ToleranceConfig, images=None, kept=None
+) -> float | None:
     """100 e, e = ||R G||_F / sqrt(p) for R = lhs - rhs and G the d x p probe
     block, when 100 e <= residual_atol * (1 + ||F G||_F / ||G||_F) for the
-    reference F; else None.
+    reference F; else None. Each side is applied by `_applied` (`images` and
+    `kept` fresh when None).
 
     e estimates ||R||_F (Freivalds' check in its norm-estimating form; Halko,
     Martinsson and Tropp, SIAM Rev. 53, 2011, 4.3), and ||F G||_F / ||G||_F
@@ -229,12 +245,10 @@ def _probe(row: _Row, G: np.ndarray, tol: ToleranceConfig) -> float | None:
     for v the leading right singular vector of R, and ||v^* G||^2 is
     chi^2_(2p) / 2: a row that fails the spectral test passes here only if
     chi^2_8 < 8e-4, with probability 1.1e-15 at p = 4, whatever R is."""
-    lhs, rhs = _applied(row.lhs, G), _applied(row.rhs, G)
+    images, kept = {} if images is None else images, {} if kept is None else kept
+    lhs, rhs = _applied(row.lhs, G, images, kept), _applied(row.rhs, G, images, kept)
     estimate = _PROBE_MARGIN * _frobenius(lhs - rhs) / math.sqrt(G.shape[1])
-    if row.reference is None:
-        FG = rhs
-    else:
-        FG = lhs if row.reference is row.lhs else _applied(row.reference, G)
+    FG = rhs if row.reference is None else _applied(row.reference, G, images, kept)
     threshold = tol.residual_atol * (1.0 + _frobenius(FG) / _frobenius(G))
     if _FROBENIUS_FLOOR <= threshold < np.inf and estimate <= threshold:
         return estimate
@@ -245,15 +259,20 @@ def _verdicts(checks: dict, tol: ToleranceConfig, pair=None, products=None) -> l
     """[(label, residual, pass)] of certificate rows, label -> `_Row`.
 
     A row of a pair at or above the probe gate is first judged by `_probe`,
-    which records 100 e for a pass. Any other row, and a row the probe does
-    not pass, is formed (a shared chain once, kept in `products`) and judged
-    by `_judge`: the Frobenius bound when it proves the pass, else the exact
-    spectral residual and verdict."""
+    which records 100 e for a pass: each array of the certificate meets each
+    probe block once, and an image of the pair's own arrays alone is read
+    from the pair (see `WeightedPair._images`). Any other row, and a row the
+    probe does not pass, is formed (a shared chain once, kept in `products`)
+    and judged by `_judge`: the Frobenius bound when it proves the pass, else
+    the exact spectral residual and verdict."""
     products = {} if products is None else products
     probed = pair is not None and min(pair.B.shape) >= _PROBE_GATE
-    rows = []
+    rows, images = [], {}
     for label, row in checks.items():
-        estimate = _probe(row, pair._probe_block(_columns(row.rhs)), tol) if probed else None
+        estimate = None
+        if probed:
+            G = pair._probe_block(_columns(row.rhs))
+            estimate = _probe(row, G, tol, images, pair._images)
         verdict = (estimate, True) if estimate is not None else _judge(*row.formed(products), tol)
         rows.append((label, *verdict))
     return rows
@@ -552,7 +571,8 @@ class WeightedPair:
     each call; the value is still formed by its last product, and every row
     evaluated, on every call. A product that only a certificate row reads is
     not kept (see `_verdicts`). On a pair with min(m, n) at or above the
-    probe gate the memo holds its probe block too.
+    probe gate the memo holds its probe block too, and `_images` the image
+    on it of every chain of the pair's own arrays that a row applies.
     """
 
     B: np.ndarray
@@ -604,13 +624,29 @@ class WeightedPair:
     def _memo(self) -> dict:
         return {}
 
+    def __getstate__(self) -> dict:
+        """A copy or a pickle keeps the memo, but not `_images`, which ids key."""
+        return {key: value for key, value in self.__dict__.items() if key != "_images"}
+
+    @cached_property
+    def _images(self) -> dict:
+        """The pair's probe images: {(id(A), id(G)): A @ G} for A and G arrays
+        the pair holds, G a probe block or such an image (see `_applied`), and
+        {id(A): A} for each array it holds: B, W, every array `_cached` stores,
+        its probe block of d rows (also under ("probe", d)) and the images.
+        Holding them keeps an id from being reused while it keys an image."""
+        return {id(self.B): self.B, id(self.W): self.W}
+
     def _cached(self, key: tuple, build):
         """The memo entry `key`, made by `build()` on first use; an array is
-        stored read-only. A build that raises stores nothing."""
+        stored read-only, and held in `_images`. A build that raises stores
+        nothing."""
         memo = self._memo
         if key not in memo:
             value = build()
-            memo[key] = _read_only(value) if isinstance(value, np.ndarray) else value
+            if isinstance(value, np.ndarray):
+                value = self._images.setdefault(id(value), _read_only(value))
+            memo[key] = value
         return memo[key]
 
     def _probe_block(self, d: int) -> np.ndarray:
@@ -618,9 +654,11 @@ class WeightedPair:
         Gaussian probes of unit variance that certificate rows with d columns
         are judged on (see `_probe`). G is seeded from the bytes of B and W,
         so that residuals repeat bit for bit, and a dual pair reads the
-        pair's: one seeding per pair."""
-        if self._primal is not None:
-            return self._primal._probe_block(d)
+        pair's: one seeding per pair. The block of d rows is one array, held
+        in `_images`, so that images on it are kept by its identity."""
+        kept = self._images
+        if ("probe", d) in kept:
+            return kept["probe", d]
 
         def build():
             words = np.frombuffer(self.B.tobytes() + self.W.tobytes(), dtype=np.uint32)
@@ -628,7 +666,12 @@ class WeightedPair:
             shape = (max(self.B.shape), _PROBE_COLUMNS)
             return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
 
-        return self._cached(("probe",), build)[:d]
+        if self._primal is not None:
+            G = self._primal._probe_block(d)
+        else:
+            G = self._cached(("probe",), build)[:d]
+        kept["probe", d] = kept[id(G)] = G
+        return G
 
     def _power(self, side: str, j: int) -> np.ndarray:
         return self.bw_power(j) if side == "BW" else self.wb_power(j)
@@ -713,12 +756,7 @@ def weighted_pair(B, W, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedPair:
     wb = bw if m == n and BW.tobytes() == WB.tobytes() else _staircase(WB, tol)
     pair = WeightedPair(B=B, W=W, k_bw=bw.k, k_wb=wb.k)
     # the first powers are the products the forms were taken of
-    pair._memo.update(
-        {
-            ("staircase", tol, "BW"): bw,
-            ("staircase", tol, "WB"): wb,
-            ("BW^", 1): _read_only(bw.S),
-            ("WB^", 1): _read_only(wb.S),
-        }
-    )
+    for side, form in (("BW", bw), ("WB", wb)):
+        pair._cached(("staircase", tol, side), lambda: form)
+        pair._cached((f"{side}^", 1), lambda: form.S)
     return pair

@@ -426,7 +426,9 @@ def drazin_case_perturbation(
     """Specialization to the weighted Drazin member: the weighted MPD and DMP
     inverses update by the same resolvent formulas as the Moore-Penrose
     inverse, and their projectors transport unchanged. The DMP rows are the
-    MPD rows of the dual pairs (B^*, W^*) and (D^*, W^*) with E^*."""
+    MPD rows of the dual pairs (B^*, W^*) and (D^*, W^*) with E^*. Every
+    flag of the scenario is required first."""
+    _require_flags(scenario, tol)
     pair = scenario.pair
     Xd = _value(pair, w_drazin, tol)
     gap, ok = _exact(scenario.member - Xd, Xd, tol)

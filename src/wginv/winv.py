@@ -380,13 +380,17 @@ def mrwwd_family(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> Solu
 
     particular = K M^+ with K = (BW)^k and M = W (BW)^(k+1); the family is
     K M^+ + K Z (I - M M^+) over free Z. Consistency of the particular
-    solution (K M^+ M = K) is certified on every call; the rank and range
-    constraints then hold automatically for every member. The family's
-    arrays are the pair's, read-only (see `_family_parts`).
+    solution (K M^+ M = K) reads the pair's arrays alone, so it is certified
+    once per pair and tolerance (a refusal stores nothing); the rank and range
+    constraints then hold automatically for every member. The family's arrays
+    are the pair's, read-only (see `_family_parts`).
     """
     K, M = pair.bw_power(pair.k_bw), _family_product(pair, pair.k_bw)
     particular, annihilator = _family_parts(pair, tol)
-    _certify("mrwwd_family", {"power equation": _Row((particular, M), K)}, tol, pair)
+    pair._cached(
+        ("family parts certified", tol),
+        lambda: _certify("mrwwd_family", {"power equation": _Row((particular, M), K)}, tol, pair),
+    )
     return SolutionFamily(
         particular=particular, left_factor=K, annihilator=annihilator, side="left"
     )
@@ -446,11 +450,10 @@ def _left_member_residual(pair: WeightedPair, X, tol: ToleranceConfig) -> tuple:
 
 
 def _require_member(pair: WeightedPair, X, tol: ToleranceConfig) -> np.ndarray:
-    """X as a matrix, certified to be a member of the left solution family.
+    """X as `_power_equation` validates it, certified a left family member.
 
     Both rows are judged as certificates (`_verdicts`); a refusal names the
     exact spectral residual of each, taking it anew only for a row that passed."""
-    X = as_matrix(X)
     rows, products = _power_equation(pair, X, tol), {}
     judged = _verdicts(rows, tol, pair, products)
     if not all(ok for _, _, ok in judged):
@@ -462,7 +465,7 @@ def _require_member(pair: WeightedPair, X, tol: ToleranceConfig) -> np.ndarray:
             f"X is not a member of the left solution family "
             f"(power residual {power_residual:.3e}, range residual {range_residual:.3e})"
         )
-    return X
+    return rows["range"].lhs
 
 
 def weak_mpd(pair: WeightedPair, X, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedInverseResult:

@@ -15,7 +15,7 @@ import pytest
 
 from wginv import matcore
 from wginv._gen import random_pair
-from wginv.matcore import CertificationError, ToleranceConfig, WeightedPair
+from wginv.matcore import DEFAULT_TOL, CertificationError, ToleranceConfig, WeightedPair
 from wginv.winv import CATALOG, PARAMETRIZED_KINDS, compute_kind
 
 # the products the catalog constructors keep on a pair (and on its dual)
@@ -157,3 +157,31 @@ def test_products_are_kept_per_tolerance_and_powers_once():
     assert [key for key in pair._memo if key[0] == "WB^"] == [("WB^", 1)]
     assert len([key for key in pair._memo if key[0] == "B (WB)^core-EP"]) == 2
 
+
+
+def _planted_refusal(key) -> tuple:
+    """(whether the entry `key` had a probe image, the message of a warm
+    `w_drazin` on a `_probed` pair whose entry is replaced by a perturbed
+    copy). The copy is planted in the memo, not stored by `_cached`, so the
+    pair does not hold it: its images are formed on every call."""
+    pair = _probed()
+    _call(pair, "w-drazin", 1)
+    held, kept = pair._memo[key], pair._images
+    imaged = any(isinstance(k, tuple) and k[0] == id(held) for k in kept)
+    pair._memo[key] = _perturbed(held)
+    with pytest.raises(CertificationError) as refused:
+        _call(pair, "w-drazin", 1)
+    assert id(pair._memo[key]) not in kept
+    return imaged, str(refused.value)
+
+
+# (BW)^k, which the power row of w_drazin reads as its rhs, and the Drazin
+# kernel (WB)^D of its dual-agreement row: both have kept probe images
+@pytest.mark.parametrize("key", [("BW^", 2), ("(WB)^D", DEFAULT_TOL)], ids=["BW^k", "(WB)^D"])
+def test_a_planted_entry_with_a_probe_image_is_refused_as_the_formed_rows_refuse_it(
+    monkeypatch, key
+):
+    imaged, probed = _planted_refusal(key)
+    assert imaged
+    monkeypatch.setattr(matcore, "_PROBE_GATE", math.inf)
+    assert probed == _planted_refusal(key)[1]

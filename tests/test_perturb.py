@@ -329,10 +329,12 @@ STALE_CHAINS = {
     "left": {
         perturbed_mrwwd: ("range EW in K", "rows EW in member product", "norm WEWX"),
         mpd_perturbation: None,  # every flag of the scenario
+        drazin_case_perturbation: None,  # cor-mpd
     },
     "right": {
         perturbed_mrwwd_right: ("range WE in member product", "rows WE in WB power", "norm ZWEW"),
         dmp_perturbation: None,
+        drazin_case_perturbation: None,  # cor-dmp
     },
 }
 
