@@ -339,14 +339,8 @@ REGISTRY = {
     "thm3.18": (_EX1, lambda d: perturbed_mrwwd_right(d.scenario("right"), d.tol)),
     "thm3.19": (_EX1, lambda d: mpd_perturbation(d.scenario("left"), d.tol)),
     "thm3.20": (_EX1, lambda d: dmp_perturbation(d.scenario("right"), d.tol)),
-    "cor-mpd": (
-        _EX1,
-        lambda d: drazin_case_perturbation(d.scenario("left"), d.tol, theorem_id="cor-mpd"),
-    ),
-    "cor-dmp": (
-        _EX1,
-        lambda d: drazin_case_perturbation(d.scenario("right"), d.tol, theorem_id="cor-dmp"),
-    ),
+    "cor-mpd": (_EX1, lambda d: drazin_case_perturbation(d.scenario("left"), d.tol)),
+    "cor-dmp": (_EX1, lambda d: drazin_case_perturbation(d.scenario("right"), d.tol)),
     "thm3.25": (_EX2, lambda d: reverse_order_weak(d.case(), d.tol)),
     "thm3.26": (_EX2, lambda d: forward_order_weak(d.case(), d.tol)),
     "thm3.27": (_EX2, lambda d: reverse_order_minimal(d.case(), d.tol)),

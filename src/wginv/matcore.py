@@ -3,6 +3,7 @@ subspace tests, and the shared report/tolerance types."""
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -610,11 +611,12 @@ class WeightedPair:
         kernels and ranks of powers are this pair's (the first two as
         adjoints), and its projector onto a stabilized power is this pair's
         projector onto the row space of the other product's power, read
-        through a twin of this pair on its memo (the dual's dual): no SVD,
-        and no reference back."""
+        through a twin of this pair (the dual's dual): a shallow copy that
+        shares its read-only B and W and its memo. No SVD, and no reference
+        back."""
         if self._primal is not None:
             return self._primal
-        twin = WeightedPair(self.B, self.W, self.k_bw, self.k_wb)
+        twin = copy.copy(self)
         twin.__dict__["_memo"] = self._memo
         dual = WeightedPair(self.B.conj().T, self.W.conj().T, self.k_wb, self.k_bw)
         dual.__dict__["_primal"] = twin

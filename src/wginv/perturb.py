@@ -18,6 +18,7 @@ from .matcore import (
     WeightedPair,
     _exact,
     _passes,
+    _read_only,
     as_matrix,
     mp_inverse,
     projector_onto,
@@ -37,7 +38,6 @@ from .winv import (
 
 __all__ = [
     "PerturbationScenario",
-    "scenario_from_parts",
     "admissible_perturbation",
     "perturbed_mrwwd",
     "perturbed_mrwwd_right",
@@ -62,18 +62,30 @@ RIGHT_OF = {
 
 @dataclass(frozen=True)
 class PerturbationScenario:
-    """A pair, a member of its left or right family, and a perturbation E of
-    B, with the alpha and seed E was drawn at. A scenario holds only these
-    parts: D = B + E, the pair (D, W) and the admissibility flags are read
-    from them when a chain asks, once per tolerance, and every chain on the
-    scenario shares them. A scenario with a part replaced is decided anew."""
+    """A pair, a member of its left or right family, a perturbation E of B
+    and the alpha E was drawn at (NaN if none). However it is built, the
+    scenario refuses a bad side or shape and keeps read-only copies of member
+    and E, which no write of the caller reaches. It holds only these parts:
+    D = B + E, the pair (D, W) and the admissibility flags are read from them
+    when a chain asks, once per tolerance, and every chain on the scenario
+    shares them. A scenario with a part replaced is decided anew."""
 
     pair: WeightedPair
     member: np.ndarray
     side: str
     E: np.ndarray
-    alpha: float
-    seed: object = None
+    alpha: float = float("nan")
+
+    def __post_init__(self):
+        pair = self.pair
+        member = _as_member(pair, self.member)
+        E = as_matrix(self.E)
+        if E.shape != (pair.m, pair.n):
+            raise ValueError(f"E must be {pair.m} x {pair.n}, got {E.shape}")
+        if self.side not in ("left", "right"):
+            raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
+        object.__setattr__(self, "member", _read_only(member.copy(order="K")))
+        object.__setattr__(self, "E", _read_only(E.copy(order="K")))
 
     @property
     def D(self) -> np.ndarray:
@@ -144,26 +156,6 @@ def _left_flags(pair: WeightedPair, X, E, tol: ToleranceConfig, own_range: bool 
     }
 
 
-def scenario_from_parts(
-    pair: WeightedPair,
-    member,
-    E,
-    side: str = "left",
-    alpha: float = float("nan"),
-    seed=None,
-) -> PerturbationScenario:
-    """Wrap explicit parts into a scenario, checking only their shapes and
-    the side: its flags are decided when a chain asks, so an inadmissible E
-    is wrapped too. Used for negative cases as well as hand-built ones."""
-    member = _as_member(pair, member)
-    E = as_matrix(E)
-    if E.shape != (pair.m, pair.n):
-        raise ValueError(f"E must be {pair.m} x {pair.n}, got {E.shape}")
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return PerturbationScenario(pair, member, side, E, float(alpha), seed)
-
-
 def admissible_perturbation(
     pair: WeightedPair,
     member,
@@ -175,12 +167,13 @@ def admissible_perturbation(
 ) -> PerturbationScenario:
     """Construct an admissible E of size roughly alpha.
 
-    The closed family is (BW)^k B scaled; the random family inserts a seeded
-    Gaussian factor while keeping both subspace constraints by construction.
-    The norm conditions are retried by halving alpha (at most 20 times); the
-    subspace flags do not depend on the scale, so a failure there is final,
-    and only the norm flags are judged again while halving. At the alpha
-    that passes, the scenario is made anew of its parts alone.
+    The closed family is (BW)^k B scaled; the random family inserts a
+    Gaussian factor drawn from `seed` while keeping both subspace constraints
+    by construction. The norm conditions are retried by halving alpha (at
+    most 20 times); the subspace flags do not depend on the scale, so a
+    failure there is final, and only the norm flags are judged again while
+    halving. At the alpha that passes, the scenario is made anew of its parts
+    alone; it keeps alpha, not the seed.
     """
     if not 0.0 <= alpha < np.inf:
         raise ValueError("alpha must be finite and nonnegative")
@@ -213,7 +206,7 @@ def admissible_perturbation(
         E0 = E0 / scale
 
     a = float(alpha)
-    scenario = scenario_from_parts(pair, member, a * E0, side, alpha=a, seed=seed)
+    scenario = PerturbationScenario(pair, member, side, a * E0, alpha=a)
     flags = scenario._flags(tol)
     bad_subspace = [
         name
@@ -229,7 +222,7 @@ def admissible_perturbation(
         if all(value <= 0.5 for value in norms):
             if halvings == 0:
                 return scenario
-            return scenario_from_parts(pair, member, a * E0, side, alpha=a, seed=seed)
+            return PerturbationScenario(pair, member, side, a * E0, alpha=a)
         a /= 2.0
         left = _as_left(pair, member, a * E0, side)
         norms = [value for value, _ in _left_norm_flags(*left, tol).values()]
@@ -419,15 +412,14 @@ def _drazin_rows(report: VerificationReport, prefix: str, pair, dpair, E, tol) -
 
 
 def drazin_case_perturbation(
-    scenario: PerturbationScenario,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    theorem_id: str = "cor-mpd",
+    scenario: PerturbationScenario, tol: ToleranceConfig = DEFAULT_TOL
 ) -> VerificationReport:
     """Specialization to the weighted Drazin member: the weighted MPD and DMP
     inverses update by the same resolvent formulas as the Moore-Penrose
     inverse, and their projectors transport unchanged. The DMP rows are the
     MPD rows of the dual pairs (B^*, W^*) and (D^*, W^*) with E^*. Every
-    flag of the scenario is required first."""
+    flag of the scenario is required first. The report is "cor-mpd" on a
+    left scenario and "cor-dmp" on a right one."""
     _require_flags(scenario, tol)
     pair = scenario.pair
     Xd = _value(pair, w_drazin, tol)
@@ -438,7 +430,7 @@ def drazin_case_perturbation(
         )
     dpair = scenario._dpair(tol)
 
-    report = VerificationReport(theorem_id, tol)
+    report = VerificationReport("cor-mpd" if scenario.side == "left" else "cor-dmp", tol)
     _drazin_rows(report, "mpd: ", pair, dpair, scenario.E, tol)
     with _right_hand():
         _drazin_rows(report, "dmp: ", pair.H, dpair.H, scenario.E.conj().T, tol)

@@ -8,10 +8,10 @@ import pytest
 
 from wginv._gen import random_pair
 from wginv.perturb import (
+    PerturbationScenario,
     admissible_perturbation,
     dmp_perturbation,
     perturbed_mrwwd_right,
-    scenario_from_parts,
 )
 from wginv.matcore import (
     DEFAULT_TOL,
@@ -187,7 +187,7 @@ def test_right_flags_are_the_right_hand_subspace_and_norm_tests(case):
     # its own size, computed here from the right-hand definitions
     pair, Z, _, _ = case
     E = 0.05 * _noise(np.random.default_rng(17), (pair.m, pair.n))
-    flags = scenario_from_parts(pair, Z, E, side="right")._flags(DEFAULT_TOL)
+    flags = PerturbationScenario(pair, Z, "right", E)._flags(DEFAULT_TOL)
     B, W = pair.B, pair.W
     Bp = np.linalg.pinv(B, rcond=1e-10)
     WE, WBWZ = W @ E, W @ B @ W @ Z

@@ -14,13 +14,13 @@ from wginv.matcore import (
     spectral_norm,
 )
 from wginv.perturb import (
+    PerturbationScenario,
     admissible_perturbation,
     dmp_perturbation,
     drazin_case_perturbation,
     mpd_perturbation,
     perturbed_mrwwd,
     perturbed_mrwwd_right,
-    scenario_from_parts,
 )
 from wginv.winv import mrwwd_family, mrwwd_right_family, w_drazin, weak_mpd
 
@@ -112,7 +112,7 @@ def test_scenario_from_parts_flags_inadmissible_direction():
     Xd = w_drazin(pair).value
     rng = np.random.default_rng(9)
     E = 0.05 * rng.standard_normal((pair.m, pair.n))
-    scenario = scenario_from_parts(pair, Xd, E, side="left")
+    scenario = PerturbationScenario(pair, Xd, "left", E)
     flags = scenario._flags(DEFAULT_TOL)
     assert not all(ok for _, ok in flags.values())
     # every subspace flag is the residual rule against ||E||_2
@@ -134,8 +134,10 @@ def test_validation_errors():
         admissible_perturbation(pair, Xd, 0.1, side="middle")
     with pytest.raises(ValueError):
         admissible_perturbation(pair, Xd, 0.1, family="exotic")
-    with pytest.raises(ValueError):
-        scenario_from_parts(pair, Xd, np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=r"^E must be 5 x 4, got \(2, 2\)$"):
+        PerturbationScenario(pair, Xd, "left", np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="^side must be 'left' or 'right', got 'middle'$"):
+        PerturbationScenario(pair, Xd, "middle", np.zeros((5, 4)))
     scenario = admissible_perturbation(pair, Xd, 0.1, seed=5)
     with pytest.raises(ValueError):
         perturbed_mrwwd_right(scenario)
@@ -147,13 +149,29 @@ def test_validation_errors():
 def test_scenario_from_parts_checks_the_member_shape(side):
     pair = ex1_pair()
     with pytest.raises(DimensionError, match=r"member shape \(4, 5\) != \(5, 4\)"):
-        scenario_from_parts(pair, np.zeros((4, 5)), np.zeros((5, 4)), side=side)
+        PerturbationScenario(pair, np.zeros((4, 5)), side, np.zeros((5, 4)))
+
+
+@pytest.mark.parametrize("side, chain", [("left", mpd_perturbation), ("right", dmp_perturbation)])
+def test_a_scenario_owns_read_only_copies_of_its_member_and_e(side, chain):
+    # a write into E after a chain has run would meet the flags memoised for
+    # the old E, and a write into the caller's member would reach the chain
+    pair = random_pair(6, 5, 2, 0)
+    member = w_drazin(pair).value.copy()
+    scenario = admissible_perturbation(pair, member, 0.1, seed=3, side=side)
+    assert chain(scenario).overall
+    rng = np.random.default_rng(3)
+    E = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+    with pytest.raises(ValueError, match="read-only"):
+        scenario.E[...] = 0.05 * E / spectral_norm(E)
+    member[...] = 0.0
+    assert chain(scenario).overall
 
 
 def test_dmp_chain_refuses_a_non_member_in_the_callers_terms():
     # E = 0 passes every flag, so the chain itself meets the non-member
     pair = ex1_pair()
-    scenario = scenario_from_parts(pair, np.ones((5, 4)), np.zeros((5, 4)), side="right")
+    scenario = PerturbationScenario(pair, np.ones((5, 4)), "right", np.zeros((5, 4)))
     assert all(ok for _, ok in scenario._flags(DEFAULT_TOL).values())
     with pytest.raises(HypothesisError, match="^Z is not a member of the right solution family"):
         dmp_perturbation(scenario)
@@ -208,12 +226,13 @@ def test_drazin_case_updates_weighted_inverses():
         pair, _ = _case(i)
         Xd = w_drazin(pair).value
         left = admissible_perturbation(pair, Xd, 0.1, seed=i)
-        report = drazin_case_perturbation(left, theorem_id="cor-mpd")
+        report = drazin_case_perturbation(left)
         assert report.overall, (i, report.to_dict())
         assert report.theorem_id == "cor-mpd"
         right = admissible_perturbation(pair, Xd, 0.1, seed=i, side="right")
-        report = drazin_case_perturbation(right, theorem_id="cor-dmp")
+        report = drazin_case_perturbation(right)
         assert report.overall, (i, report.to_dict())
+        assert report.theorem_id == "cor-dmp"
 
 
 def test_drazin_case_requires_drazin_member():
@@ -248,16 +267,16 @@ def test_halving_judges_only_the_norm_flags_again(monkeypatch, side):
     pair = ex1_pair()
     member = w_drazin(pair).value
     built = []
-    whole = perturb.scenario_from_parts
+    whole = perturb.PerturbationScenario
 
     def recording(*args, **kwargs):
         built.append(kwargs["alpha"])
         return whole(*args, **kwargs)
 
-    monkeypatch.setattr(perturb, "scenario_from_parts", recording)
+    monkeypatch.setattr(perturb, "PerturbationScenario", recording)
     scenario = admissible_perturbation(pair, member, 10.0, seed=0, side=side)
     assert built == [10.0, scenario.alpha] and scenario.alpha <= 10.0 / 16
-    again = whole(pair, member, scenario.E, side, alpha=scenario.alpha, seed=0)
+    again = whole(pair, member, side, scenario.E, alpha=scenario.alpha)
     assert ("flags", DEFAULT_TOL) not in scenario._memo
     assert scenario._flags(DEFAULT_TOL) == again._flags(DEFAULT_TOL)
     del built[:]
@@ -309,7 +328,7 @@ def test_representation_t1_t2_holds_for_every_perturbation(seed, side):
     free = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
     E = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
     E *= 0.05 / spectral_norm(E)
-    scenario = scenario_from_parts(pair, family(pair).member(0.4 * free), E, side=side)
+    scenario = PerturbationScenario(pair, family(pair).member(0.4 * free), side, E)
     flags = scenario._flags(DEFAULT_TOL)
     assert not all(ok for _, ok in flags.values())  # a generic E is not admissible
     left = scenario if side == "left" else perturb._dual(scenario, DEFAULT_TOL)

@@ -111,6 +111,12 @@ def test_warm_calls_keep_every_bit_of_the_cold_ones():
         assert [r.value.tobytes() for r in results] == [r.value.tobytes() for r in cold]
 
 
+def test_the_duals_twin_shares_the_pairs_arrays_and_memo():
+    pair = _pair()
+    assert pair.H._primal.B is pair.B and pair.H._primal.W is pair.W
+    assert pair.H.H._memo is pair._memo
+
+
 def test_a_copied_pair_keeps_no_image_of_the_pair():
     # images are keyed by ids, which a copy does not keep: it draws its own
     pair = _pair()
