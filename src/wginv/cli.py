@@ -14,7 +14,7 @@ import argparse
 import json
 import re
 import sys
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .matcore import (
     HypothesisError,
     ToleranceConfig,
     VerificationReport,
+    _rank_gap,
     as_matrix,
     index_of,
     mp_inverse,
@@ -185,23 +186,13 @@ def _sample_dims(rng: np.random.Generator) -> tuple:
     return m, n, t
 
 
-def _left_draw(pair, rng, tol):
-    return mrwwd_family(pair, tol).member(0.4 * rng.standard_normal((pair.m, pair.n)))
-
-
-def _right_draw(pair, rng, tol):
-    return mrwwd_right_family(pair, tol).member(
-        0.4 * rng.standard_normal((pair.m, pair.n))
-    )
-
-
 class _Draw:
-    """One trial of a `verify` check: the instance ("ex1", "ex2" or "random")
-    and everything drawn on it. Each input is built when the check first asks
-    for it, from one `default_rng(seed)`, so the draws follow the order in
-    which the check reads them."""
+    """One trial of a `verify` check or of a suite stream: the instance ("ex1",
+    "ex2" or "random") and everything drawn on it. Each input is built when the
+    check first asks for it, from one `default_rng(seed)`, so the draws follow
+    the order in which the check reads them."""
 
-    def __init__(self, ns, seed: int, tol: ToleranceConfig, instance: str):
+    def __init__(self, ns, seed, tol: ToleranceConfig, instance: str):
         self.ns, self.seed, self.tol, self.instance = ns, seed, tol, instance
         self.rng = np.random.default_rng(seed)
         self.x1 = None
@@ -216,20 +207,29 @@ class _Draw:
         A, _, _, W = ex2_matrices()
         return weighted_pair(A, W, self.tol)
 
+    def _member(self, family):
+        """A member of the pair's `family` at a drawn free parameter."""
+        pair = self.pair
+        return family(pair, self.tol).member(0.4 * self.rng.standard_normal((pair.m, pair.n)))
+
     def left(self, x1=None, x2=None):
         """A left family member: drawn on a random pair, else the ex1 closed
         form at --x1/--x2, or at `x1`/`x2`, or at drawn integers."""
         if self.instance == "random":
-            return _left_draw(self.pair, self.rng, self.tol)
+            return self._member(mrwwd_family)
         ns = self.ns
         self.x1 = _sample_int(self.rng, ns.x1 if ns.x1 is not None else x1)
         x2 = _sample_int(self.rng, ns.x2 if ns.x2 is not None else x2)
         return ex1_member(self.x1, x2)
 
     @cached_property
+    def X(self):  # the trial's left member: `left` at its defaults, drawn once
+        return self.left()
+
+    @cached_property
     def Z(self):
         # the right family has no closed integer form on a fixture, so draw one
-        return _right_draw(self.pair, self.rng, self.tol)
+        return self._member(mrwwd_right_family)
 
     @cached_property
     def free(self):
@@ -260,7 +260,7 @@ class _Draw:
 
 
 def _weak_mpd_system(d: _Draw) -> VerificationReport:
-    X = d.left()
+    X = d.X
     if d.instance == "ex1":
         Y = ex1_weak_mpd(d.x1)
     else:
@@ -274,7 +274,7 @@ def _mpd_characterizations(d: _Draw) -> VerificationReport:
 
 
 def _unique_projector_solutions(d: _Draw) -> VerificationReport:
-    X, Z = d.left(), d.Z
+    X, Z = d.X, d.Z
     report = VerificationReport("thm3.8", d.tol)
     report.merge(
         check_unique_projector_solution(
@@ -308,7 +308,7 @@ def _matrix_equation(d: _Draw, with_c: bool, member) -> VerificationReport:
 # id -> (the instances it runs on, the default first; its check of one trial)
 _EX1, _EX2 = ("ex1", "random"), ("ex2", "random")
 REGISTRY = {
-    "thm2.1": (_EX1, lambda d: check_mrwwd(d.pair, d.left(), d.tol)),
+    "thm2.1": (_EX1, lambda d: check_mrwwd(d.pair, d.X, d.tol)),
     "thm2.8": (_EX2, lambda d: check_mrwwd_right(d.pair, d.Z, d.tol)),
     "thm3.1": (_EX1, _weak_mpd_system),
     "lem3.2": (
@@ -323,13 +323,13 @@ REGISTRY = {
         ),
     ),
     "thm3.5": (_EX1, lambda d: check_wdrazin_specialization(d.pair, d.tol)),
-    "lem3.6": (_EX1, lambda d: check_projectors(d.pair, d.left(), None, d.tol)),
+    "lem3.6": (_EX1, lambda d: check_projectors(d.pair, d.X, None, d.tol)),
     "lem3.7": (_EX2, lambda d: check_projectors_right(d.pair, d.Z, None, d.tol)),
     "thm3.8": (_EX1, _unique_projector_solutions),
-    "lem3.10": (_EX1, lambda d: check_mp_drazin_absorption(d.pair, d.left(), d.Z, d.tol)),
+    "lem3.10": (_EX1, lambda d: check_mp_drazin_absorption(d.pair, d.X, d.Z, d.tol)),
     "thm3.12": (_EX1, lambda d: one_inverse_family(d.pair, d.free, d.tol)[1]),
     "lem3.13": (_EX1, lambda d: one_inverse_family_right(d.pair, d.free, d.tol)[1]),
-    "lem3.14": (_EX1, lambda d: mpd_general_solution(d.pair, d.left(), d.free, d.tol)[1]),
+    "lem3.14": (_EX1, lambda d: mpd_general_solution(d.pair, d.X, d.free, d.tol)[1]),
     "lem3.15": (
         _EX1,
         lambda d: decomposition_report(weighted_core_ep_decompose(d.pair, d.tol), d.tol),
@@ -367,87 +367,46 @@ REGISTRY = {
 # acceptance suite batteries
 
 
-def suite_w_drazin_fixture(tol: ToleranceConfig) -> VerificationReport:
-    """Criterion 1: the fixture's weighted Drazin inverse matches its integer
-    closed form entrywise."""
-    pair = ex1_pair(tol)
-    value = w_drazin(pair, tol).value
-    oracle = ex1_member(1, 2)
-    gap = float(np.max(np.abs(value - oracle)))
-    report = VerificationReport("suite-1-wdrazin-exact", tol)
-    report.add("entrywise agreement with closed form", gap, gap <= 1e-12)
-    return report
+def _instances(stream, seed: int, tol: ToleranceConfig):
+    """The instances of a suite stream: "ex1" is the fixture, "ex2" the ten
+    integer draws (z1, z2, z3, y1, y2, u1) of the order-law fixture, and
+    (tag, count) `count` random `verify` trials on default_rng([seed, tag, i])."""
+    if stream == "ex1":
+        return [_Draw(None, 0, tol, "ex1")]
+    if stream == "ex2":
+        rng = np.random.default_rng([seed, 4])
+        return [tuple(int(v) for v in rng.integers(-2, 3, size=6)) for _ in range(10)]
+    tag, count = stream
+    return (_Draw(None, [seed, tag, i], tol, "random") for i in range(count))
 
 
-def suite_weak_mpd_family(tol: ToleranceConfig) -> VerificationReport:
-    """Criterion 2: weak MPD inverses across the fixture family match the
-    closed form, satisfy the system, and collapse to the weighted MPD at
-    parameter 1."""
-    pair = ex1_pair(tol)
-    report = VerificationReport("suite-2-weak-mpd-family", tol)
-    worst_closed = 0.0
-    worst_system = 0.0
+def _w_drazin_gap(d: _Draw) -> tuple:
+    return (float(np.max(np.abs(w_drazin(d.pair, d.tol).value - ex1_member(1, 2)))),)
+
+
+def _weak_mpd_family(d: _Draw) -> tuple:
+    pair, tol = d.pair, d.tol
+    closed = system = 0.0
     for x1 in (-1, 0, 1):
         X = ex1_member(x1, 2)
         Y = weak_mpd(pair, X, tol).value
-        worst_closed = max(worst_closed, spectral_norm(Y - ex1_weak_mpd(x1)))
-        system = check_weak_mpd_system(pair, X, Y, tol)
-        worst_system = max(worst_system, system.worst_residual())
-    report.add("closed form across x1 in {-1,0,1}", worst_closed, worst_closed <= 1e-10)
-    report.add("system residuals", worst_system, worst_system <= 1e-10)
-    collapse = spectral_norm(
-        weak_mpd(pair, ex1_member(1, 2), tol).value - _value(pair, w_mpd, tol)
+        closed = max(closed, spectral_norm(Y - ex1_weak_mpd(x1)))
+        system = max(system, check_weak_mpd_system(pair, X, Y, tol).worst_residual())
+    # Y is the inverse at x1 = 1 now, which must be the weighted MPD inverse
+    return closed, system, spectral_norm(Y - _value(pair, w_mpd, tol))
+
+
+def _order_products(draw: tuple) -> tuple:
+    z1, z2, z3, y1, y2, u1 = draw
+    case = ex2_case(z=(z1, z2, z3), y=(y1, y2), u=u1)
+    W, inv = case.W, case.inverses
+    products = (
+        (inv["Y3"] @ W @ inv["Z2"], (1, z1, z2, z3)),
+        (inv["Z2"] @ W @ inv["Y3"], (1, y1, 0, y2)),
+        (inv["U1"] @ W @ inv["Y4"] @ W @ inv["Z3"], (1, z1, z2, z3)),
+        (inv["Z3"] @ W @ inv["Y4"] @ W @ inv["U1"], (1, u1, 0, 0)),
     )
-    report.add("x1 = 1 collapses to the weighted MPD", collapse, collapse <= 1e-10)
-    return report
-
-
-def suite_index_fixture(tol: ToleranceConfig) -> VerificationReport:
-    """Criterion 3: the fixture product has index exactly 3."""
-    pair = ex1_pair(tol)
-    report = VerificationReport("suite-3-index", tol)
-    report.add_rank_gap("index of the fixture product", index_of(pair.bw_power(1), tol), 3)
-    return report
-
-
-def suite_order_products(seed: int, tol: ToleranceConfig) -> VerificationReport:
-    """Criterion 4: all four fixture order-law products agree exactly with
-    their first-row closed forms across integer parameter draws."""
-    rng = np.random.default_rng([seed, 4])
-    worst = {"reverse": 0.0, "forward": 0.0, "triple reverse": 0.0, "triple forward": 0.0}
-    for _ in range(10):
-        z1, z2, z3, y1, y2, u1 = (int(v) for v in rng.integers(-2, 3, size=6))
-        case = ex2_case(z=(z1, z2, z3), y=(y1, y2), u=u1)
-        W = case.W
-        inv = case.inverses
-        prods = {
-            "reverse": (inv["Y3"] @ W @ inv["Z2"], ex2_member((1, z1, z2, z3))),
-            "forward": (inv["Z2"] @ W @ inv["Y3"], ex2_member((1, y1, 0, y2))),
-            "triple reverse": (
-                inv["U1"] @ W @ inv["Y4"] @ W @ inv["Z3"],
-                ex2_member((1, z1, z2, z3)),
-            ),
-            "triple forward": (
-                inv["Z3"] @ W @ inv["Y4"] @ W @ inv["U1"],
-                ex2_member((1, u1, 0, 0)),
-            ),
-        }
-        for name, (got, want) in prods.items():
-            worst[name] = max(worst[name], float(np.max(np.abs(got - want))))
-    report = VerificationReport("suite-4-order-products", tol)
-    for name, gap in worst.items():
-        report.add(f"{name} product exact", gap, gap == 0.0)
-    return report
-
-
-def _coherence_instances(seed: int, tol: ToleranceConfig, count: int = 100):
-    for i in range(count):
-        rng = np.random.default_rng([seed, 101, i])
-        m, n, t = _sample_dims(rng)
-        pair = random_pair(m, n, t, rng, tol)
-        X = _left_draw(pair, rng, tol)
-        Z = _right_draw(pair, rng, tol)
-        yield rng, pair, X, Z
+    return tuple(float(np.max(np.abs(got - ex2_member(row)))) for got, row in products)
 
 
 def _bump(rng: np.random.Generator, A: np.ndarray) -> np.ndarray:
@@ -455,189 +414,180 @@ def _bump(rng: np.random.Generator, A: np.ndarray) -> np.ndarray:
     return A + 0.05 * max(1.0, spectral_norm(A)) * G / spectral_norm(G)
 
 
-def suite_random_coherence(seed: int, tol: ToleranceConfig) -> VerificationReport:
-    """Criterion 5: on 100 seeded pairs the member characterizations all agree
-    (uniformly true for members, uniformly false for perturbed non-members)
-    and the seven-way characterizations accept constructed inverses while
-    rejecting perturbed ones."""
-    fails = {
-        "left members uniformly accepted": 0,
-        "right members uniformly accepted": 0,
-        "left non-members uniformly rejected": 0,
-        "right non-members uniformly rejected": 0,
-        "MPD characterizations accepted": 0,
-        "DMP characterizations accepted": 0,
-        "perturbed MPD rejected": 0,
-        "perturbed DMP rejected": 0,
-    }
-    for rng, pair, X, Z in _coherence_instances(seed, tol):
-        verdicts = [ok for _, _, ok in check_mrwwd(pair, X, tol).conditions]
-        if not all(verdicts):
-            fails["left members uniformly accepted"] += 1
-        verdicts = [ok for _, _, ok in check_mrwwd_right(pair, Z, tol).conditions]
-        if not all(verdicts):
-            fails["right members uniformly accepted"] += 1
-        bad = [ok for _, _, ok in check_mrwwd(pair, _bump(rng, X), tol).conditions]
-        if any(bad):
-            fails["left non-members uniformly rejected"] += 1
-        bad = [ok for _, _, ok in check_mrwwd_right(pair, _bump(rng, Z), tol).conditions]
-        if any(bad):
-            fails["right non-members uniformly rejected"] += 1
-
-        Y = weak_mpd(pair, X, tol).value
-        if not check_mpd_characterizations(pair, X, Y, tol).overall:
-            fails["MPD characterizations accepted"] += 1
-        Y1 = weak_dmp(pair, Z, tol).value
-        if not check_dmp_characterizations(pair, Z, Y1, tol).overall:
-            fails["DMP characterizations accepted"] += 1
-        if check_mpd_characterizations(pair, X, _bump(rng, Y), tol).overall:
-            fails["perturbed MPD rejected"] += 1
-        if check_dmp_characterizations(pair, Z, _bump(rng, Y1), tol).overall:
-            fails["perturbed DMP rejected"] += 1
-
-    report = VerificationReport("suite-5-random-coherence", tol)
-    for label, count in fails.items():
-        report.add(f"{label} (100 instances)", float(count), count == 0)
-    return report
+def _coherence(d: _Draw) -> tuple:
+    # bumps are drawn after X and Z, in the order X, Z, Y, Y1
+    pair, X, Z, tol, rng = d.pair, d.X, d.Z, d.tol, d.rng
+    members = ((check_mrwwd, X), (check_mrwwd_right, Z))
+    verdicts = [check(pair, A, tol).overall for check, A in members]
+    for check, A in members:  # a non-member passes no condition
+        verdicts.append(not any(ok for _, _, ok in check(pair, _bump(rng, A), tol).conditions))
+    Y = weak_mpd(pair, X, tol).value
+    verdicts.append(check_mpd_characterizations(pair, X, Y, tol).overall)
+    Y1 = weak_dmp(pair, Z, tol).value
+    verdicts.append(check_dmp_characterizations(pair, Z, Y1, tol).overall)
+    verdicts.append(not check_mpd_characterizations(pair, X, _bump(rng, Y), tol).overall)
+    verdicts.append(not check_dmp_characterizations(pair, Z, _bump(rng, Y1), tol).overall)
+    return tuple(verdicts)
 
 
-def suite_projector_geometry(seed: int, tol: ToleranceConfig) -> VerificationReport:
-    """Criterion 6: the projector lemmas hold on the same 100 instances."""
-    worst_left = 0.0
-    worst_right = 0.0
-    fail_left = 0
-    fail_right = 0
-    for _, pair, X, Z in _coherence_instances(seed, tol):
-        rep = check_projectors(pair, X, None, tol)
-        worst_left = max(worst_left, rep.worst_residual())
-        if not rep.overall:
-            fail_left += 1
-        rep = check_projectors_right(pair, Z, None, tol)
-        worst_right = max(worst_right, rep.worst_residual())
-        if not rep.overall:
-            fail_right += 1
-    report = VerificationReport("suite-6-projector-geometry", tol)
-    report.add("weak MPD projector lemma (100 instances)", float(fail_left), fail_left == 0)
-    report.add("weak DMP projector lemma (100 instances)", float(fail_right), fail_right == 0)
-    report.note("worst weak MPD residual", worst_left)
-    report.note("worst weak DMP residual", worst_right)
-    return report
+def _projector_lemmas(d: _Draw) -> tuple:
+    left, right = (REGISTRY[theorem_id][1](d) for theorem_id in ("lem3.6", "lem3.7"))
+    return left.overall, right.overall, left.worst_residual(), right.worst_residual()
 
 
-def suite_decomposition(seed: int, tol: ToleranceConfig) -> VerificationReport:
-    """Criterion 7: decomposition reassembly, canonical weak MPD agreement,
-    and the block Moore-Penrose across 100 instances."""
-    worst_reassembly = 0.0
-    worst_canonical = 0.0
-    worst_mp = 0.0
-    for i in range(100):
-        rng = np.random.default_rng([seed, 301, i])
-        m, n, t = _sample_dims(rng)
-        pair = random_pair(m, n, t, rng, tol)
-        X = _left_draw(pair, rng, tol)
-        dec = weighted_core_ep_decompose(pair, tol)
-        worst_reassembly = max(
-            worst_reassembly,
-            spectral_norm(dec.assemble_b() - pair.B),
-            spectral_norm(dec.assemble_w() - pair.W),
-        )
-        canonical = weak_mpd_canonical(pair, X, tol, dec=dec).value
-        direct = weak_mpd(pair, X, tol).value
-        worst_canonical = max(worst_canonical, spectral_norm(canonical - direct))
-        worst_mp = max(
-            worst_mp, spectral_norm(mp_via_blocks(dec, tol) - pair._pinv(tol))
-        )
-    report = VerificationReport("suite-7-decomposition", tol)
-    report.add("reassembly (100 instances)", worst_reassembly, worst_reassembly <= 1e-10)
-    report.add("canonical vs direct weak MPD", worst_canonical, worst_canonical <= 1e-8)
-    report.add("block Moore-Penrose vs SVD", worst_mp, worst_mp <= 1e-8)
-    return report
+def _decomposition(d: _Draw) -> tuple:
+    pair, X, tol = d.pair, d.X, d.tol
+    dec = weighted_core_ep_decompose(pair, tol)
+    reassembly = max(
+        spectral_norm(dec.assemble_b() - pair.B), spectral_norm(dec.assemble_w() - pair.W)
+    )
+    canonical = weak_mpd_canonical(pair, X, tol, dec=dec).value
+    return (
+        reassembly,
+        spectral_norm(canonical - weak_mpd(pair, X, tol).value),
+        spectral_norm(mp_via_blocks(dec, tol) - pair._pinv(tol)),
+    )
 
 
-def suite_perturbation(seed: int, tol: ToleranceConfig) -> VerificationReport:
-    """Criterion 8: 50 admissible perturbation scenarios drive the family
-    stability theorem and both inverse perturbation chains, sandwich bounds
-    included; the zero perturbation collapses the sandwich."""
-    fails = {"family stability": 0, "MPD chain": 0, "DMP chain": 0, "sandwich brackets": 0}
-    for i in range(50):
-        rng = np.random.default_rng([seed, 401, i])
-        m, n, t = _sample_dims(rng)
-        pair = random_pair(m, n, t, rng, tol)
-        member = _value(pair, w_drazin, tol)
-        left = admissible_perturbation(pair, member, 0.3, rng, side="left", tol=tol)
-        right = admissible_perturbation(pair, member, 0.3, rng, side="right", tol=tol)
-        if not perturbed_mrwwd(left, tol).overall:
-            fails["family stability"] += 1
-        rep_mpd = mpd_perturbation(left, tol)
-        rep_dmp = dmp_perturbation(right, tol)
-        if not rep_mpd.overall:
-            fails["MPD chain"] += 1
-        if not rep_dmp.overall:
-            fails["DMP chain"] += 1
-        sandwich_ok = all(
-            ok for label, _, ok in rep_mpd.conditions + rep_dmp.conditions if "sandwich" in label
-        )
-        if not sandwich_ok:
-            fails["sandwich brackets"] += 1
-
-    report = VerificationReport("suite-8-perturbation", tol)
-    for label, count in fails.items():
-        report.add(f"{label} (50 scenarios)", float(count), count == 0)
-
-    pair = ex1_pair(tol)
+def _perturbation(d: _Draw) -> tuple:
+    pair, tol, rng = d.pair, d.tol, d.rng
     member = _value(pair, w_drazin, tol)
-    zero = admissible_perturbation(pair, member, 0.0, 0, side="left", tol=tol)
-    rep = mpd_perturbation(zero, tol)
-    notes = dict(rep.notes)
+    left = admissible_perturbation(pair, member, 0.3, rng, side="left", tol=tol)
+    right = admissible_perturbation(pair, member, 0.3, rng, side="right", tol=tol)
+    family = perturbed_mrwwd(left, tol).overall
+    mpd, dmp = mpd_perturbation(left, tol), dmp_perturbation(right, tol)
+    sandwich = all(ok for label, _, ok in mpd.conditions + dmp.conditions if "sandwich" in label)
+    return family, mpd.overall, dmp.overall, sandwich
+
+
+def _zero_perturbation(d: _Draw) -> tuple:
+    member = _value(d.pair, w_drazin, d.tol)
+    zero = admissible_perturbation(d.pair, member, 0.0, 0, side="left", tol=d.tol)
+    notes = dict(mpd_perturbation(zero, d.tol).notes)
     base, shift = notes["norm YX"], notes["norm YE"]
     collapse = abs(base / (1.0 + shift) - base / (1.0 - shift)) if shift < 1 else float("inf")
-    report.add(
-        "zero perturbation collapses the sandwich",
-        collapse,
-        collapse <= 1e-12 * (1.0 + base),
+    return ((collapse, collapse <= 1e-12 * (1.0 + base)),)
+
+
+def _identity_weight(d: _Draw) -> tuple:
+    rng, tol = d.rng, d.tol
+    n = int(rng.integers(3, 8))
+    t = int(rng.integers(0, min(3, n - 1) + 1))
+    S = random_square_with_index(n, t, rng, tol)
+    pair = weighted_pair(S, np.eye(n), tol)
+    Sd, Sp = drazin(S, tol).value, pair._pinv(tol)
+    return (
+        spectral_norm(w_dmp(pair, tol).value - Sd @ S @ Sp),
+        spectral_norm(w_mpd(pair, tol).value - Sp @ S @ Sd),
+        spectral_norm(w_core_ep(pair, tol).value - core_ep(S, tol).value),
     )
-    return report
 
 
-def suite_identity_weight(seed: int, tol: ToleranceConfig) -> VerificationReport:
-    """Criterion 9: with the identity weight the weighted DMP, MPD, and
-    core-EP inverses reduce to their unweighted counterparts."""
-    worst = {"DMP reduction": 0.0, "MPD reduction": 0.0, "core-EP reduction": 0.0}
-    for i in range(50):
-        rng = np.random.default_rng([seed, 501, i])
-        n = int(rng.integers(3, 8))
-        t = int(rng.integers(0, min(3, n - 1) + 1))
-        S = random_square_with_index(n, t, rng, tol)
-        pair = weighted_pair(S, np.eye(n), tol)
-        Sd = drazin(S, tol).value
-        Sp = pair._pinv(tol)
-        worst["DMP reduction"] = max(
-            worst["DMP reduction"], spectral_norm(w_dmp(pair, tol).value - Sd @ S @ Sp)
-        )
-        worst["MPD reduction"] = max(
-            worst["MPD reduction"], spectral_norm(w_mpd(pair, tol).value - Sp @ S @ Sd)
-        )
-        worst["core-EP reduction"] = max(
-            worst["core-EP reduction"],
-            spectral_norm(w_core_ep(pair, tol).value - core_ep(S, tol).value),
-        )
-    report = VerificationReport("suite-9-identity-weight", tol)
-    for label, gap in worst.items():
-        report.add(f"{label} (50 matrices)", gap, gap <= 1e-9)
-    return report
+# A battery is a row: its name and its parts, each (stream, measure) with its
+# conditions. The measure maps one instance of the stream to one value per
+# condition, and a condition is a label and the rule that makes the values
+# over the stream its row: FAILS counts the false ones and passes at 0, a
+# float takes the worst and passes at or below it, NOTE keeps the worst as a
+# note, and AS_IS takes the one instance's (residual, pass). Parts that name
+# one stream share one pass over it (see `suite_reports`), as batteries 5 and
+# 6 share the 100 trials of (101, 100).
+FAILS, NOTE, AS_IS = "fails", "note", "as is"
+SUITE_BATTERIES = {
+    "suite-1-wdrazin-exact": {
+        ("ex1", _w_drazin_gap): {"entrywise agreement with closed form": 1e-12},
+    },
+    "suite-2-weak-mpd-family": {
+        ("ex1", _weak_mpd_family): {
+            "closed form across x1 in {-1,0,1}": 1e-10,
+            "system residuals": 1e-10,
+            "x1 = 1 collapses to the weighted MPD": 1e-10,
+        },
+    },
+    "suite-3-index": {
+        ("ex1", lambda d: [_rank_gap(index_of(d.pair.bw_power(1), d.tol), 3)]): {
+            "index of the fixture product": AS_IS,
+        },
+    },
+    "suite-4-order-products": {
+        ("ex2", _order_products): {
+            "reverse product exact": 0.0,
+            "forward product exact": 0.0,
+            "triple reverse product exact": 0.0,
+            "triple forward product exact": 0.0,
+        },
+    },
+    "suite-5-random-coherence": {
+        ((101, 100), _coherence): {
+            "left members uniformly accepted (100 instances)": FAILS,
+            "right members uniformly accepted (100 instances)": FAILS,
+            "left non-members uniformly rejected (100 instances)": FAILS,
+            "right non-members uniformly rejected (100 instances)": FAILS,
+            "MPD characterizations accepted (100 instances)": FAILS,
+            "DMP characterizations accepted (100 instances)": FAILS,
+            "perturbed MPD rejected (100 instances)": FAILS,
+            "perturbed DMP rejected (100 instances)": FAILS,
+        },
+    },
+    "suite-6-projector-geometry": {
+        ((101, 100), _projector_lemmas): {
+            "weak MPD projector lemma (100 instances)": FAILS,
+            "weak DMP projector lemma (100 instances)": FAILS,
+            "worst weak MPD residual": NOTE,
+            "worst weak DMP residual": NOTE,
+        },
+    },
+    "suite-7-decomposition": {
+        ((301, 100), _decomposition): {
+            "reassembly (100 instances)": 1e-10,
+            "canonical vs direct weak MPD": 1e-8,
+            "block Moore-Penrose vs SVD": 1e-8,
+        },
+    },
+    "suite-8-perturbation": {
+        ((401, 50), _perturbation): {
+            "family stability (50 scenarios)": FAILS,
+            "MPD chain (50 scenarios)": FAILS,
+            "DMP chain (50 scenarios)": FAILS,
+            "sandwich brackets (50 scenarios)": FAILS,
+        },
+        ("ex1", _zero_perturbation): {"zero perturbation collapses the sandwich": AS_IS},
+    },
+    "suite-9-identity-weight": {
+        ((501, 50), _identity_weight): {
+            "DMP reduction (50 matrices)": 1e-9,
+            "MPD reduction (50 matrices)": 1e-9,
+            "core-EP reduction (50 matrices)": 1e-9,
+        },
+    },
+}
 
 
-SUITE_BATTERIES = (
-    ("suite-1-wdrazin-exact", lambda seed, tol: suite_w_drazin_fixture(tol)),
-    ("suite-2-weak-mpd-family", lambda seed, tol: suite_weak_mpd_family(tol)),
-    ("suite-3-index", lambda seed, tol: suite_index_fixture(tol)),
-    ("suite-4-order-products", suite_order_products),
-    ("suite-5-random-coherence", suite_random_coherence),
-    ("suite-6-projector-geometry", suite_projector_geometry),
-    ("suite-7-decomposition", suite_decomposition),
-    ("suite-8-perturbation", suite_perturbation),
-    ("suite-9-identity-weight", suite_identity_weight),
-)
+def suite_reports(seed: int, tol: ToleranceConfig) -> dict:
+    """{name: report} of every battery. Each stream is drawn once, in the
+    order the table first names it, and every part on it measures each
+    instance in table order: battery 6 reads the pair, X and Z that battery 5
+    drew, whose bumps come after them from the instance's generator."""
+    parts = [(name, part) for name, battery in SUITE_BATTERIES.items() for part in battery]
+    values = {part: [] for part in parts}
+    for stream in dict.fromkeys(part[0] for _, part in parts):
+        for instance in _instances(stream, seed, tol):
+            for name, (on, measure) in parts:
+                if on == stream:
+                    values[name, (on, measure)].append(measure(instance))
+    reports = {name: VerificationReport(name, tol) for name in SUITE_BATTERIES}
+    for (name, part), column in values.items():
+        report = reports[name]
+        for (label, rule), row in zip(SUITE_BATTERIES[name][part].items(), zip(*column)):
+            if rule == AS_IS:
+                report.add(label, *row[0])
+            elif rule == FAILS:
+                report.add(label, float(row.count(False)), all(row))
+            elif rule == NOTE:
+                report.note(label, reduce(max, row, 0.0))
+            else:  # the worst value, folded from 0.0 as each battery took it
+                worst = reduce(max, row, 0.0)
+                report.add(label, worst, worst <= rule)
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -655,19 +605,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _tol_from(ns) -> ToleranceConfig:
-    return ToleranceConfig(
-        rank_rtol=ns.rank_rtol if ns.rank_rtol is not None else DEFAULT_TOL.rank_rtol,
-        residual_atol=(
-            ns.residual_atol if ns.residual_atol is not None else DEFAULT_TOL.residual_atol
-        ),
-    )
+    return ToleranceConfig(rank_rtol=ns.rank_rtol, residual_atol=ns.residual_atol)
 
 
 def _add_tol_args(parser) -> None:
-    parser.add_argument("--rank-rtol", type=float, default=None, help="rank cutoff scale")
-    parser.add_argument(
-        "--residual-atol", type=float, default=None, help="residual pass threshold"
-    )
+    parser.add_argument("--rank-rtol", type=float, help="rank cutoff scale")
+    parser.add_argument("--residual-atol", type=float, help="residual pass threshold")
+    parser.set_defaults(**vars(DEFAULT_TOL))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -770,15 +714,10 @@ def cmd_verify(ns) -> int:
 
 
 def cmd_suite(ns) -> int:
-    tol = _tol_from(ns)
-    lines = []
-    passed = 0
-    for name, battery in SUITE_BATTERIES:
-        report = battery(ns.seed, tol)
-        doc = report_to_document(report, ns.seed, [])
-        lines.append(json.dumps(doc, separators=(",", ":")))
-        if report.overall:
-            passed += 1
+    reports = suite_reports(ns.seed, _tol_from(ns)).values()
+    docs = (report_to_document(report, ns.seed, []) for report in reports)
+    lines = [json.dumps(doc, separators=(",", ":")) for doc in docs]
+    passed = sum(report.overall for report in reports)
     verdict = "PASS" if passed == len(SUITE_BATTERIES) else "FAIL"
     lines.append(f"SUITE {verdict} {passed}/{len(SUITE_BATTERIES)}")
     _emit("\n".join(lines) + "\n", ns.out)

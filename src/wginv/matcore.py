@@ -695,10 +695,14 @@ class WeightedPair:
         """The orthogonal projector onto R((BW)^j) (side "BW") or R((WB)^j),
         read from the staircase form. On a dual pair and j at or above the
         index, the pair's projector onto the row space of the other product's
-        power, since B^* W^* = (WB)^* and R((A^j)^*) is the row space of A^j."""
+        power, since B^* W^* = (WB)^* and R((A^j)^*) is the row space of A^j.
+        The stabilized projector is a memo entry, so its probe images are kept."""
         if self._primal is not None and j >= self._k(side):
             return self._primal._row_projector("WB" if side == "BW" else "BW", tol)
-        return self._staircase_of(side, tol).projector(j)
+        form = self._staircase_of(side, tol)
+        if j < form.k:
+            return form.projector(j)
+        return self._cached(("projector", tol, side), lambda: form.P)
 
     def _one_product(self, tol: ToleranceConfig) -> bool:
         """Whether BW and WB are one matrix, factored once: `weighted_pair`

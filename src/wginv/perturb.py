@@ -181,10 +181,10 @@ def admissible_perturbation(
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     member = _as_member(pair, member)
     if side == "left":
-        _require_member(pair, member, tol)
+        _require_member(pair, member, tol, checked=True)
     else:
         with _right_hand():
-            _require_member(pair.H, member.conj().T, tol)
+            _require_member(pair.H, member.conj().T, tol, checked=True)
     B, W = pair.B, pair.W
     k = pair.k_bw if side == "left" else pair.k_wb
 

@@ -363,7 +363,7 @@ def check_mp_drazin_absorption(
     X = _require_member(pair, X, tol)
     Z = _as_member(pair, Z)
     with _right_hand():
-        _require_member(pair.H, Z.conj().T, tol)
+        _require_member(pair.H, Z.conj().T, tol, checked=True)
     B, W = pair.B, pair.W
     Bp = pair._pinv(tol)
     report = VerificationReport("lem3.10", tol)

@@ -422,15 +422,16 @@ def _as_member(pair: WeightedPair, X) -> np.ndarray:
     return X
 
 
-def _power_equation(pair: WeightedPair, X, tol: ToleranceConfig) -> dict:
+def _power_equation(pair: WeightedPair, X, tol: ToleranceConfig, checked: bool = False) -> dict:
     """The two rows of the left family's membership test (Thm 2.1 (ii)): the
     power equation X M = K with K = (BW)^k and M = W (BW)^(k+1), and the
     range row X = P X, judged against X, with P the projector onto R(K) that
     the staircase form deciding k holds. The power equation
     gives R(K) = R(X M) inside R(X), so X = P X is all that is left of
     R(X) = R(K); no rank of X is decided. On a dual pair, P is the pair's
-    projector onto the row space of (WB)^k (see WeightedPair._projector)."""
-    X = _as_member(pair, X)
+    projector onto the row space of (WB)^k (see WeightedPair._projector).
+    X is validated by `_as_member` unless `checked` says it already was."""
+    X = X if checked else _as_member(pair, X)
     P = pair._projector("BW", pair.k_bw, tol)
     return {
         "power": _Row((X, _family_product(pair, pair.k_bw)), pair.bw_power(pair.k_bw)),
@@ -449,12 +450,14 @@ def _left_member_residual(pair: WeightedPair, X, tol: ToleranceConfig) -> tuple:
     return ok and in_range, residual, 0.0 if in_range else range_residual
 
 
-def _require_member(pair: WeightedPair, X, tol: ToleranceConfig) -> np.ndarray:
+def _require_member(
+    pair: WeightedPair, X, tol: ToleranceConfig, checked: bool = False
+) -> np.ndarray:
     """X as `_power_equation` validates it, certified a left family member.
 
     Both rows are judged as certificates (`_verdicts`); a refusal names the
     exact spectral residual of each, taking it anew only for a row that passed."""
-    rows, products = _power_equation(pair, X, tol), {}
+    rows, products = _power_equation(pair, X, tol, checked), {}
     judged = _verdicts(rows, tol, pair, products)
     if not all(ok for _, _, ok in judged):
         power_residual, range_residual = (
@@ -500,10 +503,12 @@ def _weak_mpd(pair: WeightedPair, X: np.ndarray, tol: ToleranceConfig) -> Weight
 
 def weak_dmp(pair: WeightedPair, Z, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedInverseResult:
     """Weak DMP inverse W Z W B B^+ for a certified right family member Z: the
-    adjoint of the weak MPD inverse of Z^* on the dual pair."""
-    Zh = _as_member(pair, Z).conj().T
+    adjoint of the weak MPD inverse of Z^* on the dual pair. Z is validated
+    once, here, and the dual's membership test reads its adjoint as checked."""
+    dual, Zh = pair.H, _as_member(pair, Z).conj().T
     with _right_hand():
-        return _adjoint(weak_mpd(pair.H, Zh, tol), "weak-dmp")
+        Zh = _require_member(dual, Zh, tol, checked=True)
+        return _adjoint(_weak_mpd(dual, Zh, tol), "weak-dmp")
 
 
 CATALOG = {

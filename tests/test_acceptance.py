@@ -11,24 +11,21 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import wginv
 from wginv._gen import ex1_pair
-from wginv.cli import (
-    load_matrix,
-    main,
-    suite_decomposition,
-    suite_identity_weight,
-    suite_order_products,
-    suite_perturbation,
-    suite_projector_geometry,
-    suite_random_coherence,
-    suite_weak_mpd_family,
-)
+from wginv.cli import load_matrix, main, suite_reports
 from wginv.matcore import DEFAULT_TOL, index_of
 
 DATA = Path(wginv.__file__).parent / "data"
 SEED = 1
+
+
+@pytest.fixture(scope="module")
+def reports():
+    """The battery reports of one suite run, by name."""
+    return suite_reports(SEED, DEFAULT_TOL)
 
 
 def _line(num: int, ok: bool, detail: str) -> None:
@@ -55,8 +52,8 @@ def test_criterion_01_fixture_w_drazin_exact(tmp_path):
     _line(1, ok, f"compute w-drazin reproduces the fixture inverse (gap {gap:.3e}, {elapsed:.3f} s)")
 
 
-def test_criterion_02_fixture_weak_mpd_family():
-    report = suite_weak_mpd_family(DEFAULT_TOL)
+def test_criterion_02_fixture_weak_mpd_family(reports):
+    report = reports["suite-2-weak-mpd-family"]
     _battery_line(2, report, "weak MPD family closed form, system, and collapse at x1=1")
 
 
@@ -65,19 +62,19 @@ def test_criterion_03_fixture_index():
     _line(3, idx == 3, f"fixture product index == 3 (got {idx})")
 
 
-def test_criterion_04_order_products_exact():
-    report = suite_order_products(SEED, DEFAULT_TOL)
+def test_criterion_04_order_products_exact(reports):
+    report = reports["suite-4-order-products"]
     exact = all(ok for _, _, ok in report.conditions)
     _line(4, report.overall and exact, "four order-law products exact over 10 integer draws")
 
 
-def test_criterion_05_characterization_coherence():
-    report = suite_random_coherence(SEED, DEFAULT_TOL)
+def test_criterion_05_characterization_coherence(reports):
+    report = reports["suite-5-random-coherence"]
     _battery_line(5, report, "membership and inverse characterizations coherent on 100 pairs")
 
 
-def test_criterion_06_projector_lemmas():
-    report = suite_projector_geometry(SEED, DEFAULT_TOL)
+def test_criterion_06_projector_lemmas(reports):
+    report = reports["suite-6-projector-geometry"]
     notes = dict(report.notes)
     detail = (
         "projector lemmas on 100 pairs "
@@ -87,18 +84,18 @@ def test_criterion_06_projector_lemmas():
     _line(6, report.overall, detail)
 
 
-def test_criterion_07_decomposition():
-    report = suite_decomposition(SEED, DEFAULT_TOL)
+def test_criterion_07_decomposition(reports):
+    report = reports["suite-7-decomposition"]
     _battery_line(7, report, "reassembly, canonical weak MPD, block Moore-Penrose on 100 pairs")
 
 
-def test_criterion_08_perturbation():
-    report = suite_perturbation(SEED, DEFAULT_TOL)
+def test_criterion_08_perturbation(reports):
+    report = reports["suite-8-perturbation"]
     _battery_line(8, report, "50 perturbation scenarios with sandwich bounds and zero collapse")
 
 
-def test_criterion_09_identity_weight_reductions():
-    report = suite_identity_weight(SEED, DEFAULT_TOL)
+def test_criterion_09_identity_weight_reductions(reports):
+    report = reports["suite-9-identity-weight"]
     _battery_line(9, report, "identity-weight reductions on 50 square matrices")
 
 

@@ -73,8 +73,7 @@ def test_registry_covers_every_documented_id():
     assert len(REGISTRY) == 33
     assert "thm2.1" in REGISTRY and "mateq-triple" in REGISTRY
     assert len(SUITE_BATTERIES) == 9
-    names = [name for name, _ in SUITE_BATTERIES]
-    assert len(set(names)) == len(names)
+    assert all(name.startswith("suite-") and parts for name, parts in SUITE_BATTERIES.items())
 
 
 def test_compute_mp_matches_numpy(tmp_path):

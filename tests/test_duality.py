@@ -6,6 +6,7 @@ with the right-hand definitions computed directly."""
 import numpy as np
 import pytest
 
+from wginv import winv
 from wginv._gen import random_pair
 from wginv.perturb import (
     PerturbationScenario,
@@ -244,6 +245,26 @@ def test_right_hand_errors_use_the_callers_names_and_shapes(case, call):
         shapes = rf"member shape \({pair.n}, {pair.m}\) != \({pair.m}, {pair.n}\)"
         with pytest.raises(DimensionError, match=shapes):
             call(pair, wrong, Y1)
+
+
+def test_weak_dmp_scans_its_member_once_and_keeps_its_errors(case, monkeypatch):
+    pair, Z, Y1, _ = case
+    scanned = []
+    as_matrix = winv.as_matrix
+    monkeypatch.setattr(winv, "as_matrix", lambda A: scanned.append(np.shape(A)) or as_matrix(A))
+    assert np.array_equal(weak_dmp(pair, Z).value, Y1)
+    assert scanned == [Z.shape]  # Z alone, not its adjoint on the dual too
+    bad = Z.copy()
+    bad[0, 0] = np.nan
+    for wrong in (bad, bad.T):  # the scan comes before the shape check
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            weak_dmp(pair, wrong)
+    with pytest.raises(DimensionError, match=r"^expected a 2-d array, got shape \(3,\)$"):
+        weak_dmp(pair, np.zeros(3))
+    if pair.m != pair.n:
+        shapes = rf"^member shape \({pair.n}, {pair.m}\) != \({pair.m}, {pair.n}\)$"
+        with pytest.raises(DimensionError, match=shapes):
+            weak_dmp(pair, Z.T)
 
 
 def test_one_inverse_family_right_reports_the_callers_u_shape(case):

@@ -38,6 +38,9 @@ FACTORS = {
     "BW^",
     "WB^",
     "staircase",
+    # the staircase form's projector onto the stabilized power, whose probe
+    # images the pair keeps
+    "projector",
     "B^+",
     "B^+ BW^",
     "(BW)^D",

@@ -325,14 +325,15 @@ def _memo_keys(pair) -> tuple:
 
 # What a check may keep on a pair: the powers of BW and WB, the left family's
 # W (BW)^(k+1), the staircase forms whose q is the rank of the stabilized
-# power, the projector onto the row space of a stabilized power, which the
+# power, the projector onto a stabilized power (the form's own U1 U1^*, kept
+# so that its probe images are kept) and onto its row space, which the
 # right-hand membership test reads on the dual, and B^+ with the products
 # B^+ (BW)^(k+1) and B^+ B that the weak MPD inverse's rows read (a dual pair
 # keeps its own products, on the adjoint of the pair's B^+). Nothing in it
 # depends on the candidate.
 POWERS = {"BW^", "WB^", "W BW^"}
 PINV_PRODUCTS = {"B^+ BW^", "B^+ B"}
-PAIR_READS = POWERS | PINV_PRODUCTS | {"B^+", "row projector"}
+PAIR_READS = POWERS | PINV_PRODUCTS | {"B^+", "projector", "row projector"}
 
 
 def _quantities(keys) -> set:
@@ -756,7 +757,11 @@ def test_staircase_gives_the_rank_and_projector_of_every_power():
                     assert pair._rank(side, j, DEFAULT_TOL) == rank
                     P = pair._projector(side, j, DEFAULT_TOL)
                     assert np.allclose(P, span @ span.conj().T, atol=1e-10)
-            assert not {"projector", "rank"} & _quantities(pair._memo)
+            # no rank is kept, and the one projector kept is the form's own
+            assert "rank" not in _quantities(pair._memo)
+            for key, P in pair._memo.items():
+                if key[0] == "projector":
+                    assert P is pair._memo["staircase", *key[1:]].P
 
 
 def test_membership_reads_the_rank_of_a_roundoff_power_as_zero():

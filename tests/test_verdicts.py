@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from wginv.cli import REGISTRY, SUITE_BATTERIES, main
+from wginv.cli import REGISTRY, SUITE_BATTERIES, main, suite_reports
 from wginv.matcore import DEFAULT_TOL
 
 VERDICTS = Path(__file__).parent / "data" / "verdicts.json"
@@ -50,14 +50,16 @@ def verify_verdicts(theorem_id: str) -> dict:
     return result
 
 
-def suite_verdict(battery) -> dict:
-    return _verdict(battery(SUITE_SEED, DEFAULT_TOL).to_dict())
+def suite_verdicts() -> dict:
+    """{battery name: verdict} of one suite run."""
+    reports = suite_reports(SUITE_SEED, DEFAULT_TOL)
+    return {name: _verdict(report.to_dict()) for name, report in reports.items()}
 
 
 def fingerprint() -> dict:
     return {
         "verify": {tid: verify_verdicts(tid) for tid in sorted(REGISTRY)},
-        "suite": {name: suite_verdict(battery) for name, battery in SUITE_BATTERIES},
+        "suite": suite_verdicts(),
     }
 
 
@@ -66,9 +68,14 @@ def recorded():
     return json.loads(VERDICTS.read_text(encoding="ascii"))
 
 
+@pytest.fixture(scope="module")
+def suite():
+    return suite_verdicts()
+
+
 def test_fingerprint_covers_every_id_and_battery(recorded):
     assert sorted(recorded["verify"]) == sorted(REGISTRY)
-    assert list(recorded["suite"]) == [name for name, _ in SUITE_BATTERIES]
+    assert list(recorded["suite"]) == list(SUITE_BATTERIES)
 
 
 @pytest.mark.parametrize("theorem_id", sorted(REGISTRY))
@@ -76,9 +83,9 @@ def test_verify_verdicts_match_fingerprint(recorded, theorem_id):
     assert verify_verdicts(theorem_id) == recorded["verify"][theorem_id]
 
 
-@pytest.mark.parametrize("name, battery", SUITE_BATTERIES, ids=[n for n, _ in SUITE_BATTERIES])
-def test_suite_verdicts_match_fingerprint(recorded, name, battery):
-    assert suite_verdict(battery) == recorded["suite"][name]
+@pytest.mark.parametrize("name", SUITE_BATTERIES)
+def test_suite_verdicts_match_fingerprint(recorded, suite, name):
+    assert suite[name] == recorded["suite"][name]
 
 
 if __name__ == "__main__":
