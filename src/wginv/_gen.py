@@ -105,8 +105,9 @@ def ex1_pair(tol: ToleranceConfig = DEFAULT_TOL) -> WeightedPair:
 
 def ex1_member(x1: float, x2: float) -> np.ndarray:
     """Rank-one member of the fixture's left solution family: the inverses of
-    the family all share first row (1, x1, 0, x2), all other rows zero."""
-    X = np.zeros((5, 4), dtype=complex)
+    the family all share first row (1, x1, 0, x2), all other rows zero; real
+    unless x1 or x2 is complex."""
+    X = np.zeros((5, 4), dtype=np.result_type(float, x1, x2))
     X[0, 0] = 1.0
     X[0, 1] = x1
     X[0, 3] = x2
@@ -114,8 +115,9 @@ def ex1_member(x1: float, x2: float) -> np.ndarray:
 
 
 def ex1_weak_mpd(x1: float) -> np.ndarray:
-    """Closed form of the fixture's weak MPD inverse: first row (1, 0, x1, 0, 1)."""
-    Y = np.zeros((4, 5), dtype=complex)
+    """Closed form of the fixture's weak MPD inverse: first row (1, 0, x1, 0, 1),
+    real unless x1 is complex."""
+    Y = np.zeros((4, 5), dtype=np.result_type(float, x1))
     Y[0, 0] = 1.0
     Y[0, 2] = x1
     Y[0, 4] = 1.0
@@ -131,12 +133,12 @@ def ex2_member(row) -> np.ndarray:
     """5 x 4 matrix whose first row is `row`, all other rows zero.
 
     The order-law fixture's solution families all consist of exactly these
-    matrices with leading entry 1.
+    matrices with leading entry 1. Real unless an entry of `row` is complex.
     """
-    row = np.asarray(row, dtype=complex).ravel()
+    row = np.asarray(row).ravel()
     if row.shape != (4,):
         raise ValueError(f"expected 4 first-row entries, got {row.shape}")
-    X = np.zeros((5, 4), dtype=complex)
+    X = np.zeros((5, 4), dtype=np.result_type(float, row))
     X[0, :] = row
     return X
 

@@ -109,6 +109,8 @@ _ENTRY_RE = re.compile(rf"^({_FLOAT})(?:([+-](?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?
 
 
 def parse_matrix_text(text: str) -> np.ndarray:
+    """The matrix of a 'rows cols' header and its entries, row by row:
+    complex128 when an entry has a nonzero imaginary part, else float64."""
     tokens = text.split()
     if len(tokens) < 2:
         raise ValueError("matrix text needs a 'rows cols' header")
@@ -129,7 +131,8 @@ def parse_matrix_text(text: str) -> np.ndarray:
         real = float(match.group(1))
         imag = float(match.group(2)) if match.group(2) is not None else 0.0
         values.append(complex(real, imag))
-    return np.array(values, dtype=complex).reshape(rows, cols)
+    A = np.array(values, dtype=complex).reshape(rows, cols)
+    return A if A.imag.any() else A.real.copy()
 
 
 def _format_entry(z: complex) -> str:

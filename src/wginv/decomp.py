@@ -52,7 +52,7 @@ class BlockDecomposition:
     q: int
 
     def _assemble(self, left, X1, X2, X3, right) -> np.ndarray:
-        zero = np.zeros((X3.shape[0], self.q), dtype=complex)
+        zero = np.zeros((X3.shape[0], self.q), dtype=X3.dtype)
         return left @ np.block([[X1, X2], [zero, X3]]) @ right.conj().T
 
     def assemble_b(self) -> np.ndarray:
@@ -130,7 +130,7 @@ def _schur_parts(dec: BlockDecomposition, tol: ToleranceConfig) -> tuple:
     # B3 is carved out of B: rank decisions inside it must use B's scale, or a
     # tail of pure roundoff turns into a spurious direction.
     B3p = mp_inverse(B3, tol, floor=spectral_norm(dec.pair.B))
-    F = np.eye(B3.shape[1], dtype=complex) - B3p @ B3  # (n-q) x (n-q)
+    F = np.eye(B3.shape[1], dtype=B3.dtype) - B3p @ B3  # (n-q) x (n-q)
     delta = np.linalg.inv(B1 @ B1.conj().T + B2 @ F @ B2.conj().T)
     return B3p, F, delta
 
@@ -142,7 +142,7 @@ def mp_via_blocks(dec: BlockDecomposition, tol: ToleranceConfig = DEFAULT_TOL) -
     q = dec.q
     B1h, B2 = dec.B1.conj().T, dec.B2
     B3p, F, delta = _schur_parts(dec, tol)
-    core = np.zeros((pair.n, pair.m), dtype=complex)
+    core = np.zeros((pair.n, pair.m), dtype=pair.B.dtype)
     core[:q, :q] = B1h @ delta
     core[:q, q:] = -B1h @ delta @ B2 @ B3p
     core[q:, :q] = F @ B2.conj().T @ delta

@@ -48,12 +48,23 @@ class GenerationError(RuntimeError):
     """Random instance generation could not satisfy the required constraints."""
 
 
+def _working(A: np.ndarray) -> np.ndarray:
+    """A in its working dtype: float64 when its entries are real (integer,
+    boolean or floating), complex128 otherwise. An array already of one of
+    the two is returned as it is, without a copy."""
+    if A.dtype == np.float64 or A.dtype == np.complex128:
+        return A
+    return A.astype(np.float64 if A.dtype.kind in "biuf" else np.complex128)
+
+
 def as_matrix(a) -> np.ndarray:
-    """Coerce to a finite complex 2-d array."""
-    A = np.asarray(a, dtype=complex)
+    """Coerce to a finite 2-d array in its working dtype (see `_working`):
+    a real input stays real, in float64, and any other becomes complex128.
+    An array that is already float64 or complex128 is not copied."""
+    A = _working(np.asarray(a))
     if A.ndim != 2:
         raise DimensionError(f"expected a 2-d array, got shape {A.shape}")
-    if A.size and not np.all(np.isfinite(A)):
+    if A.size and not np.isfinite(A).all():
         raise ValueError("matrix entries must be finite")
     return A
 
@@ -80,8 +91,9 @@ DEFAULT_TOL = ToleranceConfig()
 
 
 def spectral_norm(A) -> float:
-    """Largest singular value; 0 for empty and zero matrices."""
-    A = np.asarray(A, dtype=complex)
+    """Largest singular value, taken in A's working dtype; 0 for empty and
+    zero matrices."""
+    A = _working(np.asarray(A))
     if not np.count_nonzero(A):  # empty or exactly zero: what the SVD would return
         return 0.0
     return float(np.linalg.svd(A, compute_uv=False)[0])
@@ -306,15 +318,15 @@ def mp_inverse(A, tol: ToleranceConfig = DEFAULT_TOL, floor: float = 0.0) -> np.
     """
     A = as_matrix(A)
     if A.size == 0:
-        return np.zeros((A.shape[1], A.shape[0]), dtype=complex)
+        return np.zeros((A.shape[1], A.shape[0]), dtype=A.dtype)
     U, s, Vh = np.linalg.svd(A, full_matrices=False)
     scale = max(float(s[0]), floor)
     if scale == 0.0:
-        return np.zeros((A.shape[1], A.shape[0]), dtype=complex)
+        return np.zeros((A.shape[1], A.shape[0]), dtype=A.dtype)
     keep = s > tol.rank_rtol * scale * max(A.shape)
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
-    return Vh.conj().T @ np.diag(inv).astype(complex) @ U.conj().T
+    return Vh.conj().T @ np.diag(inv).astype(A.dtype) @ U.conj().T
 
 
 def rank_of(A, tol: ToleranceConfig = DEFAULT_TOL) -> int:
@@ -378,15 +390,16 @@ class _Staircase:
 
 
 def _staircase(S, tol: ToleranceConfig) -> _Staircase:
-    """The staircase form of a square S (kept without a copy if complex) by
-    orthogonal deflation (Golub and Wilkinson, SIAM Rev. 18, 1976): each step
-    takes one SVD of the active leading block A and rotates A onto its r left
-    singular vectors above rank_rtol * ||S||_2 * n, dropping the rows below
-    that cutoff, until A has full rank. Every rank is decided on S's scale."""
+    """The staircase form of a square S (kept without a copy if it is float64
+    or complex128, and with U real for a real S) by orthogonal deflation
+    (Golub and Wilkinson, SIAM Rev. 18, 1976): each step takes one SVD of the
+    active leading block A and rotates A onto its r left singular vectors
+    above rank_rtol * ||S||_2 * n, dropping the rows below that cutoff, until
+    A has full rank. Every rank is decided on S's scale."""
     S = as_matrix(S)
     if S.shape[0] != S.shape[1]:
         raise DimensionError(f"expected a square matrix, got {S.shape}")
-    A, U, sizes = S, np.eye(S.shape[0], dtype=complex), [S.shape[0]]
+    A, U, sizes = S, np.eye(S.shape[0], dtype=S.dtype), [S.shape[0]]
     while sizes[-1]:
         Q, s, Vh = np.linalg.svd(A)
         if len(sizes) == 1:
@@ -547,7 +560,9 @@ class WeightedPair:
     """A rectangular matrix B (m x n) with weight W (n x m), the indices of
     both products, and a memo of every quantity that depends on B and W alone.
 
-    The pair stores read-only copies of B and W, however it is built. Its memo
+    The pair stores read-only copies of B and W, however it is built, both
+    in the pair's working dtype: float64 when B and W are real, complex128
+    otherwise. Every array it builds is in that dtype too. Its memo
     holds the powers of BW and WB and the products W (BW)^(k+1) and
     B^+ (BW)^(k+1), the staircase forms of BW and WB (which `weighted_pair`
     seeds, once for both when BW and WB are one matrix, and which give the
@@ -585,9 +600,10 @@ class WeightedPair:
     _primal = None
 
     def __post_init__(self):
-        for name in ("B", "W"):
-            A = as_matrix(getattr(self, name)).copy(order="K")
-            object.__setattr__(self, name, _read_only(A))
+        B, W = as_matrix(self.B), as_matrix(self.W)
+        dtype = np.result_type(B, W)  # the pair's working dtype
+        for name, A in (("B", B), ("W", W)):
+            object.__setattr__(self, name, _read_only(A.astype(dtype, order="K")))
 
     @property
     def m(self) -> int:
@@ -612,12 +628,12 @@ class WeightedPair:
         adjoints), and its projector onto a stabilized power is this pair's
         projector onto the row space of the other product's power, read
         through a twin of this pair (the dual's dual): a shallow copy that
-        shares its read-only B and W and its memo. No SVD, and no reference
-        back."""
+        shares its read-only B and W, its memo and its probe images. No SVD,
+        and no reference back."""
         if self._primal is not None:
             return self._primal
         twin = copy.copy(self)
-        twin.__dict__["_memo"] = self._memo
+        twin.__dict__["_memo"], twin.__dict__["_images"] = self._memo, self._images
         dual = WeightedPair(self.B.conj().T, self.W.conj().T, self.k_wb, self.k_bw)
         dual.__dict__["_primal"] = twin
         return dual
@@ -654,10 +670,12 @@ class WeightedPair:
     def _probe_block(self, d: int) -> np.ndarray:
         """The leading d rows of G, the max(m, n) x _PROBE_COLUMNS complex
         Gaussian probes of unit variance that certificate rows with d columns
-        are judged on (see `_probe`). G is seeded from the bytes of B and W,
-        so that residuals repeat bit for bit, and a dual pair reads the
-        pair's: one seeding per pair. The block of d rows is one array, held
-        in `_images`, so that images on it are kept by its identity."""
+        are judged on (see `_probe`). G is complex on a real pair too, so that
+        a probed row misses a failure with the probability `_probe` states.
+        G is seeded from the bytes of B and W, so that residuals repeat bit
+        for bit, and a dual pair reads the pair's: one seeding per pair. The
+        block of d rows is one array, held in `_images`, so that images on it
+        are kept by its identity."""
         kept = self._images
         if ("probe", d) in kept:
             return kept["probe", d]
@@ -696,13 +714,13 @@ class WeightedPair:
         read from the staircase form. On a dual pair and j at or above the
         index, the pair's projector onto the row space of the other product's
         power, since B^* W^* = (WB)^* and R((A^j)^*) is the row space of A^j.
-        The stabilized projector is a memo entry, so its probe images are kept."""
+        Each projector is a memo entry, one per power up to the index, so its
+        probe images are kept."""
         if self._primal is not None and j >= self._k(side):
             return self._primal._row_projector("WB" if side == "BW" else "BW", tol)
         form = self._staircase_of(side, tol)
-        if j < form.k:
-            return form.projector(j)
-        return self._cached(("projector", tol, side), lambda: form.P)
+        j = min(j, form.k)
+        return self._cached(("projector", tol, side, j), lambda: form.projector(j))
 
     def _one_product(self, tol: ToleranceConfig) -> bool:
         """Whether BW and WB are one matrix, factored once: `weighted_pair`
@@ -746,11 +764,14 @@ def weighted_pair(B, W, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedPair:
     """Validate shapes, reject the zero weight, and decide both indices from
     the staircase forms of BW and WB, which the pair keeps with BW and WB as
     its first powers (and with read-only copies of B and W, so the caller's
-    arrays may change). When BW and WB are equal bit for bit, as for W = I,
+    arrays may change). B and W are cast to their result type first, so a
+    real pair is factored in real arithmetic and a pair with one complex
+    input in complex. When BW and WB are equal bit for bit, as for W = I,
     they are one matrix: it is factored once, and its form and its array
     serve both sides."""
-    B = as_matrix(B)
-    W = as_matrix(W)
+    B, W = as_matrix(B), as_matrix(W)
+    dtype = np.result_type(B, W)  # real only when both are
+    B, W = B.astype(dtype, copy=False), W.astype(dtype, copy=False)
     m, n = B.shape
     if W.shape != (n, m):
         raise DimensionError(f"weight shape {W.shape} does not match required ({n}, {m})")

@@ -437,11 +437,11 @@ def _equation_solution(
     R = W.copy() if R is None else as_matrix(R)
     if R.shape != (n, m):
         raise ValueError(f"R must be {n} x {m}, got {R.shape}")
-    Zfree = np.zeros((n, m), dtype=complex) if Zfree is None else as_matrix(Zfree)
+    Zfree = np.zeros((n, m), dtype=W.dtype) if Zfree is None else as_matrix(Zfree)
     if Zfree.shape != (n, m):
         raise ValueError(f"Zfree must be {n} x {m}, got {Zfree.shape}")
 
-    annihilator = np.eye(m, dtype=complex) - ppair.bw_power(1) @ member @ W
+    annihilator = np.eye(m) - ppair.bw_power(1) @ member @ W
     family = GeneralSolutionFamily(
         particular=R @ member @ W,
         annihilator=annihilator,

@@ -270,7 +270,7 @@ def _stability(scenario: PerturbationScenario, tol: ToleranceConfig) -> Verifica
     and satisfies Xp W D W = X W B W and W D W Xp = W B W X."""
     pair = scenario.pair
     B, W, E, D, X = pair.B, pair.W, scenario.E, scenario.D, scenario.member
-    Xp = X @ _inv(np.eye(pair.n, dtype=complex) + W @ E @ W @ X, "I + WEWX")
+    Xp = X @ _inv(np.eye(pair.n) + W @ E @ W @ X, "I + WEWX")
 
     report = VerificationReport("thm3.17", tol)
     report.merge(check_mrwwd(scenario._dpair(tol), Xp, tol), prefix="updated member: ")
@@ -330,8 +330,8 @@ def _mpd_chain(scenario: PerturbationScenario, tol: ToleranceConfig) -> tuple:
     bracket the sandwich, Y the weak MPD inverse of the member."""
     pair = scenario.pair
     B, W, E, D, X = pair.B, pair.W, scenario.E, scenario.D, scenario.member
-    n_id = np.eye(pair.n, dtype=complex)
-    m_id = np.eye(pair.m, dtype=complex)
+    n_id = np.eye(pair.n)
+    m_id = np.eye(pair.m)
 
     dpair = scenario._dpair(tol)
     Bp, Dp = pair._pinv(tol), dpair._pinv(tol)
@@ -399,8 +399,8 @@ def _drazin_rows(report: VerificationReport, prefix: str, pair, dpair, E, tol) -
     of D as the resolvent update of B's, both projectors transported, and the
     norm sandwich."""
     B, D = pair.B, dpair.B
-    n_id = np.eye(pair.n, dtype=complex)
-    m_id = np.eye(pair.m, dtype=complex)
+    n_id = np.eye(pair.n)
+    m_id = np.eye(pair.m)
     Y, Yd = _value(pair, w_mpd, tol), _value(dpair, w_mpd, tol)
     shift, small = _norm_flag(Y @ E)
     report.add(f"{prefix}norm hypothesis", shift, small)

@@ -370,7 +370,7 @@ def _family_parts(pair: WeightedPair, tol: ToleranceConfig) -> tuple:
         M = _family_product(pair, pair.k_bw)
         Mp = mp_inverse(M, tol)
         particular = pair.bw_power(pair.k_bw) @ Mp
-        return _read_only(particular), _read_only(np.eye(pair.n, dtype=complex) - M @ Mp)
+        return _read_only(particular), _read_only(np.eye(pair.n, dtype=M.dtype) - M @ Mp)
 
     return pair._cached(("family parts", tol), build)
 
@@ -416,10 +416,13 @@ def mrwwd_right_family(
 
 
 def _as_member(pair: WeightedPair, X) -> np.ndarray:
+    """X checked as a member of the pair's shape, in the result type of X and
+    the pair: a real X of a complex pair is promoted here, once, and a
+    complex X of a real pair makes the rows that read it complex."""
     X = as_matrix(X)
     if X.shape != (pair.m, pair.n):
         raise DimensionError(f"member shape {X.shape} != ({pair.m}, {pair.n})")
-    return X
+    return X.astype(np.result_type(X, pair.B), copy=False)
 
 
 def _power_equation(pair: WeightedPair, X, tol: ToleranceConfig, checked: bool = False) -> dict:

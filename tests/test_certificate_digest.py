@@ -12,6 +12,8 @@ Regenerate the file (only when a change of values or residuals is intended
 and recorded in CHANGES.md) with:
 
     PYTHONPATH=src python tests/test_certificate_digest.py
+
+which prints to stderr each key whose digest moved against the file on disk.
 """
 
 import hashlib
@@ -135,7 +137,18 @@ def test_certificates_match_digest(recorded, name, label):
     assert digest(name, label) == recorded[f"{name} {label}"]
 
 
+def moved(old: dict, new: dict) -> list:
+    """The keys whose entry differs between two digest files, or is in one only."""
+    return sorted(key for key in old.keys() | new.keys() if old.get(key) != new.get(key))
+
+
 if __name__ == "__main__":
+    old = json.loads(DIGESTS.read_text(encoding="ascii")) if DIGESTS.exists() else {}
+    new = digests()
+    changed = moved(old, new)
+    for key in changed:
+        print(f"moved: {key}", file=sys.stderr)
+    print(f"{len(changed)} of {len(new)} digests moved", file=sys.stderr)
     DIGESTS.parent.mkdir(exist_ok=True)
-    DIGESTS.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n", encoding="ascii")
+    DIGESTS.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n", encoding="ascii")
     sys.exit(0)

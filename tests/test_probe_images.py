@@ -75,12 +75,8 @@ def test_a_warm_round_adds_no_image_and_certifies_no_family(monkeypatch):
     assert (len(_images(pair)), len(_images(pair.H))) == kept
 
 
-def test_a_warm_round_forms_only_the_images_of_its_own_arrays(monkeypatch):
-    # the stabilized staircase projectors are memo entries, so their images
-    # are kept too: a warm round forms 62 thin products, 66 when w_core_ep's
-    # projector row and w_m_weak_core's chain applied P_WB anew on each call
-    pair = _pair()
-    _round(pair, _free(0))
+def _counting(monkeypatch) -> list:
+    """The keys of the thin products `matcore._applied` forms from now on."""
     formed = []
     applied = matcore._applied
 
@@ -91,8 +87,37 @@ def test_a_warm_round_forms_only_the_images_of_its_own_arrays(monkeypatch):
         return applied(factor, G, images, kept)
 
     monkeypatch.setattr(matcore, "_applied", counting)
+    return formed
+
+
+def test_a_warm_round_forms_only_the_images_of_its_own_arrays(monkeypatch):
+    # the stabilized staircase projectors are memo entries, so their images
+    # are kept too, and the dual's twin keeps the images of what it builds on
+    # the pair: a warm round forms 59 thin products, 62 when the twin kept
+    # one factor's chain of three for itself, 66 when w_core_ep's projector
+    # row and w_m_weak_core's chain applied P_WB anew on each call
+    pair = _pair()
+    _round(pair, _free(0))
+    formed = _counting(monkeypatch)
     _round(pair, _free(1))
-    assert len(formed) == 62
+    assert len(formed) == 59
+
+
+def test_a_projector_below_the_index_keeps_its_images(monkeypatch):
+    # w_m_weak_core(m) reads the projector onto R((WB)^m); below the index it
+    # is a memo entry as the stabilized one is, so a warm call at m = 1 forms
+    # the 5 thin products it forms at m = 2 (8 when it was formed anew)
+    pair = _pair()
+    assert pair.k_wb == 2
+    _round(pair, _free(0))
+    counts = []
+    for m in (1, 2):
+        winv.w_m_weak_core(pair, m)
+        with monkeypatch.context() as patch:
+            formed = _counting(patch)
+            winv.w_m_weak_core(pair, m)
+        counts.append(len(formed))
+    assert counts == [5, 5]
 
 
 @pytest.mark.parametrize("side", ["pair", "dual"])

@@ -9,6 +9,9 @@ Regenerate the file (only when a change of printed output is intended and
 recorded in CHANGES.md) with:
 
     PYTHONPATH=src python tests/test_stdout_digest.py
+
+which prints to stderr each id and run whose digest moved against the file
+on disk.
 """
 
 import contextlib
@@ -22,6 +25,7 @@ import numpy as np
 import numpy.linalg._linalg as linalg_impl
 import pytest
 
+from test_certificate_digest import moved
 from test_svd_budget import _counting
 from wginv.cli import REGISTRY, main
 
@@ -71,6 +75,16 @@ def test_suite_stdout_matches_digest_within_its_svd_budget(monkeypatch, capsys):
 
 
 if __name__ == "__main__":
+    old = json.loads(DIGESTS.read_text(encoding="ascii")) if DIGESTS.exists() else {}
+    new = digests()
+
+    def runs(doc: dict) -> dict:
+        return {f"{tid} {run}": entry for tid, runs in doc.items() for run, entry in runs.items()}
+
+    changed = moved(runs(old), runs(new))
+    for key in changed:
+        print(f"moved: {key}", file=sys.stderr)
+    print(f"{len(changed)} of {len(runs(new))} digests moved", file=sys.stderr)
     DIGESTS.parent.mkdir(exist_ok=True)
-    DIGESTS.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n", encoding="ascii")
+    DIGESTS.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n", encoding="ascii")
     sys.exit(0)

@@ -757,11 +757,17 @@ def test_staircase_gives_the_rank_and_projector_of_every_power():
                     assert pair._rank(side, j, DEFAULT_TOL) == rank
                     P = pair._projector(side, j, DEFAULT_TOL)
                     assert np.allclose(P, span @ span.conj().T, atol=1e-10)
-            # no rank is kept, and the one projector kept is the form's own
+            # no rank is kept, and one projector is kept per power up to the
+            # index, read from the form: at the index the form's own P
             assert "rank" not in _quantities(pair._memo)
             for key, P in pair._memo.items():
                 if key[0] == "projector":
-                    assert P is pair._memo["staircase", *key[1:]].P
+                    form, j = pair._memo["staircase", *key[1:3]], key[3]
+                    assert j <= form.k
+                    if j == form.k:
+                        assert P is form.P
+                    else:
+                        assert np.array_equal(P, form.projector(j))
 
 
 def test_membership_reads_the_rank_of_a_roundoff_power_as_zero():

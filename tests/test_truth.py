@@ -8,6 +8,9 @@ singular values spread geometrically over a condition number kappa(T), and a
 coupling block C of spectral norm `coupling`. The weighted inverses run on
 B = S V^* and W = V for a Haar unitary V, so BW = S, WB = V^* S V, and
 B^(D,W) = S^D V^* and the weighted MPD inverse V S^+ S S^D follow from S.
+A draw without complex entries has a real core and real U and V, so S, B
+and W are real and the library works in real arithmetic; the others are
+complex.
 
 Each call must either refuse with CertificationError or return the
 constructed index and a value within C_BOUND * kappa^2 * u in relative
@@ -53,9 +56,10 @@ KAPPA_MAX = 1e8
 
 def square_truth(n, t, log_kappa, position, coupling, complex_entries, rng):
     """S of order n and index t with kappa(T) = 10^log_kappa; T's singular
-    values run from kappa^-position to kappa^(1 - position)."""
+    values run from kappa^-position to kappa^(1 - position); real, with a
+    real core, unless complex_entries."""
     q = n - t
-    core = np.zeros((n, n), dtype=complex)
+    core = np.zeros((n, n), dtype=complex if complex_entries else float)
     if q:
         kappa = 10.0**log_kappa if q > 1 else 1.0
         s = np.geomspace(kappa ** (1.0 - position), kappa ** (-position), q)
