@@ -31,7 +31,7 @@ from wginv.cli import REGISTRY, main
 
 DIGESTS = Path(__file__).parent / "data" / "stdout_digest.json"
 RUNS = {"fixture": [], "random": ["--random", "--seed", "7", "--trials", "5"]}
-SUITE_SHA256 = "042f7b5c55a77a994f9d993103cf1b17ebb3ca3b0a94ec2fce26c44db96f6629"
+SUITE_SHA256 = "681e54d42410a4976f5c0d26a21193b83336b96c7510576cccbcfc92232986a7"
 # numpy SVDs of `suite --seed 1`: 18,292 when batteries 5 and 6 drew their 100
 # shared instances each, 17,503 since they share one pass over them
 SUITE_SVDS = 17_530
