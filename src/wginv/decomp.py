@@ -52,7 +52,7 @@ class BlockDecomposition:
     q: int
 
     def _assemble(self, left, X1, X2, X3, right) -> np.ndarray:
-        zero = np.zeros((X3.shape[0], self.q), dtype=X3.dtype)
+        zero = np.zeros((X3.shape[0], self.q))
         return left @ np.block([[X1, X2], [zero, X3]]) @ right.conj().T
 
     def assemble_b(self) -> np.ndarray:
@@ -130,7 +130,7 @@ def _schur_parts(dec: BlockDecomposition, tol: ToleranceConfig) -> tuple:
     # B3 is carved out of B: rank decisions inside it must use B's scale, or a
     # tail of pure roundoff turns into a spurious direction.
     B3p = mp_inverse(B3, tol, floor=spectral_norm(dec.pair.B))
-    F = np.eye(B3.shape[1], dtype=B3.dtype) - B3p @ B3  # (n-q) x (n-q)
+    F = np.eye(B3.shape[1]) - B3p @ B3  # (n-q) x (n-q)
     delta = np.linalg.inv(B1 @ B1.conj().T + B2 @ F @ B2.conj().T)
     return B3p, F, delta
 

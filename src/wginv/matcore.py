@@ -326,7 +326,7 @@ def mp_inverse(A, tol: ToleranceConfig = DEFAULT_TOL, floor: float = 0.0) -> np.
     keep = s > tol.rank_rtol * scale * max(A.shape)
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
-    return Vh.conj().T @ np.diag(inv).astype(A.dtype) @ U.conj().T
+    return Vh.conj().T @ np.diag(inv) @ U.conj().T
 
 
 def rank_of(A, tol: ToleranceConfig = DEFAULT_TOL) -> int:

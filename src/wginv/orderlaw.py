@@ -437,7 +437,7 @@ def _equation_solution(
     R = W.copy() if R is None else as_matrix(R)
     if R.shape != (n, m):
         raise ValueError(f"R must be {n} x {m}, got {R.shape}")
-    Zfree = np.zeros((n, m), dtype=W.dtype) if Zfree is None else as_matrix(Zfree)
+    Zfree = np.zeros((n, m)) if Zfree is None else as_matrix(Zfree)
     if Zfree.shape != (n, m):
         raise ValueError(f"Zfree must be {n} x {m}, got {Zfree.shape}")
 

@@ -392,7 +392,7 @@ def one_inverse_family(
         X = _value(pair, w_drazin, tol)
     X = _require_member(pair, X, tol)
     P, P1 = pair._projector("BW", pair.k_bw, tol), pair.bw_power(pair.k_bw + 1)
-    Q = pair._pinv(tol) + U @ (np.eye(pair.m, dtype=P.dtype) - P)
+    Q = pair._pinv(tol) + U @ (np.eye(pair.m) - P)
 
     report = VerificationReport("thm3.12", tol)
     report.add_equation("power absorption", Q @ P1, _pinv_power(pair, tol))
@@ -430,7 +430,7 @@ def mpd_general_solution(
     if Zfree.shape != (pair.n, pair.m):
         raise ValueError(f"Zfree must be {pair.n} x {pair.m}, got {Zfree.shape}")
     Bp = pair._pinv(tol)
-    Y = Bp + Zfree @ (np.eye(pair.m, dtype=B.dtype) - B @ W @ X @ W)
+    Y = Bp + Zfree @ (np.eye(pair.m) - B @ W @ X @ W)
 
     report = VerificationReport("lem3.14", tol)
     report.add_equation("power identity", Y @ P1, _pinv_power(pair, tol))

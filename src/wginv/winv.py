@@ -370,7 +370,7 @@ def _family_parts(pair: WeightedPair, tol: ToleranceConfig) -> tuple:
         M = _family_product(pair, pair.k_bw)
         Mp = mp_inverse(M, tol)
         particular = pair.bw_power(pair.k_bw) @ Mp
-        return _read_only(particular), _read_only(np.eye(pair.n, dtype=M.dtype) - M @ Mp)
+        return _read_only(particular), _read_only(np.eye(pair.n) - M @ Mp)
 
     return pair._cached(("family parts", tol), build)
 
