@@ -134,8 +134,12 @@ def test_as_matrix_keeps_a_working_dtype_without_a_copy():
     for dtype in (np.float64, np.complex128):
         A = np.ones((2, 3), dtype=dtype)
         assert as_matrix(A) is A
-    casts = {np.int64: np.float64, np.bool_: np.float64, np.float32: np.float64}
-    casts |= {np.complex64: np.complex128}
+    casts = {
+        np.int64: np.float64,
+        np.bool_: np.float64,
+        np.float32: np.float64,
+        np.complex64: np.complex128,
+    }
     for given, working in casts.items():
         assert as_matrix(np.ones((2, 2), dtype=given)).dtype == working
     assert as_matrix([[1, 2], [3, 4]]).dtype == np.float64
