@@ -213,7 +213,7 @@ class _Draw:
     def _member(self, family):
         """A member of the pair's `family` at a drawn free parameter."""
         pair = self.pair
-        return family(pair, self.tol).member(0.4 * self.rng.standard_normal((pair.m, pair.n)))
+        return family(pair).member(0.4 * self.rng.standard_normal((pair.m, pair.n)))
 
     def left(self, x1=None, x2=None):
         """A left family member: drawn on a random pair, else the ex1 closed
@@ -240,11 +240,9 @@ class _Draw:
 
     def scenario(self, side: str):
         """An admissible perturbation of the pair's weighted Drazin member."""
-        member = _value(self.pair, w_drazin, self.tol)
+        member = _value(self.pair, w_drazin)
         alpha = 0.1 if self.ns.alpha is None else float(self.ns.alpha)
-        return admissible_perturbation(
-            self.pair, member, alpha, self.seed, side=side, tol=self.tol
-        )
+        return admissible_perturbation(self.pair, member, alpha, self.seed, side=side)
 
     def case(self, with_c: bool = False):
         """An order-law case: commuting random factors, else the ex2 fixture at
@@ -267,28 +265,24 @@ def _weak_mpd_system(d: _Draw) -> VerificationReport:
     if d.instance == "ex1":
         Y = ex1_weak_mpd(d.x1)
     else:
-        Y = weak_mpd(d.pair, X, d.tol).value
-    return check_weak_mpd_system(d.pair, X, Y, d.tol)
+        Y = weak_mpd(d.pair, X).value
+    return check_weak_mpd_system(d.pair, X, Y)
 
 
 def _mpd_characterizations(d: _Draw) -> VerificationReport:
     X = d.left(1, 2)
-    return check_mpd_characterizations(d.pair, X, weak_mpd(d.pair, X, d.tol).value, d.tol)
+    return check_mpd_characterizations(d.pair, X, weak_mpd(d.pair, X).value)
 
 
 def _unique_projector_solutions(d: _Draw) -> VerificationReport:
     X, Z = d.X, d.Z
     report = VerificationReport("thm3.8", d.tol)
     report.merge(
-        check_unique_projector_solution(
-            d.pair, X, weak_mpd(d.pair, X, d.tol).value, d.tol, side="left"
-        ),
+        check_unique_projector_solution(d.pair, X, weak_mpd(d.pair, X).value, side="left"),
         prefix="left: ",
     )
     report.merge(
-        check_unique_projector_solution(
-            d.pair, Z, weak_dmp(d.pair, Z, d.tol).value, d.tol, side="right"
-        ),
+        check_unique_projector_solution(d.pair, Z, weak_dmp(d.pair, Z).value, side="right"),
         prefix="right: ",
     )
     return report
@@ -311,39 +305,31 @@ def _matrix_equation(d: _Draw, with_c: bool, member) -> VerificationReport:
 # id -> (the instances it runs on, the default first; its check of one trial)
 _EX1, _EX2 = ("ex1", "random"), ("ex2", "random")
 REGISTRY = {
-    "thm2.1": (_EX1, lambda d: check_mrwwd(d.pair, d.X, d.tol)),
-    "thm2.8": (_EX2, lambda d: check_mrwwd_right(d.pair, d.Z, d.tol)),
+    "thm2.1": (_EX1, lambda d: check_mrwwd(d.pair, d.X)),
+    "thm2.8": (_EX2, lambda d: check_mrwwd_right(d.pair, d.Z)),
     "thm3.1": (_EX1, _weak_mpd_system),
-    "lem3.2": (
-        _EX2,
-        lambda d: check_weak_dmp_system(d.pair, d.Z, weak_dmp(d.pair, d.Z, d.tol).value, d.tol),
-    ),
+    "lem3.2": (_EX2, lambda d: check_weak_dmp_system(d.pair, d.Z, weak_dmp(d.pair, d.Z).value)),
     "thm3.3": (_EX1, _mpd_characterizations),
     "thm3.4": (
         _EX1,
-        lambda d: check_dmp_characterizations(
-            d.pair, d.Z, weak_dmp(d.pair, d.Z, d.tol).value, d.tol
-        ),
+        lambda d: check_dmp_characterizations(d.pair, d.Z, weak_dmp(d.pair, d.Z).value),
     ),
-    "thm3.5": (_EX1, lambda d: check_wdrazin_specialization(d.pair, d.tol)),
-    "lem3.6": (_EX1, lambda d: check_projectors(d.pair, d.X, None, d.tol)),
-    "lem3.7": (_EX2, lambda d: check_projectors_right(d.pair, d.Z, None, d.tol)),
+    "thm3.5": (_EX1, lambda d: check_wdrazin_specialization(d.pair)),
+    "lem3.6": (_EX1, lambda d: check_projectors(d.pair, d.X)),
+    "lem3.7": (_EX2, lambda d: check_projectors_right(d.pair, d.Z)),
     "thm3.8": (_EX1, _unique_projector_solutions),
-    "lem3.10": (_EX1, lambda d: check_mp_drazin_absorption(d.pair, d.X, d.Z, d.tol)),
-    "thm3.12": (_EX1, lambda d: one_inverse_family(d.pair, d.free, d.tol)[1]),
-    "lem3.13": (_EX1, lambda d: one_inverse_family_right(d.pair, d.free, d.tol)[1]),
-    "lem3.14": (_EX1, lambda d: mpd_general_solution(d.pair, d.X, d.free, d.tol)[1]),
-    "lem3.15": (
-        _EX1,
-        lambda d: decomposition_report(weighted_core_ep_decompose(d.pair, d.tol), d.tol),
-    ),
-    "thm3.16": (_EX1, lambda d: canonical_report(d.pair, d.left(1, 2), d.tol)),
-    "thm3.17": (_EX1, lambda d: perturbed_mrwwd(d.scenario("left"), d.tol)),
-    "thm3.18": (_EX1, lambda d: perturbed_mrwwd_right(d.scenario("right"), d.tol)),
-    "thm3.19": (_EX1, lambda d: mpd_perturbation(d.scenario("left"), d.tol)),
-    "thm3.20": (_EX1, lambda d: dmp_perturbation(d.scenario("right"), d.tol)),
-    "cor-mpd": (_EX1, lambda d: drazin_case_perturbation(d.scenario("left"), d.tol)),
-    "cor-dmp": (_EX1, lambda d: drazin_case_perturbation(d.scenario("right"), d.tol)),
+    "lem3.10": (_EX1, lambda d: check_mp_drazin_absorption(d.pair, d.X, d.Z)),
+    "thm3.12": (_EX1, lambda d: one_inverse_family(d.pair, d.free)[1]),
+    "lem3.13": (_EX1, lambda d: one_inverse_family_right(d.pair, d.free)[1]),
+    "lem3.14": (_EX1, lambda d: mpd_general_solution(d.pair, d.X, d.free)[1]),
+    "lem3.15": (_EX1, lambda d: decomposition_report(weighted_core_ep_decompose(d.pair))),
+    "thm3.16": (_EX1, lambda d: canonical_report(d.pair, d.left(1, 2))),
+    "thm3.17": (_EX1, lambda d: perturbed_mrwwd(d.scenario("left"))),
+    "thm3.18": (_EX1, lambda d: perturbed_mrwwd_right(d.scenario("right"))),
+    "thm3.19": (_EX1, lambda d: mpd_perturbation(d.scenario("left"))),
+    "thm3.20": (_EX1, lambda d: dmp_perturbation(d.scenario("right"))),
+    "cor-mpd": (_EX1, lambda d: drazin_case_perturbation(d.scenario("left"))),
+    "cor-dmp": (_EX1, lambda d: drazin_case_perturbation(d.scenario("right"))),
     "thm3.25": (_EX2, lambda d: reverse_order_weak(d.case(), d.tol)),
     "thm3.26": (_EX2, lambda d: forward_order_weak(d.case(), d.tol)),
     "thm3.27": (_EX2, lambda d: reverse_order_minimal(d.case(), d.tol)),
@@ -384,19 +370,19 @@ def _instances(stream, seed: int, tol: ToleranceConfig):
 
 
 def _w_drazin_gap(d: _Draw) -> tuple:
-    return (float(np.max(np.abs(w_drazin(d.pair, d.tol).value - ex1_member(1, 2)))),)
+    return (float(np.max(np.abs(w_drazin(d.pair).value - ex1_member(1, 2)))),)
 
 
 def _weak_mpd_family(d: _Draw) -> tuple:
-    pair, tol = d.pair, d.tol
+    pair = d.pair
     closed = system = 0.0
     for x1 in (-1, 0, 1):
         X = ex1_member(x1, 2)
-        Y = weak_mpd(pair, X, tol).value
+        Y = weak_mpd(pair, X).value
         closed = max(closed, spectral_norm(Y - ex1_weak_mpd(x1)))
-        system = max(system, check_weak_mpd_system(pair, X, Y, tol).worst_residual())
+        system = max(system, check_weak_mpd_system(pair, X, Y).worst_residual())
     # Y is the inverse at x1 = 1 now, which must be the weighted MPD inverse
-    return closed, system, spectral_norm(Y - _value(pair, w_mpd, tol))
+    return closed, system, spectral_norm(Y - _value(pair, w_mpd))
 
 
 def _order_products(draw: tuple) -> tuple:
@@ -419,17 +405,17 @@ def _bump(rng: np.random.Generator, A: np.ndarray) -> np.ndarray:
 
 def _coherence(d: _Draw) -> tuple:
     # bumps are drawn after X and Z, in the order X, Z, Y, Y1
-    pair, X, Z, tol, rng = d.pair, d.X, d.Z, d.tol, d.rng
+    pair, X, Z, rng = d.pair, d.X, d.Z, d.rng
     members = ((check_mrwwd, X), (check_mrwwd_right, Z))
-    verdicts = [check(pair, A, tol).overall for check, A in members]
+    verdicts = [check(pair, A).overall for check, A in members]
     for check, A in members:  # a non-member passes no condition
-        verdicts.append(not any(ok for _, _, ok in check(pair, _bump(rng, A), tol).conditions))
-    Y = weak_mpd(pair, X, tol).value
-    verdicts.append(check_mpd_characterizations(pair, X, Y, tol).overall)
-    Y1 = weak_dmp(pair, Z, tol).value
-    verdicts.append(check_dmp_characterizations(pair, Z, Y1, tol).overall)
-    verdicts.append(not check_mpd_characterizations(pair, X, _bump(rng, Y), tol).overall)
-    verdicts.append(not check_dmp_characterizations(pair, Z, _bump(rng, Y1), tol).overall)
+        verdicts.append(not any(ok for _, _, ok in check(pair, _bump(rng, A)).conditions))
+    Y = weak_mpd(pair, X).value
+    verdicts.append(check_mpd_characterizations(pair, X, Y).overall)
+    Y1 = weak_dmp(pair, Z).value
+    verdicts.append(check_dmp_characterizations(pair, Z, Y1).overall)
+    verdicts.append(not check_mpd_characterizations(pair, X, _bump(rng, Y)).overall)
+    verdicts.append(not check_dmp_characterizations(pair, Z, _bump(rng, Y1)).overall)
     return tuple(verdicts)
 
 
@@ -439,34 +425,34 @@ def _projector_lemmas(d: _Draw) -> tuple:
 
 
 def _decomposition(d: _Draw) -> tuple:
-    pair, X, tol = d.pair, d.X, d.tol
-    dec = weighted_core_ep_decompose(pair, tol)
+    pair, X = d.pair, d.X
+    dec = weighted_core_ep_decompose(pair)
     reassembly = max(
         spectral_norm(dec.assemble_b() - pair.B), spectral_norm(dec.assemble_w() - pair.W)
     )
-    canonical = weak_mpd_canonical(pair, X, tol, dec=dec).value
+    canonical = weak_mpd_canonical(pair, X, dec=dec).value
     return (
         reassembly,
-        spectral_norm(canonical - weak_mpd(pair, X, tol).value),
-        spectral_norm(mp_via_blocks(dec, tol) - pair._pinv(tol)),
+        spectral_norm(canonical - weak_mpd(pair, X).value),
+        spectral_norm(mp_via_blocks(dec) - pair._pinv()),
     )
 
 
 def _perturbation(d: _Draw) -> tuple:
-    pair, tol, rng = d.pair, d.tol, d.rng
-    member = _value(pair, w_drazin, tol)
-    left = admissible_perturbation(pair, member, 0.3, rng, side="left", tol=tol)
-    right = admissible_perturbation(pair, member, 0.3, rng, side="right", tol=tol)
-    family = perturbed_mrwwd(left, tol).overall
-    mpd, dmp = mpd_perturbation(left, tol), dmp_perturbation(right, tol)
+    pair, rng = d.pair, d.rng
+    member = _value(pair, w_drazin)
+    left = admissible_perturbation(pair, member, 0.3, rng, side="left")
+    right = admissible_perturbation(pair, member, 0.3, rng, side="right")
+    family = perturbed_mrwwd(left).overall
+    mpd, dmp = mpd_perturbation(left), dmp_perturbation(right)
     sandwich = all(ok for label, _, ok in mpd.conditions + dmp.conditions if "sandwich" in label)
     return family, mpd.overall, dmp.overall, sandwich
 
 
 def _zero_perturbation(d: _Draw) -> tuple:
-    member = _value(d.pair, w_drazin, d.tol)
-    zero = admissible_perturbation(d.pair, member, 0.0, 0, side="left", tol=d.tol)
-    notes = dict(mpd_perturbation(zero, d.tol).notes)
+    member = _value(d.pair, w_drazin)
+    zero = admissible_perturbation(d.pair, member, 0.0, 0, side="left")
+    notes = dict(mpd_perturbation(zero).notes)
     base, shift = notes["norm YX"], notes["norm YE"]
     collapse = abs(base / (1.0 + shift) - base / (1.0 - shift)) if shift < 1 else float("inf")
     return ((collapse, collapse <= 1e-12 * (1.0 + base)),)
@@ -478,11 +464,11 @@ def _identity_weight(d: _Draw) -> tuple:
     t = int(rng.integers(0, min(3, n - 1) + 1))
     S = random_square_with_index(n, t, rng, tol)
     pair = weighted_pair(S, np.eye(n), tol)
-    Sd, Sp = drazin(S, tol).value, pair._pinv(tol)
+    Sd, Sp = drazin(S, tol).value, pair._pinv()
     return (
-        spectral_norm(w_dmp(pair, tol).value - Sd @ S @ Sp),
-        spectral_norm(w_mpd(pair, tol).value - Sp @ S @ Sd),
-        spectral_norm(w_core_ep(pair, tol).value - core_ep(S, tol).value),
+        spectral_norm(w_dmp(pair).value - Sd @ S @ Sp),
+        spectral_norm(w_mpd(pair).value - Sp @ S @ Sd),
+        spectral_norm(w_core_ep(pair).value - core_ep(S, tol).value),
     )
 
 
@@ -671,9 +657,9 @@ def cmd_compute(ns) -> int:
         if ns.kind in WEAK_KINDS:
             if ns.member is None:
                 raise ValueError(f"{ns.kind} needs --member")
-            value = WEAK_KINDS[ns.kind](pair, load_matrix(ns.member), tol).value
+            value = WEAK_KINDS[ns.kind](pair, load_matrix(ns.member)).value
         else:
-            value = compute_kind(pair, ns.kind, tol, m=ns.m).value
+            value = compute_kind(pair, ns.kind, m=ns.m).value
     _emit(format_matrix(value), ns.out)
     return 0
 

@@ -8,8 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import (
-    DEFAULT_TOL,
-    ToleranceConfig,
     VerificationReport,
     WeightedPair,
     _certify,
@@ -66,7 +64,7 @@ def _upper_blocks(A: np.ndarray, q: int) -> tuple:
     return A[:q, :q], A[:q, q:], A[q:, q:]
 
 
-def _structure_checks(dec: BlockDecomposition, tol: ToleranceConfig) -> tuple:
+def _structure_checks(dec: BlockDecomposition) -> tuple:
     """The rows shared by the constructor and the report, in the report's
     order: the rows of the factors and blocks, the rank row (label, gap,
     pass), and the rows of the tails, each matrix row a `_Row`."""
@@ -82,7 +80,7 @@ def _structure_checks(dec: BlockDecomposition, tol: ToleranceConfig) -> tuple:
         "lower-left B": _Row(Bhat[q:, :q], np.zeros_like(Bhat[q:, :q]), pair.B),
         "lower-left W": _Row(What[q:, :q], np.zeros_like(What[q:, :q]), pair.W),
     }
-    ranks = rank_of(dec.B1, tol) + rank_of(dec.W1, tol)
+    ranks = rank_of(dec.B1, pair.tol) + rank_of(dec.W1, pair.tol)
     rank = ("leading blocks invertible", *_rank_gap(2 * q, ranks))
     # the tails' powers vanish on the tails' own scale
     tails = {}
@@ -91,14 +89,12 @@ def _structure_checks(dec: BlockDecomposition, tol: ToleranceConfig) -> tuple:
     return factors, rank, tails
 
 
-def weighted_core_ep_decompose(
-    pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL
-) -> BlockDecomposition:
+def weighted_core_ep_decompose(pair: WeightedPair) -> BlockDecomposition:
     """Decompose the pair over the unitaries M and N of the staircase forms of
     BW and WB, whose leading q columns span R((BW)^k) and R((WB)^k), which B
     and W map into each other. Structural failures raise CertificationError:
     the rank rows first, then the matrix rows as a certificate."""
-    bw, wb = pair._staircase_of("BW", tol), pair._staircase_of("WB", tol)
+    bw, wb = pair._staircase_of("BW"), pair._staircase_of("WB")
     q = bw.q
     kind = "weighted_core_ep_decompose"
     _refuse(kind, [("stabilized product ranks agree", *_rank_gap(q, wb.q))])
@@ -106,56 +102,54 @@ def weighted_core_ep_decompose(
     B_blocks = _upper_blocks(M.conj().T @ pair.B @ N, q)  # B1, B2, B3
     W_blocks = _upper_blocks(N.conj().T @ pair.W @ M, q)
     dec = BlockDecomposition(pair, M, N, *B_blocks, *W_blocks, q)
-    factors, rank, tails = _structure_checks(dec, tol)
+    factors, rank, tails = _structure_checks(dec)
     _refuse(kind, [rank])
-    _certify(kind, {**factors, **tails}, tol)
+    _certify(kind, {**factors, **tails}, pair.tol)
     return dec
 
 
-def decomposition_report(
-    dec: BlockDecomposition, tol: ToleranceConfig = DEFAULT_TOL
-) -> VerificationReport:
-    report = VerificationReport("lem3.15", tol)
-    factors, rank, tails = _structure_checks(dec, tol)
-    exact = [(label, *_exact(*row.formed({}), tol)) for label, row in {**factors, **tails}.items()]
+def decomposition_report(dec: BlockDecomposition) -> VerificationReport:
+    report = VerificationReport("lem3.15", dec.pair.tol)
+    factors, rank, tails = _structure_checks(dec)
+    rows = {**factors, **tails}.items()
+    exact = [(label, *_exact(*row.formed({}), dec.pair.tol)) for label, row in rows]
     for row in exact[: len(factors)] + [rank] + exact[len(factors) :]:
         report.add(*row)
     return report
 
 
-def _schur_parts(dec: BlockDecomposition, tol: ToleranceConfig) -> tuple:
+def _schur_parts(dec: BlockDecomposition) -> tuple:
     """B3^+, F = I - B3^+ B3 and Delta = (B1 B1^* + B2 F B2^*)^-1, shared by
     the block forms of B^+ and of the weak MPD inverse."""
     B1, B2, B3 = dec.B1, dec.B2, dec.B3
     # B3 is carved out of B: rank decisions inside it must use B's scale, or a
     # tail of pure roundoff turns into a spurious direction.
-    B3p = mp_inverse(B3, tol, floor=spectral_norm(dec.pair.B))
+    B3p = mp_inverse(B3, dec.pair.tol, floor=spectral_norm(dec.pair.B))
     F = np.eye(B3.shape[1]) - B3p @ B3  # (n-q) x (n-q)
     delta = np.linalg.inv(B1 @ B1.conj().T + B2 @ F @ B2.conj().T)
     return B3p, F, delta
 
 
-def mp_via_blocks(dec: BlockDecomposition, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def mp_via_blocks(dec: BlockDecomposition) -> np.ndarray:
     """Moore-Penrose inverse assembled from the decomposition blocks and
     certified against the SVD value."""
     pair = dec.pair
     q = dec.q
     B1h, B2 = dec.B1.conj().T, dec.B2
-    B3p, F, delta = _schur_parts(dec, tol)
+    B3p, F, delta = _schur_parts(dec)
     core = np.zeros((pair.n, pair.m), dtype=pair.B.dtype)
     core[:q, :q] = B1h @ delta
     core[:q, q:] = -B1h @ delta @ B2 @ B3p
     core[q:, :q] = F @ B2.conj().T @ delta
     core[q:, q:] = B3p - F @ B2.conj().T @ delta @ B2 @ B3p
     val = dec.N @ core @ dec.M.conj().T
-    _certify("mp_via_blocks", {"agreement with the SVD value": _Row(val, pair._pinv(tol))}, tol)
+    _certify("mp_via_blocks", {"agreement with the SVD value": _Row(val, pair._pinv())}, pair.tol)
     return val
 
 
 def weak_mpd_canonical(
     pair: WeightedPair,
     X,
-    tol: ToleranceConfig = DEFAULT_TOL,
     dec: BlockDecomposition | None = None,
 ) -> WeightedInverseResult:
     """Weak MPD inverse assembled from the canonical block form of the member.
@@ -165,9 +159,9 @@ def weak_mpd_canonical(
     rebuilt from B1, B2, B3, W1, W2, W3 and X2 alone, then certified against
     the direct construction.
     """
-    X = _require_member(pair, X, tol)
+    X = _require_member(pair, X)
     if dec is None:
-        dec = weighted_core_ep_decompose(pair, tol)
+        dec = weighted_core_ep_decompose(pair)
     q = dec.q
     B1, B2, W1, W2, W3 = dec.B1, dec.B2, dec.W1, dec.W2, dec.W3
 
@@ -178,11 +172,11 @@ def weak_mpd_canonical(
     canon[:q, q:] = Xhat[:q, q:]
     X2 = Xhat[:q, q:]
     # the member's form is refused before a value is built on it
-    rows = [("canonical member form", *_exact(Xhat - canon, Xhat, tol))]
+    rows = [("canonical member form", *_exact(Xhat - canon, Xhat, pair.tol))]
     _refuse("weak_mpd_canonical", rows)
 
     B1h = B1.conj().T
-    B3p, F, delta = _schur_parts(dec, tol)
+    B3p, F, delta = _schur_parts(dec)
     Q = B1 @ W1 @ core_inv @ W1
     D = delta @ B1 @ W1 @ core_inv @ W2
 
@@ -190,8 +184,8 @@ def weak_mpd_canonical(
     right = np.hstack([delta @ Q, D + delta @ B1 @ W1 @ X2 @ W3])  # q x m
     val = dec.N @ left @ right @ dec.M.conj().T
 
-    direct = _weak_mpd(pair, X, tol).value
-    rows.append(("agreement with direct value", *_exact(val - direct, direct, tol)))
+    direct = _weak_mpd(pair, X).value
+    rows.append(("agreement with direct value", *_exact(val - direct, direct, pair.tol)))
     _refuse("weak_mpd_canonical", rows)
     residuals = {label: residual for label, residual, _ in rows}
     return WeightedInverseResult(
@@ -199,14 +193,14 @@ def weak_mpd_canonical(
     )
 
 
-def canonical_report(pair: WeightedPair, X, tol: ToleranceConfig = DEFAULT_TOL) -> VerificationReport:
+def canonical_report(pair: WeightedPair, X) -> VerificationReport:
     """Report form: canonical reassembly of the weak MPD inverse plus the
     block Moore-Penrose, all residuals surfaced."""
-    report = VerificationReport("thm3.16", tol)
-    dec = weighted_core_ep_decompose(pair, tol)
-    result = weak_mpd_canonical(pair, X, tol, dec=dec)
+    report = VerificationReport("thm3.16", pair.tol)
+    dec = weighted_core_ep_decompose(pair)
+    result = weak_mpd_canonical(pair, X, dec=dec)
     for label, residual in result.residuals.items():
         report.add(label, residual, True)
-    reference = pair._pinv(tol)
-    report.add_equation("block Moore-Penrose", mp_via_blocks(dec, tol), reference)
+    reference = pair._pinv()
+    report.add_equation("block Moore-Penrose", mp_via_blocks(dec), reference)
     return report

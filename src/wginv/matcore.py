@@ -558,7 +558,13 @@ def oblique_projector_check(
 @dataclass(frozen=True)
 class WeightedPair:
     """A rectangular matrix B (m x n) with weight W (n x m), the indices of
-    both products, and a memo of every quantity that depends on B and W alone.
+    both products, the tolerance `tol` they were decided at, and a memo of
+    every quantity that depends on B and W alone.
+
+    The pair has one tolerance: every rank, index and certificate of the
+    pair, its dual and the checks, chains and decompositions read on it is
+    decided at `tol`, so each quantity has one value. To judge B and W at
+    another tolerance, build another pair with `weighted_pair(B, W, tol)`.
 
     The pair stores read-only copies of B and W, however it is built, both
     in the pair's working dtype: float64 when B and W are real, complex128
@@ -569,16 +575,15 @@ class WeightedPair:
     rank of and the projector onto every power, and the projector onto the
     row space of a stabilized power), B^+, the left family's particular
     solution and annihilator, the kernels and the certified inverses that
-    constructors compose, each built on first use under its tolerance and
-    read-only. Each of them is built once, here: constructors, checkers,
-    perturbation chains and order laws all read it from the pair. A check
-    reads the pair as a constructor does and stores nothing about its
-    candidate, whose report norms are taken on every call. Public inverses
-    are never read from the memo; a solution family's arrays are the pair's,
-    read-only.
+    constructors compose, each built on first use and read-only. Each of
+    them is built once, here: constructors, checkers, perturbation chains
+    and order laws all read it from the pair. A check reads the pair as a
+    constructor does and stores nothing about its candidate, whose report
+    norms are taken on every call. Public inverses are never read from the
+    memo; a solution family's arrays are the pair's, read-only.
 
     The memo also holds every product of these alone that a catalog value
-    is formed from, keyed by its tolerance (and m): ((BW)^D)^2 (`w_drazin`),
+    is formed from, keyed by m where there is one: ((BW)^D)^2 (`w_drazin`),
     B (WB)^core-EP (`w_core_ep`), (CW)^(m+1) (BW)^(m-1) with
     C = B^core-EP,W (`w_m_wgi`), B^+ B W C (`w_mpcep`), W C W B
     (`w_cepmp`), W B^wgi(m),W W B (`w_m_wgmp`), and B^+ B and W B^D,W W
@@ -595,6 +600,7 @@ class WeightedPair:
     W: np.ndarray
     k_bw: int
     k_wb: int
+    tol: ToleranceConfig = DEFAULT_TOL
 
     # on a dual pair (see H), a twin of the pair it is the dual of
     _primal = None
@@ -634,7 +640,7 @@ class WeightedPair:
             return self._primal
         twin = copy.copy(self)
         twin.__dict__["_memo"], twin.__dict__["_images"] = self._memo, self._images
-        dual = WeightedPair(self.B.conj().T, self.W.conj().T, self.k_wb, self.k_bw)
+        dual = WeightedPair(self.B.conj().T, self.W.conj().T, self.k_wb, self.k_bw, self.tol)
         dual.__dict__["_primal"] = twin
         return dual
 
@@ -699,17 +705,17 @@ class WeightedPair:
     def _k(self, side: str) -> int:
         return self.k_bw if side == "BW" else self.k_wb
 
-    def _staircase_of(self, side: str, tol: ToleranceConfig) -> _Staircase:
+    def _staircase_of(self, side: str) -> _Staircase:
         """The staircase form of BW (side "BW") or WB ("WB")."""
-        return self._cached(("staircase", tol, side), lambda: _staircase(self._power(side, 1), tol))
+        return self._cached(("staircase", side), lambda: _staircase(self._power(side, 1), self.tol))
 
-    def _pinv(self, tol: ToleranceConfig) -> np.ndarray:
+    def _pinv(self) -> np.ndarray:
         """B^+; on a dual pair, the adjoint of the pair's B^+."""
         if self._primal is not None:
-            return _read_only(self._primal._pinv(tol).conj().T)
-        return self._cached(("B^+", tol), lambda: mp_inverse(self.B, tol))
+            return _read_only(self._primal._pinv().conj().T)
+        return self._cached(("B^+",), lambda: mp_inverse(self.B, self.tol))
 
-    def _projector(self, side: str, j: int, tol: ToleranceConfig) -> np.ndarray:
+    def _projector(self, side: str, j: int) -> np.ndarray:
         """The orthogonal projector onto R((BW)^j) (side "BW") or R((WB)^j),
         read from the staircase form. On a dual pair and j at or above the
         index, the pair's projector onto the row space of the other product's
@@ -717,19 +723,19 @@ class WeightedPair:
         Each projector is a memo entry, one per power up to the index, so its
         probe images are kept."""
         if self._primal is not None and j >= self._k(side):
-            return self._primal._row_projector("WB" if side == "BW" else "BW", tol)
-        form = self._staircase_of(side, tol)
+            return self._primal._row_projector("WB" if side == "BW" else "BW")
+        form = self._staircase_of(side)
         j = min(j, form.k)
-        return self._cached(("projector", tol, side, j), lambda: form.projector(j))
+        return self._cached(("projector", side, j), lambda: form.projector(j))
 
-    def _one_product(self, tol: ToleranceConfig) -> bool:
+    def _one_product(self) -> bool:
         """Whether BW and WB are one matrix, factored once: `weighted_pair`
         seeds its staircase form under both sides when the two products are
         equal bit for bit (W = I, say)."""
         memo = self._memo
-        return memo.get(("staircase", tol, "WB"), 0) is memo.get(("staircase", tol, "BW"))
+        return memo.get(("staircase", "WB"), 0) is memo.get(("staircase", "BW"))
 
-    def _row_projector(self, side: str, tol: ToleranceConfig) -> np.ndarray:
+    def _row_projector(self, side: str) -> np.ndarray:
         """The orthogonal projector onto the row space of (BW)^j (side "BW")
         or (WB)^j for every j at or above the index, R(((BW)^j)^*).
 
@@ -740,7 +746,7 @@ class WeightedPair:
         the staircase form that decided the index, with no SVD."""
 
         def build():
-            form = self._staircase_of(side, tol)
+            form = self._staircase_of(side)
             q, core = form.q, form.core
             G = np.zeros_like(core[:q, q:])
             for _ in range(form.k):  # Horner's scheme
@@ -748,23 +754,24 @@ class WeightedPair:
             Q = np.linalg.qr(form.U[:, :q] + form.U[:, q:] @ G.conj().T)[0]
             return Q @ Q.conj().T
 
-        return self._cached(("row projector", tol, side), build)
+        return self._cached(("row projector", side), build)
 
-    def _rank(self, side: str, j: int, tol: ToleranceConfig) -> int:
+    def _rank(self, side: str, j: int) -> int:
         """rank((BW)^j) (side "BW") or rank((WB)^j), read from the staircase
         form. On a dual pair, the pair's rank of the other product's power,
         since B^* W^* = (WB)^* and an adjoint keeps the rank."""
         if self._primal is not None:
-            return self._primal._rank("WB" if side == "BW" else "BW", j, tol)
-        form = self._staircase_of(side, tol)
+            return self._primal._rank("WB" if side == "BW" else "BW", j)
+        form = self._staircase_of(side)
         return form.sizes[min(j, form.k)]
 
 
 def weighted_pair(B, W, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedPair:
     """Validate shapes, reject the zero weight, and decide both indices from
-    the staircase forms of BW and WB, which the pair keeps with BW and WB as
-    its first powers (and with read-only copies of B and W, so the caller's
-    arrays may change). B and W are cast to their result type first, so a
+    the staircase forms of BW and WB at `tol`, which the pair keeps as its
+    one tolerance, with the forms and with BW and WB as its first powers
+    (and with read-only copies of B and W, so the caller's arrays may
+    change). B and W are cast to their result type first, so a
     real pair is factored in real arithmetic and a pair with one complex
     input in complex. When BW and WB are equal bit for bit, as for W = I,
     they are one matrix: it is factored once, and its form and its array
@@ -781,9 +788,9 @@ def weighted_pair(B, W, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedPair:
     bw = _staircase(BW, tol)
     # compared as bytes, since equal values may differ in the sign of a zero
     wb = bw if m == n and BW.tobytes() == WB.tobytes() else _staircase(WB, tol)
-    pair = WeightedPair(B=B, W=W, k_bw=bw.k, k_wb=wb.k)
+    pair = WeightedPair(B=B, W=W, k_bw=bw.k, k_wb=wb.k, tol=tol)
     # the first powers are the products the forms were taken of
     for side, form in (("BW", bw), ("WB", wb)):
-        pair._cached(("staircase", tol, side), lambda: form)
+        pair._cached(("staircase", side), lambda: form)
         pair._cached((f"{side}^", 1), lambda: form.S)
     return pair

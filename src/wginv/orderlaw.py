@@ -11,6 +11,7 @@ import numpy as np
 
 from .matcore import (
     DEFAULT_TOL,
+    DimensionError,
     HypothesisError,
     ToleranceConfig,
     VerificationReport,
@@ -120,7 +121,7 @@ _FLAGS = {
 
 def _factor(case: OrderLawCase, name: str, tol: ToleranceConfig):
     if name.endswith("^D"):
-        return _value(case._pair(name[0], tol), w_drazin, tol)
+        return _value(case._pair(name[0], tol), w_drazin)
     return getattr(case, name) if len(name) == 1 else case.inverses.get(name)
 
 
@@ -176,7 +177,7 @@ def commuting_case(
     # plain weak slots: any member of the factor's own family works, and the
     # power equations transport to the shared stabilization power
     for slot, name in (("Z1", "A"), ("Y2", "B")):
-        family = mrwwd_family(case._pair(name, tol), tol)
+        family = mrwwd_family(case._pair(name, tol))
         case.inverses[slot] = family.member(0.3 * rng.standard_normal((m, n)))
     return case
 
@@ -192,10 +193,10 @@ def _drazin_case(A, B, C, W, tol: ToleranceConfig) -> OrderLawCase:
     """The case of factors A, B (and C) with weight W whose member slots all
     hold the factors' weighted Drazin inverses."""
     case = OrderLawCase(W=W, A=A, B=B, C=C)
-    ZD, YD = (_value(case._pair(name, tol), w_drazin, tol) for name in "AB")
+    ZD, YD = (_value(case._pair(name, tol), w_drazin) for name in "AB")
     case.inverses.update(Z1=ZD, Y2=YD, Z2=ZD, Y3=YD, Z3=ZD, Y4=YD)
     if C is not None:
-        case.inverses["U1"] = _value(case._pair("C", tol), w_drazin, tol)
+        case.inverses["U1"] = _value(case._pair("C", tol), w_drazin)
     return case
 
 
@@ -226,7 +227,7 @@ def _minimal_law(
     ppair, k = case._product(tol, triple=False)
     P = case.inverses[first] @ case.W @ case.inverses[second]
     report = VerificationReport(theorem_id, tol)
-    report.merge(check_mrwwd(ppair, P, tol, power=k), prefix="product member: ")
+    report.merge(check_mrwwd(ppair, P, power=k), prefix="product member: ")
     report.note("stabilization power", float(k))
     return report
 
@@ -258,15 +259,15 @@ def wdrazin_order_corollaries(case: OrderLawCase, tol: ToleranceConfig = DEFAULT
     equality residual is reported as a note."""
     ppair, k = case._product(tol, triple=False)
     W = case.W
-    ADW, BDW = (_value(case._pair(name, tol), w_drazin, tol) for name in "AB")
-    product_drazin = _value(ppair, w_drazin, tol)
+    ADW, BDW = (_value(case._pair(name, tol), w_drazin) for name in "AB")
+    product_drazin = _value(ppair, w_drazin)
 
     report = VerificationReport("thm3.29", tol)
     _require_case_flags(case, ["adw_bw_commute"], tol)
     report.add_equation("forward product equals the product inverse", ADW @ W @ BDW, product_drazin)
     _require_case_flags(case, ["bdw_aw_commute"], tol)
     reverse = BDW @ W @ ADW
-    report.merge(check_mrwwd(ppair, reverse, tol, power=k), prefix="reverse product member: ")
+    report.merge(check_mrwwd(ppair, reverse, power=k), prefix="reverse product member: ")
     report.note(
         "reverse equality residual", spectral_norm(reverse - product_drazin)
     )
@@ -284,18 +285,18 @@ def triple_reverse(case: OrderLawCase, tol: ToleranceConfig = DEFAULT_TOL) -> Ve
     inv = case.inverses
     P = inv["U1"] @ W @ inv["Y4"] @ W @ inv["Z3"]
     report = VerificationReport("thm3.31", tol)
-    report.merge(check_mrwwd(ppair, P, tol, power=k), prefix="product member: ")
+    report.merge(check_mrwwd(ppair, P, power=k), prefix="product member: ")
 
-    ADW, BDW, CDW = (_value(case._pair(name, tol), w_drazin, tol) for name in "ABC")
+    ADW, BDW, CDW = (_value(case._pair(name, tol), w_drazin) for name in "ABC")
     rev = CDW @ W @ BDW @ W @ ADW
     commute, ok = _commutes(CDW @ W, case.A @ W @ case.B @ W, tol)
     if ok:
-        report.merge(check_mrwwd(ppair, rev, tol, power=k), prefix="Drazin reverse member: ")
+        report.merge(check_mrwwd(ppair, rev, power=k), prefix="Drazin reverse member: ")
     else:
         report.note("Drazin reverse commutation residual (hypothesis fails)", commute)
     report.note(
         "Drazin reverse equality residual",
-        spectral_norm(rev - _value(ppair, w_drazin, tol)),
+        spectral_norm(rev - _value(ppair, w_drazin)),
     )
     return report
 
@@ -312,16 +313,16 @@ def triple_forward(case: OrderLawCase, tol: ToleranceConfig = DEFAULT_TOL) -> Ve
     inv = case.inverses
     P = inv["Z3"] @ W @ inv["Y4"] @ W @ inv["U1"]
     report = VerificationReport("thm3.32", tol)
-    report.merge(check_mrwwd(ppair, P, tol, power=k), prefix="product member: ")
+    report.merge(check_mrwwd(ppair, P, power=k), prefix="product member: ")
 
-    ADW, BDW, CDW = (_value(case._pair(name, tol), w_drazin, tol) for name in "ABC")
+    ADW, BDW, CDW = (_value(case._pair(name, tol), w_drazin) for name in "ABC")
     fwd = ADW @ W @ BDW @ W @ CDW
     commute, ok = _commutes(ADW @ W @ BDW @ W, case.C @ W, tol)
     if ok:
         report.add_equation(
             "forward Drazin product equals the product inverse",
             fwd,
-            _value(ppair, w_drazin, tol),
+            _value(ppair, w_drazin),
         )
     else:
         report.note("Drazin forward commutation residual (hypothesis fails)", commute)
@@ -343,7 +344,7 @@ def reverse_order_weak_mpd(
     A, B, W = case.A, case.B, case.W
     Y3, Z2 = case.inverses["Y3"], case.inverses["Z2"]
     Wp = mp_inverse(W, tol)
-    Ap = case._pair("A", tol)._pinv(tol)  # the B^+ that weak_mpd on A's pair reads
+    Ap = case._pair("A", tol)._pinv()  # the B^+ that weak_mpd on A's pair reads
 
     report = VerificationReport("thm3.30", tol)
     T = W @ B @ B.conj().T @ W.conj().T @ A.conj().T
@@ -359,9 +360,9 @@ def reverse_order_weak_mpd(
         return report
 
     product_member = Y3 @ W @ Z2
-    lhs = weak_mpd(case._pair("AWB", tol), product_member, tol).value
-    B_wmpd = weak_mpd(case._pair("B", tol), Y3, tol).value
-    A_wmpd = weak_mpd(case._pair("A", tol), Z2, tol).value
+    lhs = weak_mpd(case._pair("AWB", tol), product_member).value
+    B_wmpd = weak_mpd(case._pair("B", tol), Y3).value
+    A_wmpd = weak_mpd(case._pair("A", tol), Z2).value
     report.add_equation("factored weak MPD inverse", lhs, B_wmpd @ Wp @ A_wmpd)
     report.note(
         "unweighted factoring residual",
@@ -384,7 +385,7 @@ class GeneralSolutionFamily:
     def member(self, Zfree) -> np.ndarray:
         Zfree = as_matrix(Zfree)
         if Zfree.shape != self.particular.shape:
-            raise ValueError(
+            raise DimensionError(
                 f"free parameter shape {Zfree.shape} != {self.particular.shape}"
             )
         return self.particular + Zfree @ self.annihilator
@@ -436,10 +437,10 @@ def _equation_solution(
     n, m = W.shape
     R = W.copy() if R is None else as_matrix(R)
     if R.shape != (n, m):
-        raise ValueError(f"R must be {n} x {m}, got {R.shape}")
+        raise DimensionError(f"R must be {n} x {m}, got {R.shape}")
     Zfree = np.zeros((n, m)) if Zfree is None else as_matrix(Zfree)
     if Zfree.shape != (n, m):
-        raise ValueError(f"Zfree must be {n} x {m}, got {Zfree.shape}")
+        raise DimensionError(f"Zfree must be {n} x {m}, got {Zfree.shape}")
 
     annihilator = np.eye(m) - ppair.bw_power(1) @ member @ W
     family = GeneralSolutionFamily(

@@ -7,8 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from .matcore import (
-    DEFAULT_TOL,
-    ToleranceConfig,
+    DimensionError,
     VerificationReport,
     WeightedPair,
     _exact,
@@ -80,24 +79,22 @@ def _power_at(pair: WeightedPair, side: str, power: int | None) -> int:
     return k
 
 
-def check_mrwwd(
-    pair: WeightedPair, X, tol: ToleranceConfig = DEFAULT_TOL, power: int | None = None
-) -> VerificationReport:
+def check_mrwwd(pair: WeightedPair, X, power: int | None = None) -> VerificationReport:
     """Seven equivalent characterizations of membership in the left family of
     X W (BW)^(k+1) = (BW)^k at rank((BW)^k), for k at or above the index.
     rank((BW)^k), the projector P onto R((BW)^k), W (BW)^(k+1) and (BW)^D are
     read from the pair (see WeightedPair). R(X) = R((BW)^k) is judged as
     P X = X (R(X) inside R((BW)^k)) and rank X = rank (BW)^k."""
-    X = as_matrix(X)
-    B, W = pair.B, pair.W
+    X = _as_member(pair, X)
+    B, W, tol = pair.B, pair.W, pair.tol
     k = _power_at(pair, "BW", power)
     K = pair.bw_power(k)
     M = _family_product(pair, k)
 
     report = VerificationReport("thm2.1", tol)
     eq = _exact(X @ M - K, K, tol)
-    rank = _rank_gap(rank_of(X, tol), pair._rank("BW", k, tol))
-    fix = _exact(pair._projector("BW", k, tol) @ X - X, X, tol)
+    rank = _rank_gap(rank_of(X, tol), pair._rank("BW", k))
+    fix = _exact(pair._projector("BW", k) @ X - X, X, tol)
 
     _item(report, "(i) power equation, rank", [eq, rank])
     _item(report, "(ii) power equation, range", [eq, fix, rank])
@@ -109,7 +106,7 @@ def check_mrwwd(
     _item(
         report,
         "(vii) Drazin projector fixes X",
-        [_exact(_drazin_kernel(pair, "BW", tol) @ pair.bw_power(1) @ X - X, X, tol), eq],
+        [_exact(_drazin_kernel(pair, "BW") @ pair.bw_power(1) @ X - X, X, tol), eq],
     )
     return report
 
@@ -126,20 +123,17 @@ _MRWWD_RIGHT_LABELS = {
 }
 
 
-def check_mrwwd_right(
-    pair: WeightedPair, Z, tol: ToleranceConfig = DEFAULT_TOL, power: int | None = None
-) -> VerificationReport:
+def check_mrwwd_right(pair: WeightedPair, Z, power: int | None = None) -> VerificationReport:
     """Seven equivalent characterizations of membership in the right family of
     (WB)^(k+1) W Z = (WB)^k at rank((WB)^k), for k at or above the index of
     WB: thm2.1 on the dual pair for Z^*, where a range becomes a null space.
     A power below the index is refused as one of WB."""
     _power_at(pair, "WB", power)
-    return check_mrwwd(pair.H, _star(Z), tol, power).mirrored("thm2.8", _MRWWD_RIGHT_LABELS)
+    Zh = _star(_as_member(pair, Z))
+    return check_mrwwd(pair.H, Zh, power).mirrored("thm2.8", _MRWWD_RIGHT_LABELS)
 
 
-def check_weak_mpd_system(
-    pair: WeightedPair, X, Y, tol: ToleranceConfig = DEFAULT_TOL
-) -> VerificationReport:
+def check_weak_mpd_system(pair: WeightedPair, X, Y) -> VerificationReport:
     """The three-equation system whose unique solution is the weak MPD inverse
     B^+ B W X W of the member X."""
     X = as_matrix(X)
@@ -147,22 +141,20 @@ def check_weak_mpd_system(
     B, W = pair.B, pair.W
     P1 = pair.bw_power(pair.k_bw + 1)
 
-    report = VerificationReport("thm3.1", tol)
-    ok, m_res, m_gap = _left_member_residual(pair, X, tol)
+    report = VerificationReport("thm3.1", pair.tol)
+    ok, m_res, m_gap = _left_member_residual(pair, X)
     report.add("X in left family", max(m_res, float(m_gap)), ok)
     report.add_equation("outer: Y B Y = Y", Y @ B @ Y, Y)
     report.add_equation("image: B Y = B W X W", B @ Y, B @ W @ X @ W)
-    report.add_equation("power: Y (BW)^(k+1) = B^+ (BW)^(k+1)", Y @ P1, _pinv_power(pair, tol))
-    report.add_equation("uniqueness: Y = B^+ B W X W", Y, _pinv_b(pair, tol) @ W @ X @ W)
+    report.add_equation("power: Y (BW)^(k+1) = B^+ (BW)^(k+1)", Y @ P1, _pinv_power(pair))
+    report.add_equation("uniqueness: Y = B^+ B W X W", Y, _pinv_b(pair) @ W @ X @ W)
     return report
 
 
-def check_weak_dmp_system(
-    pair: WeightedPair, Z, Y1, tol: ToleranceConfig = DEFAULT_TOL
-) -> VerificationReport:
+def check_weak_dmp_system(pair: WeightedPair, Z, Y1) -> VerificationReport:
     """Mirrored system for the weak DMP inverse W Z W B B^+: thm3.1 on the
     dual pair."""
-    report = check_weak_mpd_system(pair.H, _star(_as_member(pair, Z)), _star(Y1), tol)
+    report = check_weak_mpd_system(pair.H, _star(_as_member(pair, Z)), _star(Y1))
     return report.mirrored(
         "lem3.2",
         {
@@ -175,17 +167,15 @@ def check_weak_dmp_system(
     )
 
 
-def check_mpd_characterizations(
-    pair: WeightedPair, X, Y, tol: ToleranceConfig = DEFAULT_TOL
-) -> VerificationReport:
+def check_mpd_characterizations(pair: WeightedPair, X, Y) -> VerificationReport:
     """Seven equivalent descriptions of the weak MPD inverse of member X."""
-    X = as_matrix(X)
+    X = _as_member(pair, X)
     Y = as_matrix(Y)
-    B, W = pair.B, pair.W
-    Bp, BpP1 = pair._pinv(tol), _pinv_power(pair, tol)
+    B, W, tol = pair.B, pair.W, pair.tol
+    Bp, BpP1 = pair._pinv(), _pinv_power(pair)
     BWXW = B @ W @ X @ W
     P1 = pair.bw_power(pair.k_bw + 1)
-    BpBY, BpX, BpBWXW, BWXWB = _pinv_b(pair, tol) @ Y, Bp @ X, Bp @ BWXW, BWXW @ B
+    BpBY, BpX, BpBWXW, BWXWB = _pinv_b(pair) @ Y, Bp @ X, Bp @ BWXW, BWXW @ B
     BpBYB, BpXBp, BpXWB = BpBY @ B, BpX @ Bp, BpX @ W @ B
 
     report = VerificationReport("thm3.3", tol)
@@ -221,12 +211,10 @@ def check_mpd_characterizations(
     return report
 
 
-def check_dmp_characterizations(
-    pair: WeightedPair, Z, Y1, tol: ToleranceConfig = DEFAULT_TOL
-) -> VerificationReport:
+def check_dmp_characterizations(pair: WeightedPair, Z, Y1) -> VerificationReport:
     """Mirrored descriptions of the weak DMP inverse of member Z: thm3.3 on
     the dual pair, where left absorption becomes right absorption."""
-    report = check_mpd_characterizations(pair.H, _star(Z), _star(Y1), tol)
+    report = check_mpd_characterizations(pair.H, _star(_as_member(pair, Z)), _star(Y1))
     return report.mirrored(
         "thm3.4",
         {
@@ -245,34 +233,30 @@ def check_dmp_characterizations(
     )
 
 
-def check_wdrazin_specialization(
-    pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL
-) -> VerificationReport:
+def check_wdrazin_specialization(pair: WeightedPair) -> VerificationReport:
     """The characterizations specialized to the weighted Drazin member, where
     the weak MPD inverse collapses to the weighted MPD inverse."""
-    X = _value(pair, w_drazin, tol)
-    Y = weak_mpd(pair, X, tol).value
-    inner = check_mpd_characterizations(pair, X, Y, tol)
-    report = VerificationReport("thm3.5", tol)
+    X = _value(pair, w_drazin)
+    Y = weak_mpd(pair, X).value
+    inner = check_mpd_characterizations(pair, X, Y)
+    report = VerificationReport("thm3.5", pair.tol)
     report.merge(inner)
-    report.add_equation("weak MPD equals weighted MPD", Y, _value(pair, w_mpd, tol))
+    report.add_equation("weak MPD equals weighted MPD", Y, _value(pair, w_mpd))
     return report
 
 
-def check_projectors(
-    pair: WeightedPair, X, Y=None, tol: ToleranceConfig = DEFAULT_TOL
-) -> VerificationReport:
+def check_projectors(pair: WeightedPair, X, Y=None) -> VerificationReport:
     """B Y and Y B as oblique projectors determined by the member X, plus the
     range and null space of Y itself."""
-    B, W = pair.B, pair.W
+    B, W, tol = pair.B, pair.W, pair.tol
     if Y is None:
         # weak_mpd certifies the membership of X itself
         X = as_matrix(X)
-        Y = weak_mpd(pair, X, tol).value
+        Y = weak_mpd(pair, X).value
     else:
-        X = _require_member(pair, X, tol)
+        X = _require_member(pair, X)
     Y = as_matrix(Y)
-    K, col_gen = pair.bw_power(pair.k_bw), _pinv_power(pair, tol)
+    K, col_gen = pair.bw_power(pair.k_bw), _pinv_power(pair)
 
     report = VerificationReport("lem3.6", tol)
     report.merge(oblique_projector_check(B @ Y, K, X @ W, tol), prefix="(i) B Y: ")
@@ -286,15 +270,13 @@ def check_projectors(
     return report
 
 
-def check_projectors_right(
-    pair: WeightedPair, Z, Y1=None, tol: ToleranceConfig = DEFAULT_TOL
-) -> VerificationReport:
+def check_projectors_right(pair: WeightedPair, Z, Y1=None) -> VerificationReport:
     """Mirrored projector geometry for the weak DMP inverse of member Z:
     lem3.6 on the dual pair. B Y1 is the adjoint of the dual's Y B and Y1 B of
     its B Y, and an adjoint turns a column space into a null space."""
     Zh = _star(_as_member(pair, Z))
     with _right_hand():
-        report = check_projectors(pair.H, Zh, _star(Y1), tol)
+        report = check_projectors(pair.H, Zh, _star(Y1))
     return report.mirrored(
         "lem3.7",
         {
@@ -313,7 +295,6 @@ def check_unique_projector_solution(
     pair: WeightedPair,
     member,
     Y,
-    tol: ToleranceConfig = DEFAULT_TOL,
     side: str = "left",
 ) -> VerificationReport:
     """Uniqueness of the weak MPD / DMP inverse among row-space (resp.
@@ -327,7 +308,7 @@ def check_unique_projector_solution(
     if side == "right":
         Zh = _star(_as_member(pair, member))
         with _right_hand():
-            report = check_unique_projector_solution(pair.H, Zh, Y.conj().T, tol)
+            report = check_unique_projector_solution(pair.H, Zh, Y.conj().T)
         return report.mirrored(
             "thm3.8",
             {
@@ -340,14 +321,14 @@ def check_unique_projector_solution(
         )
     if side != "left":
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    X = _require_member(pair, member, tol)
-    B, W = pair.B, pair.W
+    X = _require_member(pair, member)
+    B, W, tol = pair.B, pair.W, pair.tol
     report = VerificationReport("thm3.8", tol)
     K = pair.bw_power(pair.k_bw)
     report.merge(oblique_projector_check(B @ Y, K, X @ W, tol), prefix="projector: ")
     report.add(
         "column space inside row space of B",
-        *_exact(Y - _pinv_b(pair, tol) @ Y, Y, tol),
+        *_exact(Y - _pinv_b(pair) @ Y, Y, tol),
     )
     rcond = tol.rank_rtol * max(B.shape)
     alt = np.linalg.lstsq(B, B @ Y, rcond=rcond)[0]
@@ -355,83 +336,75 @@ def check_unique_projector_solution(
     return report
 
 
-def check_mp_drazin_absorption(
-    pair: WeightedPair, X, Z, tol: ToleranceConfig = DEFAULT_TOL
-) -> VerificationReport:
+def check_mp_drazin_absorption(pair: WeightedPair, X, Z) -> VerificationReport:
     """The Moore-Penrose factor in both weak inverses can be replaced by the
     corresponding weighted MPD / DMP inverse."""
-    X = _require_member(pair, X, tol)
+    X = _require_member(pair, X)
     Z = _as_member(pair, Z)
     with _right_hand():
-        _require_member(pair.H, Z.conj().T, tol, checked=True)
+        _require_member(pair.H, Z.conj().T, checked=True)
     B, W = pair.B, pair.W
-    Bp = pair._pinv(tol)
-    report = VerificationReport("lem3.10", tol)
+    Bp = pair._pinv()
+    report = VerificationReport("lem3.10", pair.tol)
     BWXW = B @ W @ X @ W
     report.add_equation(
-        "weighted MPD absorbs the MP factor", Bp @ BWXW, _value(pair, w_mpd, tol) @ BWXW
+        "weighted MPD absorbs the MP factor", Bp @ BWXW, _value(pair, w_mpd) @ BWXW
     )
     WZWB = W @ Z @ W @ B
     report.add_equation(
-        "weighted DMP absorbs the MP factor", WZWB @ Bp, WZWB @ _value(pair, w_dmp, tol)
+        "weighted DMP absorbs the MP factor", WZWB @ Bp, WZWB @ _value(pair, w_dmp)
     )
     return report
 
 
-def one_inverse_family(
-    pair: WeightedPair, U, tol: ToleranceConfig = DEFAULT_TOL, X=None
-) -> tuple:
+def one_inverse_family(pair: WeightedPair, U, X=None) -> tuple:
     """Q = B^+ + U (I - K K^+) absorbs like B^+ against the stabilized powers
     and the member-weighted product. Returns (Q, report); the {1}-inverse
     residual of Q itself is reported as a note, not asserted."""
     U = as_matrix(U)
     B, W = pair.B, pair.W
     if U.shape != (pair.n, pair.m):
-        raise ValueError(f"U must be {pair.n} x {pair.m}, got {U.shape}")
+        raise DimensionError(f"U must be {pair.n} x {pair.m}, got {U.shape}")
     if X is None:
-        X = _value(pair, w_drazin, tol)
-    X = _require_member(pair, X, tol)
-    P, P1 = pair._projector("BW", pair.k_bw, tol), pair.bw_power(pair.k_bw + 1)
-    Q = pair._pinv(tol) + U @ (np.eye(pair.m) - P)
+        X = _value(pair, w_drazin)
+    X = _require_member(pair, X)
+    P, P1 = pair._projector("BW", pair.k_bw), pair.bw_power(pair.k_bw + 1)
+    Q = pair._pinv() + U @ (np.eye(pair.m) - P)
 
-    report = VerificationReport("thm3.12", tol)
-    report.add_equation("power absorption", Q @ P1, _pinv_power(pair, tol))
+    report = VerificationReport("thm3.12", pair.tol)
+    report.add_equation("power absorption", Q @ P1, _pinv_power(pair))
     report.add_equation(
-        "member product absorption", Q @ B @ W @ X @ W, _pinv_b(pair, tol) @ W @ X @ W
+        "member product absorption", Q @ B @ W @ X @ W, _pinv_b(pair) @ W @ X @ W
     )
     report.note("inner defect of Q", spectral_norm(B @ Q @ B - B))
     return Q, report
 
 
-def one_inverse_family_right(
-    pair: WeightedPair, U, tol: ToleranceConfig = DEFAULT_TOL, Z=None
-) -> tuple:
+def one_inverse_family_right(pair: WeightedPair, U, Z=None) -> tuple:
     """Mirror of the one-sided family: Q = B^+ + (I - N^+ N) U with
     N = (WB)^k, the adjoint of thm3.12's Q on the dual pair."""
     U = as_matrix(U)
     if U.shape != (pair.n, pair.m):
-        raise ValueError(f"U must be {pair.n} x {pair.m}, got {U.shape}")
+        raise DimensionError(f"U must be {pair.n} x {pair.m}, got {U.shape}")
     Zh = None if Z is None else _star(_as_member(pair, Z))
     with _right_hand():
-        Q, report = one_inverse_family(pair.H, U.conj().T, tol, Zh)
+        Q, report = one_inverse_family(pair.H, U.conj().T, Zh)
     same = {label: label for label in ("power absorption", "member product absorption")}
     return Q.conj().T, report.mirrored("lem3.13", same)
 
 
-def mpd_general_solution(
-    pair: WeightedPair, X, Zfree, tol: ToleranceConfig = DEFAULT_TOL
-) -> tuple:
+def mpd_general_solution(pair: WeightedPair, X, Zfree) -> tuple:
     """General solution Y = B^+ + Zfree (I - B W X W) of the power identity
     Y (BW)^(k+1) = B^+ (BW)^(k+1). Returns (Y, report)."""
-    X = _require_member(pair, X, tol)
+    X = _require_member(pair, X)
     P1 = pair.bw_power(pair.k_bw + 1)
     Zfree = as_matrix(Zfree)
     B, W = pair.B, pair.W
     if Zfree.shape != (pair.n, pair.m):
-        raise ValueError(f"Zfree must be {pair.n} x {pair.m}, got {Zfree.shape}")
-    Bp = pair._pinv(tol)
+        raise DimensionError(f"Zfree must be {pair.n} x {pair.m}, got {Zfree.shape}")
+    Bp = pair._pinv()
     Y = Bp + Zfree @ (np.eye(pair.m) - B @ W @ X @ W)
 
-    report = VerificationReport("lem3.14", tol)
-    report.add_equation("power identity", Y @ P1, _pinv_power(pair, tol))
+    report = VerificationReport("lem3.14", pair.tol)
+    report.add_equation("power identity", Y @ P1, _pinv_power(pair))
     return Y, report

@@ -14,11 +14,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .matcore import (
-    DEFAULT_TOL,
     CertificationError,
     DimensionError,
     HypothesisError,
-    ToleranceConfig,
     WeightedPair,
     _certify,
     _exact,
@@ -54,47 +52,47 @@ __all__ = [
 
 
 # Certified kernel values of a pair, built from the staircase forms of BW and
-# WB once per pair and tolerance and read from its memo (see WeightedPair).
+# WB once per pair and read from its memo (see WeightedPair).
 
 
-def _drazin_kernel(pair: WeightedPair, side: str, tol: ToleranceConfig) -> np.ndarray:
+def _drazin_kernel(pair: WeightedPair, side: str) -> np.ndarray:
     """(BW)^D (side "BW") or (WB)^D; on a dual pair, the adjoint of the pair's
     kernel of the other product, (B^* W^*)^D = ((WB)^D)^*, certified once: the
     dual's memo keeps the certificate's residuals, not the adjoint."""
     if pair._primal is None:
-        if side == "WB" and pair._one_product(tol):
+        if side == "WB" and pair._one_product():
             side = "BW"
         return pair._cached(
-            (f"({side})^D", tol), lambda: _drazin(pair._staircase_of(side, tol), tol).value
+            (f"({side})^D",), lambda: _drazin(pair._staircase_of(side), pair.tol).value
         )
-    X = _read_only(_drazin_kernel(pair._primal, "WB" if side == "BW" else "BW", tol).conj().T)
+    X = _read_only(_drazin_kernel(pair._primal, "WB" if side == "BW" else "BW").conj().T)
     pair._cached(
-        (f"({side})^D certified", tol),
-        lambda: _certify("drazin", _drazin_checks(pair._power(side, 1), X, pair._k(side)), tol),
+        (f"({side})^D certified",),
+        lambda: _certify(
+            "drazin", _drazin_checks(pair._power(side, 1), X, pair._k(side)), pair.tol
+        ),
     )
     return X
 
 
-def _wb_core_ep(pair: WeightedPair, tol: ToleranceConfig) -> np.ndarray:
+def _wb_core_ep(pair: WeightedPair) -> np.ndarray:
     """(WB)^core-EP."""
     return pair._cached(
-        ("(WB)^core-EP", tol), lambda: _core_ep(pair._staircase_of("WB", tol), tol).value
+        ("(WB)^core-EP",), lambda: _core_ep(pair._staircase_of("WB"), pair.tol).value
     )
 
 
-def _pinv_b(pair: WeightedPair, tol: ToleranceConfig) -> np.ndarray:
+def _pinv_b(pair: WeightedPair) -> np.ndarray:
     """B^+ B, the left factor of the MP-core-EP and weighted MPD inverses and
     the orthogonal projector onto R(B^*) that the checkers read."""
-    return pair._cached(("B^+ B", tol), lambda: pair._pinv(tol) @ pair.B)
+    return pair._cached(("B^+ B",), lambda: pair._pinv() @ pair.B)
 
 
-def _value(pair: WeightedPair, constructor, tol: ToleranceConfig, *args) -> np.ndarray:
-    """The value of the public `constructor(pair, *args, tol)`, built and
-    certified once per pair, tolerance and arguments, for a constructor that
-    composes it into its own value. A failed certification stores nothing."""
-    return pair._cached(
-        (constructor.__name__, tol, *args), lambda: constructor(pair, *args, tol).value
-    )
+def _value(pair: WeightedPair, constructor, *args) -> np.ndarray:
+    """The value of the public `constructor(pair, *args)`, built and
+    certified once per pair and arguments, for a constructor that composes it
+    into its own value. A failed certification stores nothing."""
+    return pair._cached((constructor.__name__, *args), lambda: constructor(pair, *args).value)
 
 
 @dataclass(frozen=True)
@@ -105,18 +103,18 @@ class WeightedInverseResult:
     residuals: dict
 
 
-def w_drazin(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedInverseResult:
+def w_drazin(pair: WeightedPair) -> WeightedInverseResult:
     """W-weighted Drazin inverse ((BW)^D)^2 B, certified against its three
     defining equations and the dual representation B ((WB)^D)^2."""
     B, W = pair.B, pair.W
     k = pair.k_bw
 
     def square():
-        Xd = _drazin_kernel(pair, "BW", tol)
+        Xd = _drazin_kernel(pair, "BW")
         return Xd @ Xd
 
-    val = pair._cached(("((BW)^D)^2", tol), square) @ B
-    Xwb = _drazin_kernel(pair, "WB", tol)
+    val = pair._cached(("((BW)^D)^2",), square) @ B
+    Xwb = _drazin_kernel(pair, "WB")
     vWB = (val, W, B)  # shared by the fixed-point and commute rows
     residuals = _certify(
         "w_drazin",
@@ -126,13 +124,13 @@ def w_drazin(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> Weighted
             "power": _Row((pair.bw_power(k + 1), val, W), pair.bw_power(k)),
             "dual agreement": _Row((B, (Xwb, Xwb)), val),
         },
-        tol,
+        pair.tol,
         pair,
     )
     return WeightedInverseResult(value=val, kind="w-drazin", index_used=k, residuals=residuals)
 
 
-def _w_core_ep_checks(pair: WeightedPair, val: np.ndarray, tol: ToleranceConfig) -> dict:
+def _w_core_ep_checks(pair: WeightedPair, val: np.ndarray) -> dict:
     """The rows that fix the W-weighted core-EP inverse: W B W val = P_WB,
     the projector onto R((WB)^k), and val = P_BW val, R(val) inside
     R((BW)^k), each projector read from the pair's staircase form.
@@ -144,32 +142,30 @@ def _w_core_ep_checks(pair: WeightedPair, val: np.ndarray, tol: ToleranceConfig)
     gives (BW)^(k+2) z = B W B W D = 0, and (BW)^(k+2) has the null space of
     (BW)^k, so D = 0."""
     return {
-        "projector": _Row(((pair.wb_power(1), pair.W), val), pair._projector("WB", pair.k_wb, tol)),
-        "range": _Row(val, (pair._projector("BW", pair.k_bw, tol), val), val),
+        "projector": _Row(((pair.wb_power(1), pair.W), val), pair._projector("WB", pair.k_wb)),
+        "range": _Row(val, (pair._projector("BW", pair.k_bw), val), val),
     }
 
 
-def w_core_ep(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedInverseResult:
+def w_core_ep(pair: WeightedPair) -> WeightedInverseResult:
     """W-weighted core-EP inverse B ((WB)^core-EP)^2, certified by the two
     rows that fix it (see `_w_core_ep_checks`)."""
-    C = _wb_core_ep(pair, tol)
-    val = pair._cached(("B (WB)^core-EP", tol), lambda: pair.B @ C) @ C
-    residuals = _certify("w_core_ep", _w_core_ep_checks(pair, val, tol), tol, pair)
+    C = _wb_core_ep(pair)
+    val = pair._cached(("B (WB)^core-EP",), lambda: pair.B @ C) @ C
+    residuals = _certify("w_core_ep", _w_core_ep_checks(pair, val), pair.tol, pair)
     return WeightedInverseResult(
         value=val, kind="w-core-ep", index_used=pair.k_wb, residuals=residuals
     )
 
 
-def w_m_wgi(
-    pair: WeightedPair, m: int, tol: ToleranceConfig = DEFAULT_TOL
-) -> WeightedInverseResult:
+def w_m_wgi(pair: WeightedPair, m: int) -> WeightedInverseResult:
     """W-weighted m-fold weak group inverse (B^core-EP,W W)^(m+1) (BW)^(m-1) B."""
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
     B, W = pair.B, pair.W
-    C, BWm = _value(pair, w_core_ep, tol), pair.bw_power(m - 1)  # C = B^core-EP,W
+    C, BWm = _value(pair, w_core_ep), pair.bw_power(m - 1)  # C = B^core-EP,W
     val = pair._cached(
-        ("(CW)^(m+1) (BW)^(m-1)", tol, m), lambda: np.linalg.matrix_power(C @ W, m + 1) @ BWm
+        ("(CW)^(m+1) (BW)^(m-1)", m), lambda: np.linalg.matrix_power(C @ W, m + 1) @ BWm
     ) @ B
     residuals = _certify(
         "w_m_wgi",
@@ -177,7 +173,7 @@ def w_m_wgi(
             "product": _Row((pair.bw_power(1), val), (((C, W),) * m, BWm, B)),
             "outer": _Row((val, W, B, W, val), val),
         },
-        tol,
+        pair.tol,
         pair,
     )
     return WeightedInverseResult(
@@ -185,20 +181,18 @@ def w_m_wgi(
     )
 
 
-def w_m_weak_core(
-    pair: WeightedPair, m: int, tol: ToleranceConfig = DEFAULT_TOL
-) -> WeightedInverseResult:
+def w_m_weak_core(pair: WeightedPair, m: int) -> WeightedInverseResult:
     """W-weighted m-fold weak core inverse: the m-fold weak group value
     composed with the projector onto R((WB)^m)."""
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
     B, W = pair.B, pair.W
-    P = pair._projector("WB", m, tol)
-    val = _value(pair, w_m_wgi, tol, m) @ P
+    P = pair._projector("WB", m)
+    val = _value(pair, w_m_wgi, m) @ P
 
     wgi = pair._cached(  # the m-fold weak group inverse of WB, from its core-EP
-        ("(WB)^wgi", tol, m),
-        lambda: _m_wgi(pair._staircase_of("WB", tol), m, _wb_core_ep(pair, tol), tol).value,
+        ("(WB)^wgi", m),
+        lambda: _m_wgi(pair._staircase_of("WB"), m, _wb_core_ep(pair), pair.tol).value,
     )
     BWval = (pair.bw_power(1), val)  # shared by both rows
     residuals = _certify(
@@ -207,7 +201,7 @@ def w_m_weak_core(
             "product": _Row(BWval, (B, (wgi, P))),
             "inner composition": _Row((BWval, W, val), val),
         },
-        tol,
+        pair.tol,
         pair,
     )
     return WeightedInverseResult(
@@ -215,73 +209,71 @@ def w_m_weak_core(
     )
 
 
-def _outer_only(kind: str, pair: WeightedPair, val: np.ndarray, tol: ToleranceConfig) -> dict:
-    return _certify(kind, {"outer": _Row((val, pair.B, val), val)}, tol, pair)
+def _outer_only(kind: str, pair: WeightedPair, val: np.ndarray) -> dict:
+    return _certify(kind, {"outer": _Row((val, pair.B, val), val)}, pair.tol, pair)
 
 
-def w_mpcep(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedInverseResult:
+def w_mpcep(pair: WeightedPair) -> WeightedInverseResult:
     """MP-core-EP composition B^+ B W B^core-EP,W W."""
     W = pair.W
     head = pair._cached(
-        ("B^+ B W B^core-EP,W", tol), lambda: _pinv_b(pair, tol) @ W @ _value(pair, w_core_ep, tol)
+        ("B^+ B W B^core-EP,W",), lambda: _pinv_b(pair) @ W @ _value(pair, w_core_ep)
     )
     val = head @ W
-    residuals = _outer_only("w_mpcep", pair, val, tol)
+    residuals = _outer_only("w_mpcep", pair, val)
     return WeightedInverseResult(
         value=val, kind="w-mpcep", index_used=pair.k_bw, residuals=residuals
     )
 
 
-def w_cepmp(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedInverseResult:
+def w_cepmp(pair: WeightedPair) -> WeightedInverseResult:
     """Core-EP-MP composition W B^core-EP,W W B B^+."""
     B, W = pair.B, pair.W
     head = pair._cached(
-        ("W B^core-EP,W W B", tol), lambda: W @ _value(pair, w_core_ep, tol) @ W @ B
+        ("W B^core-EP,W W B",), lambda: W @ _value(pair, w_core_ep) @ W @ B
     )
-    val = head @ pair._pinv(tol)
-    residuals = _outer_only("w_cepmp", pair, val, tol)
+    val = head @ pair._pinv()
+    residuals = _outer_only("w_cepmp", pair, val)
     return WeightedInverseResult(
         value=val, kind="w-cepmp", index_used=pair.k_wb, residuals=residuals
     )
 
 
-def w_m_wgmp(
-    pair: WeightedPair, m: int, tol: ToleranceConfig = DEFAULT_TOL
-) -> WeightedInverseResult:
+def w_m_wgmp(pair: WeightedPair, m: int) -> WeightedInverseResult:
     """m-fold weak-group-MP composition W B^wgi(m),W W B B^+."""
     B, W = pair.B, pair.W
     head = pair._cached(
-        ("W B^wgi,W W B", tol, m), lambda: W @ _value(pair, w_m_wgi, tol, m) @ W @ B
+        ("W B^wgi,W W B", m), lambda: W @ _value(pair, w_m_wgi, m) @ W @ B
     )
-    val = head @ pair._pinv(tol)
-    residuals = _outer_only("w_m_wgmp", pair, val, tol)
+    val = head @ pair._pinv()
+    residuals = _outer_only("w_m_wgmp", pair, val)
     return WeightedInverseResult(
         value=val, kind="w-m-wgmp", index_used=pair.k_wb, residuals=residuals
     )
 
 
-def _pinv_power(pair: WeightedPair, tol: ToleranceConfig) -> np.ndarray:
+def _pinv_power(pair: WeightedPair) -> np.ndarray:
     """B^+ (BW)^(k+1), the right side of the power rows of the weighted and
     weak MPD inverses and of their checkers, formed once per pair and
-    tolerance and read-only."""
+    read-only."""
     k = pair.k_bw
-    return pair._cached(("B^+ BW^", tol, k + 1), lambda: pair._pinv(tol) @ pair.bw_power(k + 1))
+    return pair._cached(("B^+ BW^", k + 1), lambda: pair._pinv() @ pair.bw_power(k + 1))
 
 
-def w_mpd(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedInverseResult:
+def w_mpd(pair: WeightedPair) -> WeightedInverseResult:
     """Weighted MPD inverse B^+ B W B^D,W W."""
     B, W = pair.B, pair.W
     k = pair.k_bw
-    WdW = pair._cached(("W B^D,W W", tol), lambda: W @ _value(pair, w_drazin, tol) @ W)
-    val = _pinv_b(pair, tol) @ WdW
+    WdW = pair._cached(("W B^D,W W",), lambda: W @ _value(pair, w_drazin) @ W)
+    val = _pinv_b(pair) @ WdW
     residuals = _certify(
         "w_mpd",
         {
             "outer": _Row((val, B, val), val),
             "product": _Row((B, val), (B, WdW)),
-            "power": _Row((val, pair.bw_power(k + 1)), _pinv_power(pair, tol)),
+            "power": _Row((val, pair.bw_power(k + 1)), _pinv_power(pair)),
         },
-        tol,
+        pair.tol,
         pair,
     )
     return WeightedInverseResult(value=val, kind="w-mpd", index_used=k, residuals=residuals)
@@ -326,11 +318,11 @@ def _adjoint(result: WeightedInverseResult, kind: str) -> WeightedInverseResult:
     return replace(result, value=result.value.conj().T, kind=kind)
 
 
-def w_dmp(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedInverseResult:
+def w_dmp(pair: WeightedPair) -> WeightedInverseResult:
     """Weighted DMP inverse W B^D,W W B B^+: the adjoint of the weighted MPD
     inverse of the dual pair, certified by its equations."""
     with _right_hand():
-        return _adjoint(w_mpd(pair.H, tol), "w-dmp")
+        return _adjoint(w_mpd(pair.H), "w-dmp")
 
 
 @dataclass(frozen=True)
@@ -361,44 +353,44 @@ def _family_product(pair: WeightedPair, k: int) -> np.ndarray:
     return pair._cached(("W BW^", k + 1), lambda: pair.W @ pair.bw_power(k + 1))
 
 
-def _family_parts(pair: WeightedPair, tol: ToleranceConfig) -> tuple:
+def _family_parts(pair: WeightedPair) -> tuple:
     """(K M^+, I - M M^+) with K = (BW)^k and M = W (BW)^(k+1): the left
     family's particular solution and annihilator, built from one M^+ once per
-    pair and tolerance and read-only."""
+    pair and read-only."""
 
     def build():
         M = _family_product(pair, pair.k_bw)
-        Mp = mp_inverse(M, tol)
+        Mp = mp_inverse(M, pair.tol)
         particular = pair.bw_power(pair.k_bw) @ Mp
         return _read_only(particular), _read_only(np.eye(pair.n) - M @ Mp)
 
-    return pair._cached(("family parts", tol), build)
+    return pair._cached(("family parts",), build)
 
 
-def mrwwd_family(pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL) -> SolutionFamily:
+def mrwwd_family(pair: WeightedPair) -> SolutionFamily:
     """All m x n solutions X of X W (BW)^(k+1) = (BW)^k with rank((BW)^k).
 
     particular = K M^+ with K = (BW)^k and M = W (BW)^(k+1); the family is
     K M^+ + K Z (I - M M^+) over free Z. Consistency of the particular
     solution (K M^+ M = K) reads the pair's arrays alone, so it is certified
-    once per pair and tolerance (a refusal stores nothing); the rank and range
+    once per pair (a refusal stores nothing); the rank and range
     constraints then hold automatically for every member. The family's arrays
     are the pair's, read-only (see `_family_parts`).
     """
     K, M = pair.bw_power(pair.k_bw), _family_product(pair, pair.k_bw)
-    particular, annihilator = _family_parts(pair, tol)
+    particular, annihilator = _family_parts(pair)
     pair._cached(
-        ("family parts certified", tol),
-        lambda: _certify("mrwwd_family", {"power equation": _Row((particular, M), K)}, tol, pair),
+        ("family parts certified",),
+        lambda: _certify(
+            "mrwwd_family", {"power equation": _Row((particular, M), K)}, pair.tol, pair
+        ),
     )
     return SolutionFamily(
         particular=particular, left_factor=K, annihilator=annihilator, side="left"
     )
 
 
-def mrwwd_right_family(
-    pair: WeightedPair, tol: ToleranceConfig = DEFAULT_TOL
-) -> SolutionFamily:
+def mrwwd_right_family(pair: WeightedPair) -> SolutionFamily:
     """All m x n solutions Z of M Z = N with M = W (BW)^(k+1), N = (WB)^k and
     rank(N): the adjoints of the dual pair's left family.
 
@@ -406,7 +398,7 @@ def mrwwd_right_family(
     and rank of N automatically, and member(P) is the dual member(P^*)^*.
     """
     with _right_hand():
-        dual = mrwwd_family(pair.H, tol)
+        dual = mrwwd_family(pair.H)
     return SolutionFamily(
         particular=dual.particular.conj().T,
         left_factor=dual.annihilator.conj().T,
@@ -425,7 +417,7 @@ def _as_member(pair: WeightedPair, X) -> np.ndarray:
     return X.astype(np.result_type(X, pair.B), copy=False)
 
 
-def _power_equation(pair: WeightedPair, X, tol: ToleranceConfig, checked: bool = False) -> dict:
+def _power_equation(pair: WeightedPair, X, checked: bool = False) -> dict:
     """The two rows of the left family's membership test (Thm 2.1 (ii)): the
     power equation X M = K with K = (BW)^k and M = W (BW)^(k+1), and the
     range row X = P X, judged against X, with P the projector onto R(K) that
@@ -435,36 +427,34 @@ def _power_equation(pair: WeightedPair, X, tol: ToleranceConfig, checked: bool =
     projector onto the row space of (WB)^k (see WeightedPair._projector).
     X is validated by `_as_member` unless `checked` says it already was."""
     X = X if checked else _as_member(pair, X)
-    P = pair._projector("BW", pair.k_bw, tol)
+    P = pair._projector("BW", pair.k_bw)
     return {
         "power": _Row((X, _family_product(pair, pair.k_bw)), pair.bw_power(pair.k_bw)),
         "range": _Row(X, (P, X), X),
     }
 
 
-def _left_member_residual(pair: WeightedPair, X, tol: ToleranceConfig) -> tuple:
+def _left_member_residual(pair: WeightedPair, X) -> tuple:
     """(pass, exact spectral residual of the power equation, range residual)
     of the membership test. The range row is judged as a certificate
     (`_judge`): its residual reads 0 when it passes, and is exact when it
     fails."""
-    (R, K), (D, F) = (row.formed({}) for row in _power_equation(pair, X, tol).values())
-    residual, ok = _exact(R, K, tol)
-    range_residual, in_range = _judge(D, F, tol)
+    (R, K), (D, F) = (row.formed({}) for row in _power_equation(pair, X).values())
+    residual, ok = _exact(R, K, pair.tol)
+    range_residual, in_range = _judge(D, F, pair.tol)
     return ok and in_range, residual, 0.0 if in_range else range_residual
 
 
-def _require_member(
-    pair: WeightedPair, X, tol: ToleranceConfig, checked: bool = False
-) -> np.ndarray:
+def _require_member(pair: WeightedPair, X, checked: bool = False) -> np.ndarray:
     """X as `_power_equation` validates it, certified a left family member.
 
     Both rows are judged as certificates (`_verdicts`); a refusal names the
     exact spectral residual of each, taking it anew only for a row that passed."""
-    rows, products = _power_equation(pair, X, tol, checked), {}
-    judged = _verdicts(rows, tol, pair, products)
+    rows, products = _power_equation(pair, X, checked), {}
+    judged = _verdicts(rows, pair.tol, pair, products)
     if not all(ok for _, _, ok in judged):
         power_residual, range_residual = (
-            _exact(*row.formed(products), tol)[0] if ok else residual
+            _exact(*row.formed(products), pair.tol)[0] if ok else residual
             for (_, residual, ok), row in zip(judged, rows.values())
         )
         raise HypothesisError(
@@ -474,44 +464,44 @@ def _require_member(
     return rows["range"].lhs
 
 
-def weak_mpd(pair: WeightedPair, X, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedInverseResult:
+def weak_mpd(pair: WeightedPair, X) -> WeightedInverseResult:
     """Weak MPD inverse B^+ B W X W for a certified left family member X.
 
     Certifies the outer equation, the image identity B Y = B W X W, the power
     identity Y (BW)^(k+1) = B^+ (BW)^(k+1), and absorption of B^+ into the
     weighted MPD inverse.
     """
-    return _weak_mpd(pair, _require_member(pair, X, tol), tol)
+    return _weak_mpd(pair, _require_member(pair, X))
 
 
-def _weak_mpd(pair: WeightedPair, X: np.ndarray, tol: ToleranceConfig) -> WeightedInverseResult:
+def _weak_mpd(pair: WeightedPair, X: np.ndarray) -> WeightedInverseResult:
     """weak_mpd for an X already certified to be a left family member."""
     B, W = pair.B, pair.W
     k = pair.k_bw
     BWXW = pair.bw_power(1) @ X @ W
-    val = pair._pinv(tol) @ BWXW
+    val = pair._pinv() @ BWXW
     residuals = _certify(
         "weak_mpd",
         {
             "outer": _Row((val, B, val), val),
             "image": _Row((B, val), BWXW),
-            "power": _Row((val, pair.bw_power(k + 1)), _pinv_power(pair, tol)),
-            "absorption": _Row((_value(pair, w_mpd, tol), BWXW), val),
+            "power": _Row((val, pair.bw_power(k + 1)), _pinv_power(pair)),
+            "absorption": _Row((_value(pair, w_mpd), BWXW), val),
         },
-        tol,
+        pair.tol,
         pair,
     )
     return WeightedInverseResult(value=val, kind="weak-mpd", index_used=k, residuals=residuals)
 
 
-def weak_dmp(pair: WeightedPair, Z, tol: ToleranceConfig = DEFAULT_TOL) -> WeightedInverseResult:
+def weak_dmp(pair: WeightedPair, Z) -> WeightedInverseResult:
     """Weak DMP inverse W Z W B B^+ for a certified right family member Z: the
     adjoint of the weak MPD inverse of Z^* on the dual pair. Z is validated
     once, here, and the dual's membership test reads its adjoint as checked."""
     dual, Zh = pair.H, _as_member(pair, Z).conj().T
     with _right_hand():
-        Zh = _require_member(dual, Zh, tol, checked=True)
-        return _adjoint(_weak_mpd(dual, Zh, tol), "weak-dmp")
+        Zh = _require_member(dual, Zh, checked=True)
+        return _adjoint(_weak_mpd(dual, Zh), "weak-dmp")
 
 
 CATALOG = {
@@ -529,12 +519,10 @@ CATALOG = {
 PARAMETRIZED_KINDS = frozenset({"w-m-wgi", "w-m-weak-core", "w-m-wgmp"})
 
 
-def compute_kind(
-    pair: WeightedPair, kind: str, tol: ToleranceConfig = DEFAULT_TOL, m: int = 1
-) -> WeightedInverseResult:
+def compute_kind(pair: WeightedPair, kind: str, m: int = 1) -> WeightedInverseResult:
     """Dispatch a catalog kind by name."""
     if kind not in CATALOG:
         raise ValueError(f"unknown inverse kind {kind!r}; known: {sorted(CATALOG)}")
     if kind in PARAMETRIZED_KINDS:
-        return CATALOG[kind](pair, m, tol)
-    return CATALOG[kind](pair, tol)
+        return CATALOG[kind](pair, m)
+    return CATALOG[kind](pair)

@@ -11,7 +11,6 @@ from wginv.decomp import (
     weighted_core_ep_decompose,
 )
 from wginv.matcore import (
-    DEFAULT_TOL,
     HypothesisError,
     index_of,
     mp_inverse,

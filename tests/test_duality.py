@@ -15,7 +15,6 @@ from wginv.perturb import (
     perturbed_mrwwd_right,
 )
 from wginv.matcore import (
-    DEFAULT_TOL,
     CertificationError,
     DimensionError,
     HypothesisError,
@@ -188,7 +187,7 @@ def test_right_flags_are_the_right_hand_subspace_and_norm_tests(case):
     # its own size, computed here from the right-hand definitions
     pair, Z, _, _ = case
     E = 0.05 * _noise(np.random.default_rng(17), (pair.m, pair.n))
-    flags = PerturbationScenario(pair, Z, "right", E)._flags(DEFAULT_TOL)
+    flags = PerturbationScenario(pair, Z, "right", E)._flags
     B, W = pair.B, pair.W
     Bp = np.linalg.pinv(B, rcond=1e-10)
     WE, WBWZ = W @ E, W @ B @ W @ Z
@@ -270,13 +269,13 @@ def test_weak_dmp_scans_its_member_once_and_keeps_its_errors(case, monkeypatch):
 def test_one_inverse_family_right_reports_the_callers_u_shape(case):
     pair, Z, _, _ = case
     with pytest.raises(ValueError, match=rf"U must be {pair.n} x {pair.m}, got \(2, 3\)"):
-        one_inverse_family_right(pair, np.zeros((2, 3)), DEFAULT_TOL, Z)
+        one_inverse_family_right(pair, np.zeros((2, 3)), Z)
 
 
 def test_right_hand_certification_errors_use_the_callers_names(case):
     pair = case[0]
     with pytest.raises(CertificationError, match="^mrwwd_right_family: check 'power equation'"):
-        mrwwd_right_family(pair, ToleranceConfig(residual_atol=1e-30))
+        mrwwd_right_family(weighted_pair(pair.B, pair.W, ToleranceConfig(residual_atol=1e-30)))
 
 
 def _unequal_index_pair(rng):
@@ -311,10 +310,10 @@ def test_row_projector_matches_an_svd_reference():
     for pair in pairs:
         for side, power, dual_side in (("BW", pair.bw_power, "WB"), ("WB", pair.wb_power, "BW")):
             k = pair._k(side)
-            q = pair._rank(side, k, DEFAULT_TOL)
-            P = pair._row_projector(side, DEFAULT_TOL)
+            q = pair._rank(side, k)
+            P = pair._row_projector(side)
             assert np.linalg.norm(P - _row_space_reference(power(k), q), 2) <= 1e-12
             # read, not rebuilt, by the dual at and above its index
             dual = pair.H
             for j in (k, k + 1):
-                assert dual._projector(dual_side, j, DEFAULT_TOL) is P
+                assert dual._projector(dual_side, j) is P

@@ -174,7 +174,7 @@ def test_mp_inverse_penrose_equations(A):
 
 
 # A WeightedPair owns read-only copies of B and W and a memo of shared
-# factors (B^+, kernel values, power projectors) keyed by tolerance.
+# factors (B^+, kernel values, power projectors), all at its one tolerance.
 
 
 def _used_pair():
@@ -215,10 +215,10 @@ def test_pair_matrices_and_cached_factors_are_read_only():
         pair.B,
         pair.W,
         pair.H.B,
-        pair._pinv(DEFAULT_TOL),
-        pair._projector("WB", pair.k_wb, DEFAULT_TOL),
-        _drazin_kernel(pair, "BW", DEFAULT_TOL),
-        _wb_core_ep(pair, DEFAULT_TOL),
+        pair._pinv(),
+        pair._projector("WB", pair.k_wb),
+        _drazin_kernel(pair, "BW"),
+        _wb_core_ep(pair),
     ]
     for A in factors:
         with pytest.raises(ValueError):
@@ -402,14 +402,17 @@ def _refuse_canonical(tol):
     pair = ex1_pair()
     dec = weighted_core_ep_decompose(pair)
     reversed_bases = replace(dec, M=dec.M[:, ::-1])
-    weak_mpd_canonical(pair, ex1_member(2, -1), DEFAULT_TOL, dec=reversed_bases)
+    weak_mpd_canonical(pair, ex1_member(2, -1), dec=reversed_bases)
 
 
 REFUSALS = {
     "drazin": lambda tol: drazin(random_square_with_index(6, 2, np.random.default_rng(7)), tol),
-    "mrwwd_family": lambda tol: mrwwd_family(random_pair(7, 6, 2, 5), tol),
-    "mrwwd_right_family": lambda tol: mrwwd_right_family(random_pair(7, 6, 2, 5), tol),
-    "mp_via_blocks": lambda tol: mp_via_blocks(weighted_core_ep_decompose(ex1_pair()), tol),
+    "mrwwd_family": lambda tol: mrwwd_family(random_pair(7, 6, 2, 5, tol=tol)),
+    "mrwwd_right_family": lambda tol: mrwwd_right_family(random_pair(7, 6, 2, 5, tol=tol)),
+    # the default pair's decomposition, read on the pair built at `tol`
+    "mp_via_blocks": lambda tol: mp_via_blocks(
+        replace(weighted_core_ep_decompose(ex1_pair()), pair=ex1_pair(tol))
+    ),
     "weak_mpd_canonical": _refuse_canonical,
 }
 

@@ -37,7 +37,7 @@ def test_fixture_rows_are_left_members():
     A, B, C, W = ex2_matrices()
     for F, row in ((A, (1, 2, -1, 3)), (B, (1, 0, 1, 0)), (C, (1, 1, 0, 0))):
         pair = weighted_pair(F, W)
-        ok, residual, gap = _left_member_residual(pair, ex2_member(row), DEFAULT_TOL)
+        ok, residual, gap = _left_member_residual(pair, ex2_member(row))
         assert ok and residual == 0.0 and gap == 0
 
 

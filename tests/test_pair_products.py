@@ -15,7 +15,7 @@ import pytest
 
 from wginv import matcore
 from wginv._gen import random_pair
-from wginv.matcore import DEFAULT_TOL, CertificationError, ToleranceConfig, WeightedPair
+from wginv.matcore import CertificationError, ToleranceConfig, WeightedPair
 from wginv.winv import CATALOG, PARAMETRIZED_KINDS, compute_kind
 
 # the products the catalog constructors keep on a pair (and on its dual)
@@ -153,12 +153,17 @@ def test_warm_calls_read_the_products_and_match_the_cold_call(kind, m):
     assert warm.value.flags.writeable
 
 
-def test_products_are_kept_per_tolerance_and_powers_once():
+def test_products_are_kept_once_per_pair_and_powers_once():
+    # a pair has one tolerance, so each product has one key; the same B and W
+    # built at another tolerance are another pair, with a memo of its own
     pair = _fresh()
     compute_kind(pair, "w-core-ep")
-    compute_kind(pair, "w-core-ep", tol=ToleranceConfig(residual_atol=1e-7))
+    compute_kind(pair, "w-core-ep")
     assert [key for key in pair._memo if key[0] == "WB^"] == [("WB^", 1)]
-    assert len([key for key in pair._memo if key[0] == "B (WB)^core-EP"]) == 2
+    assert [key for key in pair._memo if key[0] == "B (WB)^core-EP"] == [("B (WB)^core-EP",)]
+    other = random_pair(7, 6, 2, 5, ToleranceConfig(residual_atol=1e-7))
+    compute_kind(other, "w-core-ep")
+    assert other._memo["B (WB)^core-EP",] is not pair._memo["B (WB)^core-EP",]
 
 
 
@@ -180,7 +185,7 @@ def _planted_refusal(key) -> tuple:
 
 # (BW)^k, which the power row of w_drazin reads as its rhs, and the Drazin
 # kernel (WB)^D of its dual-agreement row: both have kept probe images
-@pytest.mark.parametrize("key", [("BW^", 2), ("(WB)^D", DEFAULT_TOL)], ids=["BW^k", "(WB)^D"])
+@pytest.mark.parametrize("key", [("BW^", 2), ("(WB)^D",)], ids=["BW^k", "(WB)^D"])
 def test_a_planted_entry_with_a_probe_image_is_refused_as_the_formed_rows_refuse_it(
     monkeypatch, key
 ):

@@ -37,7 +37,7 @@ def test_closed_family_admissible_for_drazin_member():
     pair = ex1_pair()
     Xd = w_drazin(pair).value
     scenario = admissible_perturbation(pair, Xd, 0.1, seed=5)
-    flags = scenario._flags(DEFAULT_TOL)
+    flags = scenario._flags
     assert all(ok for _, ok in flags.values()), flags
     assert scenario.alpha == 0.1
     assert spectral_norm(scenario.D - pair.B - scenario.E) <= 1e-15
@@ -74,7 +74,7 @@ def test_overlarge_alpha_is_halved_until_norms_settle():
     Xd = w_drazin(pair).value
     scenario = admissible_perturbation(pair, Xd, 5.0, seed=5)
     assert scenario.alpha < 5.0
-    flags = scenario._flags(DEFAULT_TOL)
+    flags = scenario._flags
     norms = {k: v for k, (v, _) in flags.items() if k.startswith("norm")}
     assert all(v <= 0.5 for v in norms.values())
     with pytest.raises(GenerationError):
@@ -90,7 +90,7 @@ def test_closed_family_rejects_generic_member_subspace():
     with pytest.raises(GenerationError):
         admissible_perturbation(pair, X, 0.1, seed=5, family="closed")
     scenario = admissible_perturbation(pair, X, 0.1, seed=5, family="random")
-    assert all(ok for _, ok in scenario._flags(DEFAULT_TOL).values())
+    assert all(ok for _, ok in scenario._flags.values())
     report = perturbed_mrwwd(scenario)
     assert report.overall, report.to_dict()
     report = mpd_perturbation(scenario)
@@ -113,7 +113,7 @@ def test_scenario_from_parts_flags_inadmissible_direction():
     rng = np.random.default_rng(9)
     E = 0.05 * rng.standard_normal((pair.m, pair.n))
     scenario = PerturbationScenario(pair, Xd, "left", E)
-    flags = scenario._flags(DEFAULT_TOL)
+    flags = scenario._flags
     assert not all(ok for _, ok in flags.values())
     # every subspace flag is the residual rule against ||E||_2
     bar = DEFAULT_TOL.residual_atol * (1.0 + spectral_norm(E))
@@ -172,7 +172,7 @@ def test_dmp_chain_refuses_a_non_member_in_the_callers_terms():
     # E = 0 passes every flag, so the chain itself meets the non-member
     pair = ex1_pair()
     scenario = PerturbationScenario(pair, np.ones((5, 4)), "right", np.zeros((5, 4)))
-    assert all(ok for _, ok in scenario._flags(DEFAULT_TOL).values())
+    assert all(ok for _, ok in scenario._flags.values())
     with pytest.raises(HypothesisError, match="^Z is not a member of the right solution family"):
         dmp_perturbation(scenario)
 
@@ -277,8 +277,8 @@ def test_halving_judges_only_the_norm_flags_again(monkeypatch, side):
     scenario = admissible_perturbation(pair, member, 10.0, seed=0, side=side)
     assert built == [10.0, scenario.alpha] and scenario.alpha <= 10.0 / 16
     again = whole(pair, member, side, scenario.E, alpha=scenario.alpha)
-    assert ("flags", DEFAULT_TOL) not in scenario._memo
-    assert scenario._flags(DEFAULT_TOL) == again._flags(DEFAULT_TOL)
+    assert "_flags" not in scenario.__dict__
+    assert scenario._flags == again._flags
     del built[:]
     admissible_perturbation(pair, member, 0.1, seed=0, side=side)
     assert built == [0.1]
@@ -286,7 +286,7 @@ def test_halving_judges_only_the_norm_flags_again(monkeypatch, side):
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_chains_on_one_scenario_share_the_pair_of_d(monkeypatch, side):
-    # the scenario builds the pair (D, W) once per tolerance; the family
+    # the scenario builds the pair (D, W) once; the family
     # stability statement, the inverse chain and the Drazin case read it
     pair = ex1_pair()
     member = w_drazin(pair).value
@@ -305,12 +305,12 @@ def test_chains_on_one_scenario_share_the_pair_of_d(monkeypatch, side):
         else (perturbed_mrwwd_right, dmp_perturbation)
     )
     for run in (family, chain, drazin_case_perturbation, chain):
-        assert run(scenario, DEFAULT_TOL).overall
+        assert run(scenario).overall
     assert len(built) == 1
-    dpair = scenario._dpair(DEFAULT_TOL)
+    dpair = scenario._dpair
     assert np.array_equal(dpair.B, scenario.D) and np.array_equal(dpair.W, pair.W)
     if side == "right":  # the dual's D = B^* + E^* is the adjoint pair's B
-        assert np.array_equal(perturb._dual(scenario, DEFAULT_TOL).D, dpair.H.B)
+        assert np.array_equal(perturb._dual(scenario).D, dpair.H.B)
 
 
 # thm3.19's row "representation T1 = T2", and so thm3.20's "G1 = G2", holds
@@ -329,10 +329,10 @@ def test_representation_t1_t2_holds_for_every_perturbation(seed, side):
     E = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
     E *= 0.05 / spectral_norm(E)
     scenario = PerturbationScenario(pair, family(pair).member(0.4 * free), side, E)
-    flags = scenario._flags(DEFAULT_TOL)
+    flags = scenario._flags
     assert not all(ok for _, ok in flags.values())  # a generic E is not admissible
-    left = scenario if side == "left" else perturb._dual(scenario, DEFAULT_TOL)
-    report = perturb._mpd_chain(left, DEFAULT_TOL)[0]
+    left = scenario if side == "left" else perturb._dual(scenario)
+    report = perturb._mpd_chain(left)[0]
     rows = {label: (residual, ok) for label, residual, ok in report.conditions}
     residual, ok = rows["representation T1 = T2"]
     assert ok and residual < 1e-13
@@ -370,7 +370,7 @@ def test_a_replaced_perturbation_is_judged_by_its_own_flags(side):
     for chain, names in STALE_CHAINS[side].items():
         with pytest.raises(HypothesisError) as refusal:
             chain(stale)
-        flags = stale._flags(DEFAULT_TOL)
+        flags = stale._flags
         violated = [name for name in names or flags if not flags[name][1]]
         assert violated and str(refusal.value) == f"scenario violates hypotheses: {violated}"
     assert np.array_equal(stale.D, pair.B + stale.E)

@@ -189,12 +189,12 @@ def test_tight_tolerance_still_raises_everywhere():
     for build in (lambda: drazin(A, tight), lambda: core_ep(A, tight), lambda: m_wgi(A, 2, tight)):
         with pytest.raises(CertificationError):
             build()
-    pair = random_pair(7, 6, 2, 5)
+    pair = random_pair(7, 6, 2, 5, tight)
     for build in (
-        lambda: w_drazin(pair, tight),
-        lambda: w_mpd(pair, tight),
-        lambda: w_core_ep(pair, tight),
-        lambda: w_m_weak_core(pair, 2, tight),
+        lambda: w_drazin(pair),
+        lambda: w_mpd(pair),
+        lambda: w_core_ep(pair),
+        lambda: w_m_weak_core(pair, 2),
     ):
         with pytest.raises(CertificationError):
             build()
@@ -277,11 +277,11 @@ def test_w_core_ep_rows_refuse_wrong_values():
     pair = random_pair(7, 6, 2, 5)
     tol = matcore.DEFAULT_TOL
     val = w_core_ep(pair).value
-    form = pair._staircase_of("BW", tol)
+    form = pair._staircase_of("BW")
     U1 = form.U[:, : form.q]
     WBW = pair.W @ pair.B @ pair.W
     null_vector = np.linalg.svd(WBW)[2][-1].conj()  # W B W v = 0, v outside R((BW)^k)
     assert np.linalg.norm(WBW @ null_vector) < 1e-12
-    _certify("w_core_ep", winv._w_core_ep_checks(pair, val, tol), tol)
+    _certify("w_core_ep", winv._w_core_ep_checks(pair, val), tol)
     for wrong, failing, passing in _wrong_values(val, U1, null_vector, rng).values():
-        _refused_by("w_core_ep", winv._w_core_ep_checks(pair, wrong, tol), failing, passing)
+        _refused_by("w_core_ep", winv._w_core_ep_checks(pair, wrong), failing, passing)

@@ -19,7 +19,6 @@ from wginv._gen import ex1_member, ex1_pair, ex2_matrices, random_pair, random_s
 from wginv.cli import main
 from wginv.decomp import weak_mpd_canonical
 from wginv.matcore import (
-    DEFAULT_TOL,
     CertificationError,
     HypothesisError,
     ToleranceConfig,
@@ -190,9 +189,9 @@ def test_dual_reads_the_pair_kernels_as_adjoints(monkeypatch):
     calls = _counting(monkeypatch, linalg_impl, "svd")
     monkeypatch.setattr(np.linalg, "svd", linalg_impl.svd)
     for side, other in (("BW", "WB"), ("WB", "BW")):
-        dual = _drazin_kernel(pair.H, side, DEFAULT_TOL)
-        assert np.array_equal(dual, _drazin_kernel(pair, other, DEFAULT_TOL).conj().T)
-    assert np.array_equal(pair.H._pinv(DEFAULT_TOL), pair._pinv(DEFAULT_TOL).conj().T)
+        dual = _drazin_kernel(pair.H, side)
+        assert np.array_equal(dual, _drazin_kernel(pair, other).conj().T)
+    assert np.array_equal(pair.H._pinv(), pair._pinv().conj().T)
     w_dmp(pair)
     assert calls == []
     assert pair.H.H._memo is pair._memo  # the dual's dual is a twin on the pair's memo
@@ -211,14 +210,14 @@ def test_dual_certifies_the_adjoint_kernels_on_its_own_equations(monkeypatch):
     monkeypatch.setattr(winv, "_drazin_checks", recording)
     pair.H.bw_power(1)  # the product the certificate is taken on
     keys = set(pair.H._memo)
-    X = _drazin_kernel(pair.H, "BW", DEFAULT_TOL)
+    X = _drazin_kernel(pair.H, "BW")
     [(S, certified, k)] = checked
     assert np.array_equal(S, pair.H.bw_power(1)) and k == pair.k_wb
-    assert np.array_equal(certified.conj().T, _drazin_kernel(pair, "WB", DEFAULT_TOL))
+    assert np.array_equal(certified.conj().T, _drazin_kernel(pair, "WB"))
     assert np.array_equal(X, certified)
     # certified once: a second read checks nothing, and the dual keeps the
     # certificate's residuals, not a copy of the kernel
-    assert _drazin_kernel(pair.H, "BW", DEFAULT_TOL).tobytes() == X.tobytes()
+    assert _drazin_kernel(pair.H, "BW").tobytes() == X.tobytes()
     assert len(checked) == 1
     [kept] = [pair.H._memo[key] for key in set(pair.H._memo) - keys]
     assert not isinstance(kept, np.ndarray)
@@ -233,21 +232,23 @@ def test_dual_keeps_no_failed_kernel_certificate(monkeypatch):
     monkeypatch.setattr(winv, "_drazin_checks", lambda S, X, k: checks(S, X + 1e-3, k))
     for _ in range(2):  # refused on every read
         with pytest.raises(CertificationError):
-            _drazin_kernel(pair.H, "BW", DEFAULT_TOL)
+            _drazin_kernel(pair.H, "BW")
     assert set(pair.H._memo) == keys
 
 
-def test_cached_factors_are_keyed_by_tolerance():
+def test_a_pair_decides_every_factor_at_its_own_tolerance():
+    # the same B and W built at another tolerance are another pair: its
+    # factors are built and certified at its tolerance, in a memo of its own
     pair = random_pair(7, 6, 2, 5)
     w_mpd(pair)
-    tight = ToleranceConfig(residual_atol=1e-300)
+    tight = matcore.weighted_pair(pair.B, pair.W, ToleranceConfig(residual_atol=1e-300))
     with pytest.raises(CertificationError):
-        w_mpd(pair, tight)
-    # a kernel value certified at one tolerance is certified anew at another
+        w_mpd(tight)
     with pytest.raises(CertificationError):
-        _drazin_kernel(pair, "BW", tight)
-    coarse = ToleranceConfig(rank_rtol=0.5)
-    assert matcore.rank_of(pair._pinv(coarse)) < matcore.rank_of(pair._pinv(matcore.DEFAULT_TOL))
+        _drazin_kernel(tight, "BW")
+    coarse = matcore.weighted_pair(pair.B, pair.W, ToleranceConfig(rank_rtol=0.5))
+    assert matcore.rank_of(coarse._pinv()) < matcore.rank_of(pair._pinv())
+    assert w_mpd(pair).value.tobytes() == w_mpd(random_pair(7, 6, 2, 5)).value.tobytes()
 
 
 def test_index_decision_factors_each_power_once(monkeypatch):
@@ -273,19 +274,19 @@ def test_identity_weight_shares_one_form_and_one_kernel():
     # the form, the first power and the Drazin kernel of W B are those of B W
     S = random_square_with_index(6, 2, 3, matcore.DEFAULT_TOL)
     pair = matcore.weighted_pair(S, np.eye(6))
-    assert pair._staircase_of("WB", DEFAULT_TOL) is pair._staircase_of("BW", DEFAULT_TOL)
+    assert pair._staircase_of("WB") is pair._staircase_of("BW")
     assert pair.wb_power(1) is pair.bw_power(1)
-    assert _drazin_kernel(pair, "WB", DEFAULT_TOL) is _drazin_kernel(pair, "BW", DEFAULT_TOL)
+    assert _drazin_kernel(pair, "WB") is _drazin_kernel(pair, "BW")
     # a weight that does not commute with B keeps two forms and two kernels
     other = matcore.weighted_pair(S, np.diag(np.arange(1.0, 7.0)))
-    assert not other._one_product(DEFAULT_TOL)
+    assert not other._one_product()
     assert not np.array_equal(
-        _drazin_kernel(other, "WB", DEFAULT_TOL), _drazin_kernel(other, "BW", DEFAULT_TOL)
+        _drazin_kernel(other, "WB"), _drazin_kernel(other, "BW")
     )
     # nor does a pair built directly, whose forms are built side by side
     direct = _direct(pair)
-    assert direct._staircase_of("WB", DEFAULT_TOL) is not direct._staircase_of("BW", DEFAULT_TOL)
-    assert not direct._one_product(DEFAULT_TOL)
+    assert direct._staircase_of("WB") is not direct._staircase_of("BW")
+    assert not direct._one_product()
 
 
 # A family operation of the `dense` benchmark: a member drawn from the family,
@@ -311,7 +312,7 @@ def test_warm_family_operation_takes_no_svd(monkeypatch, family, weak, shape):
         assert calls == []
     assert _memo_keys(pair) == keys
     primal_memo = pair._memo if weak is weak_mpd else pair.H._memo
-    assert ("family parts", DEFAULT_TOL) in primal_memo
+    assert ("family parts",) in primal_memo
 
 
 def _direct(pair):
@@ -403,28 +404,29 @@ def test_nested_core_ep_is_certified_once_per_pair(monkeypatch):
     assert kinds.count("w_m_wgi") == 2
 
 
-def test_memoized_inner_values_are_keyed_by_tolerance():
+def test_memoized_inner_values_are_built_at_the_pairs_tolerance():
     pair = random_pair(7, 6, 2, 5)
     X = mrwwd_family(pair).member(np.zeros((7, 6)))
     w_mpcep(pair)
     w_m_wgmp(pair, 2)
     weak_mpd(pair, X)
-    tight = ToleranceConfig(residual_atol=1e-300)
-    # the inner core-EP value is built anew at the tight tolerance, so the
-    # first refusal is that of its core-EP kernel, not of the outer equation
+    tight = matcore.weighted_pair(pair.B, pair.W, ToleranceConfig(residual_atol=1e-300))
+    # the inner core-EP value of the pair built at the tight tolerance is its
+    # own, so the first refusal is that of its core-EP kernel, not of the
+    # outer equation
     with pytest.raises(CertificationError, match="^core_ep:"):
-        w_mpcep(pair, tight)
+        w_mpcep(tight)
     with pytest.raises(CertificationError, match="^core_ep:"):
-        w_m_wgmp(pair, 2, tight)
+        w_m_wgmp(tight, 2)
     with pytest.raises(HypothesisError):
-        weak_mpd(pair, X, tight)
+        weak_mpd(tight, X)
 
 
 def test_m_fold_weak_group_values_are_memoized_per_m():
     pair = random_pair(7, 6, 2, 5)
     for m in (1, 2):
         w_m_wgmp(pair, m)
-    values = {m: pair._memo["w_m_wgi", DEFAULT_TOL, m] for m in (1, 2)}
+    values = {m: pair._memo["w_m_wgi", m] for m in (1, 2)}
     assert not np.array_equal(values[1], values[2])
     for m, value in values.items():
         assert np.array_equal(value, w_m_wgi(pair, m).value)
@@ -523,7 +525,7 @@ def test_right_hand_check_reads_the_adjoint_of_the_pairs_pinv(monkeypatch):
     # the dual's B^+ is the adjoint of the pair's: once the pair has built it,
     # a right-hand check takes no SVD for it, on its first call either
     pair, X, Z, Y, Y1 = _candidates()
-    pair._pinv(DEFAULT_TOL)
+    pair._pinv()
     pinvs = _counting(monkeypatch, matcore, "mp_inverse")
     calls = _counting(monkeypatch, linalg_impl, "svd")
     monkeypatch.setattr(np.linalg, "svd", linalg_impl.svd)
@@ -549,8 +551,8 @@ def test_characterizations_read_the_drazin_kernel_from_the_pair(monkeypatch, nam
     side = KERNEL_SIDES[name]
     kernels = []
 
-    def recording(p, s, tol):
-        kernels.append(winv._drazin_kernel(p, s, tol))
+    def recording(p, s):
+        kernels.append(winv._drazin_kernel(p, s))
         return kernels[-1]
 
     monkeypatch.setattr(verify, "_drazin_kernel", recording)
@@ -563,7 +565,7 @@ def test_characterizations_read_the_drazin_kernel_from_the_pair(monkeypatch, nam
     keys = _memo_keys(pair)
     CHECKS[name](pair, 2.0 * X, 2.0 * Z, Y, Y1)
     assert _memo_keys(pair) == keys
-    kernel = pair._memo[f"({side})^D", DEFAULT_TOL]
+    kernel = pair._memo[f"({side})^D",]
     assert kernel.tobytes() == sqinv.drazin(pair._power(side, 1)).value.tobytes()
     assert len(kernels) == 4
     if side == "BW":
@@ -670,7 +672,7 @@ def test_dual_rank_reads_the_pairs_staircase(monkeypatch):
     dual = pair.H
     for side, other in (("BW", "WB"), ("WB", "BW")):
         k = dual.k_bw if side == "BW" else dual.k_wb
-        assert dual._rank(side, k, DEFAULT_TOL) == pair._rank(other, k, DEFAULT_TOL)
+        assert dual._rank(side, k) == pair._rank(other, k)
     assert svds == []
     # the right-hand membership test runs on the dual
     weak_dmp(pair, Z)
@@ -710,18 +712,18 @@ def test_staircase_rank_is_the_rank_of_the_stabilized_power():
     # rank((BW)^k) and rank((WB)^k) by an SVD of the power
     for pair in [ex1_pair(), *_ex2_pairs()]:
         for side, k, power in (("BW", pair.k_bw, pair.bw_power), ("WB", pair.k_wb, pair.wb_power)):
-            q = pair._rank(side, k, DEFAULT_TOL)
+            q = pair._rank(side, k)
             assert q == matcore.rank_of(power(k))
             # every higher power has the same rank, read without an SVD
-            assert pair._rank(side, k + 2, DEFAULT_TOL) == q
+            assert pair._rank(side, k + 2) == q
         assert "rank" not in _quantities(pair._memo)
     # on the truth draws the SVD of the power is decided on the power's own
     # scale and misses the constructed rank on about a third of them (a
     # nilpotent S whose power is roundoff reads as full rank); the staircase
     # form decides on ||S||'s scale and meets it on every draw
     for pair, rank in _truth_draws(300, 11):
-        assert pair._rank("BW", pair.k_bw, DEFAULT_TOL) == rank
-        assert pair._rank("WB", pair.k_wb, DEFAULT_TOL) == rank
+        assert pair._rank("BW", pair.k_bw) == rank
+        assert pair._rank("WB", pair.k_wb) == rank
 
 
 def _staircase_truth(n: int, t: int, rng):
@@ -754,15 +756,15 @@ def test_staircase_gives_the_rank_and_projector_of_every_power():
                 for j in range(t + 2):
                     rank = n - t + max(t - j, 0)
                     span = basis[:, :rank]
-                    assert pair._rank(side, j, DEFAULT_TOL) == rank
-                    P = pair._projector(side, j, DEFAULT_TOL)
+                    assert pair._rank(side, j) == rank
+                    P = pair._projector(side, j)
                     assert np.allclose(P, span @ span.conj().T, atol=1e-10)
             # no rank is kept, and one projector is kept per power up to the
             # index, read from the form: at the index the form's own P
             assert "rank" not in _quantities(pair._memo)
             for key, P in pair._memo.items():
                 if key[0] == "projector":
-                    form, j = pair._memo["staircase", *key[1:3]], key[3]
+                    form, j = pair._memo["staircase", key[1]], key[2]
                     assert j <= form.k
                     if j == form.k:
                         assert P is form.P
@@ -779,7 +781,7 @@ def test_membership_reads_the_rank_of_a_roundoff_power_as_zero():
     V = cx.unitary(rng, 5, True)
     pair = matcore.weighted_pair(truth.S @ V.conj().T, V)
     assert pair.k_bw == 5 and np.abs(pair.bw_power(5)).max() > 0.0
-    ok, _, range_residual = winv._left_member_residual(pair, np.zeros((5, 5)), DEFAULT_TOL)
+    ok, _, range_residual = winv._left_member_residual(pair, np.zeros((5, 5)))
     assert ok and range_residual == 0.0
 
 
@@ -789,16 +791,15 @@ def test_canonical_refusal_names_the_exact_range_residual(monkeypatch):
     # residuals before any decomposition. The power row, passed by its
     # Frobenius bound, is taken exactly for the message, and needs no SVD
     # since its residual is exactly zero: the range row takes the one SVD
-    pair = ex1_pair()
+    pair = ex1_pair(ToleranceConfig(residual_atol=1e-30))
     X = ex1_member(2, -1).astype(complex)
-    tight = ToleranceConfig(residual_atol=1e-30)
-    P = pair._projector("BW", pair.k_bw, tight)
+    P = pair._projector("BW", pair.k_bw)
     range_residual = spectral_norm(X - P @ X)
     assert 0.0 < range_residual < 1e-14
     calls = _counting(monkeypatch, linalg_impl, "svd")
     monkeypatch.setattr(np.linalg, "svd", linalg_impl.svd)
     with pytest.raises(HypothesisError) as refused:
-        weak_mpd_canonical(pair, X, tight)
+        weak_mpd_canonical(pair, X)
     assert str(refused.value) == (
         f"X is not a member of the left solution family "
         f"(power residual {0.0:.3e}, range residual {range_residual:.3e})"

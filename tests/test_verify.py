@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wginv._gen import ex1_member, ex1_pair, random_pair
-from wginv.matcore import HypothesisError, mp_inverse, spectral_norm
+from wginv.matcore import DimensionError, HypothesisError, mp_inverse, spectral_norm
 from wginv.verify import (
     check_dmp_characterizations,
     check_mp_drazin_absorption,
@@ -258,3 +258,25 @@ def test_drazin_member_reproduces_weighted_inverses():
     assert rep.overall
     rep = check_dmp_characterizations(pair, Xd, Y1)
     assert rep.overall
+
+
+# A member of the wrong shape is refused by `_as_member` before any product
+# meets it, by the checkers as by the weak inverses, in the caller's shape:
+# the right-hand ones check it before they take its adjoint.
+MEMBER_CALLS = {
+    "weak_mpd": lambda pair, member, Y: weak_mpd(pair, member),
+    "weak_dmp": lambda pair, member, Y: weak_dmp(pair, member),
+    "check_weak_mpd_system": lambda pair, member, Y: check_weak_mpd_system(pair, member, Y),
+    "check_mrwwd": lambda pair, member, Y: check_mrwwd(pair, member),
+    "check_mrwwd_right": lambda pair, member, Y: check_mrwwd_right(pair, member),
+    "check_mpd_characterizations": check_mpd_characterizations,
+    "check_dmp_characterizations": check_dmp_characterizations,
+}
+
+
+@pytest.mark.parametrize("name", MEMBER_CALLS)
+def test_a_wrong_shape_member_is_refused_by_its_shape(name):
+    pair = ex1_pair()
+    Y = weak_mpd(pair, ex1_member(2, -1)).value
+    with pytest.raises(DimensionError, match=r"^member shape \(4, 5\) != \(5, 4\)$"):
+        MEMBER_CALLS[name](pair, np.zeros((4, 5)), Y)

@@ -12,8 +12,10 @@ from wginv._gen import (
 )
 from wginv.matcore import (
     DEFAULT_TOL,
+    CertificationError,
     DimensionError,
     HypothesisError,
+    ToleranceConfig,
     _frobenius,
     _passes,
     spectral_norm,
@@ -95,10 +97,10 @@ def test_family_members_satisfy_membership():
     for i in range(10):
         pair, rng = _pair_and_rng(i)
         X = mrwwd_family(pair).member(0.5 * rng.standard_normal((pair.m, pair.n)))
-        ok, r, gap = _left_member_residual(pair, X, TOL)
+        ok, r, gap = _left_member_residual(pair, X)
         assert ok and gap == 0, (i, r, gap)
         Z = mrwwd_right_family(pair).member(0.5 * rng.standard_normal((pair.m, pair.n)))
-        ok, r, gap = _left_member_residual(pair.H, Z.conj().T, TOL)
+        ok, r, gap = _left_member_residual(pair.H, Z.conj().T)
         assert ok and gap == 0, (i, r, gap)
 
 
@@ -132,7 +134,7 @@ def test_planted_left_member_is_refused_with_both_exact_residuals():
     rng = np.random.default_rng(2)
     X = mrwwd_family(pair).member(np.zeros((7, 6)))
     M = pair.W @ pair.bw_power(pair.k_bw + 1)
-    P = pair._projector("BW", pair.k_bw, TOL)
+    P = pair._projector("BW", pair.k_bw)
     v = np.linalg.svd(M)[0][:, -1].conj()
     non_member = X + np.outer(_outside(P, rng, 7), v)
     K = pair.bw_power(pair.k_bw)
@@ -157,7 +159,7 @@ def test_planted_right_member_is_refused_by_its_range_row():
     Z = mrwwd_right_family(pair).member(np.zeros((7, 6)))
     M = pair.W @ pair.bw_power(pair.k_wb + 1)
     u = np.linalg.svd(M)[2][-1].conj()
-    v = _outside(pair._row_projector("WB", TOL), rng, 6)
+    v = _outside(pair._row_projector("WB"), rng, 6)
     non_member = Z + np.outer(u, v.conj())
     N = pair.wb_power(pair.k_wb)
     assert _passes(spectral_norm(M @ non_member - N), spectral_norm(N), TOL)
@@ -179,7 +181,7 @@ def test_nilpotent_pairs_refuse_every_nonzero_member(n):
     assert pair.k_bw == pair.k_wb == n
     zero = np.zeros((n, n))
     for family_pair in (pair, pair.H):  # the right family is the dual's left one
-        ok, _, range_residual = _left_member_residual(family_pair, zero, TOL)
+        ok, _, range_residual = _left_member_residual(family_pair, zero)
         assert ok and range_residual == 0.0
     for X in (np.ones((n, n)), 1e-6 * rng.standard_normal((n, n))):
         with pytest.raises(HypothesisError, match="left solution family"):
@@ -223,5 +225,36 @@ PARAM = st.integers(min_value=-3, max_value=3)
 @given(x1=PARAM, x2=PARAM)
 def test_fixture_members_always_in_family(x1, x2):
     pair = ex1_pair()
-    ok, r, gap = _left_member_residual(pair, ex1_member(x1, x2), TOL)
+    ok, r, gap = _left_member_residual(pair, ex1_member(x1, x2))
     assert ok and gap == 0, (x1, x2, r)
+
+
+def test_a_pair_built_at_a_coarse_rank_tolerance_computes_at_its_own_index():
+    # S = U [[diag(1e-3, .8, 1.1, 1.4), C], [0, J2]] U^T with C[0, 0] = 1:
+    # at rank_rtol = 1e-3 the eigenvalue 1e-3 falls below the cutoff and
+    # joins the nilpotent part through C, so BW = S has index 3, not 2.
+    # Every kind the pair certifies is built on that one staircase form and
+    # reports its index; none is the default tolerance's index-2 value
+    U = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 6)))[0]
+    core = np.zeros((6, 6))
+    core[:4, :4] = np.diag([1e-3, 0.8, 1.1, 1.4])
+    core[0, 4] = core[4, 5] = 1.0
+    S = U @ core @ U.T
+    tol = ToleranceConfig(rank_rtol=1e-3)
+    pair = weighted_pair(S, np.eye(6), tol)
+    assert (pair.k_bw, pair.k_wb, weighted_pair(S, np.eye(6)).k_bw) == (3, 3, 2)
+    certified = {}
+    for kind in CATALOG:
+        try:
+            certified[kind] = compute_kind(pair, kind, m=2)
+        except CertificationError:
+            continue
+    assert "w-core-ep" in certified and len(certified) >= 5
+    for kind, result in certified.items():
+        side = "WB" if kind in ("w-core-ep", "w-cepmp", "w-m-wgmp") else "BW"
+        assert result.index_used == pair._staircase_of(side).k == 3, kind
+    staircases = [key for key in pair._memo if key[0] == "staircase"]
+    assert sorted(staircases) == [("staircase", "BW"), ("staircase", "WB")]
+    value = certified["w-core-ep"].value
+    assert np.allclose(value, core_ep(S, tol).value, atol=1e-8)
+    assert not np.allclose(value, w_core_ep(weighted_pair(S, np.eye(6))).value, atol=1e-3)
