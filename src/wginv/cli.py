@@ -253,7 +253,7 @@ class _Draw:
         z = tuple(_sample_int(rng, getattr(ns, f"z{i}")) for i in (1, 2, 3))
         y = tuple(_sample_int(rng, getattr(ns, f"y{i}")) for i in (1, 2))
         u = _sample_int(rng, ns.u1)  # drawn for pair laws too, so later draws keep their order
-        return ex2_case(z=z, y=y, u=u, with_c=with_c)
+        return ex2_case(z=z, y=y, u=u, with_c=with_c, tol=self.tol)
 
 
 # Checks name the library functions they call at call time (never bind them
@@ -292,14 +292,20 @@ def _weak_mpd_order_law(d: _Draw, fixture_case) -> VerificationReport:
     """thm3.30 on a random `rol_case`, else on `fixture_case()`, whose
     hypotheses are reported instead of required."""
     if d.instance == "random":
-        return reverse_order_weak_mpd(rol_case(6, d.seed, d.tol), d.tol)
-    return reverse_order_weak_mpd(fixture_case(), d.tol, require_hypotheses=False)
+        return reverse_order_weak_mpd(rol_case(6, d.seed, d.tol))
+    return reverse_order_weak_mpd(fixture_case(), require_hypotheses=False)
+
+
+def _ex2_drazin_case(tol: ToleranceConfig):
+    """The ex2 factors with weighted Drazin members, less C: thm3.30 reads none."""
+    A, B, _, W = ex2_matrices()
+    return _drazin_case(A, B, None, W, tol)
 
 
 def _matrix_equation(d: _Draw, with_c: bool, member) -> VerificationReport:
     case = d.case(with_c)
     Zfree = 0.3 * d.rng.standard_normal(case.W.shape) if d.instance == "random" else None
-    return _equation_solution(case, member(case.inverses, case.W), None, Zfree, d.tol)[1]
+    return _equation_solution(case, member(case.inverses, case.W), None, Zfree)[1]
 
 
 # id -> (the instances it runs on, the default first; its check of one trial)
@@ -330,18 +336,18 @@ REGISTRY = {
     "thm3.20": (_EX1, lambda d: dmp_perturbation(d.scenario("right"))),
     "cor-mpd": (_EX1, lambda d: drazin_case_perturbation(d.scenario("left"))),
     "cor-dmp": (_EX1, lambda d: drazin_case_perturbation(d.scenario("right"))),
-    "thm3.25": (_EX2, lambda d: reverse_order_weak(d.case(), d.tol)),
-    "thm3.26": (_EX2, lambda d: forward_order_weak(d.case(), d.tol)),
-    "thm3.27": (_EX2, lambda d: reverse_order_minimal(d.case(), d.tol)),
-    "thm3.28": (_EX2, lambda d: forward_order_minimal(d.case(), d.tol)),
-    "thm3.29": (_EX2, lambda d: wdrazin_order_corollaries(d.case(), d.tol)),
+    "thm3.25": (_EX2, lambda d: reverse_order_weak(d.case())),
+    "thm3.26": (_EX2, lambda d: forward_order_weak(d.case())),
+    "thm3.27": (_EX2, lambda d: reverse_order_minimal(d.case())),
+    "thm3.28": (_EX2, lambda d: forward_order_minimal(d.case())),
+    "thm3.29": (_EX2, lambda d: wdrazin_order_corollaries(d.case())),
     "thm3.30": (_EX2, lambda d: _weak_mpd_order_law(d, d.case)),
     "thm3.30-rol": (
         ("random", "ex2"),
-        lambda d: _weak_mpd_order_law(d, lambda: _drazin_case(*ex2_matrices(), d.tol)),
+        lambda d: _weak_mpd_order_law(d, lambda: _ex2_drazin_case(d.tol)),
     ),
-    "thm3.31": (_EX2, lambda d: triple_reverse(d.case(with_c=True), d.tol)),
-    "thm3.32": (_EX2, lambda d: triple_forward(d.case(with_c=True), d.tol)),
+    "thm3.31": (_EX2, lambda d: triple_reverse(d.case(with_c=True))),
+    "thm3.32": (_EX2, lambda d: triple_forward(d.case(with_c=True))),
     "mateq-pair": (_EX2, lambda d: _matrix_equation(d, False, lambda v, W: v["Y3"] @ W @ v["Z2"])),
     "mateq-triple": (
         _EX2,

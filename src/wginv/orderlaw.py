@@ -57,7 +57,8 @@ class OrderLawCase:
 
     The case stores read-only copies of A, B, C and W in their own dtype, so
     the products of the factors round as the caller's arrays do, and builds
-    the weighted pair of each factor and product once per tolerance.
+    the weighted pair of each factor and product once, at `tol`: every law
+    on the case decides and judges at that tolerance.
     """
 
     W: np.ndarray
@@ -65,35 +66,43 @@ class OrderLawCase:
     B: np.ndarray
     C: np.ndarray | None = None
     inverses: dict = field(default_factory=dict)
+    tol: ToleranceConfig = DEFAULT_TOL
 
     def __post_init__(self):
+        shape = np.shape(self.A)
         for name in ("W", "A", "B", "C"):
             M = getattr(self, name)
             if M is not None:
-                object.__setattr__(self, name, _read_only(np.array(M)))
+                M = _read_only(np.array(M))
+                if M.shape != (shape[::-1] if name == "W" else shape):
+                    raise DimensionError(
+                        f"{name} has shape {M.shape} beside A of shape {shape}: "
+                        "A, B and C must be m x n and W n x m"
+                    )
+                object.__setattr__(self, name, M)
 
     @cached_property
     def _memo(self) -> dict:
         return {}
 
-    def _pair(self, name: str, tol: ToleranceConfig) -> WeightedPair:
+    def _pair(self, name: str) -> WeightedPair:
         """The pair with weight W of factor "A", "B" or "C", or of the product
         "AWB" or "AWBWC"."""
         memo = self._memo
-        if (name, tol) not in memo:
+        if name not in memo:
             F = getattr(self, name) if len(name) == 1 else self.A @ self.W @ self.B
             if name == "AWBWC":
                 F = F @ self.W @ self.C
-            memo[name, tol] = weighted_pair(F, self.W, tol)
-        return memo[name, tol]
+            memo[name] = weighted_pair(F, self.W, self.tol)
+        return memo[name]
 
-    def _product(self, tol: ToleranceConfig, triple: bool) -> tuple:
+    def _product(self, triple: bool) -> tuple:
         """The pair of A W B (A W B W C if triple) and the shared stabilization
         power: the largest index of BW over the product and its factors."""
         if triple and self.C is None:
             raise ValueError("this order law needs a third factor C")
         names = ("A", "B", "C", "AWBWC") if triple else ("A", "B", "AWB")
-        pairs = [self._pair(name, tol) for name in names]
+        pairs = [self._pair(name) for name in names]
         return pairs[-1], max(p.k_bw for p in pairs)
 
 
@@ -119,20 +128,20 @@ _FLAGS = {
 }
 
 
-def _factor(case: OrderLawCase, name: str, tol: ToleranceConfig):
+def _factor(case: OrderLawCase, name: str):
     if name.endswith("^D"):
-        return _value(case._pair(name[0], tol), w_drazin)
+        return _value(case._pair(name[0]), w_drazin)
     return getattr(case, name) if len(name) == 1 else case.inverses.get(name)
 
 
-def _require_case_flags(case: OrderLawCase, names, tol: ToleranceConfig) -> None:
+def _require_case_flags(case: OrderLawCase, names) -> None:
     """Decide each named flag on the members the case holds now."""
     bad = []
     for name in names:
-        sides = [[_factor(case, f, tol) for f in chain] for chain in _FLAGS[name]]
+        sides = [[_factor(case, f) for f in chain] for chain in _FLAGS[name]]
         residual, ok = float("nan"), False
         if all(M is not None for chain in sides for M in chain):
-            residual, ok = _commutes(*(reduce(np.matmul, chain) for chain in sides), tol)
+            residual, ok = _commutes(*(reduce(np.matmul, chain) for chain in sides), case.tol)
         if not ok:
             bad.append(f"{name} (residual {residual:.3e})")
     if bad:
@@ -144,9 +153,10 @@ def ex2_case(
     y=(1, 1),
     u=1,
     with_c: bool = True,
+    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> OrderLawCase:
-    """The integer fixture case: members are first-row matrices whose free
-    entries are exactly the given parameters. With with_c=False the third
+    """The integer fixture case at `tol`: members are first-row matrices whose
+    free entries are exactly the given parameters. With with_c=False the third
     factor and its member U1 (u is then unused) are left out, which the pair
     laws never read."""
     A, B, C, W = ex2_matrices()
@@ -155,7 +165,7 @@ def ex2_case(
     inverses = {"Z1": Z2, "Y2": Y3, "Z2": Z2, "Y3": Y3, "Z3": Z2, "Y4": Y3}
     if with_c:
         inverses["U1"] = ex2_member((1, u, 0, 0))
-    return OrderLawCase(W=W, A=A, B=B, C=C if with_c else None, inverses=inverses)
+    return OrderLawCase(W=W, A=A, B=B, C=C if with_c else None, inverses=inverses, tol=tol)
 
 
 def commuting_case(
@@ -177,7 +187,7 @@ def commuting_case(
     # plain weak slots: any member of the factor's own family works, and the
     # power equations transport to the shared stabilization power
     for slot, name in (("Z1", "A"), ("Y2", "B")):
-        family = mrwwd_family(case._pair(name, tol))
+        family = mrwwd_family(case._pair(name))
         case.inverses[slot] = family.member(0.3 * rng.standard_normal((m, n)))
     return case
 
@@ -192,23 +202,23 @@ def rol_case(n: int, seed, tol: ToleranceConfig = DEFAULT_TOL) -> OrderLawCase:
 def _drazin_case(A, B, C, W, tol: ToleranceConfig) -> OrderLawCase:
     """The case of factors A, B (and C) with weight W whose member slots all
     hold the factors' weighted Drazin inverses."""
-    case = OrderLawCase(W=W, A=A, B=B, C=C)
-    ZD, YD = (_value(case._pair(name, tol), w_drazin) for name in "AB")
+    case = OrderLawCase(W=W, A=A, B=B, C=C, tol=tol)
+    ZD, YD = (_value(case._pair(name), w_drazin) for name in "AB")
     case.inverses.update(Z1=ZD, Y2=YD, Z2=ZD, Y3=YD, Z3=ZD, Y4=YD)
     if C is not None:
-        case.inverses["U1"] = _value(case._pair("C", tol), w_drazin)
+        case.inverses["U1"] = _value(case._pair("C"), w_drazin)
     return case
 
 
 def _weak_law(
-    case: OrderLawCase, tol: ToleranceConfig, first: str, second: str, theorem_id: str, label: str
+    case: OrderLawCase, first: str, second: str, theorem_id: str, label: str
 ) -> VerificationReport:
     """inverses[first] W inverses[second] solves the power equation of A W B
     (no rank condition)."""
-    _require_case_flags(case, ["awbw_commute"], tol)
-    ppair, k = case._product(tol, triple=False)
+    _require_case_flags(case, ["awbw_commute"])
+    ppair, k = case._product(triple=False)
     P = case.inverses[first] @ case.W @ case.inverses[second]
-    report = VerificationReport(theorem_id, tol)
+    report = VerificationReport(theorem_id, case.tol)
     report.add_equation(
         f"power equation for the {label} product",
         P @ case.W @ ppair.bw_power(k + 1),
@@ -219,53 +229,53 @@ def _weak_law(
 
 
 def _minimal_law(
-    case: OrderLawCase, tol: ToleranceConfig, first: str, second: str, flag: str, theorem_id: str
+    case: OrderLawCase, first: str, second: str, flag: str, theorem_id: str
 ) -> VerificationReport:
     """inverses[first] W inverses[second] is a full member of the family of
     A W B, under the member commutation hypothesis `flag`."""
-    _require_case_flags(case, ["awbw_commute", flag], tol)
-    ppair, k = case._product(tol, triple=False)
+    _require_case_flags(case, ["awbw_commute", flag])
+    ppair, k = case._product(triple=False)
     P = case.inverses[first] @ case.W @ case.inverses[second]
-    report = VerificationReport(theorem_id, tol)
+    report = VerificationReport(theorem_id, case.tol)
     report.merge(check_mrwwd(ppair, P, power=k), prefix="product member: ")
     report.note("stabilization power", float(k))
     return report
 
 
-def reverse_order_weak(case: OrderLawCase, tol: ToleranceConfig = DEFAULT_TOL) -> VerificationReport:
+def reverse_order_weak(case: OrderLawCase) -> VerificationReport:
     """Y2 W Z1 solves the product's power equation (no rank condition)."""
-    return _weak_law(case, tol, "Y2", "Z1", "thm3.25", "reverse")
+    return _weak_law(case, "Y2", "Z1", "thm3.25", "reverse")
 
 
-def forward_order_weak(case: OrderLawCase, tol: ToleranceConfig = DEFAULT_TOL) -> VerificationReport:
+def forward_order_weak(case: OrderLawCase) -> VerificationReport:
     """Z1 W Y2 solves the same power equation."""
-    return _weak_law(case, tol, "Z1", "Y2", "thm3.26", "forward")
+    return _weak_law(case, "Z1", "Y2", "thm3.26", "forward")
 
 
-def reverse_order_minimal(case: OrderLawCase, tol: ToleranceConfig = DEFAULT_TOL) -> VerificationReport:
+def reverse_order_minimal(case: OrderLawCase) -> VerificationReport:
     """Y3 W Z2 is a full member of the product's solution family."""
-    return _minimal_law(case, tol, "Y3", "Z2", "y3w_aw_commute", "thm3.27")
+    return _minimal_law(case, "Y3", "Z2", "y3w_aw_commute", "thm3.27")
 
 
-def forward_order_minimal(case: OrderLawCase, tol: ToleranceConfig = DEFAULT_TOL) -> VerificationReport:
+def forward_order_minimal(case: OrderLawCase) -> VerificationReport:
     """Z2 W Y3 is a full member of the product's solution family."""
-    return _minimal_law(case, tol, "Z2", "Y3", "z2w_bw_commute", "thm3.28")
+    return _minimal_law(case, "Z2", "Y3", "z2w_bw_commute", "thm3.28")
 
 
-def wdrazin_order_corollaries(case: OrderLawCase, tol: ToleranceConfig = DEFAULT_TOL) -> VerificationReport:
+def wdrazin_order_corollaries(case: OrderLawCase) -> VerificationReport:
     """Weighted Drazin order laws: the forward product equals the product's
     weighted Drazin inverse exactly; the reverse product is a family member
     but generally differs from it, so only membership is asserted and the
     equality residual is reported as a note."""
-    ppair, k = case._product(tol, triple=False)
+    ppair, k = case._product(triple=False)
     W = case.W
-    ADW, BDW = (_value(case._pair(name, tol), w_drazin) for name in "AB")
+    ADW, BDW = (_value(case._pair(name), w_drazin) for name in "AB")
     product_drazin = _value(ppair, w_drazin)
 
-    report = VerificationReport("thm3.29", tol)
-    _require_case_flags(case, ["adw_bw_commute"], tol)
+    report = VerificationReport("thm3.29", case.tol)
+    _require_case_flags(case, ["adw_bw_commute"])
     report.add_equation("forward product equals the product inverse", ADW @ W @ BDW, product_drazin)
-    _require_case_flags(case, ["bdw_aw_commute"], tol)
+    _require_case_flags(case, ["bdw_aw_commute"])
     reverse = BDW @ W @ ADW
     report.merge(check_mrwwd(ppair, reverse, power=k), prefix="reverse product member: ")
     report.note(
@@ -274,22 +284,20 @@ def wdrazin_order_corollaries(case: OrderLawCase, tol: ToleranceConfig = DEFAULT
     return report
 
 
-def triple_reverse(case: OrderLawCase, tol: ToleranceConfig = DEFAULT_TOL) -> VerificationReport:
+def triple_reverse(case: OrderLawCase) -> VerificationReport:
     """U1 W Y4 W Z3 is a member of the triple product's family; the weighted
     Drazin specialization is appended when its hypotheses hold."""
-    _require_case_flags(
-        case, ["awbw_commute", "awcw_commute", "bwcw_commute", "u1w_awbw_commute"], tol
-    )
-    ppair, k = case._product(tol, triple=True)
+    _require_case_flags(case, ["awbw_commute", "awcw_commute", "bwcw_commute", "u1w_awbw_commute"])
+    ppair, k = case._product(triple=True)
     W = case.W
     inv = case.inverses
     P = inv["U1"] @ W @ inv["Y4"] @ W @ inv["Z3"]
-    report = VerificationReport("thm3.31", tol)
+    report = VerificationReport("thm3.31", case.tol)
     report.merge(check_mrwwd(ppair, P, power=k), prefix="product member: ")
 
-    ADW, BDW, CDW = (_value(case._pair(name, tol), w_drazin) for name in "ABC")
+    ADW, BDW, CDW = (_value(case._pair(name), w_drazin) for name in "ABC")
     rev = CDW @ W @ BDW @ W @ ADW
-    commute, ok = _commutes(CDW @ W, case.A @ W @ case.B @ W, tol)
+    commute, ok = _commutes(CDW @ W, case.A @ W @ case.B @ W, case.tol)
     if ok:
         report.merge(check_mrwwd(ppair, rev, power=k), prefix="Drazin reverse member: ")
     else:
@@ -301,23 +309,21 @@ def triple_reverse(case: OrderLawCase, tol: ToleranceConfig = DEFAULT_TOL) -> Ve
     return report
 
 
-def triple_forward(case: OrderLawCase, tol: ToleranceConfig = DEFAULT_TOL) -> VerificationReport:
+def triple_forward(case: OrderLawCase) -> VerificationReport:
     """Z3 W Y4 W U1 is a member of the triple product's family; the forward
     weighted Drazin product equals the product inverse when the factor
     inverses commute with the remaining product."""
-    _require_case_flags(
-        case, ["awbw_commute", "awcw_commute", "bwcw_commute", "z3wy4w_cw_commute"], tol
-    )
-    ppair, k = case._product(tol, triple=True)
+    _require_case_flags(case, ["awbw_commute", "awcw_commute", "bwcw_commute", "z3wy4w_cw_commute"])
+    ppair, k = case._product(triple=True)
     W = case.W
     inv = case.inverses
     P = inv["Z3"] @ W @ inv["Y4"] @ W @ inv["U1"]
-    report = VerificationReport("thm3.32", tol)
+    report = VerificationReport("thm3.32", case.tol)
     report.merge(check_mrwwd(ppair, P, power=k), prefix="product member: ")
 
-    ADW, BDW, CDW = (_value(case._pair(name, tol), w_drazin) for name in "ABC")
+    ADW, BDW, CDW = (_value(case._pair(name), w_drazin) for name in "ABC")
     fwd = ADW @ W @ BDW @ W @ CDW
-    commute, ok = _commutes(ADW @ W @ BDW @ W, case.C @ W, tol)
+    commute, ok = _commutes(ADW @ W @ BDW @ W, case.C @ W, case.tol)
     if ok:
         report.add_equation(
             "forward Drazin product equals the product inverse",
@@ -330,9 +336,7 @@ def triple_forward(case: OrderLawCase, tol: ToleranceConfig = DEFAULT_TOL) -> Ve
 
 
 def reverse_order_weak_mpd(
-    case: OrderLawCase,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    require_hypotheses: bool = True,
+    case: OrderLawCase, require_hypotheses: bool = True
 ) -> VerificationReport:
     """Reverse order law for the weak MPD inverse itself: under four
     subspace/commutation hypotheses, the weak MPD inverse of A W B at member
@@ -341,10 +345,10 @@ def reverse_order_weak_mpd(
     With require_hypotheses=False the hypotheses are reported as conditions
     and the conclusion is evaluated only if they all hold.
     """
-    A, B, W = case.A, case.B, case.W
+    A, B, W, tol = case.A, case.B, case.W, case.tol
     Y3, Z2 = case.inverses["Y3"], case.inverses["Z2"]
     Wp = mp_inverse(W, tol)
-    Ap = case._pair("A", tol)._pinv()  # the B^+ that weak_mpd on A's pair reads
+    Ap = case._pair("A")._pinv()  # the B^+ that weak_mpd on A's pair reads
 
     report = VerificationReport("thm3.30", tol)
     T = W @ B @ B.conj().T @ W.conj().T @ A.conj().T
@@ -360,9 +364,9 @@ def reverse_order_weak_mpd(
         return report
 
     product_member = Y3 @ W @ Z2
-    lhs = weak_mpd(case._pair("AWB", tol), product_member).value
-    B_wmpd = weak_mpd(case._pair("B", tol), Y3).value
-    A_wmpd = weak_mpd(case._pair("A", tol), Z2).value
+    lhs = weak_mpd(case._pair("AWB"), product_member).value
+    B_wmpd = weak_mpd(case._pair("B"), Y3).value
+    A_wmpd = weak_mpd(case._pair("A"), Z2).value
     report.add_equation("factored weak MPD inverse", lhs, B_wmpd @ Wp @ A_wmpd)
     report.note(
         "unweighted factoring residual",
@@ -410,21 +414,18 @@ def matrix_equation_solution(
 
     Returns (family, report). R defaults to the weight itself.
     """
-    case = OrderLawCase(
-        A=as_matrix(A), B=as_matrix(B), W=as_matrix(W), C=None if C is None else as_matrix(C)
-    )
-    return _equation_solution(case, member, R, Zfree, tol)
+    A, B, W = (as_matrix(M) for M in (A, B, W))
+    case = OrderLawCase(W=W, A=A, B=B, C=None if C is None else as_matrix(C), tol=tol)
+    return _equation_solution(case, member, R, Zfree)
 
 
-def _equation_solution(
-    case: OrderLawCase, member, R, Zfree, tol: ToleranceConfig
-) -> tuple:
+def _equation_solution(case: OrderLawCase, member, R, Zfree) -> tuple:
     """matrix_equation_solution on the factors of `case` (the triple product
     when it has a C), built on the case's own pairs."""
-    W = case.W
+    W, tol = case.W, case.tol
     member = as_matrix(member)
     triple = case.C is not None
-    ppair, k = case._product(tol, triple=triple)
+    ppair, k = case._product(triple=triple)
     Pk = ppair.bw_power(k)
     Pk1 = ppair.bw_power(k + 1)
 

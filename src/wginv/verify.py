@@ -67,6 +67,15 @@ def _star(A):
     return None if A is None else as_matrix(A).conj().T
 
 
+def _as_inverse(pair: WeightedPair, Y):
+    """An inverse Y (or Y1) checked against the pair's shape, n x m, before any
+    adjoint is taken of it; None stays None."""
+    Y = None if Y is None else as_matrix(Y)
+    if Y is not None and Y.shape != (pair.n, pair.m):
+        raise DimensionError(f"inverse shape {Y.shape} != ({pair.n}, {pair.m})")
+    return Y
+
+
 def _power_at(pair: WeightedPair, side: str, power: int | None) -> int:
     """The power k a characterization is checked at: the index of BW (side
     "BW") or WB by default. Below the index no member exists, since
@@ -137,7 +146,7 @@ def check_weak_mpd_system(pair: WeightedPair, X, Y) -> VerificationReport:
     """The three-equation system whose unique solution is the weak MPD inverse
     B^+ B W X W of the member X."""
     X = as_matrix(X)
-    Y = as_matrix(Y)
+    Y = _as_inverse(pair, Y)
     B, W = pair.B, pair.W
     P1 = pair.bw_power(pair.k_bw + 1)
 
@@ -154,7 +163,7 @@ def check_weak_mpd_system(pair: WeightedPair, X, Y) -> VerificationReport:
 def check_weak_dmp_system(pair: WeightedPair, Z, Y1) -> VerificationReport:
     """Mirrored system for the weak DMP inverse W Z W B B^+: thm3.1 on the
     dual pair."""
-    report = check_weak_mpd_system(pair.H, _star(_as_member(pair, Z)), _star(Y1))
+    report = check_weak_mpd_system(pair.H, _star(_as_member(pair, Z)), _star(_as_inverse(pair, Y1)))
     return report.mirrored(
         "lem3.2",
         {
@@ -170,7 +179,7 @@ def check_weak_dmp_system(pair: WeightedPair, Z, Y1) -> VerificationReport:
 def check_mpd_characterizations(pair: WeightedPair, X, Y) -> VerificationReport:
     """Seven equivalent descriptions of the weak MPD inverse of member X."""
     X = _as_member(pair, X)
-    Y = as_matrix(Y)
+    Y = _as_inverse(pair, Y)
     B, W, tol = pair.B, pair.W, pair.tol
     Bp, BpP1 = pair._pinv(), _pinv_power(pair)
     BWXW = B @ W @ X @ W
@@ -214,7 +223,9 @@ def check_mpd_characterizations(pair: WeightedPair, X, Y) -> VerificationReport:
 def check_dmp_characterizations(pair: WeightedPair, Z, Y1) -> VerificationReport:
     """Mirrored descriptions of the weak DMP inverse of member Z: thm3.3 on
     the dual pair, where left absorption becomes right absorption."""
-    report = check_mpd_characterizations(pair.H, _star(_as_member(pair, Z)), _star(Y1))
+    report = check_mpd_characterizations(
+        pair.H, _star(_as_member(pair, Z)), _star(_as_inverse(pair, Y1))
+    )
     return report.mirrored(
         "thm3.4",
         {
@@ -255,7 +266,7 @@ def check_projectors(pair: WeightedPair, X, Y=None) -> VerificationReport:
         Y = weak_mpd(pair, X).value
     else:
         X = _require_member(pair, X)
-    Y = as_matrix(Y)
+    Y = _as_inverse(pair, Y)
     K, col_gen = pair.bw_power(pair.k_bw), _pinv_power(pair)
 
     report = VerificationReport("lem3.6", tol)
@@ -276,7 +287,7 @@ def check_projectors_right(pair: WeightedPair, Z, Y1=None) -> VerificationReport
     its B Y, and an adjoint turns a column space into a null space."""
     Zh = _star(_as_member(pair, Z))
     with _right_hand():
-        report = check_projectors(pair.H, Zh, _star(Y1))
+        report = check_projectors(pair.H, Zh, _star(_as_inverse(pair, Y1)))
     return report.mirrored(
         "lem3.7",
         {
@@ -304,7 +315,7 @@ def check_unique_projector_solution(
     least-squares path through the same projector. The right side is the left
     side for member^* and Y^* on the dual pair.
     """
-    Y = as_matrix(Y)
+    Y = _as_inverse(pair, Y)
     if side == "right":
         Zh = _star(_as_member(pair, member))
         with _right_hand():

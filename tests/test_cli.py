@@ -264,6 +264,22 @@ def test_suite_builds_every_pair_at_the_passed_tolerances(monkeypatch, tmp_path)
     assert seen and set(seen) == {matcore.ToleranceConfig(rank_rtol=1e-9, residual_atol=1e-7)}
 
 
+def test_order_law_on_the_fixture_builds_every_pair_at_the_passed_tolerance(monkeypatch, capsys):
+    # the case the ex2 fixture builds carries the flags' tolerance, which
+    # every pair of the law is built at
+    seen = []
+    original = matcore.weighted_pair
+
+    def recording(B, W, tol=matcore.DEFAULT_TOL):
+        seen.append(tol)
+        return original(B, W, tol)
+
+    monkeypatch.setattr(orderlaw, "weighted_pair", recording)
+    assert main(["verify", "thm3.27", "--rank-rtol", "1e-9"]) == 0
+    assert json.loads(capsys.readouterr().out)["fixtures_used"] == ["ex2"]
+    assert seen == [matcore.ToleranceConfig(rank_rtol=1e-9)] * 3
+
+
 def test_successive_main_calls_share_no_state(capsys):
     # the parser is built once per process; each call parses from its defaults
     assert main(["verify", "thm2.1", "--random", "--seed", "3"]) == 0

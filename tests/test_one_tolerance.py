@@ -1,9 +1,11 @@
-"""One tolerance per pair: a WeightedPair carries the ToleranceConfig it was
-built at, and every function of a pair, a perturbation scenario or a block
-decomposition reads it there (`pair.tol`, `scenario.pair.tol`,
-`dec.pair.tol`). None of them takes a `tol` of its own and no memo key holds
-one, so each quantity of a pair has one value. Functions of raw matrices and
-of an order-law case keep their `tol`: each decides once per call."""
+"""One tolerance per pair and per order-law case: a WeightedPair and an
+OrderLawCase carry the ToleranceConfig they were built at, and every function
+of a pair, a perturbation scenario, a block decomposition or a case reads it
+there (`pair.tol`, `scenario.pair.tol`, `dec.pair.tol`, `case.tol`). None of
+them takes a `tol` of its own and no memo key, `_cached` or subscripted, holds
+one, so each quantity of a pair or a case has one value. Functions of raw
+matrices and the builders of pairs and cases keep their `tol`: each decides
+once per call."""
 
 import ast
 from pathlib import Path
@@ -13,8 +15,8 @@ import wginv
 SOURCES = sorted(Path(wginv.__file__).parent.glob("*.py"))
 # the first parameter of a function of one of these, and the classes whose
 # methods are such functions
-HOLDERS = {"pair", "scenario", "dec"}
-HOLDER_CLASSES = {"WeightedPair", "PerturbationScenario", "BlockDecomposition"}
+HOLDERS = {"pair", "scenario", "dec", "case"}
+HOLDER_CLASSES = {"WeightedPair", "PerturbationScenario", "BlockDecomposition", "OrderLawCase"}
 
 
 def _parameters(function) -> list:
@@ -32,9 +34,10 @@ def _names_tol(node) -> bool:
 
 def tolerance_leaks(source: str) -> list:
     """[(function, line, what)] of every function whose first parameter is
-    `pair`, `scenario` or `dec`, or that is a method of a pair, scenario or
-    decomposition class, and takes `tol` ("parameter"), and of every
-    `_cached(key, ...)` call whose key reads a `tol` ("memo key")."""
+    `pair`, `scenario`, `dec` or `case`, or that is a method of a pair,
+    scenario, decomposition or case class, and takes `tol` ("parameter"), and
+    of every `_cached(key, ...)` call and every subscript `memo[key]` whose key
+    reads a `tol` ("memo key")."""
     found = []
 
     def visit(node, function, holder):
@@ -51,6 +54,8 @@ def tolerance_leaks(source: str) -> list:
             name = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", None)
             if name == "_cached" and _names_tol(node.args[0]):
                 found.append((function, node.lineno, "memo key"))
+        if isinstance(node, ast.Subscript) and _names_tol(node.slice):
+            found.append((function, node.lineno, "memo key"))
         for child in ast.iter_child_nodes(node):
             visit(child, function, holder)
 
@@ -79,6 +84,10 @@ def test_the_scan_sees_each_form_of_a_leak():
         "            return tol\n"
         "        return self._cached(('B^+',), build)\n"
         "def h(dec, tol): pass\n"
+        "class OrderLawCase:\n"
+        "    def _pair(self, name):\n"
+        "        self._memo[name, self.tol] = weighted_pair(name, self.W, self.tol)\n"
+        "def law(case, tol=DEFAULT_TOL): pass\n"
     )
     assert tolerance_leaks(source) == [
         ("f", 1, "parameter"),
@@ -87,6 +96,8 @@ def test_the_scan_sees_each_form_of_a_leak():
         ("g", 4, "memo key"),
         ("_pinv", 6, "parameter"),
         ("h", 10, "parameter"),
+        ("_pair", 13, "memo key"),
+        ("law", 14, "parameter"),
     ]
     clean = (
         "def f(pair, X):\n"
@@ -95,5 +106,7 @@ def test_the_scan_sees_each_form_of_a_leak():
         "    return _drazin(_staircase(S, tol), tol)\n"
         "def _pair(self, name, tol):\n"
         "    return weighted_pair(name, self.W, tol)\n"
+        "def commuting_case(m, n, seed, tol=DEFAULT_TOL):\n"
+        "    memo[name] = weighted_pair(F, W, tol)\n"
     )
     assert tolerance_leaks(clean) == []

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from wginv.orderlaw import (
     wdrazin_order_corollaries,
 )
 from wginv.winv import _left_member_residual, mrwwd_family
-from wginv.matcore import DEFAULT_TOL, ToleranceConfig
+from wginv.matcore import DEFAULT_TOL, DimensionError, ToleranceConfig
 
 
 def test_fixture_factors_commute_exactly():
@@ -100,7 +101,7 @@ def test_a_swapped_member_is_judged_by_its_own_flags():
     # a member swapped in after the case was built is what the law's
     # hypotheses are decided on: this one of B's family fails y3w_aw_commute
     case = commuting_case(5, 4, 1)
-    family = mrwwd_family(case._pair("B", DEFAULT_TOL))
+    family = mrwwd_family(case._pair("B"))
     case.inverses["Y3"] = family.member(0.5 * np.random.default_rng(0).standard_normal((5, 4)))
     with pytest.raises(HypothesisError, match="y3w_aw_commute"):
         reverse_order_minimal(case)
@@ -200,8 +201,8 @@ def test_fixture_pair_case_leaves_out_the_third_factor():
         triple_reverse(pair)
 
 
-# An order-law case builds the weighted pair of each factor and product once
-# per tolerance and shares it between its members and every law.
+# An order-law case builds the weighted pair of each factor and product once,
+# at its own tolerance, and shares it between its members and every law.
 
 PAIR_LAWS = (
     reverse_order_weak,
@@ -240,17 +241,36 @@ def test_triple_laws_share_four_pairs(monkeypatch):
     assert len(built) == 4  # A, B, C and A W B W C
 
 
-def test_case_pairs_are_built_per_tolerance(monkeypatch):
-    case = ex2_case()
+def test_case_builds_its_pairs_at_its_own_tolerance(monkeypatch):
     built = _counting_pairs(monkeypatch)
     other = ToleranceConfig(rank_rtol=1e-9)
-    reverse_order_weak(case, other)
-    assert built == [other] * 3
-    forward_order_weak(case, other)
-    assert len(built) == 3
-    # building the case decided nothing, so the default tolerance builds its own
-    reverse_order_weak(case)
-    assert built[3:] == [DEFAULT_TOL] * 3
+    case = ex2_case(with_c=False, tol=other)
+    assert case.tol == other and built == []
+    reports = [law(case) for law in PAIR_LAWS]
+    reports.append(reverse_order_weak_mpd(case, require_hypotheses=False))
+    assert built == [other] * 3  # A, B and A W B, and no law builds another
+    assert all(report.tolerances == other for report in reports)
+
+
+def test_builders_store_their_tolerance_on_the_case():
+    other = ToleranceConfig(rank_rtol=1e-9)
+    assert commuting_case(5, 4, 0, tol=other).tol == other
+    assert rol_case(5, 0, tol=other).tol == other
+    assert ex2_case().tol == DEFAULT_TOL
+    A, B, C, W = ex2_matrices()
+    inv = ex2_case().inverses
+    member = inv["Y3"] @ W @ inv["Z2"]
+    assert matrix_equation_solution(A, B, W, member, tol=other)[1].tolerances == other
+
+
+@pytest.mark.parametrize("slot", ["A", "B", "C", "W"])
+def test_case_refuses_a_factor_of_the_wrong_shape(slot):
+    # A, B and C are m x n and W is n x m: the error names the odd one's shape
+    A, B, C, W = ex2_matrices()
+    factors = dict(A=A, B=B, C=C, W=W)
+    factors[slot] = np.zeros((6, 4) if slot != "W" else (5, 5))
+    with pytest.raises(DimensionError, match=re.escape(str(factors[slot].shape))):
+        orderlaw.OrderLawCase(**factors)
 
 
 def test_case_matrices_are_read_only():

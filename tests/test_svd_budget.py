@@ -589,6 +589,20 @@ def test_triple_law_fixture_svd_count(monkeypatch):
     assert len(calls) <= TRIPLE_LAW_FIXTURE_SVDS
 
 
+# `verify thm3.30-rol --fixture ex2` builds the pairs of A, B and A W B; it took
+# 17 SVDs while the fixture case also built C's pair and its W-weighted Drazin
+# inverse, which the weak MPD order law never reads.
+WEAK_MPD_LAW_FIXTURE_SVDS = 13
+
+
+def test_weak_mpd_law_fixture_svd_count(monkeypatch):
+    calls = _counting(monkeypatch, linalg_impl, "svd")
+    monkeypatch.setattr(np.linalg, "svd", linalg_impl.svd)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "thm3.30-rol", "--fixture", "ex2"]) == 2  # H2, H3 fail
+    assert len(calls) <= WEAK_MPD_LAW_FIXTURE_SVDS
+
+
 # A report row takes ||F|| only when its residual exceeds residual_atol, the
 # range rows judge R(X) = R((BW)^k) from row (iv)'s residual of the pair's
 # projector onto R((BW)^k) and row (i)'s rank gap, and row (vii) reads the

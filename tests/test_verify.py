@@ -280,3 +280,27 @@ def test_a_wrong_shape_member_is_refused_by_its_shape(name):
     Y = weak_mpd(pair, ex1_member(2, -1)).value
     with pytest.raises(DimensionError, match=r"^member shape \(4, 5\) != \(5, 4\)$"):
         MEMBER_CALLS[name](pair, np.zeros((4, 5)), Y)
+
+
+# An inverse Y (or Y1) of the wrong shape is refused by its shape, n x m on the
+# caller's pair, before any product meets it: the right-hand checkers check it
+# before they take its adjoint.
+INVERSE_CHECKS = {
+    "check_weak_mpd_system": check_weak_mpd_system,
+    "check_weak_dmp_system": check_weak_dmp_system,
+    "check_mpd_characterizations": check_mpd_characterizations,
+    "check_dmp_characterizations": check_dmp_characterizations,
+    "check_projectors": check_projectors,
+    "check_projectors_right": check_projectors_right,
+    "check_unique_projector_solution": check_unique_projector_solution,
+    "check_unique_projector_solution(right)": lambda pair, member, Y: (
+        check_unique_projector_solution(pair, member, Y, side="right")
+    ),
+}
+
+
+@pytest.mark.parametrize("name", INVERSE_CHECKS)
+def test_a_wrong_shape_inverse_is_refused_by_its_shape(name):
+    pair = ex1_pair()
+    with pytest.raises(DimensionError, match=r"^inverse shape \(5, 4\) != \(4, 5\)$"):
+        INVERSE_CHECKS[name](pair, ex1_member(2, -1), np.zeros((5, 4)))
